@@ -106,13 +106,26 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
 
 
 def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: SphericalCodebook, num_iterations: int) -> EstimationResult:
-    """Simultaneous OMP over the codebook's dictionary.
+    """Simultaneous OMP over the dictionary A W, without ever forming it.
 
     Per iteration: correlate the residual against every dictionary column
     (energy summed across subcarriers), greedily add the best new column
     (ties break to the lowest index), re-project Y onto the selected columns,
     and update the residual. Columns whose selection would make the
     subdictionary numerically rank-deficient are skipped with a warning.
+
+    The correlations use the Gram update of Batch-OMP (Rubinstein,
+    Zibulevsky & Elad 2008) applied to SOMP. With residual R = Y - A W_S C,
+
+        R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
+
+    so the M x G first term is formed once, and each chosen atom w_i adds
+    one Gram row (A^H A w_i)^H W; the row after the last iteration is never
+    read and is not formed. W is thus read in place num_iterations times
+    (once for the first term, once per Gram row) and never copied. The
+    largest temporaries are M x G and (num_iterations - 1) x G: nothing
+    P N_RF x G is allocated. Only the selected columns pass through A, for
+    the least-squares step and the residual.
     """
     y = measurements.observations
     a = combining.entries
@@ -124,29 +137,34 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         raise ValueError(
             f"num_iterations={num_iterations} exceeds the rank budget {budget}"
         )
-    dictionary = a @ w
+    a_h = a.conj().T
+    base = (a_h @ y).conj().T @ w
+    gram_rows = np.empty((num_iterations - 1, w.shape[1]), dtype=np.complex128)
 
-    residual = y.astype(np.complex128, copy=True)
     support: list = []
     residual_norms: list = []
-    coeffs = np.zeros((0, y.shape[1]), dtype=np.complex128)
     # Scores of consumed / rejected columns are parked below any attainable
     # correlation energy so argmax never revisits them.
     blocked = np.zeros(w.shape[1], dtype=bool)
 
-    for _ in range(num_iterations):
-        gamma = dictionary.conj().T @ residual
-        scores = np.abs(gamma) ** 2
-        scores = scores.sum(axis=1)
+    for step in range(num_iterations):
+        if step == 0:
+            gamma = base
+        else:
+            gamma = coeffs.conj().T @ gram_rows[:step]
+            np.subtract(base, gamma, out=gamma)
+        magnitude = np.abs(gamma)
+        scores = np.einsum("ij,ij->j", magnitude, magnitude)
         scores[blocked] = -1.0
         while True:
             best = int(np.argmax(scores))
             if scores[best] < 0.0:
                 raise RuntimeError("dictionary exhausted before num_iterations")
-            candidate = support + [best]
-            solution, well_conditioned = lstsq_minimum_norm(
-                dictionary[:, candidate], y
-            )
+            # Formed as (W_S^T A^T)^T: BLAS then takes its general GEMM path,
+            # whose columns equal those of a full A @ W product bit for bit
+            # (A @ W_S with a few columns takes a small-matrix kernel).
+            sub = (w[:, support + [best]].T @ a.T).T
+            solution, well_conditioned = lstsq_minimum_norm(sub, y)
             if well_conditioned:
                 break
             warnings.warn(
@@ -159,8 +177,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         support.append(best)
         blocked[best] = True
         coeffs = solution
-        residual = y - dictionary[:, support] @ coeffs
-        residual_norms.append(float(np.linalg.norm(residual)))
+        residual_norms.append(float(np.linalg.norm(y - sub @ coeffs)))
+        if step < num_iterations - 1:
+            gram_rows[step] = (a_h @ sub[:, -1]).conj() @ w
 
     estimate = w[:, support] @ coeffs
     return EstimationResult(support, coeffs, estimate, residual_norms)

@@ -276,14 +276,15 @@ def _run_sweep(spec: RunSpec, kind: str, values) -> SweepResult:
         for method in spec.methods:
             samples = np.array([rec[method][0] for rec in records])
             seconds = float(sum(rec[method][1] for rec in records))
-            mean = float(np.nanmean(samples)) if np.any(np.isfinite(samples)) else math.nan
+            finite = int(np.isfinite(samples).sum())
+            mean = float(np.nanmean(samples)) if finite else math.nan
             rows.append(
                 SweepRow(
                     sweep_value=value,
                     method=method,
                     nmse_linear=mean,
                     nmse_db=estimator.nmse_db(mean) if not math.isnan(mean) else math.nan,
-                    trials=spec.trials,
+                    trials=finite,
                     wall_time_s=seconds,
                 )
             )

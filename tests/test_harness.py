@@ -1,9 +1,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from nearfield import ConfigurationError, desk_profile, run_trial
+from nearfield import ConfigurationError, desk_profile, estimator, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
@@ -107,6 +108,39 @@ def test_sweep_snr_deterministic_up_to_wall_time():
     stripped_a = [(r.sweep_value, r.method, r.nmse_linear, r.nmse_db, r.trials) for r in a.rows]
     stripped_b = [(r.sweep_value, r.method, r.nmse_linear, r.nmse_db, r.trials) for r in b.rows]
     assert stripped_a == stripped_b
+
+
+def test_sweep_trials_counts_finite_samples(monkeypatch):
+    spec = tiny_spec()
+    clean = sweep_snr(spec)
+    real_ls = estimator.ls_estimate
+    calls = []
+
+    def ls_failing_once(measurements, combining):
+        calls.append(None)
+        if len(calls) == 1:  # trial 0 at the first SNR point
+            raise RuntimeError("injected failure")
+        return real_ls(measurements, combining)
+
+    monkeypatch.setattr(estimator, "ls_estimate", ls_failing_once)
+    with pytest.warns(UserWarning, match="method ls failed on trial 0"):
+        faulty = sweep_snr(spec)
+
+    def stripped(row):
+        return (row.sweep_value, row.method, row.nmse_linear, row.nmse_db, row.trials)
+
+    failed_point = spec.snr_list_db[0]
+    assert len(faulty.rows) == len(clean.rows)
+    for want, got in zip(clean.rows, faulty.rows):
+        if (got.sweep_value, got.method) == (failed_point, "ls"):
+            assert got.trials == spec.trials - 1
+            bank = build_codebooks(spec)
+            survivors = [
+                run_trial(spec, failed_point, i, bank)["ls"][0] for i in range(1, spec.trials)
+            ]
+            assert got.nmse_linear == pytest.approx(np.mean(survivors), rel=1e-12)
+        else:
+            assert stripped(got) == stripped(want)
 
 
 def test_sweep_concurrent_equals_sequential():
