@@ -13,10 +13,12 @@ from .channel import (
     SystemConfig,
     UcaGeometry,
     approx_distance,
+    azimuth_cosines,
     exact_distance,
     far_field_steering,
     generate_channel,
     near_field_steering,
+    ring_steering,
     sample_paths,
     subcarrier_frequencies,
     uca_radius,

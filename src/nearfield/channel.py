@@ -189,19 +189,65 @@ def approx_distance(r, theta, phi, antenna_index, geom: UcaGeometry):
     return r - radius * cross + radius * radius / (2.0 * r) * (1.0 - cross * cross)
 
 
+def azimuth_cosines(phis, geom: UcaGeometry, out=None) -> np.ndarray:
+    """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`.
+
+    Every distance ring of one (theta, phi) point shares these values, so
+    callers that fill several rings compute them once and pass them to
+    `ring_steering`.
+    """
+    phis = np.asarray(phis, dtype=np.float64)
+    psi = geom.antenna_azimuths_rad
+    if out is None:
+        out = np.empty((phis.size, psi.size))
+    np.subtract(phis[:, None], psi, out=out)
+    return np.cos(out, out=out)
+
+
+def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out, scratch=None):
+    """Write the unit-norm steering vectors of ring (r, theta) into `out` (N x S).
+
+    Column s of `out` is the steering vector towards (r, theta, phi_s), where
+    row s of `cosines` holds cos(phi_s - psi_n) (see `azimuth_cosines`).
+    A finite r gives the spherical wave exp(-j 2pi/lambda (r^(n) - r)) /
+    sqrt(N) with the exact per-antenna distance r^(n); r = inf gives the
+    plane wave exp(+j 2pi/lambda R sin(theta) cos(phi_s - psi_n)) / sqrt(N).
+    `scratch` is an optional (float64, complex128) pair of arrays shaped like
+    `cosines`; with it, every ufunc writes into caller-owned memory.
+    """
+    radius = geom.radius_m
+    if r <= radius:
+        raise ValueError(
+            f"near-field source must lie outside the array: r={r} <= R={radius}"
+        )
+    if scratch is None:
+        scratch = (np.empty(cosines.shape), np.empty(cosines.shape, dtype=np.complex128))
+    real, phase = scratch
+    # The scalar factors are grouped, and the ufuncs applied, in the order of
+    # the per-column formulas, so every column is bit-identical to them
+    # whatever S is.
+    if math.isinf(r):
+        np.multiply(2.0 * math.pi / wavelength_m * radius * np.sin(theta), cosines, out=real)
+        np.multiply(1j, real, out=phase)
+    else:
+        np.multiply(2.0 * radius * r * np.sin(theta), cosines, out=real)
+        np.subtract(r * r + radius * radius, real, out=real)
+        np.sqrt(real, out=real)
+        np.subtract(real, r, out=real)
+        np.multiply(-2j * math.pi / wavelength_m, real, out=phase)
+    np.exp(phase, out=phase)
+    np.divide(phase, math.sqrt(geom.num_antennas), out=out.T)
+    return out
+
+
 def near_field_steering(r, theta, phi, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
     """Unit-norm spherical-wave steering vector for a source at (r, theta, phi).
 
     Entry n is exp(-j 2pi/lambda (r^(n) - r)) / sqrt(N), with r^(n) the exact
-    per-antenna distance.
+    per-antenna distance; r = inf gives the plane wave (`far_field_steering`).
     """
-    if r <= geom.radius_m:
-        raise ValueError(
-            f"near-field source must lie outside the array: r={r} <= R={geom.radius_m}"
-        )
-    n = geom.num_antennas
-    dist = exact_distance(r, theta, phi, np.arange(n), geom)
-    return np.exp(-2j * math.pi / wavelength_m * (dist - r)) / math.sqrt(n)
+    out = np.empty((geom.num_antennas, 1), dtype=np.complex128)
+    return ring_steering(r, theta, azimuth_cosines([phi], geom), geom, wavelength_m, out)[:, 0]
 
 
 def far_field_steering(theta, phi, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
@@ -209,10 +255,7 @@ def far_field_steering(theta, phi, geom: UcaGeometry, wavelength_m: float) -> np
 
     Entry n is exp(+j 2pi/lambda R sin(theta) cos(phi - psi_n)) / sqrt(N).
     """
-    psi = geom.antenna_azimuths_rad
-    n = geom.num_antennas
-    phase = 2.0 * math.pi / wavelength_m * geom.radius_m * np.sin(theta) * np.cos(phi - psi)
-    return np.exp(1j * phase) / math.sqrt(n)
+    return near_field_steering(math.inf, theta, phi, geom, wavelength_m)
 
 
 def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:

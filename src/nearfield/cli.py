@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import time
 
 from . import codebook as cb
 from . import estimator, harness
@@ -169,9 +170,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _build_spherical(spec) -> cb.SphericalCodebook:
+    """Build the spherical codebook and report its matrix size and build time."""
+    start = time.perf_counter()
+    book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    seconds = time.perf_counter() - start
+    print(
+        f"matrix {book.num_antennas} x {book.num_columns} {book.matrix.dtype}: "
+        f"{book.matrix.nbytes} bytes, built in {seconds:.3f} s"
+    )
+    return book
+
+
 def _cmd_codebook_build(args) -> int:
     spec = assemble_spec(args)
-    book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    book = _build_spherical(spec)
     cb.export_grid_text(book, args.out)
     print(f"wrote {book.num_columns} grid points to {args.out}")
     if args.matrix_out:
@@ -191,7 +204,7 @@ def _describe_pairs(label: str, stats: cb.PairStats) -> str:
 
 def _cmd_codebook_stats(args) -> int:
     spec = assemble_spec(args)
-    book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    book = _build_spherical(spec)
     elevations = sorted({p.elevation_rad for p in book.grid})
     azimuth_counts = {}
     ring_counts = {}

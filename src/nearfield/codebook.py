@@ -7,7 +7,10 @@ and angular (DFT) variants back the baseline estimators.
 """
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +19,8 @@ from .channel import (
     ConfigurationError,
     SystemConfig,
     UcaGeometry,
-    far_field_steering,
-    near_field_steering,
+    azimuth_cosines,
+    ring_steering,
 )
 from .numerics import first_j0_zero, solve_beta_delta
 
@@ -26,6 +29,10 @@ FAR_FIELD = math.inf
 
 _BINARY_MAGIC = b"SPHW"
 _BINARY_VERSION = 1
+
+#: Azimuths per codebook-fill task: small enough that a task's scratch stays
+#: in cache and that the tasks balance across threads.
+_AZIMUTH_SLICE = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +131,60 @@ def min_codebook_distance(config: SystemConfig) -> float:
     return 0.5 * math.sqrt(config.aperture_m**3 / config.wavelength_m)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on; the codebook fill uses one thread each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_rings(matrix, elevations, geom, wavelength_m):
+    """Fill `matrix` ring by ring on the calling thread and `_worker_count() - 1` helpers.
+
+    Within one elevation the columns run s-major, z-minor, so ring z of the
+    azimuth slice [s0, s1) is the strided view `block[:, s0:s1, z]` of the
+    elevation's (N, S, Z) block. Tasks are azimuth slices of one elevation,
+    taken largest first; each slice computes cos(phi_s - psi_n) once for all
+    of its rings. The numpy ufuncs release the GIL, and every thread writes
+    into buffers allocated here, so the threads allocate no array memory.
+    """
+    n = matrix.shape[0]
+    tasks = []
+    for theta, phis, rings, col in elevations:
+        block = matrix[:, col : col + len(phis) * len(rings)].reshape(n, len(phis), len(rings))
+        for s0 in range(0, len(phis), _AZIMUTH_SLICE):
+            phi_slice = np.array(phis[s0 : s0 + _AZIMUTH_SLICE])
+            tasks.append((theta, phi_slice, rings, block[:, s0 : s0 + phi_slice.size]))
+    tasks.sort(key=lambda task: task[1].size * len(task[2]), reverse=True)
+    width = max(task[1].size for task in tasks)
+    buffers = [
+        (np.empty((width, n)), np.empty((width, n)), np.empty((width, n), dtype=np.complex128))
+        for _ in range(min(_worker_count(), len(tasks)))
+    ]
+    pending = iter(tasks)
+    lock = threading.Lock()
+
+    def work(cos_buf, real_buf, phase_buf):
+        while True:
+            with lock:
+                task = next(pending, None)
+            if task is None:
+                return
+            theta, phis, rings, block = task
+            s = phis.size
+            cosines = azimuth_cosines(phis, geom, out=cos_buf[:s])
+            scratch = (real_buf[:s], phase_buf[:s])
+            for z, ring in enumerate(rings):
+                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, :, z], scratch)
+
+    # The pool starts a thread per submitted task, so one buffer starts none.
+    with ThreadPoolExecutor(max(len(buffers) - 1, 1)) as pool:
+        helpers = [pool.submit(work, *bufs) for bufs in buffers[1:]]
+        work(*buffers[0])
+        for future in helpers:
+            future.result()
+
+
 def _build_from_elevations(config, delta, r_min_m, thetas):
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
@@ -140,28 +201,23 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     z_cap = math.pi * geom.radius_m**2 / (2.0 * lam * beta)
 
     grid = []
+    elevations = []  # (theta, azimuths, rings, first column) per elevation
     for t, theta in enumerate(thetas):
         if theta == 0.0:
             # Near-field effects vanish at grazing elevation; the t = 0 point
             # collapses to the single constant plane-wave column.
+            elevations.append((theta, [0.0], [FAR_FIELD], len(grid)))
             grid.append(GridPoint(FAR_FIELD, 0.0, 0.0, (t, 0, 0)))
             continue
         phis = azimuth_grid(geom.radius_m, lam, alpha, theta)
         rings = distance_grid(theta, z_cap, r_min_m)
+        elevations.append((theta, phis, rings, len(grid)))
         for s, phi in enumerate(phis):
             for z, ring in enumerate(rings):
                 grid.append(GridPoint(ring, theta, phi, (t, s, z)))
 
     matrix = np.empty((config.num_antennas, len(grid)), dtype=np.complex128)
-    for col, point in enumerate(grid):
-        if point.is_far_field:
-            matrix[:, col] = far_field_steering(
-                point.elevation_rad, point.azimuth_rad, geom, lam
-            )
-        else:
-            matrix[:, col] = near_field_steering(
-                point.distance_m, point.elevation_rad, point.azimuth_rad, geom, lam
-            )
+    _fill_rings(matrix, elevations, geom, lam)
     params = CodebookParams(delta, alpha, beta, z_cap, r_min_m)
     return SphericalCodebook(matrix, tuple(grid), params)
 

@@ -2,6 +2,7 @@
 all estimators, with CSV emission of the per-method mean NMSE."""
 
 import math
+import struct
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -163,13 +164,19 @@ def build_codebooks(spec: RunSpec) -> CodebookBank:
 
 
 def _sweep_key(kind: str, sweep_value) -> int:
-    # Stable non-negative integer encoding of the sweep coordinate.
+    # Stable non-negative integer encoding of the sweep coordinate. SNRs on
+    # the 0.001 dB lattice keep their historical key 2^31 + 1000 v; any other
+    # SNR is keyed on its exact float64 bits above 2^64, a range no lattice
+    # key reaches for |v| < 1e15 dB, so nearby SNRs never share a stream.
     if kind == "pilot":
         return int(sweep_value)
     value = float(sweep_value)
     if math.isinf(value):
         return 1 << 62  # noiseless sentinel
-    return (1 << 31) + int(round(value * 1000.0))
+    milli = value * 1000.0
+    if milli.is_integer():
+        return (1 << 31) + int(milli)
+    return (1 << 64) + struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 def trial_seeds(master_seed: int, kind: str, sweep_value, trial_index: int):

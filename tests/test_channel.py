@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfield import (
     C_LIGHT,
@@ -11,14 +13,17 @@ from nearfield import (
     SystemConfig,
     UcaGeometry,
     approx_distance,
+    azimuth_cosines,
     exact_distance,
     far_field_steering,
     generate_channel,
     near_field_steering,
+    ring_steering,
     sample_paths,
     subcarrier_frequencies,
     uca_radius,
 )
+from steering_oracle import far_field_column, near_field_column
 
 # Frozen from direct evaluation (Cartesian oracle below for distances).
 RADIUS_512 = 0.4074392109611285
@@ -188,6 +193,62 @@ def test_far_field_steering_is_large_range_limit():
     near = near_field_steering(1e7, 0.9, 2.2, geom, 0.01)
     far = far_field_steering(0.9, 2.2, geom, 0.01)
     assert np.allclose(near, far, atol=1e-5)
+
+
+def ring_block(r, theta, phis, geom, wavelength_m=0.01):
+    out = np.empty((geom.num_antennas, len(phis)), dtype=np.complex128)
+    return ring_steering(r, theta, azimuth_cosines(phis, geom), geom, wavelength_m, out)
+
+
+@st.composite
+def rings(draw):
+    """A UCA, one (r, theta) ring on or outside 1.01 R (r = inf included) and its azimuths."""
+    geom = UcaGeometry.from_layout(draw(st.integers(3, 256)), 0.005)
+    far = draw(st.booleans())
+    r = math.inf if far else draw(st.floats(1.01 * geom.radius_m, 10.0))
+    theta = draw(st.floats(0.0, 0.5 * math.pi))
+    phis = draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=1, max_size=6))
+    return geom, r, theta, phis
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings())
+def test_ring_steering_columns_have_unit_norm(ring):
+    geom, r, theta, phis = ring
+    norms = np.linalg.norm(ring_block(r, theta, phis, geom), axis=0)
+    assert np.allclose(norms, 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings())
+def test_ring_steering_matches_per_column_oracle(ring):
+    # Bit for bit: r = inf against the plane-wave columns, finite r against
+    # the spherical-wave columns.
+    geom, r, theta, phis = ring
+    block = ring_block(r, theta, phis, geom)
+    for s, phi in enumerate(phis):
+        if math.isinf(r):
+            expected = far_field_column(theta, phi, geom, 0.01)
+        else:
+            expected = near_field_column(r, theta, phi, geom, 0.01)
+        assert np.array_equal(block[:, s], expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings())
+def test_ring_steering_azimuth_step_is_cyclic_antenna_shift(ring):
+    # psi_n = 2 pi n / N, so phi -> phi + 2 pi / N maps antenna n - 1 to n.
+    geom, r, theta, phis = ring
+    step = 2.0 * math.pi / geom.num_antennas
+    block = ring_block(r, theta, phis, geom)
+    rotated = ring_block(r, theta, [phi + step for phi in phis], geom)
+    assert np.max(np.abs(rotated - np.roll(block, 1, axis=0))) <= 1e-12
+
+
+def test_ring_steering_rejects_source_inside_array():
+    geom = UcaGeometry.from_layout(64, 0.005)
+    with pytest.raises(ValueError):
+        ring_block(geom.radius_m, 1.0, [0.0, 1.0], geom)
 
 
 def channel_oracle(paths, config):

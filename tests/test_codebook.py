@@ -22,6 +22,7 @@ from nearfield import (
     solve_beta_delta,
     uca_radius,
 )
+from nearfield import codebook
 from nearfield.codebook import (
     export_grid_text,
     export_matrix_binary,
@@ -29,6 +30,8 @@ from nearfield.codebook import (
     load_matrix_binary,
     min_codebook_distance,
 )
+from nearfield.harness import paper_profile
+from steering_oracle import oracle_column, oracle_matrix
 
 # Frozen paper-scale grid constants (lambda = 0.01 m, N = 512, delta = 0.55).
 PAPER_T = 106
@@ -174,19 +177,52 @@ def test_spherical_codebook_zenith_contributes_one_column(small_codebook):
     assert zenith[0].is_far_field
 
 
-def test_spherical_codebook_columns_match_direct_steering(small_config, small_codebook):
-    geom = UcaGeometry.from_config(small_config)
-    lam = small_config.wavelength_m
-    rng = np.random.default_rng(0)
-    for col in rng.choice(small_codebook.num_columns, size=20, replace=False):
-        point = small_codebook.grid[col]
-        if point.is_far_field:
-            expected = far_field_steering(point.elevation_rad, point.azimuth_rad, geom, lam)
-        else:
-            expected = near_field_steering(
-                point.distance_m, point.elevation_rad, point.azimuth_rad, geom, lam
-            )
-        assert np.array_equal(small_codebook.matrix[:, col], expected)
+def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook, monkeypatch):
+    # Every column of the desk spherical and polar codebooks equals the
+    # per-column oracle bit for bit, with the fill on the default worker
+    # count and forced to one and to three threads.
+    system = desk_spec.system
+    geom = UcaGeometry.from_config(system)
+    lam = system.wavelength_m
+    polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
+    expected = {
+        build_spherical_codebook: (desk_codebook.grid, oracle_matrix(desk_codebook.grid, geom, lam)),
+        build_polar_codebook: (polar.grid, oracle_matrix(polar.grid, geom, lam)),
+    }
+    assert np.array_equal(desk_codebook.matrix, expected[build_spherical_codebook][1])
+    assert np.array_equal(polar.matrix, expected[build_polar_codebook][1])
+    for workers in (1, 3):
+        monkeypatch.setattr(codebook, "_worker_count", lambda: workers)
+        for build, (grid, matrix) in expected.items():
+            book = build(system, desk_spec.delta, desk_spec.r_min_m)
+            assert book.grid == grid
+            assert np.array_equal(book.matrix, matrix)
+
+
+def test_codebook_fill_propagates_worker_errors(small_config, monkeypatch):
+    def failing_kernel(*args):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(codebook, "_worker_count", lambda: 2)
+    monkeypatch.setattr(codebook, "ring_steering", failing_kernel)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        build_spherical_codebook(small_config, 0.55, 0.25)
+
+
+@pytest.mark.slow
+def test_paper_spherical_codebook_matches_per_column_oracle():
+    # Column by column, so the test never holds a second 822 MB matrix.
+    spec = paper_profile()
+    book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    assert book.num_columns == 100358
+    geom = UcaGeometry.from_config(spec.system)
+    lam = spec.system.wavelength_m
+    mismatched = [
+        col
+        for col, point in enumerate(book.grid)
+        if not np.array_equal(book.matrix[:, col], oracle_column(point, geom, lam))
+    ]
+    assert mismatched == []
 
 
 def test_spherical_codebook_rejects_r_min_inside_reactive_region(small_config):

@@ -17,6 +17,7 @@ from nearfield.harness import (
     paper_profile,
     sweep_pilot,
     sweep_snr,
+    _sweep_key,
     trial_seeds,
 )
 
@@ -52,6 +53,23 @@ def test_trial_seeds_channel_independent_of_sweep_value():
     assert a_channel.spawn_key == b_channel.spawn_key
     assert a_comb.spawn_key != b_comb.spawn_key
     assert a_noise.spawn_key != b_noise.spawn_key
+
+
+def test_sweep_key_separates_nearby_off_lattice_snrs():
+    assert _sweep_key("snr", 5.0) != _sweep_key("snr", 5.0004)
+    _, comb_a, noise_a = trial_seeds(7, "snr", 5.0, 2)
+    _, comb_b, noise_b = trial_seeds(7, "snr", 5.0004, 2)
+    assert comb_a.spawn_key != comb_b.spawn_key
+    assert noise_a.spawn_key != noise_b.spawn_key
+
+
+def test_sweep_key_pins_lattice_snrs():
+    # SNRs on the 0.001 dB lattice keep their historical streams.
+    pinned = {0.0: 2147483648, 5.0: 2147488648, 10.0: 2147493648, 15.0: 2147498648,
+              20.0: 2147503648, math.inf: 1 << 62}
+    assert {v: _sweep_key("snr", v) for v in pinned} == pinned
+    assert _sweep_key("snr", 5) == _sweep_key("snr", 5.0)
+    assert _sweep_key("snr", 5.0004) >= 1 << 64
 
 
 def test_run_trial_deterministic():
@@ -300,6 +318,10 @@ def test_cli_codebook_build_and_stats(tmp_path, capsys):
     assert code == 0
     assert "columns G" in out
     assert "adjacent distance" in out
+    # Build and stats both report the 64 x G complex128 matrix (16 B/entry).
+    g = len(grid_out.read_text().splitlines())
+    matrix_line = f"matrix 64 x {g} complex128: {64 * g * 16} bytes, built in "
+    assert out.count(matrix_line) == 2
 
 
 def test_cli_rejects_paper_profile_without_slow_flag(tmp_path):
