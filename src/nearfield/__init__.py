@@ -25,8 +25,8 @@ from .channel import (
 )
 from .codebook import (
     FAR_FIELD,
+    CodebookGrid,
     CoherenceStats,
-    GridPoint,
     SphericalCodebook,
     azimuth_grid,
     build_angular_codebook,
@@ -62,10 +62,8 @@ from .harness import (
     sweep_snr,
 )
 from .numerics import (
-    DegenerateSystemWarning,
     bessel_j0,
     first_j0_zero,
-    least_squares_solve,
     solve_beta_delta,
 )
 

@@ -11,6 +11,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import codebook as cb
 from . import estimator, harness
 from .channel import ConfigurationError, SystemConfig
@@ -205,17 +207,16 @@ def _describe_pairs(label: str, stats: cb.PairStats) -> str:
 def _cmd_codebook_stats(args) -> int:
     spec = assemble_spec(args)
     book = _build_spherical(spec)
-    elevations = sorted({p.elevation_rad for p in book.grid})
-    azimuth_counts = {}
-    ring_counts = {}
-    for point in book.grid:
-        t = point.indices[0]
-        azimuth_counts[t] = max(azimuth_counts.get(t, 0), point.indices[1] + 1)
-        ring_counts[t] = max(ring_counts.get(t, 0), point.indices[2] + 1)
+    levels = np.unique(book.grid.coords[:, 1]).size
+    # Columns run t-major, so each elevation's columns form one run.
+    t, s, z = book.grid.indices.T
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    azimuths = np.maximum.reduceat(s, starts) + 1
+    rings = np.maximum.reduceat(z, starts) + 1
     print(f"columns G = {book.num_columns} over {book.num_antennas} antennas")
-    print(f"elevation levels: {len(elevations)} (t = 0..{len(elevations) - 1})")
-    print(f"azimuth samples per elevation: min {min(azimuth_counts.values())}, max {max(azimuth_counts.values())}")
-    print(f"distance rings per elevation (far field included): min {min(ring_counts.values())}, max {max(ring_counts.values())}")
+    print(f"elevation levels: {levels} (t = 0..{levels - 1})")
+    print(f"azimuth samples per elevation: min {azimuths.min()}, max {azimuths.max()}")
+    print(f"distance rings per elevation (far field included): min {rings.min()}, max {rings.max()}")
     summary = cb.coherence_stats(book, args.budget)
     print("column correlations:")
     print(_describe_pairs("adjacent elevation", summary.adjacent_elevation))

@@ -34,19 +34,39 @@ _BINARY_VERSION = 1
 #: in cache and that the tasks balance across threads.
 _AZIMUTH_SLICE = 64
 
+#: Bytes of matrix columns per read or write of the binary export.
+_IO_CHUNK_BYTES = 1 << 20
 
-@dataclass(frozen=True, slots=True)
-class GridPoint:
-    """One sampled (r, theta, phi) point with its (t, s, z) grid indices."""
 
-    distance_m: float
-    elevation_rad: float
-    azimuth_rad: float
-    indices: tuple
+@dataclass(frozen=True, eq=False)
+class CodebookGrid:
+    """Per-column grid metadata as two read-only (G, 3) arrays.
 
-    @property
-    def is_far_field(self) -> bool:
-        return math.isinf(self.distance_m)
+    `indices` holds the (t, s, z) grid indices (int64) and `coords` the
+    (r, theta, phi) sample (float64) of every column, in column order;
+    r = FAR_FIELD marks the plane-wave ring.
+    """
+
+    indices: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.indices.shape != self.coords.shape or self.indices.shape[1:] != (3,):
+            raise ValueError(
+                f"indices {self.indices.shape} and coords {self.coords.shape} must both be (G, 3)"
+            )
+        self.indices.flags.writeable = False
+        self.coords.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, CodebookGrid)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.coords, other.coords)
+        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +85,7 @@ class SphericalCodebook:
     """Transform matrix (N x G) plus per-column grid metadata."""
 
     matrix: np.ndarray = field(repr=False)
-    grid: tuple
+    grid: CodebookGrid
     params: CodebookParams | None = None
 
     def __post_init__(self):
@@ -200,26 +220,34 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     beta = solve_beta_delta(delta)
     z_cap = math.pi * geom.radius_m**2 / (2.0 * lam * beta)
 
-    grid = []
     elevations = []  # (theta, azimuths, rings, first column) per elevation
-    for t, theta in enumerate(thetas):
+    columns = 0
+    for theta in thetas:
         if theta == 0.0:
             # Near-field effects vanish at grazing elevation; the t = 0 point
             # collapses to the single constant plane-wave column.
-            elevations.append((theta, [0.0], [FAR_FIELD], len(grid)))
-            grid.append(GridPoint(FAR_FIELD, 0.0, 0.0, (t, 0, 0)))
-            continue
-        phis = azimuth_grid(geom.radius_m, lam, alpha, theta)
-        rings = distance_grid(theta, z_cap, r_min_m)
-        elevations.append((theta, phis, rings, len(grid)))
-        for s, phi in enumerate(phis):
-            for z, ring in enumerate(rings):
-                grid.append(GridPoint(ring, theta, phi, (t, s, z)))
+            phis, rings = [0.0], [FAR_FIELD]
+        else:
+            phis = azimuth_grid(geom.radius_m, lam, alpha, theta)
+            rings = distance_grid(theta, z_cap, r_min_m)
+        elevations.append((theta, phis, rings, columns))
+        columns += len(phis) * len(rings)
 
-    matrix = np.empty((config.num_antennas, len(grid)), dtype=np.complex128)
+    matrix = np.empty((config.num_antennas, columns), dtype=np.complex128)
     _fill_rings(matrix, elevations, geom, lam)
     params = CodebookParams(delta, alpha, beta, z_cap, r_min_m)
-    return SphericalCodebook(matrix, tuple(grid), params)
+    return SphericalCodebook(matrix, _grid_of(elevations), params)
+
+
+def _grid_of(elevations) -> CodebookGrid:
+    """Grid arrays of the columns `_fill_rings` lays out: elevation t in list
+    order, then s-major, z-minor within it."""
+    indices, coords = [], []
+    for t, (theta, phis, rings, _) in enumerate(elevations):
+        s, z = np.divmod(np.arange(len(phis) * len(rings), dtype=np.int64), len(rings))
+        indices.append(np.column_stack([np.full_like(s, t), s, z]))
+        coords.append(np.column_stack([np.asarray(rings)[z], np.full(s.size, theta), np.asarray(phis)[s]]))
+    return CodebookGrid(np.concatenate(indices), np.concatenate(coords))
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:
@@ -244,11 +272,10 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     n = config.num_antennas
     idx = np.arange(n)
     matrix = np.exp(-2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    grid = tuple(
-        GridPoint(FAR_FIELD, 0.5 * math.pi, 2.0 * math.pi * g / n, (0, g, 0))
-        for g in range(n)
-    )
-    return SphericalCodebook(matrix, grid, None)
+    zeros = np.zeros(n, dtype=np.int64)
+    indices = np.column_stack([zeros, idx, zeros])
+    coords = np.column_stack([np.full(n, FAR_FIELD), np.full(n, 0.5 * math.pi), 2.0 * math.pi * idx / n])
+    return SphericalCodebook(matrix, CodebookGrid(indices, coords), None)
 
 
 def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -294,10 +321,6 @@ class CoherenceStats:
 def _pair_correlations(matrix: np.ndarray, left, right, chunk: int = 16384) -> np.ndarray:
     # Chunked so that paper-scale codebooks (~1e5 pairs per axis) never
     # materialise more than `chunk` gathered columns at once.
-    if len(left) == 0:
-        return np.empty(0)
-    left = np.asarray(left)
-    right = np.asarray(right)
     out = np.empty(left.size)
     for start in range(0, left.size, chunk):
         stop = start + chunk
@@ -316,18 +339,21 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    by_index = {point.indices: col for col, point in enumerate(codebook.grid)}
-    axes = {0: ([], []), 1: ([], []), 2: ([], [])}
-    for (t, s, z), col in by_index.items():
-        for axis, neighbour in enumerate(((t + 1, s, z), (t, s + 1, z), (t, s, z + 1))):
-            other = by_index.get(neighbour)
-            if other is not None:
-                axes[axis][0].append(col)
-                axes[axis][1].append(other)
-
-    elevation = PairStats.from_values(_pair_correlations(codebook.matrix, *axes[0]))
-    azimuth = PairStats.from_values(_pair_correlations(codebook.matrix, *axes[1]))
-    distance = PairStats.from_values(_pair_correlations(codebook.matrix, *axes[2]))
+    # Each (t, s, z) is raveled to one key; the (t+1, s, z), (t, s+1, z) and
+    # (t, s, z+1) neighbours are looked up among the sorted keys. Left
+    # columns stay in ascending column order.
+    indices = codebook.grid.indices
+    shape = indices.max(axis=0, initial=0) + 2  # room for every +1 neighbour
+    keys = np.ravel_multi_index(indices.T, shape)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    adjacent = []
+    for step in np.eye(3, dtype=np.int64):
+        wanted = np.ravel_multi_index((indices + step).T, shape)
+        found = np.minimum(np.searchsorted(sorted_keys, wanted), keys.size - 1)
+        hit = sorted_keys[found] == wanted
+        pairs = _pair_correlations(codebook.matrix, np.flatnonzero(hit), order[found[hit]])
+        adjacent.append(PairStats.from_values(pairs))
 
     g = codebook.num_columns
     if g < 2:
@@ -340,48 +366,44 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
         random_stats = PairStats.from_values(
             _pair_correlations(codebook.matrix, left, right)
         )
-    return CoherenceStats(elevation, azimuth, distance, random_stats)
+    return CoherenceStats(*adjacent, random_stats)
 
 
 def export_grid_text(codebook: SphericalCodebook, path) -> None:
     """One grid point per line: t,s,z,r,theta,phi (r = inf marks far field)."""
+    columns = (*codebook.grid.indices.T.tolist(), *codebook.grid.coords.T.tolist())
     with open(path, "w", encoding="utf-8") as handle:
-        for point in codebook.grid:
-            t, s, z = point.indices
-            handle.write(
-                f"{t},{s},{z},{point.distance_m!r},"
-                f"{point.elevation_rad!r},{point.azimuth_rad!r}\n"
-            )
+        for t, s, z, r, theta, phi in zip(*columns):
+            handle.write(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n")
 
 
-def load_grid_text(path) -> tuple:
+def load_grid_text(path) -> CodebookGrid:
     """Parse a file written by `export_grid_text`."""
-    points = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            t, s, z, r, theta, phi = line.split(",")
-            points.append(
-                GridPoint(float(r), float(theta), float(phi), (int(t), int(s), int(z)))
-            )
-    return tuple(points)
+        rows = [line.split(",") for line in handle if line.strip()]
+    indices = np.array([row[:3] for row in rows], dtype=np.int64).reshape(len(rows), 3)
+    coords = np.array([row[3:] for row in rows], dtype=np.float64).reshape(len(rows), 3)
+    return CodebookGrid(indices, coords)
 
 
 def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     """Raw dump: 16-byte header (magic 'SPHW', version, N, G as little-endian
-    u32) followed by the matrix as column-major interleaved re/im float64."""
-    n, g = codebook.matrix.shape
-    header = _BINARY_MAGIC + struct.pack("<III", _BINARY_VERSION, n, g)
-    payload = np.asfortranarray(codebook.matrix.astype("<c16", copy=False))
+    u32) followed by the matrix as column-major interleaved re/im float64.
+
+    Written a chunk of columns at a time, so no matrix-sized copy is made.
+    """
+    matrix = codebook.matrix
+    n, g = matrix.shape
+    step = max(1, _IO_CHUNK_BYTES // (16 * max(n, 1)))
     with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(payload.tobytes(order="F"))
+        handle.write(_BINARY_MAGIC + struct.pack("<III", _BINARY_VERSION, n, g))
+        for start in range(0, g, step):
+            handle.write(np.ascontiguousarray(matrix[:, start : start + step].T, dtype="<c16"))
 
 
 def load_matrix_binary(path) -> np.ndarray:
-    """Read a matrix written by `export_matrix_binary`."""
+    """Read a matrix written by `export_matrix_binary`, a chunk of columns at
+    a time straight into the (N, G) result."""
     with open(path, "rb") as handle:
         header = handle.read(16)
         if len(header) != 16 or header[:4] != _BINARY_MAGIC:
@@ -389,7 +411,14 @@ def load_matrix_binary(path) -> np.ndarray:
         version, n, g = struct.unpack("<III", header[4:])
         if version != _BINARY_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(handle.read(), dtype="<c16")
-    if data.size != n * g:
-        raise ValueError(f"{path}: expected {n * g} complex values, got {data.size}")
-    return data.reshape((n, g), order="F").copy()
+        payload = os.fstat(handle.fileno()).st_size - 16
+        if payload != 16 * n * g:
+            raise ValueError(f"{path}: expected {16 * n * g} payload bytes, got {payload}")
+        matrix = np.empty((n, g), dtype=np.complex128)
+        chunk = np.empty((max(1, _IO_CHUNK_BYTES // (16 * max(n, 1))), n), dtype="<c16")
+        for start in range(0, g, chunk.shape[0]):
+            block = chunk[: g - start]
+            if handle.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: file shrank while it was read")
+            matrix[:, start : start + block.shape[0]] = block.T
+    return matrix

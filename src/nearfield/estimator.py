@@ -35,10 +35,6 @@ class CombiningMatrix:
     def num_antennas(self) -> int:
         return self.entries.shape[1]
 
-    def slot_block(self, slot: int) -> np.ndarray:
-        start = slot * self.num_rf_chains
-        return self.entries[start : start + self.num_rf_chains]
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
@@ -55,14 +51,13 @@ class EstimationResult:
     """Output of a greedy sparse recovery run.
 
     `channel_estimate` always equals codebook_columns[:, support] @
-    sparse_coeffs; `nmse_db` is filled in by callers that know the truth.
+    sparse_coeffs.
     """
 
     support: list
     sparse_coeffs: np.ndarray = field(repr=False)
     channel_estimate: np.ndarray = field(repr=False)
     residual_norms: list
-    nmse_db: float | None = None
 
 
 def generate_combining(seed, num_slots: int, num_rf_chains: int, num_antennas: int) -> CombiningMatrix:

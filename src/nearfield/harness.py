@@ -193,14 +193,14 @@ def trial_seeds(master_seed: int, kind: str, sweep_value, trial_index: int):
     return channel, combining, noise
 
 
+#: The codebook (a `CodebookBank` attribute) each S-SOMP method searches.
+SOMP_CODEBOOKS = {METHOD_S_SOMP: "spherical", METHOD_P_SOMP: "polar", METHOD_ANGULAR: "angular"}
+
+
 def _estimate(method, spec, system, bank, paths, measurements, combining):
-    iterations = spec.effective_iterations
-    if method == METHOD_S_SOMP:
-        return estimator.s_somp(measurements, combining, bank.spherical, iterations)
-    if method == METHOD_P_SOMP:
-        return estimator.s_somp(measurements, combining, bank.polar, iterations)
-    if method == METHOD_ANGULAR:
-        return estimator.s_somp(measurements, combining, bank.angular, iterations)
+    if method in SOMP_CODEBOOKS:
+        book = getattr(bank, SOMP_CODEBOOKS[method])
+        return estimator.s_somp(measurements, combining, book, spec.effective_iterations)
     if method == METHOD_LS:
         return estimator.ls_estimate(measurements, combining)
     if method == METHOD_ORACLE:
@@ -249,10 +249,8 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
         try:
             outcome = _estimate(method, spec, system, bank, paths, measurements, combining)
             if isinstance(outcome, estimator.EstimationResult):
-                value = estimator.nmse(truth, outcome.channel_estimate)
-                outcome.nmse_db = estimator.nmse_db(value)
-            else:
-                value = estimator.nmse(truth, outcome)
+                outcome = outcome.channel_estimate
+            value = estimator.nmse(truth, outcome)
         except Exception as exc:  # noqa: BLE001 - isolate per-method failures
             warnings.warn(
                 f"method {method} failed on trial {trial_index} at "

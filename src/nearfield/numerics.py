@@ -5,7 +5,6 @@ Everything here is a pure function; no shared mutable state.
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -17,10 +16,6 @@ CONDITION_LIMIT = 1e12
 # The series loses ~5 digits to cancellation near x = 20; at 12 the
 # asymptotic tail already truncates below 1e-11.
 _SERIES_CROSSOVER = 12.0
-
-
-class DegenerateSystemWarning(UserWarning):
-    """Raised (as a warning) when a least-squares system is rank-deficient."""
 
 
 def bessel_j0(x: float) -> float:
@@ -137,20 +132,3 @@ def lstsq_minimum_norm(a_sub: np.ndarray, y: np.ndarray):
         ok = sv.size == 0
     return (x[:, 0] if squeeze else x), ok
 
-
-def least_squares_solve(a_sub: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve min_X ||a_sub @ X - Y||_F for complex matrices.
-
-    Backed by an SVD-based (rank-revealing) factorisation; rank-deficient
-    systems return the minimum-norm solution and emit a
-    DegenerateSystemWarning.
-    """
-    x, ok = lstsq_minimum_norm(a_sub, y)
-    if not ok:
-        warnings.warn(
-            "least-squares system is numerically rank-deficient; "
-            "returning the minimum-norm solution",
-            DegenerateSystemWarning,
-            stacklevel=2,
-        )
-    return x

@@ -32,14 +32,15 @@ def far_field_column(theta, phi, geom, wavelength_m):
 
 
 def oracle_column(point, geom, wavelength_m):
-    """The steering column of one codebook `GridPoint`."""
-    if point.is_far_field:
-        return far_field_column(point.elevation_rad, point.azimuth_rad, geom, wavelength_m)
-    return near_field_column(
-        point.distance_m, point.elevation_rad, point.azimuth_rad, geom, wavelength_m
-    )
+    """The steering column of one codebook grid point (r, theta, phi)."""
+    r, theta, phi = point
+    if math.isinf(r):
+        return far_field_column(theta, phi, geom, wavelength_m)
+    return near_field_column(r, theta, phi, geom, wavelength_m)
 
 
 def oracle_matrix(grid, geom, wavelength_m):
     """A codebook matrix rebuilt one column at a time from its grid."""
-    return np.column_stack([oracle_column(point, geom, wavelength_m) for point in grid])
+    return np.column_stack(
+        [oracle_column(point, geom, wavelength_m) for point in grid.coords.tolist()]
+    )

@@ -111,23 +111,19 @@ def test_criterion_3_noiseless_on_grid_exact_recovery(desk):
     # represented. The printed azimuth rule double-covers phi = 0 vs
     # phi ~ 2 pi, so the s = 0 / s = S endpoint columns have a
     # near-duplicate twin and are excluded from planting.
-    s_max = {}
-    for point in book.grid:
-        t, s, _ = point.indices
-        s_max[t] = max(s_max.get(t, -1), s)
-    plantable = [
-        (col, p)
-        for col, p in enumerate(book.grid)
-        if not p.is_far_field and 0 < p.indices[1] < s_max[p.indices[0]]
-    ]
+    t, s, _ = book.grid.indices.T
+    s_max = np.zeros(t.max() + 1, dtype=np.int64)
+    np.maximum.at(s_max, t, s)
+    finite = np.isfinite(book.grid.coords[:, 0])
+    plantable = np.flatnonzero(finite & (0 < s) & (s < s_max[t])).tolist()
     assert len(plantable) > 1000
 
     successes = 0
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        col, point = plantable[rng.integers(len(plantable))]
+        col = plantable[rng.integers(len(plantable))]
         gain = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        path = PathParams(point.distance_m, point.elevation_rad, point.azimuth_rad, gain)
+        path = PathParams(*book.grid.coords[col].tolist(), gain)
         truth = generate_channel([path], config)
         combining = generate_combining(
             10_000 + trial, config.num_pilot_slots, config.num_rf_chains, config.num_antennas

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from nearfield import (
 )
 from nearfield import codebook
 from nearfield.codebook import (
+    CodebookGrid,
+    PairStats,
     export_grid_text,
     export_matrix_binary,
     load_grid_text,
@@ -32,6 +36,29 @@ from nearfield.codebook import (
 )
 from nearfield.harness import paper_profile
 from steering_oracle import oracle_column, oracle_matrix
+
+# sha256 of each codebook's grid text, frozen from the per-point GridPoint
+# export that the grid arrays replaced.
+GRID_TEXT_SHA256 = {
+    "small": "48d78a5f9f45b44c1c855fb639295d3c0ab53c76705bdfcb2f3ef84ca1358a72",
+    "desk": "3e88833678c316817177b7efceec0ec0f71404efa3d0e345b3623d910aa0c525",
+    "polar": "3e953f2aa3a501b809baf615214c4359602db5513c5e1cfe108474b4c05dd75c",
+    "angular": "29dbc65bf2f5535f66d734a7e5bb74b8047683da7ae40c027aafb54e2b508f76",
+}
+BOOK_NAMES = tuple(GRID_TEXT_SHA256)
+
+
+@pytest.fixture(scope="module")
+def books(small_codebook, desk_spec, desk_codebook):
+    """The small spherical codebook and the desk spherical, polar and angular ones."""
+    system = desk_spec.system
+    return {
+        "small": small_codebook,
+        "desk": desk_codebook,
+        "polar": build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m),
+        "angular": build_angular_codebook(system),
+    }
+
 
 # Frozen paper-scale grid constants (lambda = 0.01 m, N = 512, delta = 0.55).
 PAPER_T = 106
@@ -149,8 +176,7 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
     )
     assert small_codebook.num_columns == total
     by_level = {}
-    for point in small_codebook.grid:
-        t, s, z = point.indices
+    for t, s, z in small_codebook.grid.indices.tolist():
         azimuths, rings = by_level.get(t, (0, 0))
         by_level[t] = (max(azimuths, s + 1), max(rings, z + 1))
     assert by_level == {t: (azimuths, rings) for t, azimuths, rings in per_level}
@@ -163,18 +189,35 @@ def test_spherical_codebook_deterministic(small_config, small_codebook):
 
 
 def test_spherical_codebook_grid_consistency(small_codebook):
-    indices = [p.indices for p in small_codebook.grid]
+    grid = small_codebook.grid
+    assert len(grid) == small_codebook.num_columns
+    assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
+    indices = [tuple(row) for row in grid.indices.tolist()]
     assert len(indices) == len(set(indices))
-    for point in small_codebook.grid:
-        assert point.is_far_field == (point.indices[2] == 0)
-        if not point.is_far_field:
-            assert point.distance_m >= 0.25
+    for (_, _, z), (r, _, _) in zip(indices, grid.coords.tolist()):
+        assert math.isinf(r) == (z == 0)
+        if not math.isinf(r):
+            assert r >= 0.25
+    with pytest.raises(ValueError):
+        grid.coords[0, 0] = 1.0  # read-only
 
 
 def test_spherical_codebook_zenith_contributes_one_column(small_codebook):
-    zenith = [p for p in small_codebook.grid if p.indices[0] == 0]
+    zenith = small_codebook.grid.coords[small_codebook.grid.indices[:, 0] == 0]
     assert len(zenith) == 1
-    assert zenith[0].is_far_field
+    assert math.isinf(zenith[0, 0])
+
+
+def test_codebook_grid_equality_is_a_bool(small_codebook):
+    grid = small_codebook.grid
+    same = CodebookGrid(grid.indices.copy(), grid.coords.copy())
+    assert (same == grid) is True
+    moved = grid.coords.copy()
+    moved[-1, 2] += 1e-12
+    assert (CodebookGrid(grid.indices.copy(), moved) == grid) is False
+    assert grid != tuple(grid.indices.tolist())
+    with pytest.raises(ValueError):
+        CodebookGrid(grid.indices, grid.coords[:-1])
 
 
 def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook, monkeypatch):
@@ -219,7 +262,7 @@ def test_paper_spherical_codebook_matches_per_column_oracle():
     lam = spec.system.wavelength_m
     mismatched = [
         col
-        for col, point in enumerate(book.grid)
+        for col, point in enumerate(book.grid.coords.tolist())
         if not np.array_equal(book.matrix[:, col], oracle_column(point, geom, lam))
     ]
     assert mismatched == []
@@ -239,7 +282,7 @@ def test_spherical_codebook_rejects_bad_delta(small_config):
 
 def test_polar_codebook_is_coplanar_subset(small_config, small_codebook):
     polar = build_polar_codebook(small_config, 0.55, 0.25)
-    assert all(p.elevation_rad == 0.5 * math.pi for p in polar.grid)
+    assert np.all(polar.grid.coords[:, 1] == 0.5 * math.pi)
     assert polar.num_columns <= small_codebook.num_columns
 
 
@@ -318,7 +361,8 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
-    single = type(book)(book.matrix[:, :1], (book.grid[0],), None)
+    grid = CodebookGrid(book.grid.indices[:1], book.grid.coords[:1])
+    single = type(book)(book.matrix[:, :1], grid, None)
     stats = coherence_stats(single, 10)
     assert stats.random_pairs.count == 0
     assert stats.adjacent_azimuth.count == 0
@@ -338,15 +382,74 @@ def test_coherence_stats_desk_codebook(desk_codebook):
     assert again == stats
 
 
+def _coherence_stats_by_dict(book, sample_budget, seed=0):
+    """The dict-of-tuples `coherence_stats` that index arithmetic replaced,
+    kept as its oracle."""
+    by_index = {tuple(ids): col for col, ids in enumerate(book.grid.indices.tolist())}
+    axes = {0: ([], []), 1: ([], []), 2: ([], [])}
+    for (t, s, z), col in by_index.items():
+        for axis, neighbour in enumerate(((t + 1, s, z), (t, s + 1, z), (t, s, z + 1))):
+            other = by_index.get(neighbour)
+            if other is not None:
+                axes[axis][0].append(col)
+                axes[axis][1].append(other)
+    adjacent = [
+        PairStats.from_values(codebook._pair_correlations(book.matrix, *map(np.array, axes[axis])))
+        for axis in range(3)
+    ]
+    g = book.num_columns
+    if g < 2:
+        random_stats = PairStats.from_values(np.empty(0))
+    else:
+        rng = np.random.default_rng(seed)
+        left = rng.integers(0, g, size=sample_budget)
+        right = rng.integers(0, g - 1, size=sample_budget)
+        right = np.where(right >= left, right + 1, right)
+        random_stats = PairStats.from_values(codebook._pair_correlations(book.matrix, left, right))
+    return codebook.CoherenceStats(*adjacent, random_stats)
+
+
+@pytest.mark.parametrize("name", BOOK_NAMES)
+def test_coherence_stats_matches_dict_oracle(books, name, monkeypatch):
+    # Both versions must also correlate the same column pairs in the same order.
+    book = books[name]
+    calls = []
+    real = codebook._pair_correlations
+
+    def recording(matrix, left, right):
+        calls.append((np.asarray(left).tolist(), np.asarray(right).tolist()))
+        return real(matrix, left, right)
+
+    monkeypatch.setattr(codebook, "_pair_correlations", recording)
+    got = coherence_stats(book, 700, seed=5)
+    assert len(calls) == 4
+    assert got == _coherence_stats_by_dict(book, 700, seed=5)
+    assert calls[:4] == calls[4:]
+
+
 def test_coherence_stats_rejects_zero_budget(small_codebook):
     with pytest.raises(ValueError):
         coherence_stats(small_codebook, 0)
 
 
-def test_grid_text_round_trip(tmp_path, small_codebook):
+def test_grid_text_round_trip(tmp_path, books):
+    # The text is byte-identical to the frozen export, and loads back to a
+    # grid that compares equal with a plain bool.
+    for name, book in books.items():
+        path = tmp_path / f"{name}.txt"
+        export_grid_text(book, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256[name], name
+        assert (load_grid_text(path) == book.grid) is True, name
+
+
+@pytest.mark.parametrize(
+    "line", ["1.5,0,0,inf,0.1,0.2", "1,0,0,inf,0.1", "1,0,0,inf,0.1,0.2,0.3"]
+)
+def test_load_grid_text_rejects_malformed_lines(tmp_path, line):
     path = tmp_path / "grid.txt"
-    export_grid_text(small_codebook, path)
-    assert load_grid_text(path) == small_codebook.grid
+    path.write_text(f"0,0,0,inf,0.0,0.0\n{line}\n")
+    with pytest.raises(ValueError):
+        load_grid_text(path)
 
 
 def test_matrix_binary_round_trip(tmp_path, small_codebook):
@@ -366,4 +469,40 @@ def test_matrix_binary_rejects_corrupt_header(tmp_path):
     path = tmp_path / "broken.bin"
     path.write_bytes(b"NOPE" + bytes(12))
     with pytest.raises(ValueError):
+        load_matrix_binary(path)
+
+
+def test_matrix_binary_layout_is_header_then_column_major(tmp_path, desk_codebook):
+    path = tmp_path / "matrix.bin"
+    export_matrix_binary(desk_codebook, path)
+    n, g = desk_codebook.matrix.shape
+    header = b"SPHW" + (1).to_bytes(4, "little") + n.to_bytes(4, "little") + g.to_bytes(4, "little")
+    assert path.read_bytes() == header + desk_codebook.matrix.astype("<c16").tobytes(order="F")
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_binary_holds_no_matrix_sized_temporary(tmp_path, desk_codebook):
+    path = tmp_path / "matrix.bin"
+    nbytes = desk_codebook.matrix.nbytes
+    assert _traced_peak(export_matrix_binary, desk_codebook, path) < 0.25 * nbytes
+    # The load allocates its result, which shows the allocations are traced.
+    peak = _traced_peak(load_matrix_binary, path)
+    assert nbytes <= peak < 1.25 * nbytes
+
+
+@pytest.mark.parametrize("change", [-16, -1, 1])
+def test_matrix_binary_rejects_wrong_payload_size(tmp_path, small_codebook, change):
+    path = tmp_path / "matrix.bin"
+    export_matrix_binary(small_codebook, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    with pytest.raises(ValueError, match="payload bytes"):
         load_matrix_binary(path)

@@ -16,7 +16,7 @@ from nearfield import (
     sample_paths,
     synthesize_measurements,
 )
-from nearfield.codebook import GridPoint, SphericalCodebook
+from nearfield.codebook import CodebookGrid, SphericalCodebook
 from nearfield.estimator import MeasurementSet
 
 
@@ -34,22 +34,24 @@ def small_system(**overrides):
     return SystemConfig(**params)
 
 
-def plantable_points(codebook):
-    """Finite-distance grid points that are uniquely represented.
+def plantable_columns(codebook):
+    """Columns of finite-distance grid points that are uniquely represented,
+    in ascending order.
 
     The printed azimuth grid double-covers phi = 0 and phi ~ 2 pi, so the
     s = 0 / s = S endpoint columns of each elevation have a near-duplicate
     twin and cannot be told apart through a compressed measurement.
     """
-    s_max = {}
-    for point in codebook.grid:
-        t, s, _ = point.indices
-        s_max[t] = max(s_max.get(t, -1), s)
-    return [
-        (col, p)
-        for col, p in enumerate(codebook.grid)
-        if not p.is_far_field and 0 < p.indices[1] < s_max[p.indices[0]]
-    ]
+    t, s, _ = codebook.grid.indices.T
+    s_max = np.zeros(t.max() + 1, dtype=np.int64)
+    np.maximum.at(s_max, t, s)
+    finite = np.isfinite(codebook.grid.coords[:, 0])
+    return np.flatnonzero(finite & (0 < s) & (s < s_max[t])).tolist()
+
+
+def path_at(codebook, col, gain):
+    """A path at the (r, theta, phi) of one codebook column."""
+    return PathParams(*codebook.grid.coords[col].tolist(), gain)
 
 
 def test_combining_entries_have_constant_modulus():
@@ -58,11 +60,10 @@ def test_combining_entries_have_constant_modulus():
     assert np.allclose(np.abs(combining.entries), 1.0 / math.sqrt(32), atol=1e-14)
 
 
-def test_combining_deterministic_and_slot_blocks():
+def test_combining_deterministic():
     a = generate_combining(42, 4, 3, 16)
     b = generate_combining(42, 4, 3, 16)
     assert np.array_equal(a.entries, b.entries)
-    assert np.array_equal(a.slot_block(2), a.entries[6:9])
 
 
 def test_combining_column_norms_concentrate():
@@ -78,9 +79,7 @@ def test_combining_rejects_bad_dimensions():
 
 
 def _planted_channel(config, codebook, col, gain=1.0 + 0.0j):
-    point = codebook.grid[col]
-    path = PathParams(point.distance_m, point.elevation_rad, point.azimuth_rad, gain)
-    return generate_channel([path], config)
+    return generate_channel([path_at(codebook, col, gain)], config)
 
 
 def test_measurements_noiseless_and_zero_channel():
@@ -130,7 +129,7 @@ def test_s_somp_zero_input_degenerates_to_tie_break(small_config, small_codebook
 
 
 def test_s_somp_recovers_single_planted_column(small_config, small_codebook):
-    col, _ = plantable_points(small_codebook)[0]
+    col = plantable_columns(small_codebook)[0]
     h = _planted_channel(small_config, small_codebook, col, gain=0.7 - 0.4j)
     combining = generate_combining(11, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     measurements = synthesize_measurements(h, combining, math.inf)
@@ -140,16 +139,14 @@ def test_s_somp_recovers_single_planted_column(small_config, small_codebook):
 
 
 def test_s_somp_recovers_two_separated_columns(small_config, small_codebook):
-    candidates = plantable_points(small_codebook)
-    (col_a, point_a) = candidates[0]
-    col_b, point_b = next(
-        (c, p)
-        for c, p in candidates
-        if abs(p.indices[1] - point_a.indices[1]) >= 3  # >= 3 azimuth cells apart
+    candidates = plantable_columns(small_codebook)
+    azimuth_index = small_codebook.grid.indices[:, 1]
+    col_a = candidates[0]
+    col_b = next(
+        c for c in candidates if abs(azimuth_index[c] - azimuth_index[col_a]) >= 3  # >= 3 azimuth cells apart
     )
-    path_a = PathParams(point_a.distance_m, point_a.elevation_rad, point_a.azimuth_rad, 1.0)
-    path_b = PathParams(point_b.distance_m, point_b.elevation_rad, point_b.azimuth_rad, 0.8j)
-    h = generate_channel([path_a, path_b], small_config)
+    paths = [path_at(small_codebook, col_a, 1.0), path_at(small_codebook, col_b, 0.8j)]
+    h = generate_channel(paths, small_config)
     combining = generate_combining(13, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     measurements = synthesize_measurements(h, combining, math.inf)
     result = s_somp(measurements, combining, small_codebook, 2)
@@ -191,7 +188,9 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
     matrix = np.column_stack([geom_column, geom_column, other])
-    grid = tuple(GridPoint(math.inf, 0.5 * math.pi, 0.0, (0, s, 0)) for s in range(3))
+    grid = CodebookGrid(
+        np.array([[0, s, 0] for s in range(3)]), np.tile([math.inf, 0.5 * math.pi, 0.0], (3, 1))
+    )
     duplicated = SphericalCodebook(matrix, grid, None)
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from nearfield.numerics import (
-    DegenerateSystemWarning,
     bessel_j0,
     first_j0_zero,
-    least_squares_solve,
     lstsq_minimum_norm,
     solve_beta_delta,
 )
@@ -117,7 +115,8 @@ def _random_complex(rng, *shape):
 def test_lstsq_identity_projection():
     rng = np.random.default_rng(0)
     y = _random_complex(rng, 5, 3)
-    x = least_squares_solve(np.eye(5), y)
+    x, ok = lstsq_minimum_norm(np.eye(5), y)
+    assert ok
     assert np.allclose(x, y, atol=1e-14)
 
 
@@ -125,7 +124,8 @@ def test_lstsq_recovers_consistent_orthonormal_system():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(_random_complex(rng, 8, 3))
     x0 = _random_complex(rng, 3, 4)
-    x = least_squares_solve(q, q @ x0)
+    x, ok = lstsq_minimum_norm(q, q @ x0)
+    assert ok
     assert np.allclose(x, x0, atol=1e-10)
 
 
@@ -134,7 +134,9 @@ def test_lstsq_matches_normal_equations_oracle():
     a = _random_complex(rng, 8, 3)
     y = _random_complex(rng, 8, 5)
     oracle = np.linalg.solve(a.conj().T @ a, a.conj().T @ y)
-    assert np.allclose(least_squares_solve(a, y), oracle, atol=1e-8)
+    x, ok = lstsq_minimum_norm(a, y)
+    assert ok
+    assert np.allclose(x, oracle, atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -142,18 +144,19 @@ def test_lstsq_residual_orthogonal_to_column_space(seed):
     rng = np.random.default_rng(seed)
     a = _random_complex(rng, 12, 4)
     y = _random_complex(rng, 12, 6)
-    x = least_squares_solve(a, y)
+    x, ok = lstsq_minimum_norm(a, y)
+    assert ok
     residual = a @ x - y
     assert np.linalg.norm(a.conj().T @ residual) <= 1e-8 * np.linalg.norm(y)
 
 
-def test_lstsq_rank_deficient_warns_and_returns_minimum_norm():
+def test_lstsq_rank_deficient_flags_and_returns_minimum_norm():
     rng = np.random.default_rng(6)
     col = _random_complex(rng, 6, 1)
     a = np.hstack([col, col])  # rank 1
     y = _random_complex(rng, 6, 2)
-    with pytest.warns(DegenerateSystemWarning):
-        x = least_squares_solve(a, y)
+    x, ok = lstsq_minimum_norm(a, y)
+    assert not ok
     assert np.allclose(x, np.linalg.pinv(a) @ y, atol=1e-10)
 
 
@@ -169,14 +172,15 @@ def test_lstsq_minimum_norm_reports_conditioning():
 
 def test_lstsq_rejects_mismatched_rows():
     with pytest.raises(ValueError):
-        least_squares_solve(np.eye(3), np.zeros((4, 2)))
+        lstsq_minimum_norm(np.eye(3), np.zeros((4, 2)))
 
 
 def test_lstsq_accepts_single_column_rhs():
     rng = np.random.default_rng(8)
     a = _random_complex(rng, 5, 2)
     y = _random_complex(rng, 5)
-    x = least_squares_solve(a, y)
+    x, ok = lstsq_minimum_norm(a, y)
+    assert ok
     assert x.shape == (2,)
 
 
@@ -185,5 +189,6 @@ def test_no_warning_on_well_conditioned_solve():
     a = _random_complex(rng, 6, 3)
     y = _random_complex(rng, 6, 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateSystemWarning)
-        least_squares_solve(a, y)
+        warnings.simplefilter("error")
+        _, ok = lstsq_minimum_norm(a, y)
+    assert ok

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from nearfield import estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import GridPoint, SphericalCodebook
+from nearfield.codebook import CodebookGrid, SphericalCodebook
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
     METHOD_P_SOMP,
     METHOD_S_SOMP,
+    SOMP_CODEBOOKS,
     build_codebooks,
     paper_profile,
     run_trial,
@@ -30,7 +31,6 @@ from nearfield.harness import (
 from nearfield.numerics import lstsq_minimum_norm
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
-KINDS = {METHOD_S_SOMP: "spherical", METHOD_P_SOMP: "polar", METHOD_ANGULAR: "angular"}
 
 
 def _dense_s_somp(measurements, combining, codebook, num_iterations):
@@ -85,7 +85,8 @@ def _dense_s_somp(measurements, combining, codebook, num_iterations):
 
 
 def assert_matches_dense(args):
-    """Run both implementations on one input and compare every output."""
+    """Run both implementations on one input, compare every output, and
+    return the Gram result."""
     with warnings.catch_warnings(record=True) as gram_warnings:
         warnings.simplefilter("always")
         got = s_somp(*args)
@@ -99,10 +100,13 @@ def assert_matches_dense(args):
     rebuilt = codebook.matrix[:, got.support] @ got.sparse_coeffs
     assert np.array_equal(rebuilt, got.channel_estimate)
     assert [str(w.message) for w in gram_warnings] == [str(w.message) for w in dense_warnings]
+    return got
 
 
 def _dummy_grid(num_columns):
-    return tuple(GridPoint(math.inf, 0.5 * math.pi, 0.0, (0, s, 0)) for s in range(num_columns))
+    indices = np.zeros((num_columns, 3), dtype=np.int64)
+    indices[:, 1] = np.arange(num_columns)
+    return CodebookGrid(indices, np.tile([math.inf, 0.5 * math.pi, 0.0], (num_columns, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +139,9 @@ def test_gram_matches_dense_on_random_configurations(
     y = combining.entries @ w[:, support] @ gains
     y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
     measurements = MeasurementSet(y, noise**2, math.nan)
-    assert_matches_dense((measurements, combining, codebook, iterations))
+    norms = assert_matches_dense((measurements, combining, codebook, iterations)).residual_norms
+    # Each least-squares step projects onto a superset of the last support.
+    assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
 
 def test_gram_matches_dense_on_duplicate_column_codebook(small_config):
@@ -165,7 +171,7 @@ def record_somp_calls(spec, trials_by_kind):
     every S-SOMP call the harness makes is recorded by codebook.
     """
     bank = build_codebooks(spec)
-    books = {id(getattr(bank, KINDS[m])): m for m in spec.methods}
+    books = {id(getattr(bank, SOMP_CODEBOOKS[m])): m for m in spec.methods}
     calls = {m: [] for m in spec.methods}
     real = estimator.s_somp
 
