@@ -173,14 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spherical(spec) -> cb.SphericalCodebook:
-    """Build the spherical codebook and report its matrix size and build time."""
+    """Build the spherical codebook and report what it holds, the size of its
+    dense matrix (from N x G, without building it) and the build time."""
     start = time.perf_counter()
     book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     seconds = time.perf_counter() - start
-    print(
-        f"matrix {book.num_antennas} x {book.num_columns} {book.matrix.dtype}: "
-        f"{book.matrix.nbytes} bytes, built in {seconds:.3f} s"
-    )
+    n, g = book.num_antennas, book.num_columns
+    if book.modes is None:
+        held = f"the dense matrix: {book.matrix.nbytes} bytes"
+    else:
+        modes = book.modes
+        held = f"phase modes of {modes.num_rings} rings, {modes.num_modes} modes: {modes.nbytes} bytes"
+    print(f"codebook {n} x {g} holds {held} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
     return book
 
 

@@ -100,6 +100,13 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
     return MeasurementSet(clean + noise, sigma2, snr_db, seed)
 
 
+#: Columns whose phase-mode score lies within this share of the score bound
+#: of the best one are rescored on their exact columns. The bound,
+#: sum_k (||A^H y_k|| + sum_i |C_ik| ||A^H A w_i||)^2, is at least every
+#: score, and phase-mode scores lie within ~1e-12 of it of the exact ones.
+RESCORE_RTOL = 1e-8
+
+
 def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: SphericalCodebook, num_iterations: int) -> EstimationResult:
     """Simultaneous OMP over the dictionary A W, without ever forming it.
 
@@ -116,31 +123,39 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
     so the M x G first term is formed once, and each chosen atom w_i adds
     one Gram row (A^H A w_i)^H W; the row after the last iteration is never
-    read and is not formed. W is thus read in place num_iterations times
-    (once for the first term, once per Gram row) and never copied. The
-    largest temporaries are M x G and (num_iterations - 1) x G: nothing
-    P N_RF x G is allocated. Only the selected columns pass through A, for
-    the least-squares step and the residual.
+    read and is not formed. Both go through `codebook.correlate`, so W is
+    never copied, and nothing P N_RF x G is allocated. Only the selected
+    columns, from `codebook.columns`, pass through A, for the least-squares
+    step and the residual.
+
+    A codebook held as phase modes correlates to ~1e-12, not exactly. Before
+    a column is taken, every column scoring within RESCORE_RTOL of the score
+    bound of the best is rescored in float64 on its exact column, so the
+    support is the one exact scores give, and the least-squares step and
+    the estimate use exact columns.
     """
     y = measurements.observations
     a = combining.entries
-    w = codebook.matrix
+    g = codebook.num_columns
     if num_iterations < 1:
         raise ValueError("num_iterations must be >= 1")
-    budget = min(a.shape[0], w.shape[1])
+    budget = min(a.shape[0], g)
     if num_iterations > budget:
         raise ValueError(
             f"num_iterations={num_iterations} exceeds the rank budget {budget}"
         )
     a_h = a.conj().T
-    base = (a_h @ y).conj().T @ w
-    gram_rows = np.empty((num_iterations - 1, w.shape[1]), dtype=np.complex128)
+    projected = a_h @ y
+    base = codebook.correlate(projected)
+    atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
+    gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
+    rescore = codebook.modes is not None
 
     support: list = []
     residual_norms: list = []
     # Scores of consumed / rejected columns are parked below any attainable
     # correlation energy so argmax never revisits them.
-    blocked = np.zeros(w.shape[1], dtype=bool)
+    blocked = np.zeros(g, dtype=bool)
 
     for step in range(num_iterations):
         if step == 0:
@@ -151,14 +166,27 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         magnitude = np.abs(gamma)
         scores = np.einsum("ij,ij->j", magnitude, magnitude)
         scores[blocked] = -1.0
+        if rescore:
+            exact = np.zeros(g, dtype=bool)
+            # |gamma_kj| <= bound_k for unit-norm columns.
+            bound = np.linalg.norm(projected, axis=0)
+            if step:
+                bound += np.abs(coeffs).T @ np.linalg.norm(atoms[:step], axis=1)
+            slack = RESCORE_RTOL * float(bound @ bound)
         while True:
             best = int(np.argmax(scores))
             if scores[best] < 0.0:
                 raise RuntimeError("dictionary exhausted before num_iterations")
+            if rescore:
+                near = np.flatnonzero(~exact & ~blocked & (scores >= scores[best] - slack))
+                if near.size:
+                    scores[near] = _exact_scores(codebook, projected, atoms[:step], coeffs if step else None, near)
+                    exact[near] = True
+                    continue
             # Formed as (W_S^T A^T)^T: BLAS then takes its general GEMM path,
             # whose columns equal those of a full A @ W product bit for bit
             # (A @ W_S with a few columns takes a small-matrix kernel).
-            sub = (w[:, support + [best]].T @ a.T).T
+            sub = (codebook.columns(support + [best]).T @ a.T).T
             solution, well_conditioned = lstsq_minimum_norm(sub, y)
             if well_conditioned:
                 break
@@ -174,10 +202,28 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         coeffs = solution
         residual_norms.append(float(np.linalg.norm(y - sub @ coeffs)))
         if step < num_iterations - 1:
-            gram_rows[step] = (a_h @ sub[:, -1]).conj() @ w
+            atoms[step] = a_h @ sub[:, -1]
+            gram_rows[step] = codebook.correlate(atoms[step])
 
-    estimate = w[:, support] @ coeffs
+    estimate = codebook.columns(support) @ coeffs
     return EstimationResult(support, coeffs, estimate, residual_norms)
+
+
+#: Columns rescored at once, so that a wide tie never forms a large block.
+_RESCORE_CHUNK = 4096
+
+
+def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:
+    """S-SOMP scores of columns idx, from their exact columns."""
+    scores = np.empty(idx.size)
+    for start in range(0, idx.size, _RESCORE_CHUNK):
+        columns = codebook.columns(idx[start : start + _RESCORE_CHUNK])
+        gamma = projected.conj().T @ columns
+        if coeffs is not None:
+            gamma -= coeffs.conj().T @ (atoms.conj() @ columns)
+        magnitude = np.abs(gamma)
+        scores[start : start + _RESCORE_CHUNK] = np.einsum("ij,ij->j", magnitude, magnitude)
+    return scores
 
 
 def ls_estimate(measurements: MeasurementSet, combining: CombiningMatrix) -> np.ndarray:

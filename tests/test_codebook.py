@@ -254,18 +254,29 @@ def test_codebook_fill_propagates_worker_errors(small_config, monkeypatch):
 
 @pytest.mark.slow
 def test_paper_spherical_codebook_matches_per_column_oracle():
-    # Column by column, so the test never holds a second 822 MB matrix.
+    # Column by column, so the test never holds a second 822 MB matrix. The
+    # paper codebook holds phase modes: its exact columns and its lazily
+    # built matrix must both equal the oracle.
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     assert book.num_columns == 100358
+    assert book.modes is not None
     geom = UcaGeometry.from_config(spec.system)
     lam = spec.system.wavelength_m
-    mismatched = [
-        col
-        for col, point in enumerate(book.grid.coords.tolist())
-        if not np.array_equal(book.matrix[:, col], oracle_column(point, geom, lam))
-    ]
+    coords = book.grid.coords.tolist()
+    mismatched = []
+    for start in range(0, book.num_columns, 4096):
+        block = book.columns(np.arange(start, min(start + 4096, book.num_columns)))
+        for offset, column in enumerate(block.T):
+            want = oracle_column(coords[start + offset], geom, lam)
+            if not (np.array_equal(column, want) and np.array_equal(book.matrix[:, start + offset], want)):
+                mismatched.append(start + offset)
     assert mismatched == []
+    # Phase-mode correlations match the dense product to 1e-10 of ||v||.
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((book.num_antennas, 16)) + 1j * rng.standard_normal((book.num_antennas, 16))
+    error = np.abs(book.correlate(v) - v.conj().T @ book.matrix)
+    assert (error / np.linalg.norm(v, axis=0)[:, None]).max() <= 1e-10
 
 
 def test_spherical_codebook_rejects_r_min_inside_reactive_region(small_config):

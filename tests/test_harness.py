@@ -1,13 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nearfield import ConfigurationError, desk_profile, estimator, run_trial
+from nearfield import ConfigurationError, codebook, desk_profile, estimator, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
+    METHOD_ANGULAR,
+    METHOD_P_SOMP,
+    METHOD_S_SOMP,
     METHODS,
     SweepResult,
     SweepRow,
@@ -80,6 +86,38 @@ def test_run_trial_deterministic():
     assert first.keys() == second.keys()
     for method in first:
         assert first[method][0] == second[method][0]
+
+
+@pytest.fixture(scope="module")
+def desk_bank(desk_spec):
+    return build_codebooks(desk_spec)
+
+
+SWEEP_POINTS = (("snr", 0.0), ("snr", 12.5), ("snr", math.inf), ("pilot", 16))
+
+
+def _nmse_values(records):
+    return np.array([value for value, _ in records.values()])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    point=st.sampled_from(SWEEP_POINTS),
+    trial=st.integers(0, 9),
+    trials=st.integers(1, 12),
+    before=st.lists(st.tuples(st.sampled_from(SWEEP_POINTS), st.integers(0, 9)), max_size=3),
+)
+def test_run_trial_is_independent_of_order_and_batch(desk_spec, desk_bank, point, trial, trials, before):
+    """Trial i's NMSEs are bit-identical whatever spec.trials is and
+    whichever trials, at whichever sweep points, ran before it."""
+    kind, value = point
+    alone = run_trial(desk_spec, value, trial, desk_bank, kind)
+    spec = dataclasses.replace(desk_spec, trials=max(trials, trial + 1))
+    for (other_kind, other_value), other in before:
+        run_trial(spec, other_value, other, desk_bank, other_kind)
+    again = run_trial(spec, value, trial, desk_bank, kind)
+    assert list(again) == list(alone)
+    assert np.array_equal(_nmse_values(again), _nmse_values(alone), equal_nan=True)
 
 
 def test_run_trial_method_isolation():
@@ -225,6 +263,26 @@ def test_emit_csv_reports_os_errors(tmp_path):
         emit_csv(SweepResult("snr", []), tmp_path / "missing-dir" / "x.csv")
 
 
+@pytest.mark.slow
+def test_paper_scale_smoke():
+    """Three N = 512 trials at 10 dB: S-SOMP beats the polar and angular
+    baselines on average, and one trial, codebook builds included, traces
+    under 300 MB (the dense spherical matrix alone is 822 MB)."""
+    spec = paper_profile(trials=3, snr_list_db=(10.0,))
+    tracemalloc.start()
+    try:
+        run_trial(spec, 10.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6
+    rows = {row.method: row for row in sweep_snr(spec).rows}
+    assert all(row.trials == 3 for row in rows.values())
+    s_somp = rows[METHOD_S_SOMP].nmse_linear
+    assert s_somp < rows[METHOD_P_SOMP].nmse_linear
+    assert s_somp < rows[METHOD_ANGULAR].nmse_linear
+
+
 def test_paper_profile_parameters():
     spec = paper_profile()
     assert spec.system.num_antennas == 512
@@ -318,10 +376,41 @@ def test_cli_codebook_build_and_stats(tmp_path, capsys):
     assert code == 0
     assert "columns G" in out
     assert "adjacent distance" in out
-    # Build and stats both report the 64 x G complex128 matrix (16 B/entry).
+    # Build and stats both report the dense 64 x G complex128 matrix they
+    # hold (16 B/entry).
     g = len(grid_out.read_text().splitlines())
-    matrix_line = f"matrix 64 x {g} complex128: {64 * g * 16} bytes, built in "
-    assert out.count(matrix_line) == 2
+    size_line = f"codebook 64 x {g} holds the dense matrix: {64 * g * 16} bytes (dense: {64 * g * 16} bytes), built in "
+    assert out.count(size_line) == 2
+
+
+def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    fills = []
+    real_fill = codebook._fill_rings
+    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: fills.append(real_fill(*args)))
+    grid_out = tmp_path / "grid.txt"
+    matrix_out = tmp_path / "matrix.bin"
+    config_path = tmp_path / "small.cfg"
+    config_path.write_text("num_antennas = 64\nr_min_m = 0.25\n")
+    args = ["codebook", "build", "--config", str(config_path), "--out", str(grid_out)]
+    assert cli_main(args) == 0
+    assert fills == []
+    out = capsys.readouterr().out
+    g = len(grid_out.read_text().splitlines())
+    book = codebook.build_spherical_codebook(
+        dataclasses.replace(desk_profile().system, num_antennas=64), 0.55, 0.25
+    )
+    modes = book.modes
+    assert modes is not None and 0 < modes.nbytes < 64 * g * 16
+    assert (
+        f"codebook 64 x {g} holds phase modes of {modes.num_rings} rings, "
+        f"{modes.num_modes} modes: {modes.nbytes} bytes (dense: {64 * g * 16} bytes), built in "
+    ) in out
+
+    # --matrix-out builds the matrix, once, and writes it.
+    assert cli_main(args + ["--matrix-out", str(matrix_out)]) == 0
+    assert len(fills) == 1
+    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.matrix)
 
 
 def test_cli_rejects_paper_profile_without_slow_flag(tmp_path):

@@ -1,0 +1,108 @@
+"""Phase-mode codebooks against the dense matrix they stand in for.
+
+Spherical and polar codebooks hold phase modes only for arrays of
+`codebook._PHASE_MODE_MIN_ANTENNAS` (512) antennas or more. These tests
+lower that threshold to build phase modes for the small and desk
+geometries, where the dense matrix of the same geometry is the oracle.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nearfield import codebook
+from nearfield.codebook import build_polar_codebook, build_spherical_codebook
+from nearfield.harness import paper_profile
+from nearfield.phase_modes import fft_length
+
+
+def _phase_mode_build(build, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+        return build(*args)
+
+
+@pytest.fixture(scope="module")
+def book_pairs(small_config, desk_spec):
+    """{name: (phase-mode codebook, dense codebook of the same geometry)}."""
+    builds = {
+        "small": (build_spherical_codebook, small_config, 0.55, 0.25),
+        "desk": (build_spherical_codebook, desk_spec.system, desk_spec.delta, desk_spec.r_min_m),
+        "desk-polar": (build_polar_codebook, desk_spec.system, desk_spec.delta, desk_spec.r_min_m),
+    }
+    return {
+        name: (_phase_mode_build(build, *args), build(*args))
+        for name, (build, *args) in builds.items()
+    }
+
+
+BOOKS = ("small", "desk", "desk-polar")
+
+
+def test_array_size_selects_the_representation(desk_spec, desk_codebook):
+    assert codebook._PHASE_MODE_MIN_ANTENNAS == 512
+    assert desk_codebook.modes is None
+    paper = paper_profile()
+    for build in (build_spherical_codebook, build_polar_codebook):
+        book = build(paper.system, paper.delta, paper.r_min_m)
+        assert book.modes is not None and book._matrix is None
+        assert book.modes.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
+
+
+def test_matrix_is_built_on_first_use_and_kept(small_config, book_pairs):
+    book = _phase_mode_build(build_spherical_codebook, small_config, 0.55, 0.25)
+    dense = book_pairs["small"][1]
+    assert book.grid == dense.grid
+    assert book.num_antennas == dense.num_antennas
+    assert book.num_columns == dense.num_columns
+    book.correlate(np.ones(book.num_antennas))
+    book.columns([0, 1])
+    assert book._matrix is None
+    assert np.array_equal(book.matrix, dense.matrix)
+    assert book.matrix is book.matrix
+
+
+def test_codebook_holds_exactly_one_representation(small_codebook):
+    with pytest.raises(ValueError, match="exactly one"):
+        codebook.SphericalCodebook(None, small_codebook.grid)
+
+
+@pytest.mark.parametrize("name", BOOKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 3, 16]))
+def test_correlate_matches_dense_product(book_pairs, name, seed, width):
+    """V^H W to 1e-10 of ||v||, for one vector (width 0) or a block."""
+    held, dense = book_pairs[name]
+    rng = np.random.default_rng(seed)
+    shape = (held.num_antennas, width) if width else (held.num_antennas,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = held.correlate(v)
+    want = v.conj().T @ dense.matrix
+    assert got.shape == want.shape
+    scale = np.linalg.norm(v, axis=0)
+    error = np.abs(got - want) / (scale[:, None] if width else scale)
+    assert error.max(initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", BOOKS)
+def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
+    held, dense = book_pairs[name]
+    every = np.random.default_rng(1).permutation(held.num_columns)
+    got = held.columns(every)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, dense.matrix[:, every])
+    assert np.array_equal(held.columns([5, 2, 5]), dense.matrix[:, [5, 2, 5]])
+    assert held.columns([]).shape == (held.num_antennas, 0)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a, b, c in itertools.product(range(12), range(8), range(6))
+        if 2**a * 3**b * 5**c <= 4096
+    )
+    for n in range(1, 2049):
+        assert fft_length(n) == next(size for size in smooth if size >= n)

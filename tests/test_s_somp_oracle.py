@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfield import estimator, generate_combining, s_somp, sample_paths
+from nearfield import codebook, estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import CodebookGrid, SphericalCodebook
+from nearfield.codebook import CodebookGrid, SphericalCodebook, build_spherical_codebook
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
@@ -164,6 +164,20 @@ def test_gram_matches_dense_on_zero_input(small_config, small_codebook):
     assert_matches_dense((zero, combining, small_codebook, 3))
 
 
+def test_phase_modes_match_dense_on_zero_input(small_config, small_codebook, monkeypatch):
+    """All scores tie at zero, so every column is rescored, in several chunks,
+    and the lowest index wins, as from the dense matrix."""
+    monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 64)
+    held = build_spherical_codebook(small_config, 0.55, 0.25)
+    assert held.modes is not None and held.num_columns > 3 * 64
+    combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
+    rows = combining.entries.shape[0]
+    zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0, math.inf)
+    got = assert_matches_dense((zero, combining, held, 3))
+    assert got.support == s_somp(zero, combining, small_codebook, 3).support == [0, 1, 2]
+
+
 def record_somp_calls(spec, trials_by_kind):
     """{method: [s_somp arguments]} of harness trials.
 
@@ -204,6 +218,58 @@ def test_gram_matches_dense_on_desk_trials(desk_somp_calls, method):
         assert_matches_dense(args)
 
 
+@pytest.fixture(scope="module")
+def desk_phase_mode_calls(desk_spec):
+    """The calls of `desk_somp_calls`, with phase-mode spherical and polar codebooks."""
+    spec = replace(desk_spec, methods=SOMP_METHODS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+        return record_somp_calls(
+            spec, {"snr": (spec.snr_list_db, 5), "pilot": (spec.pilot_lengths, 2)}
+        )
+
+
+@pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
+def test_phase_modes_match_dense_on_desk_trials(desk_somp_calls, desk_phase_mode_calls, method):
+    """Same supports as the dense oracle, and the same coefficients,
+    estimates and residuals, bit for bit, as the Gram path on the dense
+    codebook, on the 33 seeded desk trials."""
+    calls = desk_phase_mode_calls[method]
+    assert len(calls) == len(desk_somp_calls[method]) == 33
+    for args, dense_args in zip(calls, desk_somp_calls[method]):
+        assert args[2].modes is not None and dense_args[2].modes is None
+        got = assert_matches_dense(args)
+        want = s_somp(*dense_args)
+        assert got.support == want.support
+        assert np.array_equal(got.sparse_coeffs, want.sparse_coeffs)
+        assert np.array_equal(got.channel_estimate, want.channel_estimate)
+        assert got.residual_norms == want.residual_norms
+
+
+@pytest.mark.parametrize("rtol", [estimator.RESCORE_RTOL, 0.5])
+def test_near_best_phase_mode_scores_are_rescored(desk_somp_calls, desk_phase_mode_calls, monkeypatch, rtol):
+    """At the first iteration, every column whose phase-mode score lies
+    within RESCORE_RTOL of the best is among those rescored exactly; a wide
+    window (0.5) takes in many columns and leaves the support unchanged."""
+    monkeypatch.setattr(estimator, "RESCORE_RTOL", rtol)
+    measurements, combining, held, iterations = desk_phase_mode_calls[METHOD_S_SOMP][0]
+    projected = combining.entries.conj().T @ measurements.observations
+    scores = np.sum(np.abs(held.correlate(projected)) ** 2, axis=0)
+    near = set(np.flatnonzero(scores >= scores.max() * (1.0 - rtol)).tolist())
+    rescored = []
+    real = estimator._exact_scores
+
+    def recording(book, projected, atoms, coeffs, idx):
+        rescored.append(set(idx.tolist()))
+        return real(book, projected, atoms, coeffs, idx)
+
+    monkeypatch.setattr(estimator, "_exact_scores", recording)
+    got = s_somp(measurements, combining, held, iterations)
+    assert near and near <= rescored[0]
+    assert rtol < 0.1 or len(near) > 1
+    assert got.support == s_somp(*desk_somp_calls[METHOD_S_SOMP][0]).support
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -230,6 +296,8 @@ def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
 
 @pytest.mark.slow
 def test_paper_scale_supports_match_dense_oracle():
+    # The paper spherical and polar codebooks hold phase modes; the oracle
+    # reads their lazily built dense matrices.
     spec = paper_profile(methods=SOMP_METHODS)
     calls = record_somp_calls(spec, {"snr": ((10.0,), 2)})
     for method in SOMP_METHODS:
