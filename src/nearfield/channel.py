@@ -115,8 +115,10 @@ class UcaGeometry:
 class PathParams:
     """One propagation path: spherical position of the source plus complex gain.
 
-    Azimuth is stored wrapped into [0, 2pi). Callers are responsible for
-    keeping the source outside the array (distance_m > radius).
+    Azimuth is stored wrapped into [0, 2pi). Elevation 0 is the zenith,
+    where every antenna is equidistant from the source and the azimuth has
+    no effect. Callers are responsible for keeping the source outside the
+    array (distance_m > radius).
     """
 
     distance_m: float
@@ -127,9 +129,9 @@ class PathParams:
     def __post_init__(self):
         if self.distance_m <= 0.0:
             raise ValueError(f"path distance must be positive, got {self.distance_m}")
-        if not 0.0 < self.elevation_rad <= 0.5 * math.pi:
+        if not 0.0 <= self.elevation_rad <= 0.5 * math.pi:
             raise ValueError(
-                f"elevation must lie in (0, pi/2], got {self.elevation_rad}"
+                f"elevation must lie in [0, pi/2], got {self.elevation_rad}"
             )
         object.__setattr__(self, "azimuth_rad", self.azimuth_rad % (2.0 * math.pi))
 
@@ -294,6 +296,25 @@ def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
     return ChannelMatrix(scale * (steering @ coeffs), config)
 
 
+def check_path_ranges(distance_range, theta_range, phi_range, radius_m: float = 0.0) -> None:
+    """Raise ConfigurationError unless paths drawn from these (low, high)
+    ranges are valid: low < high, every distance beyond `radius_m` (the
+    array's, to keep sources outside it), and elevations within [0, pi/2]."""
+    for name, (lo, hi) in (
+        ("distance_range", distance_range),
+        ("theta_range", theta_range),
+        ("phi_range", phi_range),
+    ):
+        if not lo < hi:
+            raise ConfigurationError(f"{name} must satisfy low < high, got ({lo}, {hi})")
+    if not distance_range[0] > radius_m:
+        raise ConfigurationError(
+            f"distance range must start beyond {radius_m} m, got {distance_range[0]}"
+        )
+    if not (0.0 <= theta_range[0] and theta_range[1] <= 0.5 * math.pi):
+        raise ConfigurationError("theta range must lie within [0, pi/2]")
+
+
 def sample_paths(rng_seed, num_paths, distance_range, theta_range, phi_range):
     """Draw `num_paths` uniformly distributed paths with CN(0, 1) gains.
 
@@ -303,17 +324,7 @@ def sample_paths(rng_seed, num_paths, distance_range, theta_range, phi_range):
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
-    for name, (lo, hi) in (
-        ("distance_range", distance_range),
-        ("theta_range", theta_range),
-        ("phi_range", phi_range),
-    ):
-        if not lo < hi:
-            raise ValueError(f"{name} must satisfy low < high, got ({lo}, {hi})")
-    if distance_range[0] <= 0.0:
-        raise ValueError("distance range must be strictly positive")
-    if not (0.0 <= theta_range[0] and theta_range[1] <= 0.5 * math.pi):
-        raise ValueError("theta range must lie within [0, pi/2]")
+    check_path_ranges(distance_range, theta_range, phi_range)
     rng = np.random.default_rng(rng_seed)
     r = rng.uniform(*distance_range, size=num_paths)
     theta = rng.uniform(*theta_range, size=num_paths)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig, UcaGeometry, near_field_steering
 from .codebook import SphericalCodebook
-from .numerics import lstsq_minimum_norm
+from .numerics import gram_lstsq, lstsq_minimum_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +128,12 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     columns, from `codebook.columns`, pass through A, for the least-squares
     step and the residual.
 
+    The scores sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
+    `_RESCORE_CHUNK` columns at a time in scratch reused across chunks and
+    iterations (`_chunked_scores`), bit for bit as the whole M x G
+    expression gives them. Besides the M x G first term and the Gram rows,
+    S-SOMP then holds only one float64 score vector and chunk-sized buffers.
+
     A codebook held as phase modes correlates to ~1e-12, not exactly. Before
     a column is taken, every column scoring within RESCORE_RTOL of the score
     bound of the best is rescored in float64 on its exact column, so the
@@ -149,6 +155,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     base = codebook.correlate(projected)
     atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
     gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
+    scores = np.empty(g)
+    scratch = _score_scratch(base)
     rescore = codebook.modes is not None
 
     support: list = []
@@ -158,13 +166,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     blocked = np.zeros(g, dtype=bool)
 
     for step in range(num_iterations):
-        if step == 0:
-            gamma = base
-        else:
-            gamma = coeffs.conj().T @ gram_rows[:step]
-            np.subtract(base, gamma, out=gamma)
-        magnitude = np.abs(gamma)
-        scores = np.einsum("ij,ij->j", magnitude, magnitude)
+        _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
         scores[blocked] = -1.0
         if rescore:
             exact = np.zeros(g, dtype=bool)
@@ -209,8 +211,57 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     return EstimationResult(support, coeffs, estimate, residual_norms)
 
 
-#: Columns rescored at once, so that a wide tie never forms a large block.
+#: Columns scored, or rescored, at once, so that neither the scores of all
+#: columns nor a wide tie ever forms a large block.
 _RESCORE_CHUNK = 4096
+
+
+def _score_chunks(shape) -> list:
+    """Column bounds of the chunks `_chunked_scores` scores an (M, G) base in.
+
+    Chunks start at multiples of `_RESCORE_CHUNK` and the last ends at G, so
+    BLAS and `einsum` meet every column at the same place within their
+    vector blocks as in one M x G call. A last chunk of one column joins the
+    one before it: numpy would send it through GEMV, and `einsum` would sum
+    it in another order. With M = 1, numpy sends the update through GEMV,
+    whose bits depend on where the call starts, so the scores are formed in
+    one piece, which is then only G wide.
+    """
+    m, g = shape
+    if m == 1:
+        return [0, g]
+    bounds = list(range(0, g, _RESCORE_CHUNK)) + [g]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
+def _score_scratch(base):
+    """Flat buffers for the widest chunk of `_chunked_scores`: (complex, float)."""
+    size = base.shape[0] * max(np.diff(_score_chunks(base.shape)))
+    return np.empty(size, dtype=np.complex128), np.empty(size)
+
+
+def _chunked_scores(base, coeffs, gram_rows, out, scratch):
+    """out[j] = sum_k |base - coeffs^H gram_rows|_kj^2, chunk by chunk.
+
+    Bit for bit the scores of the whole M x G expression: each chunk goes
+    through the same GEMM, subtraction, `abs` and `einsum` on contiguous
+    (M, width) views of `scratch`, so only chunk-sized memory is touched.
+    `coeffs` is None at the first step, where the scores are |base|^2.
+    """
+    m = base.shape[0]
+    weights = None if coeffs is None else coeffs.conj().T
+    bounds = _score_chunks(base.shape)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        size = m * (stop - start)
+        gamma = base[:, start:stop]
+        if weights is not None:
+            update = scratch[0][:size].reshape(m, -1)
+            np.matmul(weights, gram_rows[:, start:stop], out=update)
+            gamma = np.subtract(gamma, update, out=update)
+        magnitude = np.abs(gamma, out=scratch[1][:size].reshape(m, -1))
+        np.einsum("ij,ij->j", magnitude, magnitude, out=out[start:stop])
 
 
 def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:
@@ -228,8 +279,7 @@ def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:
 
 def ls_estimate(measurements: MeasurementSet, combining: CombiningMatrix) -> np.ndarray:
     """Minimum-norm least-squares channel estimate argmin ||Y - A H||_F."""
-    solution, _ = lstsq_minimum_norm(combining.entries, measurements.observations)
-    return solution
+    return gram_lstsq(combining.entries, measurements.observations)
 
 
 def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, true_paths, config: SystemConfig) -> np.ndarray:

@@ -11,7 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimator
-from .channel import ConfigurationError, SystemConfig, generate_channel, sample_paths
+from .channel import (
+    ConfigurationError,
+    SystemConfig,
+    check_path_ranges,
+    generate_channel,
+    sample_paths,
+)
 from .codebook import (
     SphericalCodebook,
     build_angular_codebook,
@@ -68,6 +74,10 @@ class RunSpec:
                     raise ConfigurationError(f"{name} must be sorted ascending")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        # Ranges that fail every trial are configuration errors, not trial failures.
+        check_path_ranges(
+            self.distance_range, self.elevation_range, self.azimuth_range, self.system.radius_m
+        )
 
     @property
     def effective_iterations(self) -> int:
@@ -212,7 +222,9 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
     """One seeded trial: shared (H, A, Y), every method estimated on it.
 
     Returns {method: (nmse_linear, seconds)}; a method that raises is
-    recorded as (nan, seconds) without aborting the others.
+    recorded as (nan, seconds) without aborting the others. When drawing
+    the paths or synthesising H, A or Y raises, no method runs, and every
+    method is recorded as (nan, 0.0), each with its failure warning.
     """
     if bank is None:
         bank = build_codebooks(spec)
@@ -230,18 +242,23 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
     channel_seed, combining_seed, noise_seed = trial_seeds(
         spec.master_seed, kind, sweep_value, trial_index
     )
-    paths = sample_paths(
-        channel_seed,
-        spec.num_paths,
-        spec.distance_range,
-        spec.elevation_range,
-        spec.azimuth_range,
-    )
-    truth = generate_channel(paths, system)
-    combining = estimator.generate_combining(
-        combining_seed, system.num_pilot_slots, system.num_rf_chains, system.num_antennas
-    )
-    measurements = estimator.synthesize_measurements(truth, combining, snr_db, noise_seed)
+    try:
+        paths = sample_paths(
+            channel_seed,
+            spec.num_paths,
+            spec.distance_range,
+            spec.elevation_range,
+            spec.azimuth_range,
+        )
+        truth = generate_channel(paths, system)
+        combining = estimator.generate_combining(
+            combining_seed, system.num_pilot_slots, system.num_rf_chains, system.num_antennas
+        )
+        measurements = estimator.synthesize_measurements(truth, combining, snr_db, noise_seed)
+    except Exception as exc:  # noqa: BLE001 - isolate per-trial failures
+        for method in spec.methods:
+            _warn_failure(method, trial_index, kind, sweep_value, exc)
+        return {method: (math.nan, 0.0) for method in spec.methods}
 
     records = {}
     for method in spec.methods:
@@ -252,14 +269,17 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
                 outcome = outcome.channel_estimate
             value = estimator.nmse(truth, outcome)
         except Exception as exc:  # noqa: BLE001 - isolate per-method failures
-            warnings.warn(
-                f"method {method} failed on trial {trial_index} at "
-                f"{kind}={sweep_value}: {exc}",
-                stacklevel=2,
-            )
+            _warn_failure(method, trial_index, kind, sweep_value, exc)
             value = math.nan
         records[method] = (value, time.perf_counter() - start)
     return records
+
+
+def _warn_failure(method, trial_index, kind, sweep_value, exc) -> None:
+    warnings.warn(
+        f"method {method} failed on trial {trial_index} at {kind}={sweep_value}: {exc}",
+        stacklevel=3,
+    )
 
 
 def _run_sweep(spec: RunSpec, kind: str, values) -> SweepResult:

@@ -132,3 +132,45 @@ def lstsq_minimum_norm(a_sub: np.ndarray, y: np.ndarray):
         ok = sv.size == 0
     return (x[:, 0] if squeeze else x), ok
 
+
+#: Largest condition number `gram_lstsq` solves with, as the Cholesky pivots
+#: of the Gram bound it from below: that of the Gram when A is wide or tall,
+#: that of A itself when it is square. Beyond it, it takes the SVD path.
+GRAM_CONDITION_LIMIT = 1e4
+
+
+def gram_lstsq(a, y) -> np.ndarray:
+    """Minimum-norm least-squares solution x of a @ x = y, via the short side's Gram.
+
+    A wide A (m < n) gives x = A^H (A A^H)^-1 y, and a tall one
+    x = (A^H A)^-1 A^H y: one solve with an m x m or n x n Gram instead of an
+    SVD of A. A square A is solved by LU on A itself, since its Gram would
+    square the condition number. The ratio of the largest to the smallest
+    Cholesky pivot of the Gram bounds the condition number of A from below.
+    When the factorisation fails, or that bound for the matrix solved with
+    exceeds GRAM_CONDITION_LIMIT, the system counts as numerically
+    rank-deficient and is solved by `lstsq_minimum_norm`.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    rhs = np.asarray(y, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError("a must be a 2-D matrix")
+    if rhs.shape[0] != a.shape[0]:
+        raise ValueError(f"row mismatch: a has {a.shape[0]} rows, y has {rhs.shape[0]}")
+    rows, cols = a.shape
+    a_h = a.conj().T
+    gram = a @ a_h if rows < cols else a_h @ a
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal().real
+        bound = pivots.max() / pivots.min()
+        if rows != cols:
+            bound *= bound
+        if bound <= GRAM_CONDITION_LIMIT:
+            if rows < cols:
+                return a_h @ np.linalg.solve(gram, rhs)
+            if rows > cols:
+                return np.linalg.solve(gram, a_h @ rhs)
+            return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    return lstsq_minimum_norm(a, rhs)[0]

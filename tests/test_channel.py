@@ -336,10 +336,30 @@ def test_path_params_validation_and_azimuth_wrap():
     with pytest.raises(ValueError):
         PathParams(-1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        PathParams(5.0, 0.0, 0.0, 1.0)
+        PathParams(5.0, -0.1, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        PathParams(5.0, 0.5 * math.pi + 1e-9, 0.0, 1.0)
     wrapped = PathParams(5.0, 1.0, -0.5 * math.pi, 1.0)
     assert 0.0 <= wrapped.azimuth_rad < 2.0 * math.pi
     assert wrapped.azimuth_rad == pytest.approx(1.5 * math.pi)
+
+
+def test_zenith_path_channel_is_unit_norm_and_azimuth_free():
+    """At theta = 0 every antenna is equidistant from the source: the
+    steering is constant and unit-norm, and the azimuth changes no bit of
+    the channel."""
+    config = paper_system(num_antennas=64)
+    geom = UcaGeometry.from_config(config)
+    steering = near_field_steering(3.0, 0.0, 0.7, geom, config.wavelength_m)
+    assert np.linalg.norm(steering) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(steering == steering[0])
+    channels = [
+        generate_channel([PathParams(3.0, 0.0, phi, 0.6 - 0.8j)], config).entries
+        for phi in (0.0, 0.7, -2.5, 4.0)
+    ]
+    assert all(np.array_equal(h, channels[0]) for h in channels[1:])
+    column_norms = np.linalg.norm(channels[0], axis=0)
+    assert np.allclose(column_norms, math.sqrt(config.num_antennas), rtol=1e-12)
 
 
 def test_sample_paths_deterministic_and_in_range():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfield import (
     ConfigurationError,
@@ -28,6 +30,7 @@ from nearfield import codebook
 from nearfield.codebook import (
     CodebookGrid,
     PairStats,
+    SphericalCodebook,
     export_grid_text,
     export_matrix_binary,
     load_grid_text,
@@ -451,6 +454,29 @@ def test_grid_text_round_trip(tmp_path, books):
         export_grid_text(book, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256[name], name
         assert (load_grid_text(path) == book.grid) is True, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 3),
+            st.tuples(*[st.floats(allow_nan=False)] * 3),
+        ),
+        max_size=12,
+    )
+)
+def test_grid_text_round_trip_property(tmp_path_factory, points):
+    """Any grid, with +-inf, -0.0, subnormal and extreme values, loads back
+    bit for bit."""
+    indices = np.array([p[0] for p in points], dtype=np.int64).reshape(-1, 3)
+    coords = np.array([p[1] for p in points], dtype=np.float64).reshape(-1, 3)
+    book = SphericalCodebook(np.zeros((1, len(points)), dtype=np.complex128), CodebookGrid(indices, coords))
+    path = tmp_path_factory.mktemp("grid") / "grid.txt"
+    export_grid_text(book, path)
+    loaded = load_grid_text(path)
+    assert loaded.indices.tobytes() == indices.tobytes()
+    assert loaded.coords.tobytes() == coords.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nearfield import ConfigurationError, codebook, desk_profile, estimator, run_trial
+from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
@@ -51,6 +52,20 @@ def test_run_spec_validation():
         tiny_spec(snr_list_db=(10.0, 0.0))
     with pytest.raises(ConfigurationError):
         tiny_spec(workers=0)
+
+
+def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):
+    """Set-up failures are contained per trial, so ranges that make every
+    trial fail are rejected up front, and the CLI exits with code 2."""
+    with pytest.raises(ConfigurationError, match="beyond"):
+        tiny_spec(distance_range=(0.01, 0.05))  # inside the 0.1 m array
+    with pytest.raises(ConfigurationError):
+        tiny_spec(elevation_range=(0.1, 2.0))
+    with pytest.raises(ConfigurationError):
+        tiny_spec(azimuth_range=(1.0, 1.0))
+    config = tmp_path / "inside.cfg"
+    config.write_text("distance_range = 0.01,0.05\n")
+    assert cli_main(["trial", "--config", str(config)]) == 2
 
 
 def test_trial_seeds_channel_independent_of_sweep_value():
@@ -199,6 +214,40 @@ def test_sweep_trials_counts_finite_samples(monkeypatch):
             assert stripped(got) == stripped(want)
 
 
+def test_sweep_contains_a_set_up_failure_to_its_trial(monkeypatch):
+    """A trial whose channel synthesis raises records NaN for every method,
+    with one failure warning each, and the sweep goes on."""
+    spec = tiny_spec()
+    clean = sweep_snr(spec)
+    real = harness.generate_channel
+    calls = []
+
+    def failing_once(paths, system):
+        calls.append(None)
+        if len(calls) == 2:  # trial 1 at the first SNR point
+            raise RuntimeError("injected channel failure")
+        return real(paths, system)
+
+    monkeypatch.setattr(harness, "generate_channel", failing_once)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        faulty = sweep_snr(spec)
+    messages = [str(w.message) for w in caught]
+    failed_point = spec.snr_list_db[0]
+    assert sorted(messages) == sorted(
+        f"method {method} failed on trial 1 at snr={failed_point}: injected channel failure"
+        for method in spec.methods
+    )
+    assert len(faulty.rows) == len(clean.rows)
+    for want, got in zip(clean.rows, faulty.rows):
+        assert (got.sweep_value, got.method) == (want.sweep_value, want.method)
+        if got.sweep_value == failed_point:
+            assert got.trials == spec.trials - 1
+            assert math.isfinite(got.nmse_linear)
+        else:
+            assert (got.nmse_linear, got.trials) == (want.nmse_linear, want.trials)
+
+
 def test_sweep_concurrent_equals_sequential():
     sequential = sweep_snr(tiny_spec(workers=1))
     threaded = sweep_snr(tiny_spec(workers=4))
@@ -250,6 +299,53 @@ def test_emit_csv_round_trip(tmp_path):
     assert text[0] == CSV_HEADER
     assert len(text) == 1 + 6
     assert load_csv(path) == rows
+
+
+_CSV_FLOATS = st.floats(allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.builds(
+            SweepRow,
+            sweep_value=st.one_of(st.integers(1, 10**6), _CSV_FLOATS),
+            method=st.sampled_from(METHODS),
+            nmse_linear=_CSV_FLOATS,
+            nmse_db=_CSV_FLOATS,
+            trials=st.integers(0, 10**6),
+            wall_time_s=_CSV_FLOATS,
+        ),
+        max_size=8,
+    )
+)
+@example(
+    rows=[
+        SweepRow(8, "ls", math.nan, math.nan, 0, 0.25),
+        SweepRow(-3.5, "oracle", math.inf, -math.inf, 2, 1.0 / 3.0),
+    ]
+)
+def test_emit_csv_round_trip_property(tmp_path_factory, rows):
+    """Every value comes back to 12 significant digits; +-inf and nan come
+    back as themselves, integer pilot values exactly, and rows with zero
+    finite trials (NaN NMSE) keep their zero."""
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    emit_csv(SweepResult("snr", rows), path)
+    loaded = load_csv(path)
+    assert len(loaded) == len(rows)
+
+    def same(got, want):
+        if isinstance(want, int):
+            return got == want
+        if math.isnan(want) or math.isinf(want):
+            return math.isnan(got) if math.isnan(want) else got == want
+        return got == float(f"{want:.12g}") and abs(got - want) <= 1e-11 * abs(want)
+
+    for got, want in zip(loaded, rows):
+        assert got.method == want.method
+        assert got.trials == want.trials
+        for name in ("sweep_value", "nmse_linear", "nmse_db", "wall_time_s"):
+            assert same(getattr(got, name), getattr(want, name)), name
 
 
 def test_emit_csv_empty_result(tmp_path):

@@ -4,10 +4,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearfield import generate_combining, numerics
 from nearfield.numerics import (
     bessel_j0,
     first_j0_zero,
+    gram_lstsq,
     lstsq_minimum_norm,
     solve_beta_delta,
 )
@@ -192,3 +196,81 @@ def test_no_warning_on_well_conditioned_solve():
         warnings.simplefilter("error")
         _, ok = lstsq_minimum_norm(a, y)
     assert ok
+
+
+def _assert_relative_close(got, want, rtol=1e-10):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_antennas=st.integers(1, 64),
+    orientation=st.sampled_from(["wide", "tall", "square", "square-4", "square+4"]),
+    num_rhs=st.integers(1, 4),
+    data=st.data(),
+)
+def test_gram_lstsq_matches_svd_solution(seed, num_antennas, orientation, num_rhs, data):
+    """Random-phase combiners of every orientation, near-square ones
+    (P N_RF = N +- 4) included, give the SVD's minimum-norm solution."""
+    n = num_antennas
+    if orientation == "wide":
+        rows = data.draw(st.integers(1, max(1, n - 1)))
+    elif orientation == "tall":
+        rows = data.draw(st.integers(n + 1, 2 * n + 8))
+    else:
+        rows = max(1, n + {"square": 0, "square-4": -4, "square+4": 4}[orientation])
+    a = generate_combining(seed, rows, 1, n).entries
+    rng = np.random.default_rng(seed)
+    y = _random_complex(rng, rows, num_rhs)
+    _assert_relative_close(gram_lstsq(a, y), lstsq_minimum_norm(a, y)[0])
+    _assert_relative_close(gram_lstsq(a, y[:, 0]), lstsq_minimum_norm(a, y[:, 0])[0])
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 10), (14, 8), (8, 8)])
+def test_gram_lstsq_duplicated_row_gives_pinv_solution(rows, cols):
+    a = generate_combining(11, rows, 1, cols).entries.copy()
+    a[-1] = a[0]
+    y = _random_complex(np.random.default_rng(12), rows, 3)
+    _assert_relative_close(gram_lstsq(a, y), np.linalg.pinv(a) @ y)
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 10), (14, 8)])
+def test_gram_lstsq_duplicated_column_gives_pinv_solution(rows, cols):
+    a = generate_combining(13, rows, 1, cols).entries.copy()
+    a[:, -1] = a[:, 0]
+    y = _random_complex(np.random.default_rng(14), rows, 3)
+    _assert_relative_close(gram_lstsq(a, y), np.linalg.pinv(a) @ y)
+
+
+def test_gram_lstsq_takes_svd_path_beyond_condition_limit(monkeypatch):
+    """A Gram whose Cholesky pivots spread past GRAM_CONDITION_LIMIT is
+    solved by `lstsq_minimum_norm`; a well-conditioned one is not."""
+    calls = []
+    real = numerics.lstsq_minimum_norm
+
+    def recording(a, y):
+        calls.append(a.shape)
+        return real(a, y)
+
+    monkeypatch.setattr(numerics, "lstsq_minimum_norm", recording)
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(_random_complex(rng, 12, 4))
+    y = _random_complex(rng, 12, 2)
+    gram_lstsq(q, y)
+    assert calls == []
+    scaled = q * np.array([1.0, 1.0, 1.0, 1e-3])  # condition 1e3, Gram 1e6
+    _assert_relative_close(gram_lstsq(scaled, y), real(scaled, y)[0])
+    assert calls == [(12, 4)]
+
+
+def test_gram_lstsq_zero_matrix_gives_zero_solution():
+    x = gram_lstsq(np.zeros((3, 5)), np.ones((3, 2)))
+    assert x.shape == (5, 2)
+    assert not np.any(x)
+
+
+def test_gram_lstsq_rejects_mismatched_rows():
+    with pytest.raises(ValueError):
+        gram_lstsq(np.eye(3), np.zeros((4, 2)))

@@ -294,6 +294,77 @@ def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
     assert _traced_peak(s_somp, *args) < 0.5 * dictionary_bytes
 
 
+def _unchunked_scores(base, coeffs, gram_rows):
+    """The S-SOMP scores as one M x G expression, as formed before scoring
+    went chunk by chunk."""
+    if coeffs is None:
+        gamma = base
+    else:
+        gamma = coeffs.conj().T @ gram_rows
+        np.subtract(base, gamma, out=gamma)
+    magnitude = np.abs(gamma)
+    return np.einsum("ij,ij->j", magnitude, magnitude)
+
+
+@pytest.mark.parametrize("num_columns", [300, 512, 3 * 512 + 1, 3 * 512 + 217])
+@pytest.mark.parametrize("num_subcarriers", [1, 4, 16])
+def test_chunked_scores_equal_unchunked_bit_for_bit(monkeypatch, num_columns, num_subcarriers):
+    """Fewer columns than one chunk, a whole number of chunks, one column
+    past a whole number, and a ragged last chunk; the first step and later
+    ones."""
+    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
+    rng = np.random.default_rng(num_columns + num_subcarriers)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    base = draw(num_subcarriers, num_columns)
+    scratch = estimator._score_scratch(base)
+    for step in range(6):
+        coeffs = draw(step, num_subcarriers) if step else None
+        gram_rows = draw(step, num_columns)
+        got = np.full(num_columns, np.nan)
+        estimator._chunked_scores(base, coeffs, gram_rows, got, scratch)
+        assert np.array_equal(got, _unchunked_scores(base, coeffs, gram_rows)), step
+
+
+@pytest.mark.parametrize("method", SOMP_METHODS)
+def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_phase_mode_calls, monkeypatch, method):
+    """The desk books are narrower than one default chunk; with 512-column
+    chunks, every output on the 33 desk trials, dense and from phase modes,
+    stays bit for bit the same."""
+    calls = desk_somp_calls[method] + desk_phase_mode_calls[method]
+    want = [s_somp(*args) for args in calls]
+    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
+    for args, expected in zip(calls, want):
+        got = s_somp(*args)
+        assert got.support == expected.support
+        assert np.array_equal(got.sparse_coeffs, expected.sparse_coeffs)
+        assert np.array_equal(got.channel_estimate, expected.channel_estimate)
+        assert got.residual_norms == expected.residual_norms
+
+
+@pytest.mark.parametrize("phase_modes", [False, True])
+def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
+    """With 512-column chunks, S-SOMP's own peak stays within 2.25 M x G
+    complex arrays: the first correlation term, the Gram rows, one score
+    vector and chunk scratch. It was 3.84 when the scores of all columns
+    were formed at once."""
+    if phase_modes:
+        monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    assert (book.modes is not None) == phase_modes
+    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
+    system = desk_spec.system
+    paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
+    combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
+    measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
+    args = (measurements, combining, book, desk_spec.num_paths)
+    s_somp(*args)  # warm any lazily built state
+    one_array = 16 * system.num_subcarriers * book.num_columns
+    assert _traced_peak(s_somp, *args) <= 2.25 * one_array
+
+
 @pytest.mark.slow
 def test_paper_scale_supports_match_dense_oracle():
     # The paper spherical and polar codebooks hold phase modes; the oracle
