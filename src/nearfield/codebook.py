@@ -450,15 +450,17 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     """Raw dump: 16-byte header (magic 'SPHW', version, N, G as little-endian
     u32) followed by the matrix as column-major interleaved re/im float64.
 
-    Written a chunk of columns at a time, so no matrix-sized copy is made.
+    Written a chunk of `codebook.columns` at a time, so no matrix-sized copy
+    is made, and a codebook held as phase modes never builds its matrix. A
+    chunk and its transposed copy share the 1 MiB of `_IO_CHUNK_BYTES`.
     """
-    matrix = codebook.matrix
-    n, g = matrix.shape
-    step = max(1, _IO_CHUNK_BYTES // (16 * max(n, 1)))
+    n, g = codebook.num_antennas, codebook.num_columns
+    step = max(1, _IO_CHUNK_BYTES // (32 * max(n, 1)))
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC + struct.pack("<III", _BINARY_VERSION, n, g))
         for start in range(0, g, step):
-            handle.write(np.ascontiguousarray(matrix[:, start : start + step].T, dtype="<c16"))
+            block = codebook.columns(np.arange(start, min(start + step, g)))
+            handle.write(np.ascontiguousarray(block.T, dtype="<c16"))
 
 
 def load_matrix_binary(path) -> np.ndarray:

@@ -139,6 +139,17 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     bound of the best is rescored in float64 on its exact column, so the
     support is the one exact scores give, and the least-squares step and
     the estimate use exact columns.
+
+    On such a codebook, the iterations after the first score only the
+    columns a triangle bound cannot rule out (`_pruned_scores`): the root of
+    a column's score moves from its first-iteration value ||(A^H Y)^H w|| by
+    at most the norm of the column's Gram update. A column whose upper bound
+    falls below the best lower bound, minus the rescoring slack, could never
+    enter the rescoring window, so it is parked at -1 unscored, and the
+    support is the one that scoring every column gives. The first-iteration
+    roots are one more float64 vector of G entries. A rejected column may
+    have set the cut, so after a rejection the bound is taken again before
+    the next pick.
     """
     y = measurements.observations
     a = combining.entries
@@ -166,8 +177,6 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     blocked = np.zeros(g, dtype=bool)
 
     for step in range(num_iterations):
-        _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
-        scores[blocked] = -1.0
         if rescore:
             exact = np.zeros(g, dtype=bool)
             # |gamma_kj| <= bound_k for unit-norm columns.
@@ -175,6 +184,15 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             if step:
                 bound += np.abs(coeffs).T @ np.linalg.norm(atoms[:step], axis=1)
             slack = RESCORE_RTOL * float(bound @ bound)
+        pruned = rescore and step > 0
+        if pruned:
+            scores.fill(-1.0)
+            _pruned_scores(base, root, coeffs, gram_rows[:step], blocked, slack, scores, scratch)
+        else:
+            _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
+            if rescore and num_iterations > 1 and not step:
+                root = np.sqrt(scores)  # ||b(w)||, the centre of the triangle bound
+            scores[blocked] = -1.0
         while True:
             best = int(np.argmax(scores))
             if scores[best] < 0.0:
@@ -199,6 +217,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             )
             blocked[best] = True
             scores[best] = -1.0
+            if pruned:
+                # `best` may have set the cut; columns it pruned may now be in reach.
+                _pruned_scores(base, root, coeffs, gram_rows[:step], blocked, slack, scores, scratch)
         support.append(best)
         blocked[best] = True
         coeffs = solution
@@ -262,6 +283,83 @@ def _chunked_scores(base, coeffs, gram_rows, out, scratch):
             gamma = np.subtract(gamma, update, out=update)
         magnitude = np.abs(gamma, out=scratch[1][:size].reshape(m, -1))
         np.einsum("ij,ij->j", magnitude, magnitude, out=out[start:stop])
+
+
+def _pruned_scores(base, root, coeffs, gram_rows, blocked, slack, out, scratch):
+    """Score the unblocked columns a triangle bound cannot rule out.
+
+    With b(j) and g(j) column j of `base` and of the t Gram rows, the score is
+    ||b(j) - C^H g(j)||^2 and root[j] = ||b(j)||, so by the triangle
+    inequality |sqrt(score(j)) - root[j]| <= ||C^H g(j)|| = ||R g(j)||, with
+    R the triangular factor of C^H = Q R (Elkan, ICML 2003, bounds k-means
+    distances the same way). Only Gram rows are read to form this shift.
+    One pass finds the largest lower bound (root - shift)^2 of an unblocked
+    column. A second pass, over the chunks whose largest upper bound
+    reaches it, recomputes the shift and scores, with `_chunked_scores`'
+    expression on gathered columns, each unblocked column whose out[j] is
+    still negative and whose upper bound (root + shift)^2 reaches that
+    lower bound minus `slack`. Every other column keeps its out[j].
+
+    A column left out scores below the best lower bound minus `slack`, so
+    below the rescoring window of the best column, and the exact argmax is
+    the same as when every column is scored.
+    """
+    weights = coeffs.conj().T
+    factor = np.linalg.qr(weights, mode="r")
+    edges = _score_chunks(base.shape)
+    bounds = list(zip(edges[:-1], edges[1:]))
+    best_lower = 0.0
+    reach = []  # the largest upper bound in each chunk
+    for start, stop in bounds:
+        shift = _bound_shift(factor, gram_rows[:, start:stop])
+        lower = root[start:stop] - shift
+        best_lower = max(best_lower, float(np.max(lower, where=~blocked[start:stop], initial=0.0)))
+        reach.append(float(np.max(root[start:stop] + shift)))
+    cut = best_lower * best_lower - slack
+    for (start, stop), top in zip(bounds, reach):
+        if top * top < cut:
+            continue
+        upper = root[start:stop] + _bound_shift(factor, gram_rows[:, start:stop])
+        wanted = (upper * upper >= cut) & ~blocked[start:stop] & (out[start:stop] < 0.0)
+        _gathered_scores(base, weights, gram_rows, start + np.flatnonzero(wanted), out, scratch)
+
+
+def _bound_shift(factor, gram_rows) -> np.ndarray:
+    """||R g(j)|| of each column j of `gram_rows`, for R upper triangular.
+
+    Formed row by row of R with elementwise products, which on these thin
+    shapes beat both `einsum` and BLAS.
+    """
+    magnitudes = []
+    for i in range(factor.shape[0]):
+        row = factor[i, i] * gram_rows[i]
+        for j in range(i + 1, factor.shape[1]):
+            row += factor[i, j] * gram_rows[j]
+        magnitudes.append(np.abs(row))
+    if len(magnitudes) == 1:
+        return magnitudes[0]
+    total = sum(magnitude * magnitude for magnitude in magnitudes)
+    return np.sqrt(total, out=total)
+
+
+def _gathered_scores(base, weights, gram_rows, idx, out, scratch):
+    """out[idx] = the scores of columns idx, formed as `_chunked_scores` forms
+    them, on gathered copies that share the complex scratch half and half.
+
+    S-SOMP prunes only with two or more columns, so every chunk, and each
+    half of the scratch, holds at least one column.
+    """
+    m = base.shape[0]
+    room = scratch[0].size // (2 * m)
+    for start in range(0, idx.size, room):
+        cols = idx[start : start + room]
+        size = m * cols.size
+        gamma = np.take(base, cols, axis=1, out=scratch[0][:size].reshape(m, -1), mode="clip")
+        update = scratch[0][size : 2 * size].reshape(m, -1)
+        np.matmul(weights, gram_rows[:, cols], out=update)
+        np.subtract(gamma, update, out=update)
+        magnitude = np.abs(update, out=scratch[1][:size].reshape(m, -1))
+        out[cols] = np.einsum("ij,ij->j", magnitude, magnitude)
 
 
 def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:

@@ -173,19 +173,23 @@ class PhaseModes:
         u = np.fft.fft(v.reshape(self.num_antennas, -1).conj(), axis=0).T  # (k, N)
         k = u.shape[0]
         out = np.empty((k, self.num_columns), dtype=np.complex128)
+        # One scratch buffer for every plan; each plan zeroes only its pad.
+        widest = max(plan.coef.shape[0] * plan.spectrum.size for plan in self._plans)
+        scratch = np.empty(k * widest, dtype=np.complex128)
         for plan in self._plans:
             rings, width = plan.coef.shape
             count = plan.post.size
-            buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
+            buf = scratch[: k * rings * plan.spectrum.size].reshape(k, rings, -1)
             np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
+            buf[:, :, width:] = 0.0
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= plan.spectrum
             np.fft.ifft(buf, axis=-1, out=buf)
-            # Rows of the block are contiguous, so the reshape is a view of `out`.
+            # The output chirp is applied on contiguous rows, then the block is
+            # transposed into `out`: its rows are contiguous there, so the
+            # reshape is a view.
+            chirped = buf[:, :, :count]
+            chirped *= plan.post
             block = out[:, plan.first_column : plan.first_column + count * rings]
-            np.multiply(
-                buf[:, :, :count].transpose(0, 2, 1),
-                plan.post[:, None],
-                out=block.reshape(k, count, rings),
-            )
+            block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
         return out[0] if v.ndim == 1 else out

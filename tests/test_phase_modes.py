@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfield import codebook
-from nearfield.codebook import build_polar_codebook, build_spherical_codebook
+from nearfield.codebook import build_polar_codebook, build_spherical_codebook, export_matrix_binary
 from nearfield.harness import paper_profile
 from nearfield.phase_modes import fft_length
 
@@ -96,6 +96,50 @@ def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
     assert np.array_equal(got, dense.matrix[:, every])
     assert np.array_equal(held.columns([5, 2, 5]), dense.matrix[:, [5, 2, 5]])
     assert held.columns([]).shape == (held.num_antennas, 0)
+
+
+def _reference_correlate(modes, v):
+    """`PhaseModes.correlate` as written before its scratch was shared across
+    plans: a zeroed buffer per plan, and the output chirp applied while the
+    block is transposed into `out`."""
+    v = np.asarray(v)
+    u = np.fft.fft(v.reshape(modes.num_antennas, -1).conj(), axis=0).T
+    k = u.shape[0]
+    out = np.empty((k, modes.num_columns), dtype=np.complex128)
+    for plan in modes._plans:
+        rings, width = plan.coef.shape
+        count = plan.post.size
+        buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
+        np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= plan.spectrum
+        np.fft.ifft(buf, axis=-1, out=buf)
+        block = out[:, plan.first_column : plan.first_column + count * rings]
+        np.multiply(
+            buf[:, :, :count].transpose(0, 2, 1),
+            plan.post[:, None],
+            out=block.reshape(k, count, rings),
+        )
+    return out[0] if v.ndim == 1 else out
+
+
+@pytest.mark.parametrize("name", BOOKS)
+@pytest.mark.parametrize("width", [0, 1, 16])
+def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width):
+    held = book_pairs[name][0]
+    rng = np.random.default_rng(width)
+    shape = (held.num_antennas, width) if width else (held.num_antennas,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(held.correlate(v), _reference_correlate(held.modes, v))
+
+
+def test_phase_mode_export_equals_the_dense_export_and_builds_no_matrix(tmp_path, desk_spec):
+    args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    held = _phase_mode_build(build_spherical_codebook, *args)
+    export_matrix_binary(held, tmp_path / "held.bin")
+    export_matrix_binary(build_spherical_codebook(*args), tmp_path / "dense.bin")
+    assert held._matrix is None
+    assert (tmp_path / "held.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
 
 
 def test_fft_length_is_the_smallest_5_smooth_length():

@@ -6,6 +6,7 @@ residual against it from scratch at every iteration.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -326,6 +327,96 @@ def test_chunked_scores_equal_unchunked_bit_for_bit(monkeypatch, num_columns, nu
         got = np.full(num_columns, np.nan)
         estimator._chunked_scores(base, coeffs, gram_rows, got, scratch)
         assert np.array_equal(got, _unchunked_scores(base, coeffs, gram_rows)), step
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_columns=st.integers(2, 300),
+    num_subcarriers=st.integers(1, 4),
+    step=st.integers(1, 3),
+    blocked_share=st.sampled_from([0.0, 0.1, 0.9]),
+    slack_share=st.sampled_from([0.0, 1e-3, 0.3]),
+    aligned=st.booleans(),
+    spread=st.booleans(),
+)
+def test_pruned_scores_keep_every_column_near_the_best(
+    seed, num_columns, num_subcarriers, step, blocked_share, slack_share, aligned, spread
+):
+    """Every unblocked column whose full score lies within the slack of the
+    best is scored, to 1e-12 of `_chunked_scores`; blocked columns and the
+    rest stay at -1. Blocking the best, as a rejection does, and pruning
+    again scores every column near the new best and changes no score.
+
+    With `aligned`, column j of the first term is a real multiple of
+    C^H g(j), so the bound is tight on one side for every column. With
+    `spread`, the columns' Gram entries span three decades, so that some
+    shifts dwarf their roots. Chunks of 8 columns make many chunks."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    coeffs = draw(step, num_subcarriers) * rng.choice([1e-3, 1.0, 10.0])
+    gram_rows = draw(step, num_columns)
+    if spread:
+        gram_rows *= 10.0 ** rng.uniform(-2.0, 1.0, num_columns)
+    if aligned:
+        base = rng.uniform(-3.0, 3.0, num_columns) * (coeffs.conj().T @ gram_rows)
+    else:
+        base = draw(num_subcarriers, num_columns)
+    blocked = rng.random(num_columns) < blocked_share
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "_RESCORE_CHUNK", 8)
+        scratch = estimator._score_scratch(base)
+        full = np.empty(num_columns)
+        estimator._chunked_scores(base, coeffs, gram_rows, full, scratch)
+        root = np.empty(num_columns)
+        estimator._chunked_scores(base, None, gram_rows[:0], root, scratch)
+        root = np.sqrt(root)
+        # As in s_somp: sum_k (max_j |b_kj| + sum_i |C_ik| max_j |g_ij|)^2
+        # bounds every score, and slack is RESCORE_RTOL of that bound or more.
+        bound = np.abs(base).max(axis=1) + np.abs(coeffs).T @ np.abs(gram_rows).max(axis=1)
+        slack = max(estimator.RESCORE_RTOL, slack_share) * float(bound @ bound)
+        got = np.full(num_columns, -1.0)
+        for _ in range(2):
+            estimator._pruned_scores(base, root, coeffs, gram_rows, blocked, slack, got, scratch)
+            kept = got >= 0.0
+            assert not np.any(kept & blocked)
+            if not np.any(~blocked):
+                assert not np.any(kept)
+                break
+            best = full[~blocked].max()
+            assert np.all(kept[~blocked & (full >= best - slack)])
+            np.testing.assert_allclose(got[kept], full[kept], rtol=1e-12, atol=1e-12 * full.max())
+            blocked[np.flatnonzero(~blocked)[np.argmax(full[~blocked])]] = True
+            got[blocked] = -1.0
+
+
+@pytest.mark.parametrize("rejected_step", [1, 2])
+def test_phase_modes_match_dense_when_a_pruned_step_rejects_its_best(
+    desk_phase_mode_calls, monkeypatch, rejected_step
+):
+    """A column rejected as rank-deficient may have set the pruning cut;
+    the columns it pruned are scored before the next pick, so every output
+    matches the dense oracle under the same rejection, on the first desk
+    trials with phase-mode spherical and polar codebooks."""
+    calls = desk_phase_mode_calls[METHOD_S_SOMP][:4] + desk_phase_mode_calls[METHOD_P_SOMP][:4]
+    real = lstsq_minimum_norm
+    for measurements, combining, held, iterations in calls:
+        args = (measurements, combining, held, iterations)
+        picked = s_somp(*args).support[rejected_step]
+        atom = combining.entries @ held.columns([picked])[:, 0]
+
+        def rejecting(sub, y, _atom=atom):
+            solution, well_conditioned = real(sub, y)
+            return solution, well_conditioned and not np.allclose(sub[:, -1], _atom, rtol=0, atol=1e-12)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "lstsq_minimum_norm", rejecting)
+            patch.setattr(sys.modules[__name__], "lstsq_minimum_norm", rejecting)
+            got = assert_matches_dense(args)
+        assert picked not in got.support
 
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
