@@ -142,7 +142,10 @@ class SphericalCodebook:
         """W[:, idx] as a new (N, len(idx)) array, bit for bit.
 
         From phase modes, only the columns asked for are filled, through
-        `ring_steering` one ring at a time, as `_fill_rings` fills them.
+        `ring_steering` one ring at a time, as `_fill_rings` fills them. The
+        columns are grouped by ring with one stable sort, and every ring
+        takes its rows of one `azimuth_cosines` array of the distinct
+        azimuths asked for, which the rings of a contiguous range share.
         """
         if self.modes is None:
             return self._matrix[:, idx]
@@ -151,14 +154,32 @@ class SphericalCodebook:
         out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128)
         t, _, z = self.grid.indices[idx].T
         r, theta, phi = self.grid.coords[idx].T
-        _, ring_of = np.unique((t << 32) + z, return_inverse=True)
-        for ring in range(ring_of.max(initial=-1) + 1):
-            sel = np.flatnonzero(ring_of == ring)
-            block = np.empty((geom.num_antennas, sel.size), dtype=np.complex128)
-            cosines = azimuth_cosines(phi[sel], geom)
-            ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines, geom, lam, block)
-            out[:, sel] = block
+        phis, azimuth_of = np.unique(phi, return_inverse=True)
+        cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
+        keys = (t << 32) + z
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        for start, stop in zip(starts, np.append(starts[1:], idx.size)):
+            sel = order[start:stop]
+            # In a contiguous range, a ring's columns step evenly and its
+            # azimuths are consecutive, so both are taken as views.
+            cols = _as_slice(sel)
+            rows = _as_slice(azimuth_of[sel])
+            view = isinstance(cols, slice)
+            block = out[:, cols] if view else np.empty((geom.num_antennas, sel.size), dtype=np.complex128)
+            ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, lam, block)
+            if not view:
+                out[:, sel] = block
         return out
+
+
+def _as_slice(positions):
+    """The slice that picks `positions` when they rise in even steps, else
+    `positions` itself; indexing with either gives the same elements."""
+    step = int(positions[1] - positions[0]) if positions.size > 1 else 1
+    if step > 0 and np.all(np.diff(positions) == step):
+        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    return positions
 
 
 def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
@@ -380,13 +401,15 @@ class CoherenceStats:
 
 def _pair_correlations(matrix: np.ndarray, left, right, chunk: int = 16384) -> np.ndarray:
     # Chunked so that paper-scale codebooks (~1e5 pairs per axis) never
-    # materialise more than `chunk` gathered columns at once.
+    # materialise more than `chunk` gathered columns at once; the left block
+    # is conjugated in place, so a chunk holds two gathered blocks.
     out = np.empty(left.size)
     for start in range(0, left.size, chunk):
         stop = start + chunk
         a = matrix[:, left[start:stop]]
+        np.conjugate(a, out=a)
         b = matrix[:, right[start:stop]]
-        out[start:stop] = np.abs(np.einsum("ij,ij->j", a.conj(), b))
+        out[start:stop] = np.abs(np.einsum("ij,ij->j", a, b))
     return out
 
 

@@ -121,35 +121,46 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
         R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
 
-    so the M x G first term is formed once, and each chosen atom w_i adds
-    one Gram row (A^H A w_i)^H W; the row after the last iteration is never
-    read and is not formed. Both go through `codebook.correlate`, so W is
+    so the M x G first term is the same at every iteration, and each chosen
+    atom w_i adds one Gram row (A^H A w_i)^H W; the row after the last
+    iteration is never read and is not formed. Both go through
+    `codebook.correlate` (or, on phase modes, `PhaseModes.scores`), so W is
     never copied, and nothing P N_RF x G is allocated. Only the selected
     columns, from `codebook.columns`, pass through A, for the least-squares
     step and the residual.
 
-    The scores sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
+    On a dense codebook the scores
+    sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
     `_RESCORE_CHUNK` columns at a time in scratch reused across chunks and
     iterations (`_chunked_scores`), bit for bit as the whole M x G
     expression gives them. Besides the M x G first term and the Gram rows,
     S-SOMP then holds only one float64 score vector and chunk-sized buffers.
 
-    A codebook held as phase modes correlates to ~1e-12, not exactly. Before
-    a column is taken, every column scoring within RESCORE_RTOL of the score
-    bound of the best is rescored in float64 on its exact column, so the
-    support is the one exact scores give, and the least-squares step and
-    the estimate use exact columns.
+    A codebook held as phase modes correlates to ~1e-12, not exactly, and
+    is streamed: S-SOMP holds no M x G array on it.
 
-    On such a codebook, the iterations after the first score only the
-    columns a triangle bound cannot rule out (`_pruned_scores`): the root of
-    a column's score moves from its first-iteration value ||(A^H Y)^H w|| by
-    at most the norm of the column's Gram update. A column whose upper bound
-    falls below the best lower bound, minus the rescoring slack, could never
-    enter the rescoring window, so it is parked at -1 unscored, and the
-    support is the one that scoring every column gives. The first-iteration
-    roots are one more float64 vector of G entries. A rejected column may
-    have set the cut, so after a rejection the bound is taken again before
-    the next pick.
+    - The first iteration's scores come from `PhaseModes.scores`, which
+      reduces sum_k |(A^H y_k)^H w|^2 elevation plan by elevation plan, so
+      the first term is never formed. Their roots ||b(w)|| are kept, one
+      more float64 vector of G entries.
+    - After each pick but the last, one `codebook.correlate` call of 1 + t
+      vectors, [A^H A w_i, (A^H Y) C^H], gives the new Gram row and the t
+      rows P(w) = C b(w) that the next iteration's scores read in place of
+      the first term.
+    - The later iterations score only the columns a triangle bound cannot
+      rule out (`_pruned_scores`): the root of a column's score moves from
+      ||b(w)|| by at most the norm of its Gram update ||C^H g(w)||. A
+      column whose upper bound falls below the best lower bound, minus the
+      rescoring slack, could never enter the rescoring window, so it is
+      parked at -1 unscored, and the support is the one that scoring every
+      column gives. A column in reach scores
+      ||b(w)||^2 - 2 Re(g(w)^H P(w)) + ||C^H g(w)||^2, clamped at 0.
+    - Before a column is taken, every column scoring within RESCORE_RTOL of
+      the score bound of the best is rescored in float64 on its exact
+      column, so the support is the one exact scores give, and the
+      least-squares step and the estimate use exact columns. A rejected
+      column may have set the cut, so after a rejection the bound is taken
+      again before the next pick.
     """
     y = measurements.observations
     a = combining.entries
@@ -163,12 +174,13 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         )
     a_h = a.conj().T
     projected = a_h @ y
-    base = codebook.correlate(projected)
     atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
     gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
-    scores = np.empty(g)
-    scratch = _score_scratch(base)
-    rescore = codebook.modes is not None
+    streamed = codebook.modes is not None
+    if not streamed:
+        base = codebook.correlate(projected)
+        scores = np.empty(g)
+        scratch = _score_scratch(base)
 
     support: list = []
     residual_norms: list = []
@@ -177,27 +189,28 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     blocked = np.zeros(g, dtype=bool)
 
     for step in range(num_iterations):
-        if rescore:
+        if streamed:
             exact = np.zeros(g, dtype=bool)
             # |gamma_kj| <= bound_k for unit-norm columns.
             bound = np.linalg.norm(projected, axis=0)
             if step:
                 bound += np.abs(coeffs).T @ np.linalg.norm(atoms[:step], axis=1)
             slack = RESCORE_RTOL * float(bound @ bound)
-        pruned = rescore and step > 0
-        if pruned:
-            scores.fill(-1.0)
-            _pruned_scores(base, root, coeffs, gram_rows[:step], blocked, slack, scores, scratch)
+            if step:
+                scores.fill(-1.0)
+                _pruned_scores(root, projections, coeffs, gram_rows[:step], blocked, slack, scores)
+            else:
+                scores = codebook.modes.scores(projected)
+                if num_iterations > 1:
+                    root = np.sqrt(scores)  # ||b(w)||, the centre of the triangle bound
         else:
             _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
-            if rescore and num_iterations > 1 and not step:
-                root = np.sqrt(scores)  # ||b(w)||, the centre of the triangle bound
             scores[blocked] = -1.0
         while True:
             best = int(np.argmax(scores))
             if scores[best] < 0.0:
                 raise RuntimeError("dictionary exhausted before num_iterations")
-            if rescore:
+            if streamed:
                 near = np.flatnonzero(~exact & ~blocked & (scores >= scores[best] - slack))
                 if near.size:
                     scores[near] = _exact_scores(codebook, projected, atoms[:step], coeffs if step else None, near)
@@ -217,16 +230,25 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             )
             blocked[best] = True
             scores[best] = -1.0
-            if pruned:
+            if streamed and step:
                 # `best` may have set the cut; columns it pruned may now be in reach.
-                _pruned_scores(base, root, coeffs, gram_rows[:step], blocked, slack, scores, scratch)
+                _pruned_scores(root, projections, coeffs, gram_rows[:step], blocked, slack, scores)
         support.append(best)
         blocked[best] = True
         coeffs = solution
         residual_norms.append(float(np.linalg.norm(y - sub @ coeffs)))
         if step < num_iterations - 1:
             atoms[step] = a_h @ sub[:, -1]
-            gram_rows[step] = codebook.correlate(atoms[step])
+            if streamed:
+                # One pass gives the new Gram row and P = C b(w), the rows the
+                # next step's scores read in place of the first term. The old
+                # rows are dropped before the pass.
+                projections = None
+                rows = codebook.correlate(np.column_stack([atoms[step], projected @ coeffs.conj().T]))
+                gram_rows[step] = rows[0]
+                projections = rows[1:]
+            else:
+                gram_rows[step] = codebook.correlate(atoms[step])
 
     estimate = codebook.columns(support) @ coeffs
     return EstimationResult(support, coeffs, estimate, residual_norms)
@@ -285,28 +307,33 @@ def _chunked_scores(base, coeffs, gram_rows, out, scratch):
         np.einsum("ij,ij->j", magnitude, magnitude, out=out[start:stop])
 
 
-def _pruned_scores(base, root, coeffs, gram_rows, blocked, slack, out, scratch):
+def _pruned_scores(root, projections, coeffs, gram_rows, blocked, slack, out):
     """Score the unblocked columns a triangle bound cannot rule out.
 
-    With b(j) and g(j) column j of `base` and of the t Gram rows, the score is
-    ||b(j) - C^H g(j)||^2 and root[j] = ||b(j)||, so by the triangle
-    inequality |sqrt(score(j)) - root[j]| <= ||C^H g(j)|| = ||R g(j)||, with
-    R the triangular factor of C^H = Q R (Elkan, ICML 2003, bounds k-means
+    With b(j) column j of the first term (A^H Y)^H W, g(j) its t Gram
+    entries and C = `coeffs`, the score is ||b(j) - C^H g(j)||^2, and
+    root[j] = ||b(j)||. By the triangle inequality
+    |sqrt(score(j)) - root[j]| <= ||C^H g(j)|| = ||R g(j)||, with R the
+    triangular factor of C^H = Q R (Elkan, ICML 2003, bounds k-means
     distances the same way). Only Gram rows are read to form this shift.
     One pass finds the largest lower bound (root - shift)^2 of an unblocked
     column. A second pass, over the chunks whose largest upper bound
-    reaches it, recomputes the shift and scores, with `_chunked_scores`'
-    expression on gathered columns, each unblocked column whose out[j] is
-    still negative and whose upper bound (root + shift)^2 reaches that
-    lower bound minus `slack`. Every other column keeps its out[j].
+    reaches it, recomputes the shift and scores each unblocked column whose
+    out[j] is still negative and whose upper bound (root + shift)^2 reaches
+    that lower bound minus `slack`, as
+
+        root[j]^2 - 2 Re(g(j)^H P(j)) + shift[j]^2,  clamped at 0,
+
+    from P(j) = C b(j), column j of `projections`. Every other column keeps
+    its out[j]. The expression rounds at ~1e-16 of root[j]^2 + shift[j]^2,
+    far inside `slack`.
 
     A column left out scores below the best lower bound minus `slack`, so
     below the rescoring window of the best column, and the exact argmax is
     the same as when every column is scored.
     """
-    weights = coeffs.conj().T
-    factor = np.linalg.qr(weights, mode="r")
-    edges = _score_chunks(base.shape)
+    factor = np.linalg.qr(coeffs.conj().T, mode="r")
+    edges = list(range(0, root.size, _RESCORE_CHUNK)) + [root.size]
     bounds = list(zip(edges[:-1], edges[1:]))
     best_lower = 0.0
     reach = []  # the largest upper bound in each chunk
@@ -319,9 +346,13 @@ def _pruned_scores(base, root, coeffs, gram_rows, blocked, slack, out, scratch):
     for (start, stop), top in zip(bounds, reach):
         if top * top < cut:
             continue
-        upper = root[start:stop] + _bound_shift(factor, gram_rows[:, start:stop])
-        wanted = (upper * upper >= cut) & ~blocked[start:stop] & (out[start:stop] < 0.0)
-        _gathered_scores(base, weights, gram_rows, start + np.flatnonzero(wanted), out, scratch)
+        shift = _bound_shift(factor, gram_rows[:, start:stop])
+        upper = root[start:stop] + shift
+        wanted = np.flatnonzero((upper * upper >= cut) & ~blocked[start:stop] & (out[start:stop] < 0.0))
+        cols = start + wanted
+        cross = np.einsum("ij,ij->j", gram_rows[:, cols].conj(), projections[:, cols]).real
+        score = root[cols] ** 2 - 2.0 * cross + shift[wanted] ** 2
+        out[cols] = np.maximum(score, 0.0)
 
 
 def _bound_shift(factor, gram_rows) -> np.ndarray:
@@ -340,26 +371,6 @@ def _bound_shift(factor, gram_rows) -> np.ndarray:
         return magnitudes[0]
     total = sum(magnitude * magnitude for magnitude in magnitudes)
     return np.sqrt(total, out=total)
-
-
-def _gathered_scores(base, weights, gram_rows, idx, out, scratch):
-    """out[idx] = the scores of columns idx, formed as `_chunked_scores` forms
-    them, on gathered copies that share the complex scratch half and half.
-
-    S-SOMP prunes only with two or more columns, so every chunk, and each
-    half of the scratch, holds at least one column.
-    """
-    m = base.shape[0]
-    room = scratch[0].size // (2 * m)
-    for start in range(0, idx.size, room):
-        cols = idx[start : start + room]
-        size = m * cols.size
-        gamma = np.take(base, cols, axis=1, out=scratch[0][:size].reshape(m, -1), mode="clip")
-        update = scratch[0][size : 2 * size].reshape(m, -1)
-        np.matmul(weights, gram_rows[:, cols], out=update)
-        np.subtract(gamma, update, out=update)
-        magnitude = np.abs(update, out=scratch[1][:size].reshape(m, -1))
-        out[cols] = np.einsum("ij,ij->j", magnitude, magnitude)
 
 
 def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:

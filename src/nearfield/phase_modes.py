@@ -170,26 +170,53 @@ class PhaseModes:
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||."""
         v = np.asarray(v)
-        u = np.fft.fft(v.reshape(self.num_antennas, -1).conj(), axis=0).T  # (k, N)
-        k = u.shape[0]
+        vectors = v.reshape(self.num_antennas, -1)
+        k = vectors.shape[1]
         out = np.empty((k, self.num_columns), dtype=np.complex128)
+        for plan, chirped in self._plan_blocks(vectors):
+            # The output chirp is applied on contiguous rows, then the block is
+            # transposed into `out`: its rows are contiguous there, so the
+            # reshape is a view.
+            _, rings, count = chirped.shape
+            chirped *= plan.post
+            block = out[:, plan.first_column : plan.first_column + count * rings]
+            block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
+        return out[0] if v.ndim == 1 else out
+
+    def scores(self, v) -> np.ndarray:
+        """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or (N, k):
+        (G,) float64, to ~1e-12 of ||V||_F^2.
+
+        Each plan's block is reduced in place right after its inverse FFT,
+        so no (k, G) array is formed. The output chirp has unit modulus and
+        drops out of the squared magnitudes.
+        """
+        out = np.empty(self.num_columns)
+        for plan, unchirped in self._plan_blocks(np.asarray(v).reshape(self.num_antennas, -1)):
+            _, rings, count = unchirped.shape
+            power = unchirped.view(np.float64)  # (k, Z, 2S): re, im interleaved
+            np.square(power, out=power)
+            summed = np.add.reduce(power, axis=0).reshape(rings, count, 2)
+            block = out[plan.first_column : plan.first_column + count * rings]
+            np.add(summed[..., 0], summed[..., 1], out=block.reshape(count, rings).T)
+        return out
+
+    def _plan_blocks(self, vectors):
+        """Yield (plan, block) per elevation plan for V of shape (N, k), with
+        block[:, z, s] the correlation of V with the column of ring z at
+        azimuth s before the output chirp `plan.post`, as a (k, Z, S) view of
+        one scratch buffer that the next plan overwrites."""
+        u = np.fft.fft(vectors.conj(), axis=0).T  # (k, N)
+        k = u.shape[0]
         # One scratch buffer for every plan; each plan zeroes only its pad.
         widest = max(plan.coef.shape[0] * plan.spectrum.size for plan in self._plans)
         scratch = np.empty(k * widest, dtype=np.complex128)
         for plan in self._plans:
             rings, width = plan.coef.shape
-            count = plan.post.size
             buf = scratch[: k * rings * plan.spectrum.size].reshape(k, rings, -1)
             np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
             buf[:, :, width:] = 0.0
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= plan.spectrum
             np.fft.ifft(buf, axis=-1, out=buf)
-            # The output chirp is applied on contiguous rows, then the block is
-            # transposed into `out`: its rows are contiguous there, so the
-            # reshape is a view.
-            chirped = buf[:, :, :count]
-            chirped *= plan.post
-            block = out[:, plan.first_column : plan.first_column + count * rings]
-            block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
-        return out[0] if v.ndim == 1 else out
+            yield plan, buf[:, :, : plan.post.size]

@@ -88,6 +88,22 @@ def test_correlate_matches_dense_product(book_pairs, name, seed, width):
 
 
 @pytest.mark.parametrize("name", BOOKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 3, 16]))
+def test_scores_equal_the_summed_squared_correlations(book_pairs, name, seed, width):
+    """sum_k |V^H w_j|^2, reduced plan by plan, to 1e-12 of ||V||_F^2 of
+    the same sum over the correlations it skips forming."""
+    held = book_pairs[name][0]
+    rng = np.random.default_rng(seed)
+    shape = (held.num_antennas, width) if width else (held.num_antennas,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    magnitude = np.abs(held.correlate(v).reshape(-1, held.num_columns))
+    got = held.modes.scores(v)
+    assert got.shape == (held.num_columns,) and got.dtype == np.float64
+    assert np.max(np.abs(got - np.sum(magnitude**2, axis=0))) <= 1e-12 * np.linalg.norm(v) ** 2
+
+
+@pytest.mark.parametrize("name", BOOKS)
 def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
     held, dense = book_pairs[name]
     every = np.random.default_rng(1).permutation(held.num_columns)

@@ -30,6 +30,7 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
+from nearfield.phase_modes import PhaseModes
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
 
@@ -344,9 +345,11 @@ def test_pruned_scores_keep_every_column_near_the_best(
     seed, num_columns, num_subcarriers, step, blocked_share, slack_share, aligned, spread
 ):
     """Every unblocked column whose full score lies within the slack of the
-    best is scored, to 1e-12 of `_chunked_scores`; blocked columns and the
-    rest stay at -1. Blocking the best, as a rejection does, and pruning
-    again scores every column near the new best and changes no score.
+    best is scored, to 1e-12 of `_chunked_scores` plus 1e-12 of the score
+    bound the slack is a share of (the pruned expression rounds at ~1e-16
+    of that bound, not of the score); blocked columns and the rest stay at
+    -1. Blocking the best, as a rejection does, and pruning again scores
+    every column near the new best and changes no score.
 
     With `aligned`, column j of the first term is a real multiple of
     C^H g(j), so the bound is tight on one side for every column. With
@@ -380,7 +383,7 @@ def test_pruned_scores_keep_every_column_near_the_best(
         slack = max(estimator.RESCORE_RTOL, slack_share) * float(bound @ bound)
         got = np.full(num_columns, -1.0)
         for _ in range(2):
-            estimator._pruned_scores(base, root, coeffs, gram_rows, blocked, slack, got, scratch)
+            estimator._pruned_scores(root, coeffs @ base, coeffs, gram_rows, blocked, slack, got)
             kept = got >= 0.0
             assert not np.any(kept & blocked)
             if not np.any(~blocked):
@@ -388,9 +391,29 @@ def test_pruned_scores_keep_every_column_near_the_best(
                 break
             best = full[~blocked].max()
             assert np.all(kept[~blocked & (full >= best - slack)])
-            np.testing.assert_allclose(got[kept], full[kept], rtol=1e-12, atol=1e-12 * full.max())
+            np.testing.assert_allclose(got[kept], full[kept], rtol=1e-12, atol=1e-12 * float(bound @ bound))
             blocked[np.flatnonzero(~blocked)[np.argmax(full[~blocked])]] = True
             got[blocked] = -1.0
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_pruned_scores_of_cancelled_columns_are_kept_at_zero_or_above(step):
+    """When every column of the first term equals its Gram update, every
+    score is zero, and the pruned expression cancels to rounding on either
+    side of it. Every column is then within the slack of the best, so every
+    one is kept, at a score clamped to >= 0 and within rounding of zero."""
+    rng = np.random.default_rng(step)
+    coeffs = rng.standard_normal((step, 4)) + 1j * rng.standard_normal((step, 4))
+    gram_rows = rng.standard_normal((step, 300)) + 1j * rng.standard_normal((step, 300))
+    base = coeffs.conj().T @ gram_rows
+    root = np.sqrt(np.einsum("ij,ij->j", np.abs(base), np.abs(base)))
+    bound = np.abs(base).max(axis=1) + np.abs(coeffs).T @ np.abs(gram_rows).max(axis=1)
+    slack = estimator.RESCORE_RTOL * float(bound @ bound)
+    got = np.full(base.shape[1], -1.0)
+    blocked = np.zeros(base.shape[1], dtype=bool)
+    estimator._pruned_scores(root, coeffs @ base, coeffs, gram_rows, blocked, slack, got)
+    assert np.all(got >= 0.0)
+    assert got.max() <= 1e-12 * float(bound @ bound)
 
 
 @pytest.mark.parametrize("rejected_step", [1, 2])
@@ -437,10 +460,14 @@ def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_phase_mode_c
 
 @pytest.mark.parametrize("phase_modes", [False, True])
 def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
-    """With 512-column chunks, S-SOMP's own peak stays within 2.25 M x G
-    complex arrays: the first correlation term, the Gram rows, one score
-    vector and chunk scratch. It was 3.84 when the scores of all columns
-    were formed at once."""
+    """With 512-column chunks, S-SOMP's own peak on a dense book stays
+    within 2.25 M x G complex arrays: the first correlation term, the Gram
+    rows, one score vector and chunk scratch. It was 3.84 when the scores of
+    all columns were formed at once. A phase-mode book holds no M x G array:
+    its peak, 1.11 M x G when measured, is mostly the Bluestein scratch of
+    the first scoring pass, which at desk scale is large next to M x G;
+    1.25 leaves a margin of an eighth. It was 1.94 while the first term was
+    held."""
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
@@ -453,7 +480,28 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     args = (measurements, combining, book, desk_spec.num_paths)
     s_somp(*args)  # warm any lazily built state
     one_array = 16 * system.num_subcarriers * book.num_columns
-    assert _traced_peak(s_somp, *args) <= 2.25 * one_array
+    assert _traced_peak(s_somp, *args) <= (1.25 if phase_modes else 2.25) * one_array
+
+
+@pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
+def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, monkeypatch, method):
+    """On a phase-mode book, the M = 16 first-term vectors go only through
+    `scores`. After each pick but the last, one `correlate` call of 1 + t
+    vectors forms the Gram row and the t rows C b(j), so no call gets more
+    than num_iterations vectors, and no M x G complex array is formed."""
+    widths = []
+    real = PhaseModes.correlate
+
+    def spying(self, v):
+        widths.append(1 if np.ndim(v) == 1 else np.shape(v)[1])
+        return real(self, v)
+
+    monkeypatch.setattr(PhaseModes, "correlate", spying)
+    for measurements, combining, held, iterations in desk_phase_mode_calls[method]:
+        widths.clear()
+        s_somp(measurements, combining, held, iterations)
+        assert measurements.observations.shape[1] == 16 > iterations
+        assert widths == list(range(2, iterations + 1))
 
 
 @pytest.mark.slow
