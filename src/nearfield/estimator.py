@@ -317,8 +317,8 @@ def _pruned_scores(root, projections, coeffs, gram_rows, blocked, slack, out):
     triangular factor of C^H = Q R (Elkan, ICML 2003, bounds k-means
     distances the same way). Only Gram rows are read to form this shift.
     One pass finds the largest lower bound (root - shift)^2 of an unblocked
-    column. A second pass, over the chunks whose largest upper bound
-    reaches it, recomputes the shift and scores each unblocked column whose
+    column and keeps every shift. A second pass, over the chunks whose
+    largest upper bound reaches it, scores each unblocked column whose
     out[j] is still negative and whose upper bound (root + shift)^2 reaches
     that lower bound minus `slack`, as
 
@@ -337,21 +337,21 @@ def _pruned_scores(root, projections, coeffs, gram_rows, blocked, slack, out):
     bounds = list(zip(edges[:-1], edges[1:]))
     best_lower = 0.0
     reach = []  # the largest upper bound in each chunk
+    shift = np.empty(root.size)
     for start, stop in bounds:
-        shift = _bound_shift(factor, gram_rows[:, start:stop])
-        lower = root[start:stop] - shift
+        shift[start:stop] = _bound_shift(factor, gram_rows[:, start:stop])
+        lower = root[start:stop] - shift[start:stop]
         best_lower = max(best_lower, float(np.max(lower, where=~blocked[start:stop], initial=0.0)))
-        reach.append(float(np.max(root[start:stop] + shift)))
+        reach.append(float(np.max(root[start:stop] + shift[start:stop])))
     cut = best_lower * best_lower - slack
     for (start, stop), top in zip(bounds, reach):
         if top * top < cut:
             continue
-        shift = _bound_shift(factor, gram_rows[:, start:stop])
-        upper = root[start:stop] + shift
+        upper = root[start:stop] + shift[start:stop]
         wanted = np.flatnonzero((upper * upper >= cut) & ~blocked[start:stop] & (out[start:stop] < 0.0))
         cols = start + wanted
         cross = np.einsum("ij,ij->j", gram_rows[:, cols].conj(), projections[:, cols]).real
-        score = root[cols] ** 2 - 2.0 * cross + shift[wanted] ** 2
+        score = root[cols] ** 2 - 2.0 * cross + shift[cols] ** 2
         out[cols] = np.maximum(score, 0.0)
 
 

@@ -149,6 +149,88 @@ def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width
     assert np.array_equal(held.correlate(v), _reference_correlate(held.modes, v))
 
 
+def _reference_scores(modes, v):
+    """`PhaseModes.scores` as written before it summed ring power spectra:
+    every vector's correlations by a Bluestein pass, two FFTs per (vector,
+    ring), squared and summed over the vectors. The unit-modulus output
+    chirp drops out of the squared magnitudes and is skipped."""
+    u = np.fft.fft(np.asarray(v).reshape(modes.num_antennas, -1).conj(), axis=0).T
+    k = u.shape[0]
+    out = np.empty(modes.num_columns)
+    for plan in modes._plans:
+        rings, width = plan.coef.shape
+        count = plan.post.size
+        buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
+        np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= plan.spectrum
+        np.fft.ifft(buf, axis=-1, out=buf)
+        power = np.sum(np.abs(buf[:, :, :count]) ** 2, axis=0)  # (Z, S)
+        out[plan.first_column : plan.first_column + count * rings] = power.T.ravel()
+    return out
+
+
+def _random_block(rng, num_antennas, width):
+    shape = (num_antennas, width) if width else (num_antennas,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("name", BOOKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 3, 16]))
+def test_scores_equal_the_bluestein_reference(book_pairs, name, seed, width):
+    """The power-spectrum scores stay within 1e-13 of ||V||_F^2 of the
+    per-vector Bluestein pass they replace."""
+    held = book_pairs[name][0]
+    v = _random_block(np.random.default_rng(seed), held.num_antennas, width)
+    got = held.modes.scores(v)
+    assert np.max(np.abs(got - _reference_scores(held.modes, v))) <= 1e-13 * np.linalg.norm(v) ** 2
+
+
+@pytest.mark.parametrize("name", ("small", "desk"))
+def test_zenith_plan_scores_its_single_column(book_pairs, name):
+    """A spherical book's zenith elevation is one far-field ring with one
+    azimuth and one phase mode, so its power polynomial has no lags beyond
+    h[0]. (The polar book has one elevation, the horizon.)"""
+    held, dense = book_pairs[name]
+    plan = held.modes._plans[0]
+    assert plan.first_column == 0 and plan.coef.shape == (1, 1) and plan.post.size == 1
+    v = _random_block(np.random.default_rng(5), held.num_antennas, 16)
+    want = np.sum(np.abs(v.conj().T @ dense.matrix[:, 0]) ** 2)
+    assert abs(held.modes.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2
+
+
+@pytest.mark.parametrize("name", BOOKS)
+@pytest.mark.parametrize("width", [1, 16])
+def test_scores_that_cancel_stay_at_zero_or_above(book_pairs, name, width):
+    """V = 0 scores exactly 0 everywhere. With V orthogonal to one column,
+    that column's score cancels to rounding; every score stays finite and
+    >= 0, since the triangle bound takes its square root."""
+    held, dense = book_pairs[name]
+    modes = held.modes
+    zero = modes.scores(np.zeros((held.num_antennas, width), dtype=np.complex128))
+    assert np.array_equal(zero, np.zeros(held.num_columns))
+    rng = np.random.default_rng(width)
+    for j in (0, held.num_columns // 2, held.num_columns - 1):
+        w = dense.matrix[:, j : j + 1]
+        v = _random_block(rng, held.num_antennas, width)
+        v -= w @ (w.conj().T @ v) / np.vdot(w, w).real
+        got = modes.scores(v)
+        assert np.all(np.isfinite(got)) and got.min() >= 0.0
+        assert got[j] <= 1e-13 * np.linalg.norm(v) ** 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("width", [1, 16])
+def test_paper_scores_equal_the_bluestein_reference(width):
+    paper = paper_profile()
+    modes = build_spherical_codebook(paper.system, paper.delta, paper.r_min_m).modes
+    v = _random_block(np.random.default_rng(width), modes.num_antennas, width)
+    got = modes.scores(v)
+    assert got.min() >= 0.0
+    assert np.max(np.abs(got - _reference_scores(modes, v))) <= 1e-13 * np.linalg.norm(v) ** 2
+
+
 def test_phase_mode_export_equals_the_dense_export_and_builds_no_matrix(tmp_path, desk_spec):
     args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     held = _phase_mode_build(build_spherical_codebook, *args)

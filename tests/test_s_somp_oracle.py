@@ -464,10 +464,11 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     within 2.25 M x G complex arrays: the first correlation term, the Gram
     rows, one score vector and chunk scratch. It was 3.84 when the scores of
     all columns were formed at once. A phase-mode book holds no M x G array:
-    its peak, 1.11 M x G when measured, is mostly the Bluestein scratch of
-    the first scoring pass, which at desk scale is large next to M x G;
-    1.25 leaves a margin of an eighth. It was 1.94 while the first term was
-    held."""
+    its peak, 1.15 M x G when measured, is mostly the FFT scratch of the
+    first scoring pass, which at desk scale is large next to M x G;
+    1.25 leaves a margin of a twelfth. It was 1.94 while the first term was
+    held, and 1.11 while `_pruned_scores` formed each shift twice instead
+    of keeping a G-vector of them."""
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
