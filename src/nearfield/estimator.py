@@ -100,10 +100,10 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
     return MeasurementSet(clean + noise, sigma2, snr_db, seed)
 
 
-#: Columns whose phase-mode score lies within this share of the score bound
-#: of the best one are rescored on their exact columns. The bound,
-#: sum_k (||A^H y_k|| + sum_i |C_ik| ||A^H A w_i||)^2, is at least every
-#: score, and phase-mode scores lie within ~1e-12 of it of the exact ones.
+#: Columns whose phase-mode score lies within this share of ||A^H Y||_F^2
+#: of the best one are rescored on their exact columns; later iterations
+#: widen that slack by a bound on each score update's error. Phase-mode
+#: scores lie within ~1e-12 of ||A^H Y||_F^2 of the exact ones.
 RESCORE_RTOL = 1e-8
 
 
@@ -116,51 +116,47 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     and update the residual. Columns whose selection would make the
     subdictionary numerically rank-deficient are skipped with a warning.
 
-    The correlations use the Gram update of Batch-OMP (Rubinstein,
-    Zibulevsky & Elad 2008) applied to SOMP. With residual R = Y - A W_S C,
+    Only the selected columns, from `codebook.columns`, pass through A, for
+    the least-squares step and the residual; W is never copied, and nothing
+    P N_RF x G is allocated.
+
+    On a dense codebook the correlations use the Gram update of Batch-OMP
+    (Rubinstein, Zibulevsky & Elad 2008) applied to SOMP. With residual
+    R = Y - A W_S C,
 
         R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
 
     so the M x G first term is the same at every iteration, and each chosen
-    atom w_i adds one Gram row (A^H A w_i)^H W; the row after the last
-    iteration is never read and is not formed. Both go through
-    `codebook.correlate` (or, on phase modes, `PhaseModes.scores`), so W is
-    never copied, and nothing P N_RF x G is allocated. Only the selected
-    columns, from `codebook.columns`, pass through A, for the least-squares
-    step and the residual.
-
-    On a dense codebook the scores
-    sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
+    atom w_i adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`;
+    the row after the last iteration is never read and is not formed. The
+    scores sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
     `_RESCORE_CHUNK` columns at a time in scratch reused across chunks and
     iterations (`_chunked_scores`), bit for bit as the whole M x G
-    expression gives them. Besides the M x G first term and the Gram rows,
-    S-SOMP then holds only one float64 score vector and chunk-sized buffers.
+    expression gives them.
 
     A codebook held as phase modes correlates to ~1e-12, not exactly, and
-    is streamed: S-SOMP holds no M x G array on it.
+    S-SOMP keeps one float64 score vector on it, and no M x G array:
 
-    - The first iteration's scores come from `PhaseModes.scores`, which
-      reduces sum_k |(A^H y_k)^H w|^2 elevation plan by elevation plan, so
-      the first term is never formed. Their roots ||b(w)|| are kept, one
-      more float64 vector of G entries.
-    - After each pick but the last, one `codebook.correlate` call of 1 + t
-      vectors, [A^H A w_i, (A^H Y) C^H], gives the new Gram row and the t
-      rows P(w) = C b(w) that the next iteration's scores read in place of
-      the first term.
-    - The later iterations score only the columns a triangle bound cannot
-      rule out (`_pruned_scores`): the root of a column's score moves from
-      ||b(w)|| by at most the norm of its Gram update ||C^H g(w)||. A
-      column whose upper bound falls below the best lower bound, minus the
-      rescoring slack, could never enter the rescoring window, so it is
-      parked at -1 unscored, and the support is the one that scoring every
-      column gives. A column in reach scores
-      ||b(w)||^2 - 2 Re(g(w)^H P(w)) + ||C^H g(w)||^2, clamped at 0.
-    - Before a column is taken, every column scoring within RESCORE_RTOL of
-      the score bound of the best is rescored in float64 on its exact
-      column, so the support is the one exact scores give, and the
-      least-squares step and the estimate use exact columns. A rejected
-      column may have set the cut, so after a rejection the bound is taken
-      again before the next pick.
+    - The first iteration's scores come from `PhaseModes.scores(A^H Y)`.
+    - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
+      rank-1 matrix q d^H (the projection onto the new atom's direction).
+      q is Delta's largest column, normalised, and d = Delta^H q. With
+      e = (A^H q)^H W and phi = (A^H R_{t-1} d)^H W, from one
+      `codebook.correlate` call of two vectors, every score moves by
+
+          ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j)
+
+      (`_rank_one_update`); the result is clamped at 0, and consumed and
+      rejected columns stay at -1. The last iteration's change is never
+      read and is not formed.
+    - Before a column is taken, every column scoring within `slack` of the
+      best is rescored in float64 on its exact column, from (A^H R_t)^H W,
+      so the support is the one exact scores give, and the least-squares
+      step and the estimate use exact columns. The slack starts at
+      RESCORE_RTOL ||A^H Y||_F^2, which covers the first pass's error, and
+      each update adds a bound on its own error (see `_rank_one_update`), so
+      every running score stays within the slack of its exact score and
+      the pick is the exact argmax.
     """
     y = measurements.observations
     a = combining.entries
@@ -174,13 +170,17 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         )
     a_h = a.conj().T
     projected = a_h @ y
-    atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
-    gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
     streamed = codebook.modes is not None
-    if not streamed:
+    if streamed:
+        scores = codebook.modes.scores(projected)
+        slack = RESCORE_RTOL * float(np.vdot(projected, projected).real)
+        residual, gradient = y, projected  # R_t and A^H R_t
+    else:
         base = codebook.correlate(projected)
         scores = np.empty(g)
         scratch = _score_scratch(base)
+        atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
+        gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
 
     support: list = []
     residual_norms: list = []
@@ -191,18 +191,6 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     for step in range(num_iterations):
         if streamed:
             exact = np.zeros(g, dtype=bool)
-            # |gamma_kj| <= bound_k for unit-norm columns.
-            bound = np.linalg.norm(projected, axis=0)
-            if step:
-                bound += np.abs(coeffs).T @ np.linalg.norm(atoms[:step], axis=1)
-            slack = RESCORE_RTOL * float(bound @ bound)
-            if step:
-                scores.fill(-1.0)
-                _pruned_scores(root, projections, coeffs, gram_rows[:step], blocked, slack, scores)
-            else:
-                scores = codebook.modes.scores(projected)
-                if num_iterations > 1:
-                    root = np.sqrt(scores)  # ||b(w)||, the centre of the triangle bound
         else:
             _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
             scores[blocked] = -1.0
@@ -213,7 +201,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             if streamed:
                 near = np.flatnonzero(~exact & ~blocked & (scores >= scores[best] - slack))
                 if near.size:
-                    scores[near] = _exact_scores(codebook, projected, atoms[:step], coeffs if step else None, near)
+                    scores[near] = _exact_scores(codebook, gradient, near)
                     exact[near] = True
                     continue
             # Formed as (W_S^T A^T)^T: BLAS then takes its general GEMM path,
@@ -230,28 +218,77 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             )
             blocked[best] = True
             scores[best] = -1.0
-            if streamed and step:
-                # `best` may have set the cut; columns it pruned may now be in reach.
-                _pruned_scores(root, projections, coeffs, gram_rows[:step], blocked, slack, scores)
         support.append(best)
         blocked[best] = True
         coeffs = solution
-        residual_norms.append(float(np.linalg.norm(y - sub @ coeffs)))
+        remainder = y - sub @ coeffs
+        residual_norms.append(float(np.linalg.norm(remainder)))
         if step < num_iterations - 1:
-            atoms[step] = a_h @ sub[:, -1]
             if streamed:
-                # One pass gives the new Gram row and P = C b(w), the rows the
-                # next step's scores read in place of the first term. The old
-                # rows are dropped before the pass.
-                projections = None
-                rows = codebook.correlate(np.column_stack([atoms[step], projected @ coeffs.conj().T]))
-                gram_rows[step] = rows[0]
-                projections = rows[1:]
+                updated = a_h @ remainder
+                slack = _rank_one_update(codebook, a_h, residual - remainder, gradient, updated, scores, blocked, slack)
+                residual, gradient = remainder, updated
             else:
+                atoms[step] = a_h @ sub[:, -1]
                 gram_rows[step] = codebook.correlate(atoms[step])
 
     estimate = codebook.columns(support) @ coeffs
     return EstimationResult(support, coeffs, estimate, residual_norms)
+
+
+def _rank_one_update(codebook, a_h, change, previous, updated, scores, blocked, slack) -> float:
+    """Move phase-mode `scores` from residual R_{t-1} to R_t = R_{t-1} - change,
+    and return `slack` widened by a bound on the move's error.
+
+    `previous` and `updated` are A^H R_{t-1} and A^H R_t. With q the
+    largest column of `change`, normalised, d = change^H q, a = A^H q,
+    b = previous d and E = (previous - updated) - a d^H, the exact score of
+    column j after the change is ||x_j - E^H w_j||^2, where
+    x_j = previous^H w_j - d (a^H w_j) and
+
+        ||x_j||^2 = old score + ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
+
+    e = a^H W and phi = b^H W. Two errors move the running score off the
+    exact one, and the slack grows by a bound on each:
+
+    - e and phi come from phase modes, each entry within eps of ||a|| and
+      ||b|| (eps ~1e-12), so the move is off by at most
+      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||), and RESCORE_RTOL
+      stands in for eps (2 + eps), which it bounds up to eps = 5e-9;
+    - E is zero but for rounding, because `change` is the rank-1
+      projection of the residual onto the new atom's direction; it moves
+      the score by at most ||E||_F (2 ||x_j|| + ||E||_F), with
+      ||x_j|| <= ||previous||_F + ||d|| ||a||.
+
+    The rounding of the move itself is ~1e-16 of the same terms. Scores are
+    clamped at 0, which only brings them nearer their exact values, and
+    blocked columns are set to -1. When `change` is zero nothing moves.
+    """
+    norms = np.linalg.norm(change, axis=0)
+    top = int(np.argmax(norms))
+    if norms[top] > 0.0:
+        q = change[:, top] / norms[top]
+        d = change.conj().T @ q
+        atom = a_h @ q
+        direction = previous @ d
+        weight = float(np.vdot(d, d).real)
+        # The move of column j is weight times the dot product of the
+        # (re, im) pairs of e_j and of e_j - 2 phi_j / weight, formed in
+        # place in the correlations.
+        e, phi = codebook.correlate(np.column_stack([atom, direction])).view(np.float64).reshape(2, -1, 2)
+        phi *= -2.0 / weight
+        phi += e
+        moved = np.einsum("ji,ji->j", e, phi)
+        moved *= weight
+        scores += moved
+        np.maximum(scores, 0.0, out=scores)
+        atom_norm = float(np.linalg.norm(atom))
+        mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
+        reach = float(np.linalg.norm(previous)) + math.sqrt(weight) * atom_norm
+        slack += RESCORE_RTOL * atom_norm * (weight * atom_norm + 2.0 * float(np.linalg.norm(direction)))
+        slack += mismatch * (2.0 * reach + mismatch)
+    scores[blocked] = -1.0
+    return slack
 
 
 #: Columns scored, or rescored, at once, so that neither the scores of all
@@ -307,81 +344,13 @@ def _chunked_scores(base, coeffs, gram_rows, out, scratch):
         np.einsum("ij,ij->j", magnitude, magnitude, out=out[start:stop])
 
 
-def _pruned_scores(root, projections, coeffs, gram_rows, blocked, slack, out):
-    """Score the unblocked columns a triangle bound cannot rule out.
-
-    With b(j) column j of the first term (A^H Y)^H W, g(j) its t Gram
-    entries and C = `coeffs`, the score is ||b(j) - C^H g(j)||^2, and
-    root[j] = ||b(j)||. By the triangle inequality
-    |sqrt(score(j)) - root[j]| <= ||C^H g(j)|| = ||R g(j)||, with R the
-    triangular factor of C^H = Q R (Elkan, ICML 2003, bounds k-means
-    distances the same way). Only Gram rows are read to form this shift.
-    One pass finds the largest lower bound (root - shift)^2 of an unblocked
-    column and keeps every shift. A second pass, over the chunks whose
-    largest upper bound reaches it, scores each unblocked column whose
-    out[j] is still negative and whose upper bound (root + shift)^2 reaches
-    that lower bound minus `slack`, as
-
-        root[j]^2 - 2 Re(g(j)^H P(j)) + shift[j]^2,  clamped at 0,
-
-    from P(j) = C b(j), column j of `projections`. Every other column keeps
-    its out[j]. The expression rounds at ~1e-16 of root[j]^2 + shift[j]^2,
-    far inside `slack`.
-
-    A column left out scores below the best lower bound minus `slack`, so
-    below the rescoring window of the best column, and the exact argmax is
-    the same as when every column is scored.
-    """
-    factor = np.linalg.qr(coeffs.conj().T, mode="r")
-    edges = list(range(0, root.size, _RESCORE_CHUNK)) + [root.size]
-    bounds = list(zip(edges[:-1], edges[1:]))
-    best_lower = 0.0
-    reach = []  # the largest upper bound in each chunk
-    shift = np.empty(root.size)
-    for start, stop in bounds:
-        shift[start:stop] = _bound_shift(factor, gram_rows[:, start:stop])
-        lower = root[start:stop] - shift[start:stop]
-        best_lower = max(best_lower, float(np.max(lower, where=~blocked[start:stop], initial=0.0)))
-        reach.append(float(np.max(root[start:stop] + shift[start:stop])))
-    cut = best_lower * best_lower - slack
-    for (start, stop), top in zip(bounds, reach):
-        if top * top < cut:
-            continue
-        upper = root[start:stop] + shift[start:stop]
-        wanted = np.flatnonzero((upper * upper >= cut) & ~blocked[start:stop] & (out[start:stop] < 0.0))
-        cols = start + wanted
-        cross = np.einsum("ij,ij->j", gram_rows[:, cols].conj(), projections[:, cols]).real
-        score = root[cols] ** 2 - 2.0 * cross + shift[cols] ** 2
-        out[cols] = np.maximum(score, 0.0)
-
-
-def _bound_shift(factor, gram_rows) -> np.ndarray:
-    """||R g(j)|| of each column j of `gram_rows`, for R upper triangular.
-
-    Formed row by row of R with elementwise products, which on these thin
-    shapes beat both `einsum` and BLAS.
-    """
-    magnitudes = []
-    for i in range(factor.shape[0]):
-        row = factor[i, i] * gram_rows[i]
-        for j in range(i + 1, factor.shape[1]):
-            row += factor[i, j] * gram_rows[j]
-        magnitudes.append(np.abs(row))
-    if len(magnitudes) == 1:
-        return magnitudes[0]
-    total = sum(magnitude * magnitude for magnitude in magnitudes)
-    return np.sqrt(total, out=total)
-
-
-def _exact_scores(codebook, projected, atoms, coeffs, idx) -> np.ndarray:
-    """S-SOMP scores of columns idx, from their exact columns."""
+def _exact_scores(codebook, gradient, idx) -> np.ndarray:
+    """S-SOMP scores ||gradient^H w_j||^2 of columns idx, from their exact
+    columns; `gradient` is A^H R of the current residual R."""
     scores = np.empty(idx.size)
     for start in range(0, idx.size, _RESCORE_CHUNK):
         columns = codebook.columns(idx[start : start + _RESCORE_CHUNK])
-        gamma = projected.conj().T @ columns
-        if coeffs is not None:
-            gamma -= coeffs.conj().T @ (atoms.conj() @ columns)
-        magnitude = np.abs(gamma)
+        magnitude = np.abs(gradient.conj().T @ columns)
         scores[start : start + _RESCORE_CHUNK] = np.einsum("ij,ij->j", magnitude, magnitude)
     return scores
 
