@@ -41,6 +41,7 @@ from .estimator import (
     CombiningMatrix,
     EstimationResult,
     MeasurementSet,
+    SompStep,
     generate_combining,
     ls_estimate,
     nmse,

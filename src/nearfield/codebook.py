@@ -89,6 +89,53 @@ class CodebookParams:
     r_min_m: float
 
 
+class _RingLayout:
+    """Where every column of a ring-built codebook lies, held as arrays.
+
+    Elevation t (angle `thetas[t]`) holds columns `column_starts[t]` up to
+    `column_starts[t + 1]`, s-major and z-minor over its azimuths
+    `azimuths[azimuth_starts[t]:azimuth_starts[t + 1]]` and its distance
+    rings `rings[ring_starts[t]:ring_starts[t + 1]]`, the order
+    `_fill_rings` fills. Its size grows with the rings and azimuths, not
+    with the column count G.
+    """
+
+    def __init__(self, elevations):
+        """From (theta, azimuths, rings) per elevation, in column order."""
+        thetas, azimuths, rings = zip(*elevations)
+        azimuth_counts = np.array([len(phis) for phis in azimuths])
+        ring_counts = np.array([len(distances) for distances in rings])
+        self.thetas = np.array(thetas, dtype=np.float64)
+        self.column_starts = np.concatenate([[0], np.cumsum(azimuth_counts * ring_counts)])
+        self.azimuth_starts = np.concatenate([[0], np.cumsum(azimuth_counts)])
+        self.ring_starts = np.concatenate([[0], np.cumsum(ring_counts)])
+        self.azimuths = np.concatenate(azimuths, dtype=np.float64)
+        self.rings = np.concatenate(rings, dtype=np.float64)
+
+    @property
+    def num_columns(self) -> int:
+        return int(self.column_starts[-1])
+
+    def elevations(self):
+        """(theta, azimuths, rings, first column) per elevation, as
+        `_fill_rings` and `PhaseModes` take them."""
+        for t, theta in enumerate(self.thetas.tolist()):
+            rings = self.rings[self.ring_starts[t] : self.ring_starts[t + 1]]
+            azimuths = self.azimuths[self.azimuth_starts[t] : self.azimuth_starts[t + 1]]
+            yield theta, azimuths, rings.tolist(), int(self.column_starts[t])
+
+    def locate(self, idx):
+        """The grid (t, s, z) and (r, theta, phi) of columns idx: six arrays."""
+        t = np.searchsorted(self.column_starts, idx, side="right") - 1
+        first_ring = self.ring_starts[t]
+        s, z = np.divmod(idx - self.column_starts[t], self.ring_starts[t + 1] - first_ring)
+        return t, s, z, self.rings[first_ring + z], self.thetas[t], self.azimuths[self.azimuth_starts[t] + s]
+
+    def grid(self) -> CodebookGrid:
+        t, s, z, r, theta, phi = self.locate(np.arange(self.num_columns))
+        return CodebookGrid(np.column_stack([t, s, z]), np.column_stack([r, theta, phi]))
+
+
 class SphericalCodebook:
     """Transform W (N x G) plus per-column grid metadata.
 
@@ -97,15 +144,21 @@ class SphericalCodebook:
     codebooks of an array of `_PHASE_MODE_MIN_ANTENNAS` or more antennas
     hold phase modes and build `matrix` only when it is first read, then
     keep it. `correlate` and `columns` never build it.
+
+    `grid` is a `CodebookGrid`, or the `_RingLayout` of a ring-built
+    codebook, whose `grid` is likewise built on first read and kept.
     """
 
-    def __init__(self, matrix, grid: CodebookGrid, params: CodebookParams | None = None, modes: PhaseModes | None = None):
+    def __init__(self, matrix, grid, params: CodebookParams | None = None, modes: PhaseModes | None = None):
         if (matrix is None) == (modes is None):
             raise ValueError("a codebook holds exactly one of a matrix and phase modes")
+        self.layout = grid if isinstance(grid, _RingLayout) else None
+        if modes is not None and self.layout is None:
+            raise ValueError("a codebook held as phase modes needs its ring layout")
+        self._grid = None if self.layout is not None else grid
         columns = modes.num_columns if matrix is None else matrix.shape[1]
-        if columns != len(grid):
-            raise ValueError(f"{columns} columns but {len(grid)} grid points")
-        self.grid = grid
+        if columns != self.num_columns:
+            raise ValueError(f"{columns} columns but {self.num_columns} grid points")
         self.params = params
         self.modes = modes
         self._matrix = matrix
@@ -117,9 +170,17 @@ class SphericalCodebook:
         with self._lock:
             if self._matrix is None:
                 matrix = np.empty((self.num_antennas, self.num_columns), dtype=np.complex128)
-                _fill_rings(matrix, self.modes.elevations, self.modes.geom, self.modes.wavelength_m)
+                _fill_rings(matrix, self.layout.elevations(), self.modes.geom, self.modes.wavelength_m)
                 self._matrix = matrix
         return self._matrix
+
+    @property
+    def grid(self) -> CodebookGrid:
+        """Grid metadata of every column; built from the layout on first use."""
+        with self._lock:
+            if self._grid is None:
+                self._grid = self.layout.grid()
+        return self._grid
 
     @property
     def num_antennas(self) -> int:
@@ -127,7 +188,7 @@ class SphericalCodebook:
 
     @property
     def num_columns(self) -> int:
-        return len(self.grid)
+        return self.layout.num_columns if self.layout is not None else len(self._grid)
 
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G).
@@ -142,18 +203,22 @@ class SphericalCodebook:
         """W[:, idx] as a new (N, len(idx)) array, bit for bit.
 
         From phase modes, only the columns asked for are filled, through
-        `ring_steering` one ring at a time, as `_fill_rings` fills them. The
-        columns are grouped by ring with one stable sort, and every ring
-        takes its rows of one `azimuth_cosines` array of the distinct
-        azimuths asked for, which the rings of a contiguous range share.
+        `ring_steering` one ring at a time, as `_fill_rings` fills them; the
+        layout gives their rings and azimuths. The columns are grouped by
+        ring with one stable sort, and every ring takes its rows of one
+        `azimuth_cosines` array of the distinct azimuths asked for, which
+        the rings of a contiguous range share.
         """
         if self.modes is None:
             return self._matrix[:, idx]
+        g = self.num_columns
         idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < -g or idx.max() >= g):
+            raise IndexError(f"column index out of range for {g} columns")
+        idx = idx % g  # negative indices count from the end, as in the matrix
         geom, lam = self.modes.geom, self.modes.wavelength_m
         out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128)
-        t, _, z = self.grid.indices[idx].T
-        r, theta, phi = self.grid.coords[idx].T
+        t, _, z, r, theta, phi = self.layout.locate(idx)
         phis, azimuth_of = np.unique(phi, return_inverse=True)
         cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
         keys = (t << 32) + z
@@ -191,8 +256,8 @@ def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
     return [math.asin(min(1.0, t * ratio)) for t in range(count + 1)]
 
 
-def azimuth_grid(radius_m: float, wavelength_m: float, alpha: float, theta: float) -> list:
-    """phi_s = s * 2 asin(lambda alpha / (4 pi R sin theta)) for s = 0..S.
+def azimuth_grid(radius_m: float, wavelength_m: float, alpha: float, theta: float) -> np.ndarray:
+    """phi_s = s * 2 asin(lambda alpha / (4 pi R sin theta)) for s = 0..S, float64.
 
     S = floor(pi / asin(.)), so the last sample lands just short of 2 pi.
     When the asin argument exceeds 1 (tiny array or grazing elevation) the
@@ -202,10 +267,10 @@ def azimuth_grid(radius_m: float, wavelength_m: float, alpha: float, theta: floa
         raise ValueError("azimuth sampling needs theta > 0")
     arg = wavelength_m * alpha / (4.0 * math.pi * radius_m * math.sin(theta))
     if arg > 1.0:
-        return [0.0]
+        return np.zeros(1)
     half_step = math.asin(arg)
     count = math.floor(math.pi / half_step)
-    return [s * 2.0 * half_step for s in range(count + 1)]
+    return np.arange(count + 1) * 2.0 * half_step
 
 
 def distance_grid(theta: float, z_cap_m: float, r_min_m: float) -> list:
@@ -299,36 +364,22 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     beta = solve_beta_delta(delta)
     z_cap = math.pi * geom.radius_m**2 / (2.0 * lam * beta)
 
-    elevations = []  # (theta, azimuths, rings, first column) per elevation
-    columns = 0
+    elevations = []  # (theta, azimuths, rings) per elevation
     for theta in thetas:
         if theta == 0.0:
             # Near-field effects vanish at grazing elevation; the t = 0 point
             # collapses to the single constant plane-wave column.
-            phis, rings = [0.0], [FAR_FIELD]
+            elevations.append((theta, [0.0], [FAR_FIELD]))
         else:
-            phis = azimuth_grid(geom.radius_m, lam, alpha, theta)
-            rings = distance_grid(theta, z_cap, r_min_m)
-        elevations.append((theta, phis, rings, columns))
-        columns += len(phis) * len(rings)
+            elevations.append((theta, azimuth_grid(geom.radius_m, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
+    layout = _RingLayout(elevations)
 
     params = CodebookParams(delta, alpha, beta, z_cap, r_min_m)
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(None, _grid_of(elevations), params, PhaseModes(elevations, geom, lam))
-    matrix = np.empty((config.num_antennas, columns), dtype=np.complex128)
-    _fill_rings(matrix, elevations, geom, lam)
-    return SphericalCodebook(matrix, _grid_of(elevations), params)
-
-
-def _grid_of(elevations) -> CodebookGrid:
-    """Grid arrays of the columns `_fill_rings` lays out: elevation t in list
-    order, then s-major, z-minor within it."""
-    indices, coords = [], []
-    for t, (theta, phis, rings, _) in enumerate(elevations):
-        s, z = np.divmod(np.arange(len(phis) * len(rings), dtype=np.int64), len(rings))
-        indices.append(np.column_stack([np.full_like(s, t), s, z]))
-        coords.append(np.column_stack([np.asarray(rings)[z], np.full(s.size, theta), np.asarray(phis)[s]]))
-    return CodebookGrid(np.concatenate(indices), np.concatenate(coords))
+        return SphericalCodebook(None, layout, params, PhaseModes(layout.elevations(), geom, lam))
+    matrix = np.empty((config.num_antennas, layout.num_columns), dtype=np.complex128)
+    _fill_rings(matrix, layout.elevations(), geom, lam)
+    return SphericalCodebook(matrix, layout, params)
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:

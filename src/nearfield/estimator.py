@@ -46,18 +46,30 @@ class MeasurementSet:
     seed: object = None
 
 
+@dataclass(frozen=True)
+class SompStep:
+    """One S-SOMP iteration: the count of columns rescored exactly, the slack
+    of the best running score they lay within, and the columns skipped as
+    rank-deficient. Dense codebooks score exactly: 0 columns, slack 0."""
+
+    rescored: int
+    slack: float
+    rejected: tuple
+
+
 @dataclass(eq=False)
 class EstimationResult:
     """Output of a greedy sparse recovery run.
 
     `channel_estimate` always equals codebook_columns[:, support] @
-    sparse_coeffs.
+    sparse_coeffs. `steps` holds one `SompStep` per iteration.
     """
 
     support: list
     sparse_coeffs: np.ndarray = field(repr=False)
     channel_estimate: np.ndarray = field(repr=False)
     residual_norms: list
+    steps: list = field(default_factory=list)
 
 
 def generate_combining(seed, num_slots: int, num_rf_chains: int, num_antennas: int) -> CombiningMatrix:
@@ -66,7 +78,9 @@ def generate_combining(seed, num_slots: int, num_rf_chains: int, num_antennas: i
         raise ValueError("all combining dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.0, 2.0 * math.pi, size=(num_slots * num_rf_chains, num_antennas))
-    entries = np.exp(1j * omega) / math.sqrt(num_antennas)
+    entries = np.multiply(1j, omega)  # the one complex array; the rest is in place
+    np.exp(entries, out=entries)
+    entries /= math.sqrt(num_antennas)
     return CombiningMatrix(entries, num_slots, num_rf_chains)
 
 
@@ -129,10 +143,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     so the M x G first term is the same at every iteration, and each chosen
     atom w_i adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`;
     the row after the last iteration is never read and is not formed. The
-    scores sum_k |(A^H Y)^H W - C^H (A^H A W_S)^H W|_kj^2 are formed
-    `_RESCORE_CHUNK` columns at a time in scratch reused across chunks and
-    iterations (`_chunked_scores`), bit for bit as the whole M x G
-    expression gives them.
+    scores are formed `_RESCORE_CHUNK` columns at a time (`_chunked_scores`),
+    bit for bit as the whole M x G expression gives them.
 
     A codebook held as phase modes correlates to ~1e-12, not exactly, and
     S-SOMP keeps one float64 score vector on it, and no M x G array:
@@ -141,11 +153,11 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
       rank-1 matrix q d^H (the projection onto the new atom's direction).
       q is Delta's largest column, normalised, and d = Delta^H q. With
-      e = (A^H q)^H W and phi = (A^H R_{t-1} d)^H W, from one
-      `codebook.correlate` call of two vectors, every score moves by
+      e = (A^H q)^H W and phi = (A^H R_{t-1} d)^H W, every score moves by
 
-          ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j)
+          ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
+      added in place plan by plan by `PhaseModes.move_scores`
       (`_rank_one_update`); the result is clamped at 0, and consumed and
       rejected columns stay at -1. The last iteration's change is never
       read and is not formed.
@@ -165,9 +177,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         raise ValueError("num_iterations must be >= 1")
     budget = min(a.shape[0], g)
     if num_iterations > budget:
-        raise ValueError(
-            f"num_iterations={num_iterations} exceeds the rank budget {budget}"
-        )
+        raise ValueError(f"num_iterations={num_iterations} exceeds the rank budget {budget}")
     a_h = a.conj().T
     projected = a_h @ y
     streamed = codebook.modes is not None
@@ -179,11 +189,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         base = codebook.correlate(projected)
         scores = np.empty(g)
         scratch = _score_scratch(base)
-        atoms = np.empty((num_iterations - 1, a.shape[1]), dtype=np.complex128)  # A^H A w_i
         gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
 
-    support: list = []
-    residual_norms: list = []
+    support, residual_norms, steps = [], [], []
     # Scores of consumed / rejected columns are parked below any attainable
     # correlation energy so argmax never revisits them.
     blocked = np.zeros(g, dtype=bool)
@@ -194,6 +202,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         else:
             _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
             scores[blocked] = -1.0
+        rescored, rejected = 0, []
         while True:
             best = int(np.argmax(scores))
             if scores[best] < 0.0:
@@ -203,6 +212,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
                 if near.size:
                     scores[near] = _exact_scores(codebook, gradient, near)
                     exact[near] = True
+                    rescored += near.size
                     continue
             # Formed as (W_S^T A^T)^T: BLAS then takes its general GEMM path,
             # whose columns equal those of a full A @ W product bit for bit
@@ -218,6 +228,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             )
             blocked[best] = True
             scores[best] = -1.0
+            rejected.append(best)
+        steps.append(SompStep(rescored, slack if streamed else 0.0, tuple(rejected)))
         support.append(best)
         blocked[best] = True
         coeffs = solution
@@ -229,11 +241,10 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
                 slack = _rank_one_update(codebook, a_h, residual - remainder, gradient, updated, scores, blocked, slack)
                 residual, gradient = remainder, updated
             else:
-                atoms[step] = a_h @ sub[:, -1]
-                gram_rows[step] = codebook.correlate(atoms[step])
+                gram_rows[step] = codebook.correlate(a_h @ sub[:, -1])  # A^H A w_i
 
     estimate = codebook.columns(support) @ coeffs
-    return EstimationResult(support, coeffs, estimate, residual_norms)
+    return EstimationResult(support, coeffs, estimate, residual_norms, steps)
 
 
 def _rank_one_update(codebook, a_h, change, previous, updated, scores, blocked, slack) -> float:
@@ -248,8 +259,9 @@ def _rank_one_update(codebook, a_h, change, previous, updated, scores, blocked, 
 
         ||x_j||^2 = old score + ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-    e = a^H W and phi = b^H W. Two errors move the running score off the
-    exact one, and the slack grows by a bound on each:
+    e = a^H W and phi = b^H W, added by `PhaseModes.move_scores`. Two
+    errors move the running score off the exact one, and the slack grows
+    by a bound on each:
 
     - e and phi come from phase modes, each entry within eps of ||a|| and
       ||b|| (eps ~1e-12), so the move is off by at most
@@ -272,15 +284,7 @@ def _rank_one_update(codebook, a_h, change, previous, updated, scores, blocked, 
         atom = a_h @ q
         direction = previous @ d
         weight = float(np.vdot(d, d).real)
-        # The move of column j is weight times the dot product of the
-        # (re, im) pairs of e_j and of e_j - 2 phi_j / weight, formed in
-        # place in the correlations.
-        e, phi = codebook.correlate(np.column_stack([atom, direction])).view(np.float64).reshape(2, -1, 2)
-        phi *= -2.0 / weight
-        phi += e
-        moved = np.einsum("ji,ji->j", e, phi)
-        moved *= weight
-        scores += moved
+        codebook.modes.move_scores(np.column_stack([atom, direction]), weight, scores)
         np.maximum(scores, 0.0, out=scores)
         atom_norm = float(np.linalg.norm(atom))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
@@ -371,12 +375,7 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
         raise ValueError("oracle_estimate needs at least one true path")
     geom = UcaGeometry.from_config(config)
     basis = np.column_stack(
-        [
-            near_field_steering(
-                p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m
-            )
-            for p in paths
-        ]
+        [near_field_steering(p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m) for p in paths]
     )
     solution, well_conditioned = lstsq_minimum_norm(
         combining.entries @ basis, measurements.observations

@@ -16,6 +16,8 @@ Schafer & Rader 1969). No column of the codebook is ever formed.
 Summed over k vectors, |sum_m c_m U_k[m] e^{j m phi}|^2 is itself a
 trigonometric polynomial in phi, so `scores` maps one ring power spectrum
 per ring through the same chirp-z, instead of every vector's correlations.
+`move_scores` forms S-SOMP's rank-1 score moves from the chirp-z buffer of
+each plan in turn, so neither forms an array of correlations per column.
 """
 
 import math
@@ -113,23 +115,23 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
 class PhaseModes:
     """V^H W of a ring-built codebook W, from its rings' phase modes.
 
-    `elevations` lists (theta, azimuths, rings, first column) per elevation,
-    the layout `codebook._fill_rings` fills: columns run s-major, z-minor
-    within an elevation, and azimuths are uniform from 0. Only the
+    `elevations` yields (theta, azimuths, rings, first column) per
+    elevation, the layout `codebook._fill_rings` fills: columns run s-major,
+    z-minor within an elevation, and azimuths are uniform from 0. Only the
     coefficients and per-elevation chirps are stored, a few MB where the
-    dense W of an N = 512 array takes 822 MB.
+    dense W of an N = 512 array takes 822 MB; the layout is not kept.
     """
 
     def __init__(self, elevations, geom: UcaGeometry, wavelength_m: float):
-        self.elevations = elevations
         self.geom = geom
         self.wavelength_m = wavelength_m
         n = geom.num_antennas
-        self.num_columns = sum(len(phis) * len(rings) for _, phis, rings, _ in elevations)
+        self.num_columns = 0
         shapes = []  # (first column, coef, azimuth step, S, F, chirp) per elevation
         for theta, phis, rings, col in elevations:
+            self.num_columns += len(phis) * len(rings)
             modes = ring_modes(theta, rings, geom, wavelength_m)
-            step = phis[1] if len(phis) > 1 else 0.0
+            step = float(phis[1]) if len(phis) > 1 else 0.0
             width = modes.shape[1]
             p = np.arange(max(width, len(phis)), dtype=np.float64)
             chirp = np.exp(0.5j * step * p * p)
@@ -195,31 +197,59 @@ class PhaseModes:
         start = self._wrap.size // 2 - plan.coef.shape[1] // 2
         return wrapped[:, None, start : start + plan.coef.shape[1]]
 
-    def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||."""
-        v = np.asarray(v)
+    def _unchirped(self, v):
+        """Yield (plan, X) per plan: X (k, Z, S) holds V^H W at the plan's
+        columns, ring by ring, but for the factor of the output chirp
+        `post`. X is a view of scratch that the next plan overwrites."""
         wrapped = self._wrapped_spectra(v)
         k = wrapped.shape[0]
-        out = np.empty((k, self.num_columns), dtype=np.complex128)
         # One scratch buffer for every plan; each plan zeroes only its pad.
         scratch = np.empty(k * max(p.coef.shape[0] * p.spectrum.size for p in self._plans), dtype=np.complex128)
         for plan in self._plans:
             rings, width = plan.coef.shape
-            count = plan.post.size
             buf = scratch[: k * rings * plan.spectrum.size].reshape(k, rings, -1)
             np.multiply(self._plan_modes(wrapped, plan), plan.coef, out=buf[:, :, :width])
             buf[:, :, width:] = 0.0
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= plan.spectrum
             np.fft.ifft(buf, axis=-1, out=buf)
+            yield plan, buf[:, :, : plan.post.size]
+
+    def correlate(self, v) -> np.ndarray:
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||."""
+        v = np.asarray(v)
+        out = np.empty((v.reshape(self.num_antennas, -1).shape[1], self.num_columns), dtype=np.complex128)
+        for plan, chirped in self._unchirped(v):
             # The output chirp is applied on contiguous rows, then the block is
             # transposed into `out`: its rows are contiguous there, so the
             # reshape is a view.
-            chirped = buf[:, :, :count]
+            k, rings, count = chirped.shape
             chirped *= plan.post
             block = out[:, plan.first_column : plan.first_column + count * rings]
             block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
         return out[0] if v.ndim == 1 else out
+
+    def move_scores(self, v, weight, scores) -> None:
+        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, where
+        e and phi are the correlations V^H w_j of V's two columns (N, 2),
+        to ~1e-12 of their norms, and weight > 0: an S-SOMP score's move
+        under a rank-1 change of the residual.
+
+        The columns of V are scaled by sqrt(weight) and -2 / sqrt(weight)
+        first, which turns e and phi into e' and phi' with a move of
+        Re(conj(e') (e' + phi')): the dot product of the (re, im) pairs of
+        e' and e' + phi'. The moves are formed plan by plan from the
+        chirp-z buffer of `correlate`, so no (2, G) array is formed. The
+        output chirp has unit modulus and cancels from the product, so it
+        is not applied.
+        """
+        scale = math.sqrt(weight)
+        for plan, unchirped in self._unchirped(np.asarray(v) * [scale, -2.0 / scale]):
+            _, rings, count = unchirped.shape
+            e, phi = unchirped.view(np.float64).reshape(2, rings, count, 2)
+            phi += e
+            block = scores[plan.first_column : plan.first_column + count * rings].reshape(count, rings)
+            block += np.einsum("zsi,zsi->sz", e, phi)
 
     def scores(self, v) -> np.ndarray:
         """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or (N, k):

@@ -223,6 +223,58 @@ def test_codebook_grid_equality_is_a_bool(small_codebook):
         CodebookGrid(grid.indices, grid.coords[:-1])
 
 
+def _azimuth_list(radius_m, wavelength_m, alpha, theta):
+    """`azimuth_grid` as it was before it returned float64 arrays."""
+    arg = wavelength_m * alpha / (4.0 * math.pi * radius_m * math.sin(theta))
+    if arg > 1.0:
+        return [0.0]
+    half_step = math.asin(arg)
+    return [s * 2.0 * half_step for s in range(math.floor(math.pi / half_step) + 1)]
+
+
+def _grid_of(book, system, thetas):
+    """The grid arrays of every column, built per elevation from Python
+    lists, as the codebook held them before it kept its ring layout."""
+    radius, lam, params = system.radius_m, system.wavelength_m, book.params
+    indices, coords = [], []
+    for t, theta in enumerate(thetas):
+        if theta == 0.0:
+            phis, rings = [0.0], [FAR_FIELD]
+        else:
+            phis = _azimuth_list(radius, lam, params.alpha, theta)
+            rings = distance_grid(theta, params.z_cap_m, params.r_min_m)
+        s, z = np.divmod(np.arange(len(phis) * len(rings), dtype=np.int64), len(rings))
+        indices.append(np.column_stack([np.full_like(s, t), s, z]))
+        coords.append(np.column_stack([np.asarray(rings)[z], np.full(s.size, theta), np.asarray(phis)[s]]))
+    return CodebookGrid(np.concatenate(indices), np.concatenate(coords))
+
+
+@pytest.mark.parametrize("phase_modes", [False, True])
+@pytest.mark.parametrize("polar", [False, True])
+def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, monkeypatch, phase_modes, polar):
+    """A ring-built codebook keeps its layout as arrays and builds `grid`
+    from it on first read, then keeps it; the grid equals the per-elevation
+    construction bit for bit, and so do the float64 azimuth grids."""
+    if phase_modes:
+        monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    system = desk_spec.system
+    build = build_polar_codebook if polar else build_spherical_codebook
+    book = build(system, desk_spec.delta, desk_spec.r_min_m)
+    assert (book.modes is not None) == phase_modes
+    assert book._grid is None
+    thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
+    want = _grid_of(book, system, thetas)
+    grid = book.grid
+    assert grid is book.grid
+    assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
+    assert np.array_equal(grid.indices, want.indices) and np.array_equal(grid.coords, want.coords)
+    assert book.num_columns == len(want)
+    for theta in thetas[1:]:
+        phis = azimuth_grid(system.radius_m, system.wavelength_m, first_j0_zero(), theta)
+        assert phis.dtype == np.float64
+        assert np.array_equal(phis, _azimuth_list(system.radius_m, system.wavelength_m, first_j0_zero(), theta))
+
+
 def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook, monkeypatch):
     # Every column of the desk spherical and polar codebooks equals the
     # per-column oracle bit for bit, with the fill on the default worker

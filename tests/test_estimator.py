@@ -66,6 +66,16 @@ def test_combining_deterministic():
     assert np.array_equal(a.entries, b.entries)
 
 
+@pytest.mark.parametrize("seed, slots, chains, antennas", [(0, 4, 3, 32), (7, 32, 4, 128), (11, 1, 1, 1), (2025, 16, 4, 512)])
+def test_combining_entries_equal_the_out_of_place_expression_bit_for_bit(seed, slots, chains, antennas):
+    """exp and the 1/sqrt(N) scaling are applied in place in one complex
+    array; every entry equals exp(1j * omega) / sqrt(N) formed out of place."""
+    omega = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(slots * chains, antennas))
+    want = np.exp(1j * omega) / math.sqrt(antennas)
+    got = generate_combining(seed, slots, chains, antennas).entries
+    assert got.dtype == np.complex128 and np.array_equal(got, want)
+
+
 def test_combining_column_norms_concentrate():
     # Constant modulus makes every column norm exactly sqrt(P*N_RF / N).
     combining = generate_combining(7, 32, 4, 256)

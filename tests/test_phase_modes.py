@@ -6,7 +6,9 @@ lower that threshold to build phase modes for the small and desk
 geometries, where the dense matrix of the same geometry is the oracle.
 """
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from nearfield import codebook
 from nearfield.codebook import build_polar_codebook, build_spherical_codebook, export_matrix_binary
-from nearfield.harness import paper_profile
+from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
 from nearfield.phase_modes import fft_length
 
 
@@ -65,9 +67,12 @@ def test_matrix_is_built_on_first_use_and_kept(small_config, book_pairs):
     assert book.matrix is book.matrix
 
 
-def test_codebook_holds_exactly_one_representation(small_codebook):
+def test_codebook_holds_exactly_one_representation(small_codebook, book_pairs):
     with pytest.raises(ValueError, match="exactly one"):
         codebook.SphericalCodebook(None, small_codebook.grid)
+    held = book_pairs["small"][0]
+    with pytest.raises(ValueError, match="ring layout"):
+        codebook.SphericalCodebook(None, held.grid, held.params, held.modes)
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -112,6 +117,97 @@ def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
     assert np.array_equal(got, dense.matrix[:, every])
     assert np.array_equal(held.columns([5, 2, 5]), dense.matrix[:, [5, 2, 5]])
     assert held.columns([]).shape == (held.num_antennas, 0)
+
+
+def _index_patterns(book):
+    """Column index arrays that meet the ring layout's edge cases."""
+    g = book.num_columns
+    starts = book.layout.column_starts
+    rng = np.random.default_rng(g)
+    return {
+        "random": rng.integers(0, g, 300),
+        "contiguous": np.arange(g // 3, g // 3 + 257),
+        "reversed": np.arange(g)[::-1],
+        "repeated": np.repeat(rng.integers(0, g, 20), 3),
+        "empty": np.array([], dtype=np.intp),
+        # The first and last column of every elevation, and the last column.
+        "elevation boundaries": np.concatenate([starts[:-1], starts[1:] - 1]),
+    }
+
+
+@pytest.mark.parametrize("name", ("desk", "desk-polar"))
+def test_columns_located_through_the_ring_layout_equal_the_dense_matrix(book_pairs, name):
+    """`columns` finds each column's ring and azimuth from the layout
+    arrays alone; it builds neither the grid nor the matrix."""
+    held, dense = book_pairs[name]
+    for pattern, idx in _index_patterns(held).items():
+        got = held.columns(idx)
+        assert got.shape == (held.num_antennas, idx.size), pattern
+        assert np.array_equal(got, dense.matrix[:, idx]), pattern
+    assert held._matrix is None
+    negative = [-1, -held.num_columns, 3]
+    assert np.array_equal(held.columns(negative), dense.matrix[:, negative])
+    for outside in ([held.num_columns], [-held.num_columns - 1]):
+        with pytest.raises(IndexError):
+            held.columns(outside)
+        with pytest.raises(IndexError):
+            dense.matrix[:, outside]
+
+
+def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch):
+    """A sweep on phase-mode books reads neither `grid` nor `matrix`: the
+    ring layout gives `columns` and `num_columns` what they need."""
+    monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    built = []
+    real_fill, real_grid = codebook._fill_rings, codebook._RingLayout.grid
+    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
+    monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
+    spec = dataclasses.replace(desk_spec, methods=(METHOD_S_SOMP, METHOD_P_SOMP))
+    bank = build_codebooks(spec)
+    for book in (bank.spherical, bank.polar):
+        assert book.modes is not None
+    for snr_db in spec.snr_list_db:
+        run_trial(spec, snr_db, 0, bank, "snr")
+    assert built == []
+    assert bank.spherical.grid is bank.spherical.grid
+    assert built == ["grid"]
+
+
+@pytest.mark.parametrize("name", BOOKS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_move_scores_equal_the_move_of_the_correlations(book_pairs, name, seed):
+    """weight |e|^2 - 2 Re(conj(e) phi) added in place, to 1e-12 of the
+    terms' scale, with e and phi the dense correlations of V's two columns."""
+    held, dense = book_pairs[name]
+    rng = np.random.default_rng(seed)
+    v = _random_block(rng, held.num_antennas, 2)
+    weight = float(rng.uniform(0.1, 10.0))
+    start = rng.uniform(0.0, 1.0, held.num_columns)
+    got = start.copy()
+    held.modes.move_scores(v, weight, got)
+    e, phi = v.conj().T @ dense.matrix
+    want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
+    norms = np.linalg.norm(v, axis=0)
+    scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_move_scores_form_no_array_of_the_column_count(book_pairs):
+    """The moves are formed plan by plan: the traced peak of one call, 1.7
+    complex vectors of G entries when measured (the chirp-z scratch and
+    numpy's FFT copies of it), stays below the 2 of the (2, G) correlations
+    that the move used to form on top of that scratch (3.65 in all)."""
+    held = book_pairs["desk"][0]
+    v = _random_block(np.random.default_rng(3), held.num_antennas, 2)
+    scores = np.zeros(held.num_columns)
+    held.modes.move_scores(v, 1.5, scores)
+    tracemalloc.start()
+    try:
+        held.modes.move_scores(v, 1.5, scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * held.num_columns
 
 
 def _reference_correlate(modes, v):

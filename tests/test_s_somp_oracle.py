@@ -356,6 +356,10 @@ class _PerturbedModes:
         push[1:] *= -1.0
         return exact + push
 
+    def move_scores(self, v, weight, scores):
+        e, phi = self.correlate(v)
+        scores += weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
+
     def scores(self, v):
         exact = np.sum(np.abs(np.asarray(v).conj().T @ self.matrix) ** 2, axis=0)
         shift = self.error * (2.0 + self.error) * np.linalg.norm(v) ** 2 * self.rng.choice([-1.0, 1.0], exact.size)
@@ -452,6 +456,32 @@ def test_running_scores_stay_within_the_slack_on_random_configurations(
     rejected_step = None
     if 1 < iterations < num_columns:
         rejected_step = data.draw(st.none() | st.integers(1, iterations - 1), label="rejected_step")
+    _check_random_configuration(
+        seed, num_antennas, num_columns, rows, num_subcarriers, planted, noise, error, clustered, iterations, rejected_step
+    )
+
+
+#: Configurations, as (seed, N, G, rows, M, planted, noise, error,
+#: clustered, iterations, rejected step), on which the check above fails
+#: once the phase-mode term of the slack growth is dropped.
+_SLACK_CRITICAL = [
+    (0, 8, 3, 2, 1, 1, 0.0, 4e-9, False, 2, None),
+    (256, 14, 32, 10, 1, 1, 1.0, 4e-9, False, 9, None),
+    (948, 12, 16, 15, 2, 1, 0.1, 4e-9, True, 11, None),
+]
+
+
+@pytest.mark.parametrize("configuration", _SLACK_CRITICAL)
+def test_running_scores_stay_within_the_slack_on_critical_configurations(configuration):
+    """Pinned examples of the property above, so that a fresh run without
+    hypothesis' example database still meets a configuration where the
+    phase-mode term of the slack is needed."""
+    _check_random_configuration(*configuration)
+
+
+def _check_random_configuration(
+    seed, num_antennas, num_columns, rows, num_subcarriers, planted, noise, error, clustered, iterations, rejected_step
+):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((num_antennas, num_columns)) + 1j * rng.standard_normal(
         (num_antennas, num_columns)
@@ -498,6 +528,53 @@ def test_running_scores_stay_within_the_slack_on_desk_trials(desk_phase_mode_cal
             got = assert_matches_dense(args)
         assert len(slacks) == args[3] - 1
         assert picked not in got.support
+
+
+@pytest.mark.parametrize("phase_modes", [False, True])
+@pytest.mark.parametrize("rejected_step", [None, 1])
+def test_s_somp_records_each_step(desk_somp_calls, desk_phase_mode_calls, phase_modes, rejected_step):
+    """`EstimationResult.steps` holds, per iteration, the count of columns
+    passed to `_exact_scores`, the slack in force at the pick (RESCORE_RTOL
+    ||A^H Y||_F^2 first, then what each `_rank_one_update` returned), and
+    the columns rejected as rank-deficient. Dense books rescore nothing at
+    slack 0."""
+    calls = (desk_phase_mode_calls if phase_modes else desk_somp_calls)[METHOD_S_SOMP][:4]
+    for args in calls:
+        measurements, combining, book, iterations = args
+        picked = s_somp(*args).support[rejected_step] if rejected_step is not None else None
+        events = [[0, None]]  # (columns rescored, slack) per step
+        real_exact, real_move = estimator._exact_scores, estimator._rank_one_update
+
+        def exact(book, gradient, idx):
+            events[-1][0] += idx.size
+            return real_exact(book, gradient, idx)
+
+        def move(*move_args):
+            slack = real_move(*move_args)
+            events.append([0, slack])
+            return slack
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_exact_scores", exact)
+            patch.setattr(estimator, "_rank_one_update", move)
+            if picked is not None:
+                _reject(patch, combining, book, picked)
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                got = s_somp(*args)
+        assert len(got.steps) == iterations
+        assert len(events) == (iterations if phase_modes else 1)
+        projected = combining.entries.conj().T @ measurements.observations
+        events[0][1] = estimator.RESCORE_RTOL * float(np.vdot(projected, projected).real)
+        for step, record in enumerate(got.steps):
+            assert isinstance(record, estimator.SompStep)
+            if phase_modes:
+                rescored, slack = events[step]
+                assert record.rescored == rescored >= 1
+                assert record.slack == slack > 0.0
+            else:
+                assert (record.rescored, record.slack) == (0, 0.0) and events == [[0, events[0][1]]]
+            assert record.rejected == ((picked,) if step == rejected_step else ())
 
 
 @pytest.mark.parametrize("num_subcarriers", [1, 2, 3])
@@ -556,7 +633,8 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     first scoring pass, which at desk scale is large next to M x G;
     1.10 leaves a margin of a twelfth. It was 1.94 while the first term was
     held, and 1.15 while the later steps kept Gram rows, the rows
-    C (A^H Y)^H W and a triangle bound's roots and shifts."""
+    C (A^H Y)^H W and a triangle bound's roots and shifts. Forming the
+    rank-1 moves plan by plan left it at 1.015: the first pass sets it."""
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
@@ -593,18 +671,22 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
 @pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
 def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, monkeypatch, method):
     """On a phase-mode book, the M = 16 first-term vectors go only through
-    `scores`. After each pick but the last, one `correlate` call of two
+    `scores`. After each pick but the last, one `move_scores` call of two
     vectors, A^H q and A^H R d, moves every score by the residual's rank-1
-    change, so no M x G complex array is formed and no call grows with the
-    iteration count."""
+    change, and `correlate` is never called, so no M x G or 2 x G complex
+    array is formed and no call grows with the iteration count."""
     widths = []
-    real = PhaseModes.correlate
+    real = PhaseModes.move_scores
 
-    def spying(self, v):
-        widths.append(1 if np.ndim(v) == 1 else np.shape(v)[1])
-        return real(self, v)
+    def spying(self, v, weight, scores):
+        widths.append(np.shape(v)[1])
+        return real(self, v, weight, scores)
 
-    monkeypatch.setattr(PhaseModes, "correlate", spying)
+    def failing(self, v):
+        raise AssertionError("correlate called")
+
+    monkeypatch.setattr(PhaseModes, "move_scores", spying)
+    monkeypatch.setattr(PhaseModes, "correlate", failing)
     for measurements, combining, held, iterations in desk_phase_mode_calls[method]:
         widths.clear()
         s_somp(measurements, combining, held, iterations)
