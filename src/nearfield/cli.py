@@ -23,7 +23,7 @@ EXIT_RUNTIME = 3
 
 _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
 _RANGE_FIELDS = {"distance_range", "elevation_range", "azimuth_range"}
-_INT_FIELDS = {"num_paths", "num_iterations", "trials", "master_seed", "workers"}
+_INT_FIELDS = {"num_paths", "num_iterations", "trials", "master_seed"}
 _FLOAT_FIELDS = {"delta", "r_min_m", "snr_db"}
 _LIST_FIELDS = {"snr_list_db", "pilot_lengths", "methods"}
 
@@ -95,8 +95,6 @@ def assemble_spec(args) -> harness.RunSpec:
         overrides["trials"] = args.trials
     if getattr(args, "methods", None) is not None:
         overrides["methods"] = _coerce("methods", args.methods)
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if getattr(args, "snr", None) is not None:
         overrides["snr_db"] = args.snr
     if getattr(args, "snr_list", None) is not None:
@@ -128,7 +126,6 @@ def _add_common_flags(parser):
     parser.add_argument("--methods", help="comma list from: " + ",".join(harness.METHODS))
     parser.add_argument("--profile", choices=sorted(harness.PROFILES), help="built-in parameter profile (default desk)")
     parser.add_argument("--slow", action="store_true", help="allow the paper-scale profile")
-    parser.add_argument("--workers", type=int, help="concurrent trials per sweep point")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,6 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,8 @@ FAR_FIELD = math.inf
 _BINARY_MAGIC = b"SPHW"
 _BINARY_VERSION = 1
 
-#: Azimuths per codebook-fill task: small enough that a task's scratch stays
-#: in cache and that the tasks balance across threads.
+#: Azimuths per slice of the codebook fill: small enough that a slice's
+#: scratch stays in cache.
 _AZIMUTH_SLICE = 64
 
 #: Bytes of matrix columns per read or write of the binary export.
@@ -162,7 +161,7 @@ class SphericalCodebook:
         self.params = params
         self.modes = modes
         self._matrix = matrix
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # user threads may read `matrix` or `grid` at once
 
     @property
     def matrix(self) -> np.ndarray:
@@ -295,58 +294,26 @@ def min_codebook_distance(config: SystemConfig) -> float:
     return 0.5 * math.sqrt(config.aperture_m**3 / config.wavelength_m)
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; the codebook fill uses one thread each."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fill_rings(matrix, elevations, geom, wavelength_m):
-    """Fill `matrix` ring by ring on the calling thread and `_worker_count() - 1` helpers.
+    """Fill `matrix` ring by ring.
 
     Within one elevation the columns run s-major, z-minor, so ring z of the
     azimuth slice [s0, s1) is the strided view `block[:, s0:s1, z]` of the
-    elevation's (N, S, Z) block. Tasks are azimuth slices of one elevation,
-    taken largest first; each slice computes cos(phi_s - psi_n) once for all
-    of its rings. The numpy ufuncs release the GIL, and every thread writes
-    into buffers allocated here, so the threads allocate no array memory.
+    elevation's (N, S, Z) block. Each slice computes cos(phi_s - psi_n) once
+    for all of its rings, and every ufunc writes into the scratch allocated
+    here.
     """
     n = matrix.shape[0]
-    tasks = []
+    cos_buf, real_buf = np.empty((_AZIMUTH_SLICE, n)), np.empty((_AZIMUTH_SLICE, n))
+    phase_buf = np.empty((_AZIMUTH_SLICE, n), dtype=np.complex128)
     for theta, phis, rings, col in elevations:
         block = matrix[:, col : col + len(phis) * len(rings)].reshape(n, len(phis), len(rings))
         for s0 in range(0, len(phis), _AZIMUTH_SLICE):
-            phi_slice = np.array(phis[s0 : s0 + _AZIMUTH_SLICE])
-            tasks.append((theta, phi_slice, rings, block[:, s0 : s0 + phi_slice.size]))
-    tasks.sort(key=lambda task: task[1].size * len(task[2]), reverse=True)
-    width = max(task[1].size for task in tasks)
-    buffers = [
-        (np.empty((width, n)), np.empty((width, n)), np.empty((width, n), dtype=np.complex128))
-        for _ in range(min(_worker_count(), len(tasks)))
-    ]
-    pending = iter(tasks)
-    lock = threading.Lock()
-
-    def work(cos_buf, real_buf, phase_buf):
-        while True:
-            with lock:
-                task = next(pending, None)
-            if task is None:
-                return
-            theta, phis, rings, block = task
-            s = phis.size
-            cosines = azimuth_cosines(phis, geom, out=cos_buf[:s])
+            s = min(_AZIMUTH_SLICE, len(phis) - s0)
+            cosines = azimuth_cosines(phis[s0 : s0 + s], geom, out=cos_buf[:s])
             scratch = (real_buf[:s], phase_buf[:s])
             for z, ring in enumerate(rings):
-                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, :, z], scratch)
-
-    # The pool starts a thread per submitted task, so one buffer starts none.
-    with ThreadPoolExecutor(max(len(buffers) - 1, 1)) as pool:
-        helpers = [pool.submit(work, *bufs) for bufs in buffers[1:]]
-        work(*buffers[0])
-        for future in helpers:
-            future.result()
+                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, s0 : s0 + s, z], scratch)
 
 
 def _build_from_elevations(config, delta, r_min_m, thetas):

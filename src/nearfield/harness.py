@@ -5,7 +5,6 @@ import math
 import struct
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +52,7 @@ class RunSpec:
     snr_list_db: tuple | None = None
     pilot_lengths: tuple | None = None
     snr_db: float | None = None  # fixed SNR for pilot sweeps and single trials
-    workers: int = 1
+    workers: int = 1  # must be 1: a sweep runs its trials in sequence
 
     def __post_init__(self):
         if self.trials < 1:
@@ -72,8 +71,8 @@ class RunSpec:
                     raise ConfigurationError(f"{name} must not be empty")
                 if list(values) != sorted(values):
                     raise ConfigurationError(f"{name} must be sorted ascending")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        if self.workers != 1:
+            raise ConfigurationError(f"workers must be 1, got {self.workers}")
         # Ranges that fail every trial are configuration errors, not trial failures.
         check_path_ranges(
             self.distance_range, self.elevation_range, self.azimuth_range, self.system.radius_m
@@ -286,18 +285,7 @@ def _run_sweep(spec: RunSpec, kind: str, values) -> SweepResult:
     bank = build_codebooks(spec)
     rows = []
     for value in values:
-        records = [None] * spec.trials
-        if spec.workers > 1:
-            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                futures = {
-                    pool.submit(run_trial, spec, value, i, bank, kind): i
-                    for i in range(spec.trials)
-                }
-                for future, index in futures.items():
-                    records[index] = future.result()
-        else:
-            for i in range(spec.trials):
-                records[i] = run_trial(spec, value, i, bank, kind)
+        records = [run_trial(spec, value, i, bank, kind) for i in range(spec.trials)]
         for method in spec.methods:
             samples = np.array([rec[method][0] for rec in records])
             seconds = float(sum(rec[method][1] for rec in records))

@@ -275,33 +275,21 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
         assert np.array_equal(phis, _azimuth_list(system.radius_m, system.wavelength_m, first_j0_zero(), theta))
 
 
-def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook, monkeypatch):
+def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook):
     # Every column of the desk spherical and polar codebooks equals the
-    # per-column oracle bit for bit, with the fill on the default worker
-    # count and forced to one and to three threads.
+    # per-column oracle bit for bit.
     system = desk_spec.system
     geom = UcaGeometry.from_config(system)
     lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
-    expected = {
-        build_spherical_codebook: (desk_codebook.grid, oracle_matrix(desk_codebook.grid, geom, lam)),
-        build_polar_codebook: (polar.grid, oracle_matrix(polar.grid, geom, lam)),
-    }
-    assert np.array_equal(desk_codebook.matrix, expected[build_spherical_codebook][1])
-    assert np.array_equal(polar.matrix, expected[build_polar_codebook][1])
-    for workers in (1, 3):
-        monkeypatch.setattr(codebook, "_worker_count", lambda: workers)
-        for build, (grid, matrix) in expected.items():
-            book = build(system, desk_spec.delta, desk_spec.r_min_m)
-            assert book.grid == grid
-            assert np.array_equal(book.matrix, matrix)
+    for book in (desk_codebook, polar):
+        assert np.array_equal(book.matrix, oracle_matrix(book.grid, geom, lam))
 
 
-def test_codebook_fill_propagates_worker_errors(small_config, monkeypatch):
+def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
     def failing_kernel(*args):
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(codebook, "_worker_count", lambda: 2)
     monkeypatch.setattr(codebook, "ring_steering", failing_kernel)
     with pytest.raises(RuntimeError, match="kernel failed"):
         build_spherical_codebook(small_config, 0.55, 0.25)

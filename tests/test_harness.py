@@ -1,13 +1,19 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nearfield
 from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
@@ -50,8 +56,9 @@ def test_run_spec_validation():
         tiny_spec(methods=("somp-of-doom",))
     with pytest.raises(ConfigurationError):
         tiny_spec(snr_list_db=(10.0, 0.0))
-    with pytest.raises(ConfigurationError):
-        tiny_spec(workers=0)
+    for workers in (-1, 0, 2, 4):
+        with pytest.raises(ConfigurationError, match="workers must be 1"):
+            tiny_spec(workers=workers)
 
 
 def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):
@@ -246,13 +253,6 @@ def test_sweep_contains_a_set_up_failure_to_its_trial(monkeypatch):
             assert math.isfinite(got.nmse_linear)
         else:
             assert (got.nmse_linear, got.trials) == (want.nmse_linear, want.trials)
-
-
-def test_sweep_concurrent_equals_sequential():
-    sequential = sweep_snr(tiny_spec(workers=1))
-    threaded = sweep_snr(tiny_spec(workers=4))
-    for a, b in zip(sequential.rows, threaded.rows):
-        assert (a.sweep_value, a.method, a.nmse_linear) == (b.sweep_value, b.method, b.nmse_linear)
 
 
 def test_sweep_pilot_shares_channels_across_pilot_lengths():
@@ -519,11 +519,46 @@ def test_cli_rejects_unknown_method():
     assert code == 2
 
 
-def test_cli_rejects_unknown_config_key(tmp_path):
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config_path = tmp_path / "bad.cfg"
-    config_path.write_text("warp_drive = 9\n")
-    code = cli_main(["trial", "--config", str(config_path)])
-    assert code == 2
+    for key in ("warp_drive", "workers"):
+        config_path.write_text(f"{key} = 2\n")
+        assert cli_main(["trial", "--config", str(config_path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["trial", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_library_starts_no_threads():
+    """Importing nearfield, building the desk bank and running one desk
+    trial start no thread and never load concurrent.futures. Run in a fresh
+    interpreter, since this one has already imported the package."""
+    script = textwrap.dedent(
+        """
+        import sys, threading
+
+        started = []
+        real_start = threading.Thread.start
+        threading.Thread.start = lambda thread: started.append(thread) or real_start(thread)
+        before = threading.active_count()
+        import nearfield
+
+        spec = nearfield.desk_profile()
+        nearfield.run_trial(spec, 10.0, 0, nearfield.harness.build_codebooks(spec))
+        assert started == [], started
+        assert threading.active_count() == before, threading.enumerate()
+        assert "concurrent.futures" not in sys.modules
+        """
+    )
+    src = str(Path(nearfield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_runtime_failure_exit_code(tmp_path):
