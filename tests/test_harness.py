@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -253,6 +254,44 @@ def test_sweep_contains_a_set_up_failure_to_its_trial(monkeypatch):
             assert math.isfinite(got.nmse_linear)
         else:
             assert (got.nmse_linear, got.trials) == (want.nmse_linear, want.trials)
+
+
+def test_sweep_concurrent_equals_sequential():
+    """The library starts no threads of its own, but a caller may run
+    sweeps, and trials on one shared bank, from several threads at once:
+    each gives what it gives when run alone."""
+    spec = tiny_spec(workers=1)
+    sequential = sweep_snr(spec)
+    bank = build_codebooks(spec)
+    alone = [run_trial(spec, 10.0, i, bank) for i in range(spec.trials)]
+
+    shared = build_codebooks(spec)  # lazily built matrices, first touched concurrently
+    results = {}
+    barrier = threading.Barrier(4)
+
+    def sweep(slot):
+        barrier.wait()
+        results[slot] = sweep_snr(spec)
+
+    def trial(slot):
+        barrier.wait()
+        results[slot] = [run_trial(spec, 10.0, i, shared) for i in range(spec.trials)]
+
+    threads = [threading.Thread(target=fn, args=(slot,)) for slot, fn in enumerate((sweep, sweep, trial, trial))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for threaded in (results[0], results[1]):
+        assert len(threaded.rows) == len(sequential.rows)
+        for a, b in zip(sequential.rows, threaded.rows):
+            assert (a.sweep_value, a.method, a.nmse_linear) == (b.sweep_value, b.method, b.nmse_linear)
+    for records in (results[2], results[3]):
+        for want, got in zip(alone, records):
+            assert list(got) == list(want)
+            assert np.array_equal(_nmse_values(got), _nmse_values(want), equal_nan=True)
 
 
 def test_sweep_pilot_shares_channels_across_pilot_lengths():
