@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,11 +71,16 @@ def _coerce(key: str, text):
         if key in _RANGE_FIELDS and len(values) != 2:
             raise ConfigurationError(f"{key} needs exactly two values, got {text!r}")
         return values
-    if key in _INT_FIELDS or key in _SYSTEM_FIELDS and key.startswith("num_"):
-        return int(float(text))
-    if key in _FLOAT_FIELDS or key in _SYSTEM_FIELDS:
-        return float(text)
-    raise ConfigurationError(f"unknown config key {key!r}")
+    integral = key in _INT_FIELDS or key in _SYSTEM_FIELDS and key.startswith("num_")
+    if not (integral or key in _FLOAT_FIELDS or key in _SYSTEM_FIELDS):
+        raise ConfigurationError(f"unknown config key {key!r}")
+    try:
+        value = Fraction(text) if integral else float(text)  # a Fraction is exact
+    except ValueError:
+        raise ConfigurationError(f"{key} needs a number, got {text!r}") from None
+    if integral and value.denominator != 1:
+        raise ConfigurationError(f"{key} needs an integer, got {text!r}")
+    return int(value) if integral else value
 
 
 def assemble_spec(args) -> harness.RunSpec:
@@ -208,12 +214,9 @@ def _describe_pairs(label: str, stats: cb.PairStats) -> str:
 def _cmd_codebook_stats(args) -> int:
     spec = assemble_spec(args)
     book = _build_spherical(spec)
-    levels = np.unique(book.grid.coords[:, 1]).size
-    # Columns run t-major, so each elevation's columns form one run.
-    t, s, z = book.grid.indices.T
-    starts = np.flatnonzero(np.diff(t, prepend=-1))
-    azimuths = np.maximum.reduceat(s, starts) + 1
-    rings = np.maximum.reduceat(z, starts) + 1
+    layout = book.layout
+    levels = layout.thetas.size
+    azimuths, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
     print(f"columns G = {book.num_columns} over {book.num_antennas} antennas")
     print(f"elevation levels: {levels} (t = 0..{levels - 1})")
     print(f"azimuth samples per elevation: min {azimuths.min()}, max {azimuths.max()}")

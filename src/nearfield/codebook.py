@@ -77,19 +77,8 @@ class CodebookGrid:
         )
 
 
-@dataclass(frozen=True)
-class CodebookParams:
-    """Derived sampling constants: threshold, Bessel root, and distance cap."""
-
-    delta: float
-    alpha: float
-    beta_delta: float
-    z_cap_m: float
-    r_min_m: float
-
-
 class _RingLayout:
-    """Where every column of a ring-built codebook lies, held as arrays.
+    """Where every column of a codebook lies, held as arrays.
 
     Elevation t (angle `thetas[t]`) holds columns `column_starts[t]` up to
     `column_starts[t + 1]`, s-major and z-minor over its azimuths
@@ -136,7 +125,7 @@ class _RingLayout:
 
 
 class SphericalCodebook:
-    """Transform W (N x G) plus per-column grid metadata.
+    """Transform W (N x G) plus the ring layout of its columns.
 
     A codebook holds W one of two ways: as the dense `matrix`, or as `modes`,
     the phase modes of its rings (`PhaseModes`). The spherical and polar
@@ -144,23 +133,20 @@ class SphericalCodebook:
     hold phase modes and build `matrix` only when it is first read, then
     keep it. `correlate` and `columns` never build it.
 
-    `grid` is a `CodebookGrid`, or the `_RingLayout` of a ring-built
-    codebook, whose `grid` is likewise built on first read and kept.
+    `layout` (a `_RingLayout`) says where every column lies; `grid`, the
+    same as per-column arrays, is built from it on first read and kept.
     """
 
-    def __init__(self, matrix, grid, params: CodebookParams | None = None, modes: PhaseModes | None = None):
+    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | None = None):
         if (matrix is None) == (modes is None):
             raise ValueError("a codebook holds exactly one of a matrix and phase modes")
-        self.layout = grid if isinstance(grid, _RingLayout) else None
-        if modes is not None and self.layout is None:
-            raise ValueError("a codebook held as phase modes needs its ring layout")
-        self._grid = None if self.layout is not None else grid
         columns = modes.num_columns if matrix is None else matrix.shape[1]
-        if columns != self.num_columns:
-            raise ValueError(f"{columns} columns but {self.num_columns} grid points")
-        self.params = params
+        if columns != layout.num_columns:
+            raise ValueError(f"{columns} columns but {layout.num_columns} grid points")
+        self.layout = layout
         self.modes = modes
         self._matrix = matrix
+        self._grid = None
         self._lock = threading.Lock()  # user threads may read `matrix` or `grid` at once
 
     @property
@@ -187,7 +173,7 @@ class SphericalCodebook:
 
     @property
     def num_columns(self) -> int:
-        return self.layout.num_columns if self.layout is not None else len(self._grid)
+        return self.layout.num_columns
 
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G).
@@ -206,9 +192,10 @@ class SphericalCodebook:
         layout gives their rings and azimuths. The columns are grouped by
         ring with one stable sort, and every ring takes its rows of one
         `azimuth_cosines` array of the distinct azimuths asked for, which
-        the rings of a contiguous range share.
+        the rings of a contiguous range share. A matrix the codebook holds,
+        built or not, is read instead; it is set only once it is filled.
         """
-        if self.modes is None:
+        if self._matrix is not None:
             return self._matrix[:, idx]
         g = self.num_columns
         idx = np.asarray(idx, dtype=np.intp)
@@ -341,12 +328,11 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
             elevations.append((theta, azimuth_grid(geom.radius_m, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
     layout = _RingLayout(elevations)
 
-    params = CodebookParams(delta, alpha, beta, z_cap, r_min_m)
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(None, layout, params, PhaseModes(layout.elevations(), geom, lam))
+        return SphericalCodebook(None, layout, PhaseModes(layout.elevations(), geom, lam))
     matrix = np.empty((config.num_antennas, layout.num_columns), dtype=np.complex128)
     _fill_rings(matrix, layout.elevations(), geom, lam)
-    return SphericalCodebook(matrix, layout, params)
+    return SphericalCodebook(matrix, layout)
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:
@@ -371,10 +357,8 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     n = config.num_antennas
     idx = np.arange(n)
     matrix = np.exp(-2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    zeros = np.zeros(n, dtype=np.int64)
-    indices = np.column_stack([zeros, idx, zeros])
-    coords = np.column_stack([np.full(n, FAR_FIELD), np.full(n, 0.5 * math.pi), 2.0 * math.pi * idx / n])
-    return SphericalCodebook(matrix, CodebookGrid(indices, coords), None)
+    layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * idx / n, [FAR_FIELD])])
+    return SphericalCodebook(matrix, layout)
 
 
 def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -417,18 +401,34 @@ class CoherenceStats:
     random_pairs: PairStats
 
 
-def _pair_correlations(matrix: np.ndarray, left, right, chunk: int = 16384) -> np.ndarray:
-    # Chunked so that paper-scale codebooks (~1e5 pairs per axis) never
-    # materialise more than `chunk` gathered columns at once; the left block
-    # is conjugated in place, so a chunk holds two gathered blocks.
-    out = np.empty(left.size)
-    for start in range(0, left.size, chunk):
-        stop = start + chunk
-        a = matrix[:, left[start:stop]]
-        np.conjugate(a, out=a)
-        b = matrix[:, right[start:stop]]
-        out[start:stop] = np.abs(np.einsum("ij,ij->j", a, b))
-    return out
+def _correlations(left_conj, right) -> np.ndarray:
+    """|b1^H b2| of the column pairs of two (N, ...) blocks, the left one
+    conjugated already, flat in C order."""
+    return np.abs(np.einsum("i...,i...->...", left_conj, right)).ravel()
+
+
+def _adjacent_correlations(codebook: SphericalCodebook):
+    """|correlation| of the column pairs adjacent in t, in s and in z: three
+    arrays, each in ascending order of the pairs' first column.
+
+    One `columns` call per elevation gives an (N, S, Z) block, in which s and
+    z neighbours are views offset by one; t neighbours share (s, z) with the
+    previous elevation's block. Two elevations' columns are held at most.
+    """
+    n = codebook.num_antennas
+    pairs = tuple([np.empty(0)] for _ in range(3))
+    previous = None  # the previous elevation's block, conjugated
+    for _, phis, rings, first in codebook.layout.elevations():
+        shape = (n, len(phis), len(rings))
+        block = codebook.columns(np.arange(first, first + shape[1] * shape[2])).reshape(shape)
+        conj = block.conj()
+        if previous is not None:
+            s, z = min(previous.shape[1], shape[1]), min(previous.shape[2], shape[2])
+            pairs[0].append(_correlations(previous[:, :s, :z], block[:, :s, :z]))
+        pairs[1].append(_correlations(conj[:, :-1], block[:, 1:]))
+        pairs[2].append(_correlations(conj[:, :, :-1], block[:, :, 1:]))
+        previous = conj
+    return [np.concatenate(values) for values in pairs]
 
 
 def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int = 0) -> CoherenceStats:
@@ -436,25 +436,12 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
 
     Covers every pair of columns adjacent in one grid index (t, s, or z with
     the other two fixed) plus a seeded random sample of up to `sample_budget`
-    arbitrary pairs.
+    arbitrary pairs. Columns come from `codebook.columns`, so a codebook held
+    as phase modes builds neither its matrix nor its grid.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    # Each (t, s, z) is raveled to one key; the (t+1, s, z), (t, s+1, z) and
-    # (t, s, z+1) neighbours are looked up among the sorted keys. Left
-    # columns stay in ascending column order.
-    indices = codebook.grid.indices
-    shape = indices.max(axis=0, initial=0) + 2  # room for every +1 neighbour
-    keys = np.ravel_multi_index(indices.T, shape)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    adjacent = []
-    for step in np.eye(3, dtype=np.int64):
-        wanted = np.ravel_multi_index((indices + step).T, shape)
-        found = np.minimum(np.searchsorted(sorted_keys, wanted), keys.size - 1)
-        hit = sorted_keys[found] == wanted
-        pairs = _pair_correlations(codebook.matrix, np.flatnonzero(hit), order[found[hit]])
-        adjacent.append(PairStats.from_values(pairs))
+    adjacent = [PairStats.from_values(values) for values in _adjacent_correlations(codebook)]
 
     g = codebook.num_columns
     if g < 2:
@@ -464,9 +451,12 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
         left = rng.integers(0, g, size=sample_budget)
         right = rng.integers(0, g - 1, size=sample_budget)
         right = np.where(right >= left, right + 1, right)  # exclude i == j
-        random_stats = PairStats.from_values(
-            _pair_correlations(codebook.matrix, left, right)
-        )
+        step = 4096  # pairs per `columns` call, so a large budget holds few columns
+        values = [
+            _correlations(codebook.columns(left[i : i + step]).conj(), codebook.columns(right[i : i + step]))
+            for i in range(0, sample_budget, step)
+        ]
+        random_stats = PairStats.from_values(np.concatenate(values))
     return CoherenceStats(*adjacent, random_stats)
 
 

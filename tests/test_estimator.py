@@ -16,7 +16,7 @@ from nearfield import (
     sample_paths,
     synthesize_measurements,
 )
-from nearfield.codebook import CodebookGrid, SphericalCodebook
+from nearfield.codebook import FAR_FIELD, CodebookGrid, SphericalCodebook, _RingLayout
 from nearfield.estimator import MeasurementSet
 
 
@@ -198,10 +198,11 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
     matrix = np.column_stack([geom_column, geom_column, other])
-    grid = CodebookGrid(
+    layout = _RingLayout([(0.5 * math.pi, [0.0] * 3, [FAR_FIELD])])
+    duplicated = SphericalCodebook(matrix, layout)
+    assert duplicated.grid == CodebookGrid(
         np.array([[0, s, 0] for s in range(3)]), np.tile([math.inf, 0.5 * math.pi, 0.0], (3, 1))
     )
-    duplicated = SphericalCodebook(matrix, grid, None)
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]
     zero = MeasurementSet(np.zeros((rows, 2)), 0.0, math.inf)

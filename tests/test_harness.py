@@ -566,6 +566,33 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trials = 2.5", "trials needs an integer, got '2.5'"),
+        ("num_antennas = 64.5", "num_antennas needs an integer, got '64.5'"),
+        ("master_seed = inf", "master_seed needs a number, got 'inf'"),
+        ("delta = x", "delta needs a number, got 'x'"),
+        ("num_iterations = auto", "num_iterations needs a number, got 'auto'"),
+    ],
+)
+def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys, line, message):
+    """A bad value is a configuration error (exit 2) naming its key, never
+    truncated to an integer or reported as a runtime failure (exit 3)."""
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(line + "\n")
+    assert cli_main(["trial", "--config", str(config_path)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_cli_integer_config_values_are_exact():
+    from nearfield.cli import _coerce
+
+    assert _coerce("trials", "3") == 3 and _coerce("trials", "3.0") == 3 and _coerce("trials", "1e3") == 1000
+    assert _coerce("master_seed", str(2**63 + 1)) == 2**63 + 1
+    assert _coerce("delta", "0.5") == 0.5
+
+
 def test_cli_has_no_workers_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["trial", "--workers", "2"])

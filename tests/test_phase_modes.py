@@ -67,12 +67,31 @@ def test_matrix_is_built_on_first_use_and_kept(small_config, book_pairs):
     assert book.matrix is book.matrix
 
 
+def test_columns_read_a_built_matrix(small_config, book_pairs, monkeypatch):
+    """Once a phase-mode book's matrix is built, `columns` reads it rather
+    than filling rings again."""
+    book = _phase_mode_build(build_spherical_codebook, small_config, 0.55, 0.25)
+    dense = book_pairs["small"][1]
+    book.matrix
+    filled = []
+    monkeypatch.setattr(codebook, "ring_steering", lambda *args: filled.append(args))
+    idx = [7, 0, 7, book.num_columns - 1]
+    assert np.array_equal(book.columns(idx), dense.matrix[:, idx])
+    assert filled == []
+
+
 def test_codebook_holds_exactly_one_representation(small_codebook, book_pairs):
     with pytest.raises(ValueError, match="exactly one"):
-        codebook.SphericalCodebook(None, small_codebook.grid)
-    held = book_pairs["small"][0]
-    with pytest.raises(ValueError, match="ring layout"):
-        codebook.SphericalCodebook(None, held.grid, held.params, held.modes)
+        codebook.SphericalCodebook(None, small_codebook.layout)
+    held, other = book_pairs["small"][0], book_pairs["desk"][0]
+    with pytest.raises(ValueError, match="exactly one"):
+        codebook.SphericalCodebook(small_codebook.matrix, held.layout, held.modes)
+    mismatch = f"{other.num_columns} columns but {held.num_columns} grid points"
+    with pytest.raises(ValueError, match=mismatch):
+        codebook.SphericalCodebook(None, held.layout, other.modes)
+    mismatch = f"{held.num_columns - 1} columns but {held.num_columns} grid points"
+    with pytest.raises(ValueError, match=mismatch):
+        codebook.SphericalCodebook(small_codebook.matrix[:, 1:], small_codebook.layout)
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -171,6 +190,34 @@ def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_
     assert built == []
     assert bank.spherical.grid is bank.spherical.grid
     assert built == ["grid"]
+
+
+@pytest.mark.parametrize("name", BOOKS)
+def test_coherence_stats_equal_the_dense_twin(book_pairs, name):
+    """Columns filled ring by ring give the dense book's pair statistics bit
+    for bit, and the per-pair values in the same order."""
+    held, dense = book_pairs[name]
+    assert codebook.coherence_stats(held, 700, seed=5) == codebook.coherence_stats(dense, 700, seed=5)
+    for got, want in zip(codebook._adjacent_correlations(held), codebook._adjacent_correlations(dense)):
+        assert np.array_equal(got, want)
+    assert held._matrix is None
+
+
+@pytest.mark.parametrize("polar", [False, True])
+def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, polar):
+    """Coherence walks the ring layout: it reads neither `grid` nor `matrix`."""
+    monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    build = build_polar_codebook if polar else build_spherical_codebook
+    book = build(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    assert book.modes is not None
+    built = []
+    real_fill, real_grid = codebook._fill_rings, codebook._RingLayout.grid
+    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
+    monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
+    stats = codebook.coherence_stats(book, 500, seed=1)
+    assert built == []
+    assert stats.adjacent_azimuth.count > 0 and stats.random_pairs.count == 500
+    assert book._matrix is None and book._grid is None
 
 
 @pytest.mark.parametrize("name", BOOKS)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from nearfield import codebook, estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import CodebookGrid, SphericalCodebook, build_spherical_codebook
+from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_spherical_codebook
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
@@ -105,10 +105,10 @@ def assert_matches_dense(args):
     return got
 
 
-def _dummy_grid(num_columns):
-    indices = np.zeros((num_columns, 3), dtype=np.int64)
-    indices[:, 1] = np.arange(num_columns)
-    return CodebookGrid(indices, np.tile([math.inf, 0.5 * math.pi, 0.0], (num_columns, 1)))
+def _dummy_layout(num_columns):
+    """One plane-wave ring of `num_columns` columns, all at azimuth 0: grid
+    indices (0, s, 0) and points (inf, pi/2, 0)."""
+    return _RingLayout([(0.5 * math.pi, np.zeros(num_columns), [FAR_FIELD])])
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,7 +132,7 @@ def test_gram_matches_dense_on_random_configurations(
         (num_antennas, num_columns)
     )
     w /= np.linalg.norm(w, axis=0)
-    codebook = SphericalCodebook(w, _dummy_grid(num_columns))
+    codebook = SphericalCodebook(w, _dummy_layout(num_columns))
     combining = generate_combining(rng, rows, 1, num_antennas)
     support = rng.choice(num_columns, size=min(planted, num_columns), replace=False)
     gains = rng.standard_normal((support.size, num_subcarriers)) + 1j * rng.standard_normal(
@@ -152,7 +152,7 @@ def test_gram_matches_dense_on_duplicate_column_codebook(small_config):
     geom_column = np.full(small_config.num_antennas, 1.0 / math.sqrt(small_config.num_antennas), dtype=complex)
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
-    duplicated = SphericalCodebook(np.column_stack([geom_column, geom_column, other]), _dummy_grid(3))
+    duplicated = SphericalCodebook(np.column_stack([geom_column, geom_column, other]), _dummy_layout(3))
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     zero = MeasurementSet(np.zeros((combining.entries.shape[0], 2)), 0.0, math.inf)
     assert_matches_dense((zero, combining, duplicated, 2))
@@ -367,14 +367,12 @@ class _PerturbedModes:
 
 
 class _PerturbedCodebook(SphericalCodebook):
-    """A dense codebook that S-SOMP sees as one held in `_PerturbedModes`."""
+    """A dense codebook that S-SOMP sees as one held in `_PerturbedModes`;
+    `columns` reads the matrix it holds."""
 
     def __init__(self, matrix, error, rng):
-        super().__init__(matrix, _dummy_grid(matrix.shape[1]))
+        super().__init__(matrix, _dummy_layout(matrix.shape[1]))
         self.modes = _PerturbedModes(matrix, error, rng)
-
-    def columns(self, idx):
-        return self.matrix[:, idx]
 
 
 def _check_running_scores(patch, args):
