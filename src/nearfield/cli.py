@@ -29,17 +29,6 @@ _FLOAT_FIELDS = {"delta", "r_min_m", "snr_db"}
 _LIST_FIELDS = {"snr_list_db", "pilot_lengths", "methods"}
 
 
-def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text.strip()
-
-
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; lists are comma separated, '#' comments."""
     values = {}
@@ -67,13 +56,18 @@ def _coerce(key: str, text):
         items = [item.strip() for item in text.split(",") if item.strip()]
         if key == "methods":
             return tuple(items)
-        values = tuple(_parse_scalar(item) for item in items)
+        values = tuple(_number(key, item, key == "pilot_lengths") for item in items)
         if key in _RANGE_FIELDS and len(values) != 2:
             raise ConfigurationError(f"{key} needs exactly two values, got {text!r}")
         return values
     integral = key in _INT_FIELDS or key in _SYSTEM_FIELDS and key.startswith("num_")
     if not (integral or key in _FLOAT_FIELDS or key in _SYSTEM_FIELDS):
         raise ConfigurationError(f"unknown config key {key!r}")
+    return _number(key, text, integral)
+
+
+def _number(key: str, text: str, integral: bool):
+    """The value of `text` for `key`: an int when `integral`, else a float."""
     try:
         value = Fraction(text) if integral else float(text)  # a Fraction is exact
     except ValueError:

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ConfigurationError,
-    SystemConfig,
-    UcaGeometry,
-    azimuth_cosines,
-    ring_steering,
-)
+from .channel import ConfigurationError, SystemConfig, UcaGeometry
 from .numerics import first_j0_zero, solve_beta_delta
-from .phase_modes import PhaseModes
+from .phase_modes import DftBasis, PhaseModes, fill_rings
 
 #: Distance value marking the plane-wave (z = 0) ring of the distance grid.
 FAR_FIELD = math.inf
@@ -30,15 +24,12 @@ FAR_FIELD = math.inf
 _BINARY_MAGIC = b"SPHW"
 _BINARY_VERSION = 1
 
-#: Azimuths per slice of the codebook fill: small enough that a slice's
-#: scratch stays in cache.
-_AZIMUTH_SLICE = 64
-
 #: Bytes of matrix columns per read or write of the binary export.
 _IO_CHUNK_BYTES = 1 << 20
 
-#: Spherical and polar codebooks of arrays this large hold phase modes, not
-#: a dense matrix. Median time of one correlation with 16 (and 1) vectors,
+#: Codebooks of arrays this large hold a matrix-free basis, not a dense
+#: matrix: phase modes for the spherical and polar books, `DftBasis` for the
+#: angular one. Median time of one correlation with 16 (and 1) vectors,
 #: dense against phase modes, on a 2-core VM with OpenBLAS: N = 128,
 #: 0.8 ms against 2.8 ms (0.2 against 1.1); N = 256, 9.3 against 17 ms
 #: (1.8 against 3.0); N = 512, 110 against 88 ms (43 against 8.1), where the
@@ -84,7 +75,7 @@ class _RingLayout:
     `column_starts[t + 1]`, s-major and z-minor over its azimuths
     `azimuths[azimuth_starts[t]:azimuth_starts[t + 1]]` and its distance
     rings `rings[ring_starts[t]:ring_starts[t + 1]]`, the order
-    `_fill_rings` fills. Its size grows with the rings and azimuths, not
+    `fill_rings` fills. Its size grows with the rings and azimuths, not
     with the column count G.
     """
 
@@ -106,7 +97,7 @@ class _RingLayout:
 
     def elevations(self):
         """(theta, azimuths, rings, first column) per elevation, as
-        `_fill_rings` and `PhaseModes` take them."""
+        `fill_rings` and `PhaseModes` take them."""
         for t, theta in enumerate(self.thetas.tolist()):
             rings = self.rings[self.ring_starts[t] : self.ring_starts[t + 1]]
             azimuths = self.azimuths[self.azimuth_starts[t] : self.azimuth_starts[t + 1]]
@@ -127,19 +118,20 @@ class _RingLayout:
 class SphericalCodebook:
     """Transform W (N x G) plus the ring layout of its columns.
 
-    A codebook holds W one of two ways: as the dense `matrix`, or as `modes`,
-    the phase modes of its rings (`PhaseModes`). The spherical and polar
-    codebooks of an array of `_PHASE_MODE_MIN_ANTENNAS` or more antennas
-    hold phase modes and build `matrix` only when it is first read, then
-    keep it. `correlate` and `columns` never build it.
+    A codebook holds W one of two ways: as the dense `matrix`, or as
+    `modes`, a matrix-free basis: the phase modes of its rings
+    (`PhaseModes`), or the FFT of the DFT book (`DftBasis`). The codebooks
+    of an array of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold a basis
+    and have it fill `matrix` only when it is first read, then keep it.
+    `correlate` and `columns` never build it.
 
     `layout` (a `_RingLayout`) says where every column lies; `grid`, the
     same as per-column arrays, is built from it on first read and kept.
     """
 
-    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | None = None):
+    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | DftBasis | None = None):
         if (matrix is None) == (modes is None):
-            raise ValueError("a codebook holds exactly one of a matrix and phase modes")
+            raise ValueError("a codebook holds exactly one of a matrix and a matrix-free basis")
         columns = modes.num_columns if matrix is None else matrix.shape[1]
         if columns != layout.num_columns:
             raise ValueError(f"{columns} columns but {layout.num_columns} grid points")
@@ -151,12 +143,10 @@ class SphericalCodebook:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense N x G matrix; built from the rings on first use."""
+        """The dense N x G matrix; filled by the basis on first use."""
         with self._lock:
             if self._matrix is None:
-                matrix = np.empty((self.num_antennas, self.num_columns), dtype=np.complex128)
-                _fill_rings(matrix, self.layout.elevations(), self.modes.geom, self.modes.wavelength_m)
-                self._matrix = matrix
+                self._matrix = self.modes.dense()
         return self._matrix
 
     @property
@@ -178,7 +168,7 @@ class SphericalCodebook:
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G).
 
-        Exact from a dense matrix; from phase modes, to ~1e-12 of ||v||.
+        Exact from a dense matrix; from a basis, to ~1e-12 of ||v||.
         """
         if self.modes is not None:
             return self.modes.correlate(v)
@@ -187,50 +177,13 @@ class SphericalCodebook:
     def columns(self, idx) -> np.ndarray:
         """W[:, idx] as a new (N, len(idx)) array, bit for bit.
 
-        From phase modes, only the columns asked for are filled, through
-        `ring_steering` one ring at a time, as `_fill_rings` fills them; the
-        layout gives their rings and azimuths. The columns are grouped by
-        ring with one stable sort, and every ring takes its rows of one
-        `azimuth_cosines` array of the distinct azimuths asked for, which
-        the rings of a contiguous range share. A matrix the codebook holds,
-        built or not, is read instead; it is set only once it is filled.
+        A matrix the codebook holds, built or not, is read; it is set only
+        once it is filled. Otherwise the basis fills only the columns asked
+        for.
         """
         if self._matrix is not None:
             return self._matrix[:, idx]
-        g = self.num_columns
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < -g or idx.max() >= g):
-            raise IndexError(f"column index out of range for {g} columns")
-        idx = idx % g  # negative indices count from the end, as in the matrix
-        geom, lam = self.modes.geom, self.modes.wavelength_m
-        out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128)
-        t, _, z, r, theta, phi = self.layout.locate(idx)
-        phis, azimuth_of = np.unique(phi, return_inverse=True)
-        cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
-        keys = (t << 32) + z
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        for start, stop in zip(starts, np.append(starts[1:], idx.size)):
-            sel = order[start:stop]
-            # In a contiguous range, a ring's columns step evenly and its
-            # azimuths are consecutive, so both are taken as views.
-            cols = _as_slice(sel)
-            rows = _as_slice(azimuth_of[sel])
-            view = isinstance(cols, slice)
-            block = out[:, cols] if view else np.empty((geom.num_antennas, sel.size), dtype=np.complex128)
-            ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, lam, block)
-            if not view:
-                out[:, sel] = block
-        return out
-
-
-def _as_slice(positions):
-    """The slice that picks `positions` when they rise in even steps, else
-    `positions` itself; indexing with either gives the same elements."""
-    step = int(positions[1] - positions[0]) if positions.size > 1 else 1
-    if step > 0 and np.all(np.diff(positions) == step):
-        return slice(int(positions[0]), int(positions[-1]) + 1, step)
-    return positions
+        return self.modes.columns(idx)
 
 
 def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
@@ -281,28 +234,6 @@ def min_codebook_distance(config: SystemConfig) -> float:
     return 0.5 * math.sqrt(config.aperture_m**3 / config.wavelength_m)
 
 
-def _fill_rings(matrix, elevations, geom, wavelength_m):
-    """Fill `matrix` ring by ring.
-
-    Within one elevation the columns run s-major, z-minor, so ring z of the
-    azimuth slice [s0, s1) is the strided view `block[:, s0:s1, z]` of the
-    elevation's (N, S, Z) block. Each slice computes cos(phi_s - psi_n) once
-    for all of its rings, and every ufunc writes into the scratch allocated
-    here.
-    """
-    n = matrix.shape[0]
-    cos_buf, real_buf = np.empty((_AZIMUTH_SLICE, n)), np.empty((_AZIMUTH_SLICE, n))
-    phase_buf = np.empty((_AZIMUTH_SLICE, n), dtype=np.complex128)
-    for theta, phis, rings, col in elevations:
-        block = matrix[:, col : col + len(phis) * len(rings)].reshape(n, len(phis), len(rings))
-        for s0 in range(0, len(phis), _AZIMUTH_SLICE):
-            s = min(_AZIMUTH_SLICE, len(phis) - s0)
-            cosines = azimuth_cosines(phis[s0 : s0 + s], geom, out=cos_buf[:s])
-            scratch = (real_buf[:s], phase_buf[:s])
-            for z, ring in enumerate(rings):
-                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, s0 : s0 + s, z], scratch)
-
-
 def _build_from_elevations(config, delta, r_min_m, thetas):
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
@@ -329,9 +260,9 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     layout = _RingLayout(elevations)
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(None, layout, PhaseModes(layout.elevations(), geom, lam))
+        return SphericalCodebook(None, layout, PhaseModes(layout, geom, lam))
     matrix = np.empty((config.num_antennas, layout.num_columns), dtype=np.complex128)
-    _fill_rings(matrix, layout.elevations(), geom, lam)
+    fill_rings(matrix, layout.elevations(), geom, lam)
     return SphericalCodebook(matrix, layout)
 
 
@@ -353,12 +284,17 @@ def build_polar_codebook(config: SystemConfig, delta: float, r_min_m: float) -> 
 
 
 def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
-    """Unitary DFT-over-antenna-index codebook (far-field, azimuth-only)."""
+    """Unitary DFT-over-antenna-index codebook (far-field, azimuth-only).
+
+    Arrays of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold it as a
+    `DftBasis`; smaller ones hold the matrix that basis fills.
+    """
     n = config.num_antennas
-    idx = np.arange(n)
-    matrix = np.exp(-2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
-    layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * idx / n, [FAR_FIELD])])
-    return SphericalCodebook(matrix, layout)
+    layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])
+    basis = DftBasis(n)
+    if n >= _PHASE_MODE_MIN_ANTENNAS:
+        return SphericalCodebook(None, layout, basis)
+    return SphericalCodebook(basis.dense(), layout)
 
 
 def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -437,7 +373,7 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
     Covers every pair of columns adjacent in one grid index (t, s, or z with
     the other two fixed) plus a seeded random sample of up to `sample_budget`
     arbitrary pairs. Columns come from `codebook.columns`, so a codebook held
-    as phase modes builds neither its matrix nor its grid.
+    as a matrix-free basis builds neither its matrix nor its grid.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
@@ -482,8 +418,9 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     u32) followed by the matrix as column-major interleaved re/im float64.
 
     Written a chunk of `codebook.columns` at a time, so no matrix-sized copy
-    is made, and a codebook held as phase modes never builds its matrix. A
-    chunk and its transposed copy share the 1 MiB of `_IO_CHUNK_BYTES`.
+    is made, and a codebook held as a matrix-free basis never builds its
+    matrix. A chunk and its transposed copy share the 1 MiB of
+    `_IO_CHUNK_BYTES`.
     """
     n, g = codebook.num_antennas, codebook.num_columns
     step = max(1, _IO_CHUNK_BYTES // (32 * max(n, 1)))

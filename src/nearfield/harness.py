@@ -2,6 +2,7 @@
 all estimators, with CSV emission of the per-method mean NMSE."""
 
 import math
+import numbers
 import struct
 import time
 import warnings
@@ -64,6 +65,11 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown methods {sorted(unknown)}; choose from {METHODS}"
             )
+        # A pilot sweep runs int(value) slots, and its CSV rows carry the value.
+        if self.pilot_lengths is not None:
+            bad = [p for p in self.pilot_lengths if not isinstance(p, numbers.Integral) or p < 1]
+            if bad:
+                raise ConfigurationError(f"pilot_lengths must be integers >= 1, got {bad}")
         for name in ("snr_list_db", "pilot_lengths"):
             values = getattr(self, name)
             if values is not None:

@@ -18,6 +18,13 @@ trigonometric polynomial in phi, so `scores` maps one ring power spectrum
 per ring through the same chirp-z, instead of every vector's correlations.
 `move_scores` forms S-SOMP's rank-1 score moves from the chirp-z buffer of
 each plan in turn, so neither forms an array of correlations per column.
+
+The angular codebook's DFT columns e^{-j k psi_n} / sqrt(N) are the UCA's
+phase-mode excitations themselves, so `DftBasis` correlates with all of
+them by one FFT of conj(v) and holds nothing but N.
+
+Both bases fill the columns asked of them, bit for bit as the dense matrix
+of the same book, and fill that whole matrix on request (`dense`).
 """
 
 import math
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import UcaGeometry, ring_steering
+from .channel import UcaGeometry, azimuth_cosines, ring_steering
 
 #: Phase-mode coefficients below this share of their ring's coefficient
 #: norm (1/sqrt(N), by Parseval) are dropped. Each dropped mode moves a
@@ -35,6 +42,9 @@ from .channel import UcaGeometry, ring_steering
 MODE_RTOL = 1e-12
 #: Doublings of the sample count allowed beyond the first estimate.
 _MAX_DOUBLINGS = 4
+#: Azimuths per slice of the ring fill: small enough that a slice's scratch
+#: stays in cache.
+_AZIMUTH_SLICE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +122,57 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     )
 
 
+def fill_rings(matrix, elevations, geom, wavelength_m):
+    """Fill `matrix` ring by ring.
+
+    `elevations` yields (theta, azimuths, rings, first column) per
+    elevation. Within one elevation the columns run s-major, z-minor, so
+    ring z of the azimuth slice [s0, s1) is the strided view
+    `block[:, s0:s1, z]` of the elevation's (N, S, Z) block. Each slice
+    computes cos(phi_s - psi_n) once for all of its rings, and every ufunc
+    writes into the scratch allocated here.
+    """
+    n = matrix.shape[0]
+    cos_buf, real_buf = np.empty((_AZIMUTH_SLICE, n)), np.empty((_AZIMUTH_SLICE, n))
+    phase_buf = np.empty((_AZIMUTH_SLICE, n), dtype=np.complex128)
+    for theta, phis, rings, col in elevations:
+        block = matrix[:, col : col + len(phis) * len(rings)].reshape(n, len(phis), len(rings))
+        for s0 in range(0, len(phis), _AZIMUTH_SLICE):
+            s = min(_AZIMUTH_SLICE, len(phis) - s0)
+            cosines = azimuth_cosines(phis[s0 : s0 + s], geom, out=cos_buf[:s])
+            scratch = (real_buf[:s], phase_buf[:s])
+            for z, ring in enumerate(rings):
+                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, s0 : s0 + s, z], scratch)
+
+
+def _as_slice(positions):
+    """The slice that picks `positions` when they rise in even steps, else
+    `positions` itself; indexing with either gives the same elements."""
+    step = int(positions[1] - positions[0]) if positions.size > 1 else 1
+    if step > 0 and np.all(np.diff(positions) == step):
+        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    return positions
+
+
 class PhaseModes:
     """V^H W of a ring-built codebook W, from its rings' phase modes.
 
-    `elevations` yields (theta, azimuths, rings, first column) per
-    elevation, the layout `codebook._fill_rings` fills: columns run s-major,
-    z-minor within an elevation, and azimuths are uniform from 0. Only the
-    coefficients and per-elevation chirps are stored, a few MB where the
-    dense W of an N = 512 array takes 822 MB; the layout is not kept.
+    `layout` (a `codebook._RingLayout`) says where every column lies: its
+    `elevations()` yields (theta, azimuths, rings, first column) per
+    elevation, the order `fill_rings` fills, with columns s-major and
+    z-minor within an elevation and azimuths uniform from 0. Besides the
+    layout, only the coefficients and per-elevation chirps are stored, a
+    few MB where the dense W of an N = 512 array takes 822 MB.
     """
 
-    def __init__(self, elevations, geom: UcaGeometry, wavelength_m: float):
+    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
+        self.layout = layout
         self.geom = geom
         self.wavelength_m = wavelength_m
         n = geom.num_antennas
         self.num_columns = 0
         shapes = []  # (first column, coef, azimuth step, S, F, chirp) per elevation
-        for theta, phis, rings, col in elevations:
+        for theta, phis, rings, col in layout.elevations():
             self.num_columns += len(phis) * len(rings)
             modes = ring_modes(theta, rings, geom, wavelength_m)
             step = float(phis[1]) if len(phis) > 1 else 0.0
@@ -185,6 +229,48 @@ class PhaseModes:
     @property
     def nbytes(self) -> int:
         return self._wrap.nbytes + sum(plan.nbytes for plan in self._plans)
+
+    def dense(self) -> np.ndarray:
+        """The dense N x G matrix, filled ring by ring by `fill_rings`."""
+        matrix = np.empty((self.num_antennas, self.num_columns), dtype=np.complex128)
+        fill_rings(matrix, self.layout.elevations(), self.geom, self.wavelength_m)
+        return matrix
+
+    def columns(self, idx) -> np.ndarray:
+        """W[:, idx] as a new (N, len(idx)) array, bit for bit as `dense`.
+
+        Only the columns asked for are filled, through `ring_steering` one
+        ring at a time, as `fill_rings` fills them; the layout gives their
+        rings and azimuths. The columns are grouped by ring with one stable
+        sort, and every ring takes its rows of one `azimuth_cosines` array
+        of the distinct azimuths asked for, which the rings of a contiguous
+        range share.
+        """
+        g = self.num_columns
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < -g or idx.max() >= g):
+            raise IndexError(f"column index out of range for {g} columns")
+        idx = idx % g  # negative indices count from the end, as in the matrix
+        geom, lam = self.geom, self.wavelength_m
+        out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128)
+        t, _, z, r, theta, phi = self.layout.locate(idx)
+        phis, azimuth_of = np.unique(phi, return_inverse=True)
+        cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
+        keys = (t << 32) + z
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        for start, stop in zip(starts, np.append(starts[1:], idx.size)):
+            sel = order[start:stop]
+            # In a contiguous range, a ring's columns step evenly and its
+            # azimuths are consecutive, so both are taken as views.
+            cols = _as_slice(sel)
+            rows = _as_slice(azimuth_of[sel])
+            view = isinstance(cols, slice)
+            block = out[:, cols] if view else np.empty((geom.num_antennas, sel.size), dtype=np.complex128)
+            ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, lam, block)
+            if not view:
+                out[:, sel] = block
+        return out
 
     def _wrapped_spectra(self, v) -> np.ndarray:
         """U = FFT(conj(V)) at the antenna modes -H..H, (k, 2H + 1): plan
@@ -307,3 +393,66 @@ class PhaseModes:
             np.multiply(values.real, 2.0, out=block)
             np.maximum(block, 0.0, out=block)
         return out
+
+
+class DftBasis:
+    """V^H W of the unitary N-point DFT codebook W by FFT, holding only N.
+
+    Column k is e^{-2j pi n k / N} / sqrt(N), the UCA's phase mode of order
+    k (psi_n = 2 pi n / N), so V^H W is FFT(conj(V))^T / sqrt(N), exact to
+    the FFT's rounding, ~1e-15 of ||v||. The interface is `PhaseModes`'.
+    """
+
+    nbytes = 0
+
+    def __init__(self, num_antennas: int):
+        self.num_antennas = num_antennas
+
+    @property
+    def num_columns(self) -> int:
+        return self.num_antennas
+
+    def _spectra(self, v) -> np.ndarray:
+        """FFT(conj(V)) of V (N,) or (N, k), one row per vector: (k, N)."""
+        return np.fft.fft(np.asarray(v).reshape(self.num_antennas, -1).T.conj(), axis=-1)
+
+    def dense(self) -> np.ndarray:
+        """The dense N x N matrix, as `columns` fills it."""
+        return self.columns(slice(None))
+
+    def columns(self, idx) -> np.ndarray:
+        """W[:, idx] as a new array, bit for bit the same expression on every
+        column, whichever are asked for. Indices select as on the matrix:
+        negative ones count from the end, and out-of-range ones raise
+        IndexError."""
+        n = self.num_antennas
+        out = -2j * math.pi * np.multiply.outer(np.arange(n), np.arange(n)[idx])
+        out /= n
+        np.exp(out, out=out)
+        out /= math.sqrt(n)
+        return out
+
+    def correlate(self, v) -> np.ndarray:
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
+        v = np.asarray(v)
+        out = self._spectra(v)
+        out /= math.sqrt(self.num_antennas)
+        return out[0] if v.ndim == 1 else out
+
+    def move_scores(self, v, weight, scores) -> None:
+        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, as
+        `PhaseModes.move_scores`, with e and phi the correlations of V's two
+        columns. Scaling the columns by sqrt(weight / N) and
+        -2 / sqrt(weight N) before the FFT turns e and phi into e' and
+        phi' with a move of Re(conj(e') (e' + phi'))."""
+        scale = math.sqrt(weight)
+        root = math.sqrt(self.num_antennas)
+        e, phi = self._spectra(np.asarray(v) * [scale / root, -2.0 / (scale * root)])
+        phi += e
+        scores += e.real * phi.real + e.imag * phi.imag
+
+    def scores(self, v) -> np.ndarray:
+        """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or
+        (N, k): (G,) float64, sum_k |FFT(conj(v_k))|^2 / N."""
+        spectra = self._spectra(v)
+        return np.sum(spectra.real**2 + spectra.imag**2, axis=0) / self.num_antennas

@@ -27,7 +27,7 @@ from nearfield import (
     solve_beta_delta,
     uca_radius,
 )
-from nearfield import codebook
+from nearfield import codebook, phase_modes
 from nearfield.codebook import (
     CodebookGrid,
     PairStats,
@@ -296,7 +296,7 @@ def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
     def failing_kernel(*args):
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(codebook, "ring_steering", failing_kernel)
+    monkeypatch.setattr(phase_modes, "ring_steering", failing_kernel)
     with pytest.raises(RuntimeError, match="kernel failed"):
         build_spherical_codebook(small_config, 0.55, 0.25)
 

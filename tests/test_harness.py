@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearfield
-from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, run_trial
+from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, phase_modes, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
@@ -57,6 +57,11 @@ def test_run_spec_validation():
         tiny_spec(methods=("somp-of-doom",))
     with pytest.raises(ConfigurationError):
         tiny_spec(snr_list_db=(10.0, 0.0))
+    # A pilot sweep runs int(value) slots, so only integers >= 1 may label rows.
+    for lengths in ((8.5, 16), (16.0,), (0, 8), (-8,), ("8",)):
+        with pytest.raises(ConfigurationError, match="pilot_lengths must be integers >= 1"):
+            tiny_spec(pilot_lengths=lengths)
+    assert tiny_spec(pilot_lengths=(np.int64(8), 16)).pilot_lengths == (8, 16)
     for workers in (-1, 0, 2, 4):
         with pytest.raises(ConfigurationError, match="workers must be 1"):
             tiny_spec(workers=workers)
@@ -521,8 +526,8 @@ def test_cli_codebook_build_and_stats(tmp_path, capsys):
 def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     fills = []
-    real_fill = codebook._fill_rings
-    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: fills.append(real_fill(*args)))
+    real_fill = phase_modes.fill_rings
+    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: fills.append(real_fill(*args)))
     grid_out = tmp_path / "grid.txt"
     matrix_out = tmp_path / "matrix.bin"
     config_path = tmp_path / "small.cfg"
@@ -574,15 +579,36 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         ("master_seed = inf", "master_seed needs a number, got 'inf'"),
         ("delta = x", "delta needs a number, got 'x'"),
         ("num_iterations = auto", "num_iterations needs a number, got 'auto'"),
+        ("pilot_lengths = 8.5, 16", "pilot_lengths needs an integer, got '8.5'"),
+        ("snr_list_db = 0, x", "snr_list_db needs a number, got 'x'"),
+        ("distance_range = a, 5", "distance_range needs a number, got 'a'"),
     ],
 )
 def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys, line, message):
-    """A bad value is a configuration error (exit 2) naming its key, never
-    truncated to an integer or reported as a runtime failure (exit 3)."""
+    """A bad value, list and range items included, is a configuration error
+    (exit 2) naming its key, never truncated to an integer or reported as a
+    runtime failure (exit 3)."""
     config_path = tmp_path / "bad.cfg"
     config_path.write_text(line + "\n")
     assert cli_main(["trial", "--config", str(config_path)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sweep", "pilot", "--pilot-list", "8.5,16"], "pilot_lengths needs an integer, got '8.5'"),
+        (["sweep", "pilot", "--pilot-list", "0,16"], "pilot_lengths must be integers >= 1, got [0]"),
+        (["sweep", "snr", "--snr-list", "0,x"], "snr_list_db needs a number, got 'x'"),
+    ],
+)
+def test_cli_rejects_bad_list_flags(tmp_path, capsys, command, message):
+    """List flags parse their items as config lists do: a bad item exits 2
+    naming its key, and no CSV is written."""
+    out = tmp_path / "out.csv"
+    assert cli_main(command + ["--trials", "1", "--methods", "ls", "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_integer_config_values_are_exact():
@@ -591,6 +617,8 @@ def test_cli_integer_config_values_are_exact():
     assert _coerce("trials", "3") == 3 and _coerce("trials", "3.0") == 3 and _coerce("trials", "1e3") == 1000
     assert _coerce("master_seed", str(2**63 + 1)) == 2**63 + 1
     assert _coerce("delta", "0.5") == 0.5
+    assert _coerce("pilot_lengths", "8, 16.0, 1e2") == (8, 16, 100)
+    assert _coerce("snr_list_db", "0, 2.5") == (0.0, 2.5)
 
 
 def test_cli_has_no_workers_flag(capsys):

@@ -1,13 +1,15 @@
-"""Phase-mode codebooks against the dense matrix they stand in for.
+"""Matrix-free codebooks against the dense matrix they stand in for.
 
-Spherical and polar codebooks hold phase modes only for arrays of
-`codebook._PHASE_MODE_MIN_ANTENNAS` (512) antennas or more. These tests
-lower that threshold to build phase modes for the small and desk
-geometries, where the dense matrix of the same geometry is the oracle.
+Spherical and polar codebooks hold phase modes, and the angular one a
+`DftBasis`, only for arrays of `codebook._PHASE_MODE_MIN_ANTENNAS` (512)
+antennas or more. These tests lower that threshold to build phase modes for
+the small and desk geometries, where the dense matrix of the same geometry
+is the oracle; the DFT basis is checked against the dense DFT matrix.
 """
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,10 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfield import codebook
-from nearfield.codebook import build_polar_codebook, build_spherical_codebook, export_matrix_binary
+from nearfield import codebook, phase_modes
+from nearfield.codebook import (
+    build_angular_codebook,
+    build_polar_codebook,
+    build_spherical_codebook,
+    export_matrix_binary,
+)
 from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
-from nearfield.phase_modes import fft_length
+from nearfield.phase_modes import DftBasis, fft_length
 
 
 def _phase_mode_build(build, *args):
@@ -52,6 +59,8 @@ def test_array_size_selects_the_representation(desk_spec, desk_codebook):
         book = build(paper.system, paper.delta, paper.r_min_m)
         assert book.modes is not None and book._matrix is None
         assert book.modes.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
+    assert build_angular_codebook(desk_spec.system).modes is None
+    assert isinstance(build_angular_codebook(paper.system).modes, DftBasis)
 
 
 def test_matrix_is_built_on_first_use_and_kept(small_config, book_pairs):
@@ -74,13 +83,13 @@ def test_columns_read_a_built_matrix(small_config, book_pairs, monkeypatch):
     dense = book_pairs["small"][1]
     book.matrix
     filled = []
-    monkeypatch.setattr(codebook, "ring_steering", lambda *args: filled.append(args))
+    monkeypatch.setattr(phase_modes, "ring_steering", lambda *args: filled.append(args))
     idx = [7, 0, 7, book.num_columns - 1]
     assert np.array_equal(book.columns(idx), dense.matrix[:, idx])
     assert filled == []
 
 
-def test_codebook_holds_exactly_one_representation(small_codebook, book_pairs):
+def test_codebook_holds_exactly_one_representation(small_config, small_codebook, book_pairs):
     with pytest.raises(ValueError, match="exactly one"):
         codebook.SphericalCodebook(None, small_codebook.layout)
     held, other = book_pairs["small"][0], book_pairs["desk"][0]
@@ -92,6 +101,15 @@ def test_codebook_holds_exactly_one_representation(small_codebook, book_pairs):
     mismatch = f"{held.num_columns - 1} columns but {held.num_columns} grid points"
     with pytest.raises(ValueError, match=mismatch):
         codebook.SphericalCodebook(small_codebook.matrix[:, 1:], small_codebook.layout)
+    # The DFT book: a matrix or a DftBasis, with as many columns as points.
+    angular = build_angular_codebook(small_config)
+    n = angular.num_columns
+    with pytest.raises(ValueError, match="exactly one"):
+        codebook.SphericalCodebook(angular.matrix, angular.layout, DftBasis(n))
+    with pytest.raises(ValueError, match=f"{n + 1} columns but {n} grid points"):
+        codebook.SphericalCodebook(None, angular.layout, DftBasis(n + 1))
+    held = codebook.SphericalCodebook(None, angular.layout, DftBasis(n))
+    assert held.num_antennas == n and np.array_equal(held.columns(np.arange(n)), angular.matrix)
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -178,8 +196,8 @@ def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_
     ring layout gives `columns` and `num_columns` what they need."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     built = []
-    real_fill, real_grid = codebook._fill_rings, codebook._RingLayout.grid
-    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
+    real_fill, real_grid = phase_modes.fill_rings, codebook._RingLayout.grid
+    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
     monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
     spec = dataclasses.replace(desk_spec, methods=(METHOD_S_SOMP, METHOD_P_SOMP))
     bank = build_codebooks(spec)
@@ -211,8 +229,8 @@ def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monke
     book = build(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     assert book.modes is not None
     built = []
-    real_fill, real_grid = codebook._fill_rings, codebook._RingLayout.grid
-    monkeypatch.setattr(codebook, "_fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
+    real_fill, real_grid = phase_modes.fill_rings, codebook._RingLayout.grid
+    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
     monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
     stats = codebook.coherence_stats(book, 500, seed=1)
     assert built == []
@@ -391,3 +409,99 @@ def test_fft_length_is_the_smallest_5_smooth_length():
     )
     for n in range(1, 2049):
         assert fft_length(n) == next(size for size in smooth if size >= n)
+
+
+def _dft_matrix(n):
+    """The angular book's dense matrix, by the expression its build used
+    before any array size held it as a `DftBasis`."""
+    idx = np.arange(n)
+    return np.exp(-2j * math.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 64),
+    width=st.sampled_from([0, 1, 3, 16]),
+)
+def test_dft_basis_matches_the_dense_dft_product(seed, n, width):
+    """`correlate`, `scores` and `move_scores` of the FFT basis equal the
+    dense products to 1e-12 of the norms involved."""
+    basis, dense = DftBasis(n), _dft_matrix(n)
+    rng = np.random.default_rng(seed)
+    v = _random_block(rng, n, width)
+    got, want = basis.correlate(v), v.conj().T @ dense
+    assert got.shape == want.shape
+    scale = np.linalg.norm(v, axis=0)
+    assert np.max(np.abs(got - want) / (scale[:, None] if width else scale), initial=0.0) <= 1e-12
+    power = np.linalg.norm(v) ** 2
+    summed = np.sum(np.abs(want.reshape(-1, n)) ** 2, axis=0)
+    assert basis.scores(v).shape == (n,)
+    assert np.max(np.abs(basis.scores(v) - summed)) <= 1e-12 * max(power, 1.0)
+    pair = _random_block(rng, n, 2)
+    weight = float(rng.uniform(0.1, 10.0))
+    start = rng.uniform(0.0, 1.0, n)
+    moved = start.copy()
+    basis.move_scores(pair, weight, moved)
+    e, phi = pair.conj().T @ dense
+    norms = np.linalg.norm(pair, axis=0)
+    move_scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
+    assert np.max(np.abs(moved - (start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real))) <= 1e-12 * move_scale
+
+
+@pytest.mark.parametrize("n", [8, 61, 128, 512])
+def test_dft_basis_columns_equal_the_dense_dft_matrix(n):
+    """Every column pattern gives the dense matrix's columns bit for bit,
+    and indices outside it raise IndexError as the matrix does."""
+    basis, dense = DftBasis(n), _dft_matrix(n)
+    rng = np.random.default_rng(n)
+    patterns = {
+        "random": rng.integers(0, n, 300),
+        "contiguous": np.arange(n // 3, n // 3 + n // 2),
+        "reversed": np.arange(n)[::-1],
+        "repeated": np.repeat(rng.integers(0, n, 20), 3),
+        "empty": np.array([], dtype=np.intp),
+        "negative": [-1, -n, 3],
+        "list": [5, 2, 5],
+    }
+    for pattern, idx in patterns.items():
+        got = basis.columns(idx)
+        assert got.shape == dense[:, idx].shape, pattern
+        assert np.array_equal(got, dense[:, idx]), pattern
+    assert np.array_equal(basis.dense(), dense)
+    for outside in ([n], [-n - 1]):
+        with pytest.raises(IndexError):
+            basis.columns(outside)
+        with pytest.raises(IndexError):
+            dense[:, outside]
+
+
+def test_angular_book_of_a_large_array_is_matrix_free():
+    """At N = 2048 the angular book's build allocates under 1 MB, where its
+    dense matrix takes 67 MB; `columns`, `correlate` and export leave that
+    matrix unfilled until `matrix` is read, and it is then the dense DFT
+    matrix bit for bit."""
+    system = dataclasses.replace(paper_profile().system, num_antennas=2048)
+    tracemalloc.start()
+    try:
+        book = build_angular_codebook(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert isinstance(book.modes, DftBasis) and book.modes.nbytes == 0 and book._matrix is None
+    dense = _dft_matrix(2048)
+    assert np.array_equal(book.columns([0, 7, -1]), dense[:, [0, 7, -1]])
+    v = _random_block(np.random.default_rng(0), 2048, 3)
+    assert np.max(np.abs(book.correlate(v) - v.conj().T @ dense)) <= 1e-12 * np.linalg.norm(v)
+    assert book._matrix is None
+    assert np.array_equal(book.matrix, dense) and book.matrix is book.matrix
+
+
+def test_dft_basis_coherence_stats_equal_the_dense_book(small_config):
+    book = build_angular_codebook(small_config)
+    assert np.array_equal(book.matrix, _dft_matrix(small_config.num_antennas))
+    held = _phase_mode_build(build_angular_codebook, small_config)
+    assert isinstance(held.modes, DftBasis)
+    assert codebook.coherence_stats(held, 300, seed=2) == codebook.coherence_stats(book, 300, seed=2)
+    assert held._matrix is None

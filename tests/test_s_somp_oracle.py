@@ -30,7 +30,7 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
-from nearfield.phase_modes import PhaseModes
+from nearfield.phase_modes import DftBasis, PhaseModes
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
 
@@ -222,7 +222,8 @@ def test_gram_matches_dense_on_desk_trials(desk_somp_calls, method):
 
 @pytest.fixture(scope="module")
 def desk_phase_mode_calls(desk_spec):
-    """The calls of `desk_somp_calls`, with phase-mode spherical and polar codebooks."""
+    """The calls of `desk_somp_calls`, with phase-mode spherical and polar
+    codebooks and a `DftBasis` angular one."""
     spec = replace(desk_spec, methods=SOMP_METHODS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
@@ -231,7 +232,7 @@ def desk_phase_mode_calls(desk_spec):
         )
 
 
-@pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
+@pytest.mark.parametrize("method", SOMP_METHODS)
 def test_phase_modes_match_dense_on_desk_trials(desk_somp_calls, desk_phase_mode_calls, method):
     """Same supports as the dense oracle, and the same coefficients,
     estimates and residuals, bit for bit, as the Gram path on the dense
@@ -694,8 +695,8 @@ def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, monkeyp
 
 @pytest.fixture(scope="module")
 def paper_somp_calls():
-    # The paper spherical and polar codebooks hold phase modes; the oracle
-    # reads their lazily built dense matrices.
+    # The paper spherical and polar codebooks hold phase modes, and the
+    # angular one a DftBasis; the oracle reads their lazily built matrices.
     spec = paper_profile(methods=SOMP_METHODS)
     return record_somp_calls(spec, {"snr": ((10.0,), 2)})
 
@@ -706,6 +707,26 @@ def test_paper_scale_supports_match_dense_oracle(paper_somp_calls):
         assert len(paper_somp_calls[method]) == 2
         for args in paper_somp_calls[method]:
             assert s_somp(*args).support == _dense_s_somp(*args).support
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("iterations", [3, 12])
+def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations):
+    """The paper angular book holds a `DftBasis`; S-SOMP on it gives the
+    outputs of the same call on a dense twin of that book, bit for bit.
+    (Other tests read the recorded book's lazy matrix, so a basis-only copy
+    of it is used.)"""
+    for measurements, combining, book, _ in paper_somp_calls[METHOD_ANGULAR]:
+        assert isinstance(book.modes, DftBasis)
+        held = SphericalCodebook(None, book.layout, book.modes)
+        twin = SphericalCodebook(book.modes.dense(), book.layout)
+        got = s_somp(measurements, combining, held, iterations)
+        want = s_somp(measurements, combining, twin, iterations)
+        assert got.support == want.support
+        assert np.array_equal(got.sparse_coeffs, want.sparse_coeffs)
+        assert np.array_equal(got.channel_estimate, want.channel_estimate)
+        assert got.residual_norms == want.residual_norms
+        assert held._matrix is None
 
 
 @pytest.mark.slow
