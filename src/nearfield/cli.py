@@ -111,11 +111,6 @@ def assemble_spec(args) -> harness.RunSpec:
             spec = dataclasses.replace(spec, **spec_updates)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
-
-    if profile_name == "paper" and not args.slow:
-        raise ConfigurationError(
-            "the paper-scale profile (N = 512) is expensive; pass --slow to confirm"
-        )
     return spec
 
 
@@ -125,7 +120,6 @@ def _add_common_flags(parser):
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     parser.add_argument("--methods", help="comma list from: " + ",".join(harness.METHODS))
     parser.add_argument("--profile", choices=sorted(harness.PROFILES), help="built-in parameter profile (default desk)")
-    parser.add_argument("--slow", action="store_true", help="allow the paper-scale profile")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,8 +93,10 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
 
     The noise variance is ||H||_F^2 / (P N_RF M 10^(snr/10)), so the defined
     ratio E(||H||_F^2 / ||N||_F^2) hits the target exactly in expectation.
-    snr_db = +inf yields the noiseless Y = A H.
+    snr_db = +inf yields the noiseless Y = A H; NaN and -inf raise ValueError.
     """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     h = _entries_of(channel)
     a = combining.entries
     if h.shape[0] != a.shape[1]:
@@ -102,7 +104,7 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
             f"channel has {h.shape[0]} antennas but combiner expects {a.shape[1]}"
         )
     clean = a @ h
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return MeasurementSet(clean, 0.0, snr_db, seed)
     energy = float(np.linalg.norm(h) ** 2)
     sigma2 = energy / (clean.shape[0] * h.shape[1] * 10.0 ** (snr_db / 10.0))

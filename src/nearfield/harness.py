@@ -30,7 +30,24 @@ METHOD_P_SOMP = "p-somp"
 METHOD_ANGULAR = "angular-somp"
 METHOD_LS = "ls"
 METHOD_ORACLE = "oracle"
-METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR, METHOD_LS, METHOD_ORACLE)
+
+
+def _somp(measurements, combining, book, spec, *_):
+    return estimator.s_somp(measurements, combining, book, spec.effective_iterations).channel_estimate
+
+
+# method -> (the `CodebookBank` field it searches or None, that codebook's
+# build from a RunSpec, estimate(measurements, combining, codebook, spec,
+# system, paths) -> channel estimate). Rows look builders and estimators up
+# when called, so a patched `build_*_codebook` or `estimator.*` is the one run.
+METHOD_TABLE = {
+    METHOD_S_SOMP: ("spherical", lambda s: build_spherical_codebook(s.system, s.delta, s.r_min_m), _somp),
+    METHOD_P_SOMP: ("polar", lambda s: build_polar_codebook(s.system, s.delta, s.r_min_m), _somp),
+    METHOD_ANGULAR: ("angular", lambda s: build_angular_codebook(s.system), _somp),
+    METHOD_LS: (None, None, lambda y, a, *_: estimator.ls_estimate(y, a)),
+    METHOD_ORACLE: (None, None, lambda y, a, book, spec, system, paths: estimator.oracle_estimate(y, a, paths, system)),
+}
+METHODS = tuple(METHOD_TABLE)
 
 CSV_HEADER = "sweep_value,method,nmse_linear,nmse_db,trials,wall_time_s"
 
@@ -62,9 +79,16 @@ class RunSpec:
             raise ConfigurationError("at least one method is required")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
-            raise ConfigurationError(
-                f"unknown methods {sorted(unknown)}; choose from {METHODS}"
-            )
+            raise ConfigurationError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
+        if self.num_paths < 1:
+            raise ConfigurationError(f"num_paths must be >= 1, got {self.num_paths}")
+        if self.num_iterations is not None and self.num_iterations < 1:
+            raise ConfigurationError(f"num_iterations must be >= 1, got {self.num_iterations}")
+        # +inf is the noiseless sentinel; a NaN or -inf row would be mislabelled.
+        for name, values in (("snr_db", (self.snr_db,)), ("snr_list_db", self.snr_list_db or ())):
+            bad = [v for v in values if v is not None and (math.isnan(v) or v == -math.inf)]
+            if bad:
+                raise ConfigurationError(f"{name} must be finite or +inf, got {bad}")
         # A pilot sweep runs int(value) slots, and its CSV rows carry the value.
         if self.pilot_lengths is not None:
             bad = [p for p in self.pilot_lengths if not isinstance(p, numbers.Integral) or p < 1]
@@ -143,7 +167,7 @@ def desk_profile(**overrides) -> RunSpec:
 
 
 def paper_profile(**overrides) -> RunSpec:
-    """Full-scale geometry (N = 512, P = 32). Slow; gate behind --slow."""
+    """Full-scale geometry (N = 512, P = 32)."""
     system = SystemConfig(
         carrier_freq_hz=30e9,
         bandwidth_hz=100e6,
@@ -167,14 +191,11 @@ PROFILES = {"desk": desk_profile, "paper": paper_profile}
 
 
 def build_codebooks(spec: RunSpec) -> CodebookBank:
-    """Build only the codebooks the selected methods need."""
+    """Build only the codebooks the selected methods need, in table order."""
     bank = CodebookBank()
-    if METHOD_S_SOMP in spec.methods:
-        bank.spherical = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
-    if METHOD_P_SOMP in spec.methods:
-        bank.polar = build_polar_codebook(spec.system, spec.delta, spec.r_min_m)
-    if METHOD_ANGULAR in spec.methods:
-        bank.angular = build_angular_codebook(spec.system)
+    for method, (book, build, _) in METHOD_TABLE.items():
+        if book is not None and method in spec.methods:
+            setattr(bank, book, build(spec))
     return bank
 
 
@@ -206,21 +227,6 @@ def trial_seeds(master_seed: int, kind: str, sweep_value, trial_index: int):
     combining = np.random.SeedSequence(master_seed, spawn_key=(2, key, trial_index))
     noise = np.random.SeedSequence(master_seed, spawn_key=(3, key, trial_index))
     return channel, combining, noise
-
-
-#: The codebook (a `CodebookBank` attribute) each S-SOMP method searches.
-SOMP_CODEBOOKS = {METHOD_S_SOMP: "spherical", METHOD_P_SOMP: "polar", METHOD_ANGULAR: "angular"}
-
-
-def _estimate(method, spec, system, bank, paths, measurements, combining):
-    if method in SOMP_CODEBOOKS:
-        book = getattr(bank, SOMP_CODEBOOKS[method])
-        return estimator.s_somp(measurements, combining, book, spec.effective_iterations)
-    if method == METHOD_LS:
-        return estimator.ls_estimate(measurements, combining)
-    if method == METHOD_ORACLE:
-        return estimator.oracle_estimate(measurements, combining, paths, system)
-    raise ConfigurationError(f"unknown method {method!r}")
 
 
 def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank | None = None, kind: str = "snr") -> dict:
@@ -269,10 +275,9 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
     for method in spec.methods:
         start = time.perf_counter()
         try:
-            outcome = _estimate(method, spec, system, bank, paths, measurements, combining)
-            if isinstance(outcome, estimator.EstimationResult):
-                outcome = outcome.channel_estimate
-            value = estimator.nmse(truth, outcome)
+            book, _, estimate = METHOD_TABLE[method]
+            codebook = getattr(bank, book) if book else None
+            value = estimator.nmse(truth, estimate(measurements, combining, codebook, spec, system, paths))
         except Exception as exc:  # noqa: BLE001 - isolate per-method failures
             _warn_failure(method, trial_index, kind, sweep_value, exc)
             value = math.nan

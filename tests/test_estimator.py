@@ -106,6 +106,16 @@ def test_measurements_noiseless_and_zero_channel():
     assert np.all(zero.observations == 0.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_measurements_reject_nan_and_minus_inf_snr(snr_db):
+    """Only +inf is the noiseless sentinel; NaN and -inf name no SNR."""
+    config = small_system()
+    h = generate_channel(sample_paths(0, 2, (1.0, 5.0), (0.3, 1.5), (0.0, 6.0)), config)
+    combining = generate_combining(1, config.num_pilot_slots, config.num_rf_chains, config.num_antennas)
+    with pytest.raises(ValueError, match="snr_db must be finite or \\+inf"):
+        synthesize_measurements(h, combining, snr_db, seed=3)
+
+
 def test_measurements_linear_in_channel_when_noiseless():
     config = small_system()
     h = generate_channel(sample_paths(5, 2, (1.0, 5.0), (0.3, 1.5), (0.0, 6.0)), config)

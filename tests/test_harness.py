@@ -65,6 +65,21 @@ def test_run_spec_validation():
     for workers in (-1, 0, 2, 4):
         with pytest.raises(ConfigurationError, match="workers must be 1"):
             tiny_spec(workers=workers)
+    # Each of these failed or mislabelled every trial.
+    with pytest.raises(ConfigurationError, match="num_paths must be >= 1, got 0"):
+        tiny_spec(num_paths=0)
+    for iterations in (0, -1):
+        with pytest.raises(ConfigurationError, match=f"num_iterations must be >= 1, got {iterations}"):
+            tiny_spec(num_iterations=iterations)
+    # +inf is the noiseless sentinel; NaN and -inf are not SNRs.
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ConfigurationError, match=r"snr_db must be finite or \+inf"):
+            tiny_spec(snr_db=snr)
+    for snrs in ((0.0, math.nan, 10.0), (-math.inf, math.inf), (math.nan,)):
+        with pytest.raises(ConfigurationError, match=r"snr_list_db must be finite or \+inf"):
+            tiny_spec(snr_list_db=snrs)
+    assert tiny_spec(snr_db=math.inf, snr_list_db=(0.0, math.inf)).snr_list_db == (0.0, math.inf)
+    assert tiny_spec(num_iterations=1, num_paths=1).effective_iterations == 1
 
 
 def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):
@@ -114,6 +129,33 @@ def test_run_trial_deterministic():
     assert first.keys() == second.keys()
     for method in first:
         assert first[method][0] == second[method][0]
+
+
+def test_method_table_calls_module_attributes(monkeypatch):
+    """`build_codebooks` and `run_trial` reach every builder and estimator
+    through its module attribute at call time, so a wrapper patched over one
+    (as a tracer does) sees every call."""
+    calls = []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("build_spherical_codebook", "build_polar_codebook", "build_angular_codebook"):
+        record(harness, name)
+    for name in ("s_somp", "ls_estimate", "oracle_estimate"):
+        record(estimator, name)
+    spec = tiny_spec(methods=METHODS)
+    bank = build_codebooks(spec)
+    assert calls == ["build_spherical_codebook", "build_polar_codebook", "build_angular_codebook"]
+    records = run_trial(spec, 10.0, 0, bank)
+    assert calls[3:] == ["s_somp", "s_somp", "s_somp", "ls_estimate", "oracle_estimate"]
+    assert all(math.isfinite(value) for value, _ in records.values())
 
 
 @pytest.fixture(scope="module")
@@ -553,9 +595,16 @@ def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, mo
     assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.matrix)
 
 
-def test_cli_rejects_paper_profile_without_slow_flag(tmp_path):
-    code = cli_main(["trial", "--profile", "paper", "--trials", "1"])
-    assert code == 2
+def test_cli_paper_profile_needs_no_slow_flag(capsys):
+    """The paper profile assembles like any other, and `--slow` is gone."""
+    from nearfield.cli import assemble_spec, build_parser
+
+    args = build_parser().parse_args(["trial", "--profile", "paper", "--trials", "1"])
+    assert assemble_spec(args) == paper_profile(trials=1)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["trial", "--profile", "paper", "--slow"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --slow" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_method():
@@ -582,6 +631,11 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         ("pilot_lengths = 8.5, 16", "pilot_lengths needs an integer, got '8.5'"),
         ("snr_list_db = 0, x", "snr_list_db needs a number, got 'x'"),
         ("distance_range = a, 5", "distance_range needs a number, got 'a'"),
+        ("snr_db = nan", "snr_db must be finite or +inf, got [nan]"),
+        ("snr_db = -inf", "snr_db must be finite or +inf, got [-inf]"),
+        ("snr_list_db = 0, nan, 10", "snr_list_db must be finite or +inf, got [nan]"),
+        ("num_paths = 0", "num_paths must be >= 1, got 0"),
+        ("num_iterations = 0", "num_iterations must be >= 1, got 0"),
     ],
 )
 def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys, line, message):
@@ -600,11 +654,14 @@ def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys
         (["sweep", "pilot", "--pilot-list", "8.5,16"], "pilot_lengths needs an integer, got '8.5'"),
         (["sweep", "pilot", "--pilot-list", "0,16"], "pilot_lengths must be integers >= 1, got [0]"),
         (["sweep", "snr", "--snr-list", "0,x"], "snr_list_db needs a number, got 'x'"),
+        (["sweep", "snr", "--snr-list=-inf,inf"], "snr_list_db must be finite or +inf, got [-inf]"),
+        (["sweep", "snr", "--snr-list", "0,nan,10"], "snr_list_db must be finite or +inf, got [nan]"),
+        (["sweep", "pilot", "--snr", "nan"], "snr_db must be finite or +inf, got [nan]"),
     ],
 )
 def test_cli_rejects_bad_list_flags(tmp_path, capsys, command, message):
     """List flags parse their items as config lists do: a bad item exits 2
-    naming its key, and no CSV is written."""
+    naming its key, and no CSV is written. A NaN or -inf SNR is one."""
     out = tmp_path / "out.csv"
     assert cli_main(command + ["--trials", "1", "--methods", "ls", "--out", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from nearfield.harness import (
     METHOD_ANGULAR,
     METHOD_P_SOMP,
     METHOD_S_SOMP,
-    SOMP_CODEBOOKS,
+    METHOD_TABLE,
     build_codebooks,
     paper_profile,
     run_trial,
@@ -187,7 +187,7 @@ def record_somp_calls(spec, trials_by_kind):
     every S-SOMP call the harness makes is recorded by codebook.
     """
     bank = build_codebooks(spec)
-    books = {id(getattr(bank, SOMP_CODEBOOKS[m])): m for m in spec.methods}
+    books = {id(getattr(bank, METHOD_TABLE[m][0])): m for m in spec.methods}
     calls = {m: [] for m in spec.methods}
     real = estimator.s_somp
 
