@@ -84,11 +84,17 @@ class RunSpec:
             raise ConfigurationError(f"num_paths must be >= 1, got {self.num_paths}")
         if self.num_iterations is not None and self.num_iterations < 1:
             raise ConfigurationError(f"num_iterations must be >= 1, got {self.num_iterations}")
-        # +inf is the noiseless sentinel; a NaN or -inf row would be mislabelled.
+        # +inf is the noiseless sentinel; a NaN or -inf row would be mislabelled,
+        # and one beyond the measurements' SNR limit would fail every trial.
+        limit = estimator.SNR_LIMIT_DB
         for name, values in (("snr_db", (self.snr_db,)), ("snr_list_db", self.snr_list_db or ())):
-            bad = [v for v in values if v is not None and (math.isnan(v) or v == -math.inf)]
+            values = [v for v in values if v is not None]
+            bad = [v for v in values if math.isnan(v) or v == -math.inf]
             if bad:
                 raise ConfigurationError(f"{name} must be finite or +inf, got {bad}")
+            bad = [v for v in values if math.isfinite(v) and abs(v) > limit]
+            if bad:
+                raise ConfigurationError(f"{name} must lie within +-{limit:g} dB or be +inf, got {bad}")
         # A pilot sweep runs int(value) slots, and its CSV rows carry the value.
         if self.pilot_lengths is not None:
             bad = [p for p in self.pilot_lengths if not isinstance(p, numbers.Integral) or p < 1]

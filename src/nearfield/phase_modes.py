@@ -54,23 +54,26 @@ class _ElevationPlan:
     Position p = 0..2M of `coef` holds c_{p-M} e^{j step p^2 / 2} of each
     ring, `modes` the antenna-mode index (p - M) mod N it multiplies (a
     view of `PhaseModes`' shared mode range), `spectrum` the FFT of the
-    length-F chirp e^{-j step q^2 / 2}, `post` the output chirp
-    e^{j step (s^2 / 2 - M s)}, and `chirp` the unit chirp e^{j step n^2 / 2}
-    for n below both 2M + 1 and S, which `scores` uses.
+    length-F chirp e^{-j step q^2 / 2}, and `chirp` the unit chirp
+    e^{j step n^2 / 2} for n below both 2M + 1 and S, which `scores` uses.
+    The plan holds these, O(Z M + F) entries; the output chirp
+    e^{j step (s^2 / 2 - M s)} of its S azimuths, which only `correlate`
+    applies, is formed there from `step` and `count`.
     """
 
     first_column: int
     modes: np.ndarray = field(repr=False)  # (2M + 1,) int, a view
     coef: np.ndarray = field(repr=False)  # (Z, 2M + 1) complex128
     spectrum: np.ndarray = field(repr=False)  # (F,) complex128
-    post: np.ndarray = field(repr=False)  # (S,) complex128
     chirp: np.ndarray = field(repr=False)  # (max(2M + 1, S),) complex128
+    step: float  # the azimuth step
+    count: int  # S, the azimuths of the elevation
     power_length: int  # L = fft_length(4M + 1), the ring power spectra's length
 
     @property
     def nbytes(self) -> int:
         """Bytes the plan holds; `modes` is a view, counted by `PhaseModes`."""
-        return sum(a.nbytes for a in (self.coef, self.spectrum, self.post, self.chirp))
+        return sum(a.nbytes for a in (self.coef, self.spectrum, self.chirp))
 
 
 def fft_length(n: int) -> int:
@@ -200,15 +203,15 @@ class PhaseModes:
         for (col, coef, step, count, _, chirp), spectrum in zip(shapes, spectra):
             width = coef.shape[1]
             half = width // 2
-            s = np.arange(count, dtype=np.float64)
             self._plans.append(
                 _ElevationPlan(
                     col,
                     self._wrap[reach - half : reach + half + 1],
                     coef,
                     spectrum,
-                    np.exp(1j * step * s * (0.5 * s - half)),
                     chirp,
+                    step,
+                    count,
                     fft_length(2 * width - 1),
                 )
             )
@@ -279,14 +282,15 @@ class PhaseModes:
         return u[:, self._wrap]
 
     def _plan_modes(self, wrapped, plan) -> np.ndarray:
-        """U[:, plan.modes] of a `_wrapped_spectra` array, as a (k, 1, 2M + 1) view."""
+        """U[:, plan.modes] of a `_wrapped_spectra` array, as a (k, 2M + 1) view."""
         start = self._wrap.size // 2 - plan.coef.shape[1] // 2
-        return wrapped[:, None, start : start + plan.coef.shape[1]]
+        return wrapped[:, start : start + plan.coef.shape[1]]
 
     def _unchirped(self, v):
         """Yield (plan, X) per plan: X (k, Z, S) holds V^H W at the plan's
         columns, ring by ring, but for the factor of the output chirp
-        `post`. X is a view of scratch that the next plan overwrites."""
+        e^{j step (s^2 / 2 - M s)}. X is a view of scratch that the next
+        plan overwrites."""
         wrapped = self._wrapped_spectra(v)
         k = wrapped.shape[0]
         # One scratch buffer for every plan; each plan zeroes only its pad.
@@ -294,15 +298,20 @@ class PhaseModes:
         for plan in self._plans:
             rings, width = plan.coef.shape
             buf = scratch[: k * rings * plan.spectrum.size].reshape(k, rings, -1)
-            np.multiply(self._plan_modes(wrapped, plan), plan.coef, out=buf[:, :, :width])
+            np.multiply(self._plan_modes(wrapped, plan)[:, None], plan.coef, out=buf[:, :, :width])
             buf[:, :, width:] = 0.0
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= plan.spectrum
             np.fft.ifft(buf, axis=-1, out=buf)
-            yield plan, buf[:, :, : plan.post.size]
+            yield plan, buf[:, :, : plan.count]
 
     def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||."""
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||.
+
+        Besides the (k, G) output, a call holds the chirp-z scratch of the
+        widest plan, k Z F entries, and one plan's output chirp
+        e^{j step (s^2 / 2 - M s)}, formed here per plan.
+        """
         v = np.asarray(v)
         out = np.empty((v.reshape(self.num_antennas, -1).shape[1], self.num_columns), dtype=np.complex128)
         for plan, chirped in self._unchirped(v):
@@ -310,7 +319,8 @@ class PhaseModes:
             # transposed into `out`: its rows are contiguous there, so the
             # reshape is a view.
             k, rings, count = chirped.shape
-            chirped *= plan.post
+            s = np.arange(count, dtype=np.float64)
+            chirped *= np.exp(1j * plan.step * s * (0.5 * s - plan.coef.shape[1] // 2))
             block = out[:, plan.first_column : plan.first_column + count * rings]
             block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
         return out[0] if v.ndim == 1 else out
@@ -358,25 +368,38 @@ class PhaseModes:
         saving from k = 3 on; S-SOMP passes its M subcarriers (16 in the
         paper). A score that cancels to rounding may come out a little
         below 0 and is clamped there. No (k, G) array is formed.
+
+        Step 1 runs one ring at a time, in scratch for one ring of the
+        widest plan, k max L entries (0.32 MB at N = 512, k = 16, where
+        all rings of a plan took up to 5 times that). pocketfft transforms
+        each row on its own, so the scores are the bits that all rings at
+        once give. Besides the (G,) output and that scratch, a call holds
+        the k spectra FFT(conj(v_k)) and one plan's lags and power,
+        Z (F + 2 L) entries.
         """
         wrapped = self._wrapped_spectra(v)
         k = wrapped.shape[0]
         out = np.empty(self.num_columns)
         # Two scratch buffers for every plan: the a_k's spectra and the lags.
-        spectra_buf = np.empty(k * max(p.coef.shape[0] * p.power_length for p in self._plans), dtype=np.complex128)
+        longest = max(p.power_length for p in self._plans)
+        spectra_buf = np.empty(k * longest, dtype=np.complex128)
         lags_buf = np.empty(max(p.coef.shape[0] * p.spectrum.size for p in self._plans), dtype=np.complex128)
         for plan in self._plans:
             rings, width = plan.coef.shape
-            length, size, count = plan.power_length, plan.spectrum.size, plan.post.size
+            length, size, count = plan.power_length, plan.spectrum.size, plan.count
             chirp = plan.chirp
             # 1. `coef` carries the chirp e^{j step p^2 / 2}, divided out here.
-            spectra = spectra_buf[: k * rings * length].reshape(k, rings, length)
             unchirped = plan.coef * chirp[:width].conj()
-            np.multiply(self._plan_modes(wrapped, plan), unchirped, out=spectra[:, :, :width])
-            spectra[:, :, width:] = 0.0
-            np.fft.fft(spectra, axis=-1, out=spectra)
-            parts = spectra.view(np.float64)  # (k, Z, 2L): re, im interleaved
-            summed = np.einsum("kzl,kzl->zl", parts, parts).reshape(rings, length, 2)
+            modes = self._plan_modes(wrapped, plan)
+            spectra = spectra_buf[: k * length].reshape(k, length)
+            parts = spectra.view(np.float64)  # (k, 2L): re, im interleaved
+            summed = np.empty((rings, 2 * length))
+            for ring, power in zip(unchirped, summed):
+                np.multiply(modes, ring, out=spectra[:, :width])
+                spectra[:, width:] = 0.0
+                np.fft.fft(spectra, axis=-1, out=spectra)
+                np.einsum("kl,kl->l", parts, parts, out=power)
+            summed = summed.reshape(rings, length, 2)
             # 2. h = IFFT(power)[:2M + 1], and the power is real: ihfft.
             lags = np.fft.ihfft(np.add(summed[..., 0], summed[..., 1]), axis=-1)
             # 3. 2 Re sum_d h'[d] e^{j d phi_s}, h'[0] = h[0] / 2, by chirp-z.

@@ -116,6 +116,18 @@ def test_measurements_reject_nan_and_minus_inf_snr(snr_db):
         synthesize_measurements(h, combining, snr_db, seed=3)
 
 
+@pytest.mark.parametrize("snr_db", [1000.5, -1001.0, 4000.0, -4000.0])
+def test_measurements_reject_snrs_beyond_the_limit(snr_db):
+    config = small_system()
+    h = generate_channel(sample_paths(0, 2, (1.0, 5.0), (0.3, 1.5), (0.0, 6.0)), config)
+    combining = generate_combining(1, config.num_pilot_slots, config.num_rf_chains, config.num_antennas)
+    with pytest.raises(ValueError, match="snr_db must lie within \\+-1000 dB or be \\+inf"):
+        synthesize_measurements(h, combining, snr_db, seed=3)
+    for edge in (-1000.0, 1000.0):
+        noisy = synthesize_measurements(h, combining, edge, seed=3)
+        assert np.all(np.isfinite(noisy.observations)) and 0.0 < noisy.noise_variance < math.inf
+
+
 def test_measurements_linear_in_channel_when_noiseless():
     config = small_system()
     h = generate_channel(sample_paths(5, 2, (1.0, 5.0), (0.3, 1.5), (0.0, 6.0)), config)

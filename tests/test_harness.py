@@ -80,6 +80,13 @@ def test_run_spec_validation():
             tiny_spec(snr_list_db=snrs)
     assert tiny_spec(snr_db=math.inf, snr_list_db=(0.0, math.inf)).snr_list_db == (0.0, math.inf)
     assert tiny_spec(num_iterations=1, num_paths=1).effective_iterations == 1
+    # Beyond +-1000 dB, 10^(snr/10) heads for overflow or underflow.
+    for snr in (1000.5, -1001.0, 4000.0):
+        with pytest.raises(ConfigurationError, match=rf"snr_db must lie within \+-1000 dB or be \+inf, got \[{snr}\]"):
+            tiny_spec(snr_db=snr)
+    with pytest.raises(ConfigurationError, match=r"snr_list_db must lie within \+-1000 dB or be \+inf, got \[-4000.0, 4000.0\]"):
+        tiny_spec(snr_list_db=(-4000.0, 0.0, 4000.0, math.inf))
+    assert tiny_spec(snr_db=-1000.0, snr_list_db=(-1000.0, 1000.0, math.inf)).snr_list_db == (-1000.0, 1000.0, math.inf)
 
 
 def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):
@@ -657,11 +664,16 @@ def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys
         (["sweep", "snr", "--snr-list=-inf,inf"], "snr_list_db must be finite or +inf, got [-inf]"),
         (["sweep", "snr", "--snr-list", "0,nan,10"], "snr_list_db must be finite or +inf, got [nan]"),
         (["sweep", "pilot", "--snr", "nan"], "snr_db must be finite or +inf, got [nan]"),
+        (["sweep", "snr", "--snr-list=-4000,4000"], "snr_list_db must lie within +-1000 dB or be +inf, got [-4000.0, 4000.0]"),
+        (["sweep", "snr", "--snr-list=-1001,0,1001"], "snr_list_db must lie within +-1000 dB or be +inf, got [-1001.0, 1001.0]"),
+        (["sweep", "pilot", "--snr=-4000"], "snr_db must lie within +-1000 dB or be +inf, got [-4000.0]"),
+        (["sweep", "pilot", "--snr", "1001"], "snr_db must lie within +-1000 dB or be +inf, got [1001.0]"),
     ],
 )
 def test_cli_rejects_bad_list_flags(tmp_path, capsys, command, message):
     """List flags parse their items as config lists do: a bad item exits 2
-    naming its key, and no CSV is written. A NaN or -inf SNR is one."""
+    naming its key, and no CSV is written. A NaN or -inf SNR is one, and so
+    is one beyond +-1000 dB, which used to exit 0 with rows of 0 trials."""
     out = tmp_path / "out.csv"
     assert cli_main(command + ["--trials", "1", "--methods", "ls", "--out", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err

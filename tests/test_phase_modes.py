@@ -277,15 +277,17 @@ def test_move_scores_form_no_array_of_the_column_count(book_pairs):
 
 def _reference_correlate(modes, v):
     """`PhaseModes.correlate` as written before its scratch was shared across
-    plans: a zeroed buffer per plan, and the output chirp applied while the
-    block is transposed into `out`."""
+    plans: a zeroed buffer per plan, and the output chirp, formed from the
+    plan's azimuth step, applied while the block is transposed into `out`."""
     v = np.asarray(v)
     u = np.fft.fft(v.reshape(modes.num_antennas, -1).conj(), axis=0).T
     k = u.shape[0]
     out = np.empty((k, modes.num_columns), dtype=np.complex128)
     for plan in modes._plans:
         rings, width = plan.coef.shape
-        count = plan.post.size
+        count = plan.count
+        s = np.arange(count, dtype=np.float64)
+        post = np.exp(1j * plan.step * s * (0.5 * s - width // 2))
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
         np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
@@ -294,7 +296,7 @@ def _reference_correlate(modes, v):
         block = out[:, plan.first_column : plan.first_column + count * rings]
         np.multiply(
             buf[:, :, :count].transpose(0, 2, 1),
-            plan.post[:, None],
+            post[:, None],
             out=block.reshape(k, count, rings),
         )
     return out[0] if v.ndim == 1 else out
@@ -320,7 +322,7 @@ def _reference_scores(modes, v):
     out = np.empty(modes.num_columns)
     for plan in modes._plans:
         rings, width = plan.coef.shape
-        count = plan.post.size
+        count = plan.count
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
         np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
@@ -355,7 +357,7 @@ def test_zenith_plan_scores_its_single_column(book_pairs, name):
     h[0]. (The polar book has one elevation, the horizon.)"""
     held, dense = book_pairs[name]
     plan = held.modes._plans[0]
-    assert plan.first_column == 0 and plan.coef.shape == (1, 1) and plan.post.size == 1
+    assert plan.first_column == 0 and plan.coef.shape == (1, 1) and plan.count == 1
     v = _random_block(np.random.default_rng(5), held.num_antennas, 16)
     want = np.sum(np.abs(v.conj().T @ dense.matrix[:, 0]) ** 2)
     assert abs(held.modes.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2

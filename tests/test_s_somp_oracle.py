@@ -397,9 +397,9 @@ def _check_running_scores(patch, args):
         assert np.all(scores[free] >= 0.0)
         assert np.all(np.abs(scores[free] - exact[free]) <= slack)
 
-    def checking(book, a_h, change, previous, updated, scores, blocked, slack):
+    def checking(book, a, change, previous, updated, scores, blocked, slack):
         check(scores, previous, blocked, slack)
-        widened = real(book, a_h, change, previous, updated, scores, blocked, slack)
+        widened = real(book, a, change, previous, updated, scores, blocked, slack)
         assert slack <= widened <= slack + growth
         check(scores, updated, blocked, widened)
         assert np.all(scores[blocked] == -1.0)
@@ -599,7 +599,7 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
     blocked = np.zeros(w.shape[1], dtype=bool)
     blocked[0] = True
     slack = estimator._rank_one_update(
-        book, a.conj().T, residual, previous, np.zeros_like(previous), scores, blocked, estimator.RESCORE_RTOL * scale
+        book, a, residual, previous, np.zeros_like(previous), scores, blocked, estimator.RESCORE_RTOL * scale
     )
     assert scores[0] == -1.0
     assert np.all(scores[1:] >= 0.0)
@@ -622,6 +622,84 @@ def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_phase_mode_c
         assert got.residual_norms == expected.residual_norms
 
 
+def _all_rings_scores(modes, v):
+    """`PhaseModes.scores` as written before step 1 ran one ring at a time:
+    the power spectra of all rings of a plan in one (k, Z, L) array."""
+    wrapped = modes._wrapped_spectra(v)
+    k = wrapped.shape[0]
+    out = np.empty(modes.num_columns)
+    spectra_buf = np.empty(k * max(p.coef.shape[0] * p.power_length for p in modes._plans), dtype=np.complex128)
+    lags_buf = np.empty(max(p.coef.shape[0] * p.spectrum.size for p in modes._plans), dtype=np.complex128)
+    for plan in modes._plans:
+        rings, width = plan.coef.shape
+        length, size, count = plan.power_length, plan.spectrum.size, plan.count
+        chirp = plan.chirp
+        spectra = spectra_buf[: k * rings * length].reshape(k, rings, length)
+        unchirped = plan.coef * chirp[:width].conj()
+        np.multiply(modes._plan_modes(wrapped, plan)[:, None], unchirped, out=spectra[:, :, :width])
+        spectra[:, :, width:] = 0.0
+        np.fft.fft(spectra, axis=-1, out=spectra)
+        parts = spectra.view(np.float64)
+        summed = np.einsum("kzl,kzl->zl", parts, parts).reshape(rings, length, 2)
+        lags = np.fft.ihfft(np.add(summed[..., 0], summed[..., 1]), axis=-1)
+        evaluated = lags_buf[: rings * size].reshape(rings, size)
+        np.multiply(lags[:, :width], chirp[:width], out=evaluated[:, :width])
+        evaluated[:, 0] *= 0.5
+        evaluated[:, width:] = 0.0
+        np.fft.fft(evaluated, axis=-1, out=evaluated)
+        evaluated *= plan.spectrum
+        np.fft.ifft(evaluated, axis=-1, out=evaluated)
+        values = evaluated[:, :count]
+        values *= chirp[:count]
+        block = out[plan.first_column : plan.first_column + count * rings].reshape(count, rings).T
+        np.multiply(values.real, 2.0, out=block)
+        np.maximum(block, 0.0, out=block)
+    return out
+
+
+@pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
+def test_ring_by_ring_power_spectra_change_no_bit_of_s_somp(desk_phase_mode_calls, monkeypatch, method):
+    """`PhaseModes.scores` transforms the power spectra one ring at a time.
+    On the 33 desk trials, whose books hold plans of up to 3 rings, the
+    scores of A^H Y are those of all rings at once, bit for bit, and with
+    `scores` taking all rings at once every S-SOMP output keeps its bits."""
+    calls = desk_phase_mode_calls[method]
+    assert max(plan.coef.shape[0] for plan in calls[0][2].modes._plans) > 1
+    want = [s_somp(*args) for args in calls]
+    for measurements, combining, book, _ in calls:
+        projected = combining.entries.conj().T @ measurements.observations
+        assert np.array_equal(book.modes.scores(projected), _all_rings_scores(book.modes, projected))
+    monkeypatch.setattr(PhaseModes, "scores", _all_rings_scores)
+    for args, expected in zip(calls, want):
+        got = s_somp(*args)
+        assert got.support == expected.support
+        assert np.array_equal(got.sparse_coeffs, expected.sparse_coeffs)
+        assert np.array_equal(got.channel_estimate, expected.channel_estimate)
+        assert got.residual_norms == expected.residual_norms
+        assert got.steps == expected.steps
+
+
+@pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
+def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method):
+    """One phase-mode S-SOMP call traces at most its working set: the
+    float64 score vector and its two boolean arrays (exact, blocked) of G
+    entries, the power spectra scratch of `PhaseModes.scores`, k max L
+    complex entries, and ten N x M complex blocks for the rest (A^H Y, its
+    spectra FFT(conj(v_k)) at the plan modes, one plan's lags and power,
+    numpy's temporaries). Measured on the desk books: 0.43 and 0.39 MB
+    against bounds of 0.47 and 0.44 MB. It was 0.99 and 0.93 MB while each
+    call copied A^H, the spectra scratch held every ring of the widest
+    plan, and the rescoring window formed four boolean arrays of G
+    entries."""
+    for args in desk_phase_mode_calls[method][:3]:
+        measurements, combining, book, _ = args
+        num_antennas, k = book.num_antennas, measurements.observations.shape[1]
+        longest = max(plan.power_length for plan in book.modes._plans)
+        bound = 10 * book.num_columns + 16 * k * longest + 10 * 16 * num_antennas * k
+        s_somp(*args)  # warm any lazily built state
+        assert _traced_peak(s_somp, *args) <= bound
+
+
 @pytest.mark.parametrize("phase_modes", [False, True])
 def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
     """With 512-column chunks, S-SOMP's own peak on a dense book stays
@@ -633,7 +711,9 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     1.10 leaves a margin of a twelfth. It was 1.94 while the first term was
     held, and 1.15 while the later steps kept Gram rows, the rows
     C (A^H Y)^H W and a triangle bound's roots and shifts. Forming the
-    rank-1 moves plan by plan left it at 1.015: the first pass sets it."""
+    rank-1 moves plan by plan left it at 1.015: the first pass sets it.
+    Sizing that pass's power spectra for one ring of the widest plan, with
+    no copy of A^H, brought it to 0.44."""
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
@@ -727,6 +807,18 @@ def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations
         assert np.array_equal(got.channel_estimate, want.channel_estimate)
         assert got.residual_norms == want.residual_norms
         assert held._matrix is None
+
+
+@pytest.mark.slow
+def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
+    """One paper spherical S-SOMP call (G = 100 358, M = 16) traces 2.11 MB:
+    its score vector alone is 0.80 MB. It traced 4.35 MB while each call
+    copied A^H, `scores` held the spectra of every ring of the widest plan
+    and the rescoring window formed four boolean arrays of G entries."""
+    for args in paper_somp_calls[METHOD_S_SOMP]:
+        assert args[2].modes is not None
+        s_somp(*args)  # warm any lazily built state
+        assert _traced_peak(s_somp, *args) <= 2.5e6
 
 
 @pytest.mark.slow
