@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig, UcaGeometry, near_field_steering
 from .codebook import SphericalCodebook
-from .numerics import gram_lstsq, lstsq_minimum_norm
+from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +155,20 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     atom w_i adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`;
     the row after the last iteration is never read and is not formed. The
     scores are formed `_RESCORE_CHUNK` columns at a time (`_chunked_scores`),
-    bit for bit as the whole M x G expression gives them.
+    bit for bit as the whole M x G expression gives them. The working set
+    is the M x G complex first term, the (iterations - 1) x G complex Gram
+    rows, the float64 scores and boolean `blocked` array (9 B per column),
+    M x `_RESCORE_CHUNK` complex and float scratch, and a few N x M blocks:
+    a desk spherical call (G = 3 789, M = 16, 3 iterations) traces 1.44 MiB.
 
     A codebook held as phase modes correlates to ~1e-12, not exactly, and
     S-SOMP keeps one float64 score vector on it, and no M x G array. Its
     working set is that vector, two boolean arrays of G entries (`exact`
     and `blocked`), the scratch of one `PhaseModes.scores` or `move_scores`
     pass, and a few N x M blocks: A^H is never copied, every A^H X is
-    formed as (X^H A)^H (`_adjoint_product`), and the rescoring window is
-    one comparison of the scores. A paper spherical call (G = 100 358,
-    M = 16) traces 2.1 MB, 0.8 MB of it the score vector.
+    formed as (X^H A)^H (`numerics.adjoint_product`), and the rescoring
+    window is one comparison of the scores. A paper spherical call
+    (G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector.
 
     - The first iteration's scores come from `PhaseModes.scores(A^H Y)`.
     - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
@@ -195,7 +199,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     budget = min(a.shape[0], g)
     if num_iterations > budget:
         raise ValueError(f"num_iterations={num_iterations} exceeds the rank budget {budget}")
-    projected = _adjoint_product(y, a)
+    projected = adjoint_product(y, a)
     streamed = codebook.modes is not None
     if streamed:
         scores = codebook.modes.scores(projected)
@@ -254,21 +258,14 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         residual_norms.append(float(np.linalg.norm(remainder)))
         if step < num_iterations - 1:
             if streamed:
-                updated = _adjoint_product(remainder, a)
+                updated = adjoint_product(remainder, a)
                 slack = _rank_one_update(codebook, a, residual - remainder, gradient, updated, scores, blocked, slack)
                 residual, gradient = remainder, updated
             else:
-                gram_rows[step] = codebook.correlate(_adjoint_product(sub[:, -1], a))  # A^H A w_i
+                gram_rows[step] = codebook.correlate(adjoint_product(sub[:, -1], a))  # A^H A w_i
 
     estimate = codebook.columns(support) @ coeffs
     return EstimationResult(support, coeffs, estimate, residual_norms, steps)
-
-
-def _adjoint_product(x, a) -> np.ndarray:
-    """A^H X, for X of shape (P N_RF,) or (P N_RF, k), formed as (X^H A)^H
-    with no copy of A^H. It is conjugated into a C-ordered array, laid out
-    as A^H X is, so every later product and norm sums in the same order."""
-    return np.conjugate((x.conj().T @ a).T, order="C")
 
 
 def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack) -> float:
@@ -305,7 +302,7 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
     if norms[top] > 0.0:
         q = change[:, top] / norms[top]
         d = change.conj().T @ q
-        atom = _adjoint_product(q, a)
+        atom = adjoint_product(q, a)
         direction = previous @ d
         weight = float(np.vdot(d, d).real)
         codebook.modes.move_scores(np.column_stack([atom, direction]), weight, scores)
@@ -320,8 +317,10 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
 
 
 #: Columns scored, or rescored, at once, so that neither the scores of all
-#: columns nor a wide tie ever forms a large block.
-_RESCORE_CHUNK = 4096
+#: columns nor a wide tie ever forms a large block. The dense path's scratch
+#: is M x `_RESCORE_CHUNK` complex plus float entries (0.19 MiB at M = 16);
+#: the rescoring window forms M x `_RESCORE_CHUNK` complex correlations.
+_RESCORE_CHUNK = 512
 
 
 def _score_chunks(shape) -> list:

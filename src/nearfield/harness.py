@@ -205,6 +205,24 @@ def build_codebooks(spec: RunSpec) -> CodebookBank:
     return bank
 
 
+def check_rank_budget(spec: RunSpec, bank: CodebookBank, num_pilot_slots: int) -> None:
+    """Raise ConfigurationError when a selected SOMP method would run more
+    iterations than its rank budget min(P N_RF, G), at `num_pilot_slots` and
+    the smallest selected codebook: S-SOMP would fail every such trial."""
+    sizes = {book: getattr(bank, book).num_columns for m in spec.methods if (book := METHOD_TABLE[m][0])}
+    if not sizes:
+        return
+    name = min(sizes, key=sizes.get)
+    rows = num_pilot_slots * spec.system.num_rf_chains
+    budget = min(rows, sizes[name])
+    if spec.effective_iterations > budget:
+        raise ConfigurationError(
+            f"num_iterations={spec.effective_iterations} (num_paths when unset) exceeds the rank "
+            f"budget {budget} = min(P N_RF = {rows} at {num_pilot_slots} pilot slots, "
+            f"G = {sizes[name]} of the {name} codebook)"
+        )
+
+
 def _sweep_key(kind: str, sweep_value) -> int:
     # Stable non-negative integer encoding of the sweep coordinate. SNRs on
     # the 0.001 dB lattice keep their historical key 2^31 + 1000 v; any other
@@ -241,10 +259,9 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
     Returns {method: (nmse_linear, seconds)}; a method that raises is
     recorded as (nan, seconds) without aborting the others. When drawing
     the paths or synthesising H, A or Y raises, no method runs, and every
-    method is recorded as (nan, 0.0), each with its failure warning.
+    method is recorded as (nan, 0.0), each with its failure warning. With
+    no `bank`, it builds one and checks the rank budget against it.
     """
-    if bank is None:
-        bank = build_codebooks(spec)
     if kind == "snr":
         system = spec.system
         snr_db = float(sweep_value)
@@ -255,6 +272,9 @@ def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank |
         snr_db = spec.snr_db
     else:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
+    if bank is None:
+        bank = build_codebooks(spec)
+        check_rank_budget(spec, bank, system.num_pilot_slots)
 
     channel_seed, combining_seed, noise_seed = trial_seeds(
         spec.master_seed, kind, sweep_value, trial_index
@@ -300,6 +320,7 @@ def _warn_failure(method, trial_index, kind, sweep_value, exc) -> None:
 
 def _run_sweep(spec: RunSpec, kind: str, values) -> SweepResult:
     bank = build_codebooks(spec)
+    check_rank_budget(spec, bank, spec.system.num_pilot_slots if kind == "snr" else min(values))
     rows = []
     for value in values:
         records = [run_trial(spec, value, i, bank, kind) for i in range(spec.trials)]

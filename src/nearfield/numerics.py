@@ -133,6 +133,14 @@ def lstsq_minimum_norm(a_sub: np.ndarray, y: np.ndarray):
     return (x[:, 0] if squeeze else x), ok
 
 
+def adjoint_product(x, a) -> np.ndarray:
+    """A^H X, for X of shape (m,) or (m, k) and A of shape (m, n), formed as
+    (X^H A)^H with no copy of A^H. It is conjugated into a C-ordered array,
+    laid out as A^H X is, so every later product and norm sums in the same
+    order."""
+    return np.conjugate((x.conj().T @ a).T, order="C")
+
+
 #: Largest condition number `gram_lstsq` solves with, as the Cholesky pivots
 #: of the Gram bound it from below: that of the Gram when A is wide or tall,
 #: that of A itself when it is square. Beyond it, it takes the SVD path.
@@ -150,6 +158,13 @@ def gram_lstsq(a, y) -> np.ndarray:
     When the factorisation fails, or that bound for the matrix solved with
     exceeds GRAM_CONDITION_LIMIT, the system counts as numerically
     rank-deficient and is solved by `lstsq_minimum_norm`.
+
+    Its working set is the Gram, its Cholesky factor and a few right-hand-side
+    blocks, plus one m x n conjugate of A while the Gram is formed: that
+    conjugate dies with its product, and A^H X is formed as (X^H A)^H
+    (`adjoint_product`), so no copy of A^H outlives its GEMM. At m x n =
+    128 x 512 with 16 right-hand sides it traces 1.25 MiB, 1 MiB of it that
+    conjugate.
     """
     a = np.asarray(a, dtype=np.complex128)
     rhs = np.asarray(y, dtype=np.complex128)
@@ -158,8 +173,7 @@ def gram_lstsq(a, y) -> np.ndarray:
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"row mismatch: a has {a.shape[0]} rows, y has {rhs.shape[0]}")
     rows, cols = a.shape
-    a_h = a.conj().T
-    gram = a @ a_h if rows < cols else a_h @ a
+    gram = a @ a.conj().T if rows < cols else a.conj().T @ a
     try:
         pivots = np.linalg.cholesky(gram).diagonal().real
         bound = pivots.max() / pivots.min()
@@ -167,9 +181,9 @@ def gram_lstsq(a, y) -> np.ndarray:
             bound *= bound
         if bound <= GRAM_CONDITION_LIMIT:
             if rows < cols:
-                return a_h @ np.linalg.solve(gram, rhs)
+                return adjoint_product(np.linalg.solve(gram, rhs), a)
             if rows > cols:
-                return np.linalg.solve(gram, a_h @ rhs)
+                return np.linalg.solve(gram, adjoint_product(rhs, a))
             return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         pass

@@ -26,6 +26,7 @@ from nearfield.harness import (
     SweepResult,
     SweepRow,
     build_codebooks,
+    check_rank_budget,
     emit_csv,
     load_csv,
     paper_profile,
@@ -678,6 +679,71 @@ def test_cli_rejects_bad_list_flags(tmp_path, capsys, command, message):
     assert cli_main(command + ["--trials", "1", "--methods", "ls", "--out", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        (
+            ["sweep", "snr", "--methods", "s-somp,ls", "--snr-list", "10"],
+            "num_iterations = 200",
+            "num_iterations=200 (num_paths when unset) exceeds the rank budget 64 = "
+            "min(P N_RF = 64 at 16 pilot slots, G = 3789 of the spherical codebook)",
+        ),
+        (
+            ["sweep", "pilot", "--methods", "p-somp,ls"],
+            "num_iterations = 33",
+            "num_iterations=33 (num_paths when unset) exceeds the rank budget 32 = min(P N_RF = 32 at 8 pilot slots",
+        ),
+        (
+            ["sweep", "pilot", "--methods", "s-somp,angular-somp", "--pilot-list", "64"],
+            "num_iterations = 129",
+            "num_iterations=129 (num_paths when unset) exceeds the rank budget 128 = "
+            "min(P N_RF = 256 at 64 pilot slots, G = 128 of the angular codebook)",
+        ),
+        (
+            ["trial", "--methods", "angular-somp,oracle"],
+            "num_paths = 65",
+            "num_iterations=65 (num_paths when unset) exceeds the rank budget 64 = min(P N_RF = 64 at 16 pilot slots",
+        ),
+    ],
+)
+def test_cli_rejects_iterations_above_the_rank_budget(tmp_path, capsys, command, line, message):
+    """An iteration count above min(P N_RF, G), at the smallest pilot length
+    and the smallest selected codebook, used to exit 0 with NaN rows of 0
+    trials after "exceeds the rank budget" warnings. It exits 2, naming the
+    budget, before the first trial, and no CSV is written."""
+    config_path = tmp_path / "it.cfg"
+    config_path.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    flags = ["--out", str(out)] if command[0] == "sweep" else []
+    assert cli_main(command + ["--config", str(config_path), "--trials", "1"] + flags) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rank_budget_admits_the_profiles_and_methods_without_somp(tmp_path):
+    """Every desk and paper profile passes at both sweep kinds' smallest
+    pilot length; an iteration count equal to the budget passes and one
+    more does not; a sweep of no SOMP method ignores the iteration count."""
+    for profile in (desk_profile, paper_profile):
+        spec = profile()
+        bank = build_codebooks(spec)
+        for pilot_slots in (spec.system.num_pilot_slots, min(spec.pilot_lengths)):
+            check_rank_budget(spec, bank, pilot_slots)
+    spec = desk_profile()
+    bank = build_codebooks(spec)
+    check_rank_budget(dataclasses.replace(spec, num_iterations=32), bank, 8)
+    with pytest.raises(ConfigurationError, match="exceeds the rank budget 32 "):
+        check_rank_budget(dataclasses.replace(spec, num_iterations=33), bank, 8)
+    ls_only = dataclasses.replace(spec, methods=("ls",), num_iterations=200)
+    check_rank_budget(ls_only, build_codebooks(ls_only), 8)
+    out = tmp_path / "ls.csv"
+    config_path = tmp_path / "it.cfg"
+    config_path.write_text("num_iterations = 200\n")
+    argv = ["sweep", "snr", "--config", str(config_path), "--methods", "ls", "--trials", "1", "--snr-list", "10"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert load_csv(out)[0].trials == 1
 
 
 def test_cli_integer_config_values_are_exact():

@@ -316,6 +316,17 @@ def test_chunked_scores_equal_unchunked_bit_for_bit(monkeypatch, num_columns, nu
     past a whole number, and a ragged last chunk; the first step and later
     ones."""
     monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
+    _check_chunked_scores(num_columns, num_subcarriers)
+
+
+@pytest.mark.parametrize("num_subcarriers", [1, 4, 16])
+def test_default_chunked_scores_equal_unchunked_bit_for_bit(desk_codebook, num_subcarriers):
+    """At the module's own chunk, on the desk book's width (G = 3 789)."""
+    assert desk_codebook.num_columns == 3789
+    _check_chunked_scores(desk_codebook.num_columns, num_subcarriers)
+
+
+def _check_chunked_scores(num_columns, num_subcarriers):
     rng = np.random.default_rng(num_columns + num_subcarriers)
 
     def draw(*shape):
@@ -608,12 +619,15 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
 def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_phase_mode_calls, monkeypatch, method):
-    """The desk books are narrower than one default chunk; with 512-column
-    chunks, every output on the 33 desk trials, dense and from phase modes,
-    stays bit for bit the same."""
+    """The desk books are narrower than one 4096-column chunk, the size the
+    scores were once formed in; at the default 512-column chunks every
+    output on the 33 desk trials, dense and from phase modes, is bit for
+    bit the one a single chunk gives."""
     calls = desk_somp_calls[method] + desk_phase_mode_calls[method]
-    want = [s_somp(*args) for args in calls]
-    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_RESCORE_CHUNK", 4096)
+        assert max(args[2].num_columns for args in calls) <= 4096
+        want = [s_somp(*args) for args in calls]
     for args, expected in zip(calls, want):
         got = s_somp(*args)
         assert got.support == expected.support
@@ -700,10 +714,32 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
         assert _traced_peak(s_somp, *args) <= bound
 
 
+def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
+    """One dense desk spherical S-SOMP call (G = 3 789, M = 16, 3
+    iterations) traces at most its working set: the M x G complex first
+    term, (iterations - 1) Gram rows of G complex entries, the float64
+    scores and boolean `blocked` array (9 B per column), the complex and
+    float scratch of one `_RESCORE_CHUNK`-column chunk (24 B per entry), and
+    eight N x M complex blocks for the rest. Measured: 1.44 MiB against a
+    bound of 1.51 MiB. It traced 2.57 MiB while the scores were formed 4096
+    columns at a time, in scratch as wide as the whole desk book."""
+    assert desk_codebook.modes is None
+    system = desk_spec.system
+    paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
+    combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
+    measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
+    iterations = desk_spec.num_paths
+    args = (measurements, combining, desk_codebook, iterations)
+    m, g, n = system.num_subcarriers, desk_codebook.num_columns, system.num_antennas
+    bound = 16 * m * g + 16 * (iterations - 1) * g + 9 * g + 24 * m * estimator._RESCORE_CHUNK + 8 * 16 * n * m
+    s_somp(*args)  # warm any lazily built state
+    assert _traced_peak(s_somp, *args) <= bound <= 1.6 * 2**20
+
+
 @pytest.mark.parametrize("phase_modes", [False, True])
 def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
-    """With 512-column chunks, S-SOMP's own peak on a dense book stays
-    within 2.25 M x G complex arrays: the first correlation term, the Gram
+    """With the default 512-column chunks, S-SOMP's own peak on a dense
+    book stays within 2.25 M x G complex arrays: the first term, the Gram
     rows, one score vector and chunk scratch. It was 3.84 when the scores of
     all columns were formed at once. A phase-mode book holds no M x G array:
     its peak, 1.015 M x G when measured, is mostly the FFT scratch of the
@@ -718,7 +754,6 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     assert (book.modes is not None) == phase_modes
-    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -735,7 +770,6 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
     of its peak at 3 (it was 2.6 times that while each step added a Gram
     row and a row C (A^H Y)^H W of G entries)."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
-    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     assert book.modes is not None
     system = desk_spec.system
