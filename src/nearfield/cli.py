@@ -17,6 +17,7 @@ import numpy as np
 from . import codebook as cb
 from . import estimator, harness
 from .channel import ConfigurationError, SystemConfig
+from .phase_modes import Complex64Screen
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,10 +171,12 @@ def _build_spherical(spec) -> cb.SphericalCodebook:
     book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     seconds = time.perf_counter() - start
     n, g = book.num_antennas, book.num_columns
-    if book.modes is None:
+    modes = book.modes
+    if modes is None:
         held = f"the dense matrix: {book.matrix.nbytes} bytes"
+    elif isinstance(modes, Complex64Screen):
+        held = f"a complex64 screen of the matrix, exact columns on request: {modes.nbytes} bytes"
     else:
-        modes = book.modes
         held = f"phase modes of {modes.num_rings} rings, {modes.num_modes} modes: {modes.nbytes} bytes"
     print(f"codebook {n} x {g} holds {held} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
     return book

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ConfigurationError, SystemConfig, UcaGeometry
 from .numerics import first_j0_zero, solve_beta_delta
-from .phase_modes import DftBasis, PhaseModes, fill_rings
+from .phase_modes import Complex64Screen, DftBasis, PhaseModes, ring_matrix
 
 #: Distance value marking the plane-wave (z = 0) ring of the distance grid.
 FAR_FIELD = math.inf
@@ -35,6 +35,27 @@ _IO_CHUNK_BYTES = 1 << 20
 #: (1.8 against 3.0); N = 512, 110 against 88 ms (43 against 8.1), where the
 #: dense spherical matrix also takes 822 MB.
 _PHASE_MODE_MIN_ANTENNAS = 512
+
+#: Ring-built codebooks of smaller arrays with this many columns or more hold
+#: a `Complex64Screen` rather than the dense float64 matrix: half the bytes,
+#: and S-SOMP screens in complex64 and rescores the few columns near the best
+#: exactly. Below it the dense Gram path of S-SOMP is faster, since the
+#: screen pays a fixed cost at every step for the exact columns it fills.
+#: Median time of one S-SOMP call (N = 128, M = 16, 3 iterations, 10 dB),
+#: dense against screened, on the desk spherical book cut to its widest
+#: elevations, on a 2-vCPU VM with OpenBLAS: G = 492, 0.89 against 2.00 ms;
+#: G = 1 836, 1.93 against 2.50; G = 2 592, 2.46 against 2.69; G = 3 123,
+#: 2.84 against 2.88; the whole book, G = 3 789, 3.50 against 3.21.
+_SCREEN_MIN_COLUMNS = 3072
+
+#: Azimuths per slice of the coherence walk: an elevation's columns are
+#: taken this many azimuths at a time, so the walk holds three (N, S, Z)
+#: blocks of at most this S + 1 whatever the elevation's azimuth count
+#: (84 MB each at N = 2048, where an elevation holds up to 10 rings).
+_COHERENCE_AZIMUTHS = 256
+
+#: Grid points per chunk of the grid text export.
+_GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +139,22 @@ class _RingLayout:
 class SphericalCodebook:
     """Transform W (N x G) plus the ring layout of its columns.
 
-    A codebook holds W one of two ways: as the dense `matrix`, or as
-    `modes`, a matrix-free basis: the phase modes of its rings
-    (`PhaseModes`), or the FFT of the DFT book (`DftBasis`). The codebooks
-    of an array of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold a basis
-    and have it fill `matrix` only when it is first read, then keep it.
-    `correlate` and `columns` never build it.
+    A codebook holds W one of two ways: as the dense float64 `matrix`, or
+    as `modes`, a basis with no float64 matrix: the phase modes of its
+    rings (`PhaseModes`), the FFT of the DFT book (`DftBasis`), or W in
+    complex64 (`Complex64Screen`). The codebooks of an array of
+    `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold phase modes or a
+    `DftBasis`; smaller ring-built books of `_SCREEN_MIN_COLUMNS` or more
+    columns hold a screen; the rest hold the matrix. A book with a basis
+    has it fill `matrix` only when it is first read, then keeps it.
+    `correlate` and `columns` never build it, and both are exact to
+    float64 rounding but for phase modes, which correlate to ~1e-12.
 
     `layout` (a `_RingLayout`) says where every column lies; `grid`, the
     same as per-column arrays, is built from it on first read and kept.
     """
 
-    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | DftBasis | None = None):
+    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | DftBasis | Complex64Screen | None = None):
         if (matrix is None) == (modes is None):
             raise ValueError("a codebook holds exactly one of a matrix and a matrix-free basis")
         columns = modes.num_columns if matrix is None else matrix.shape[1]
@@ -168,7 +193,8 @@ class SphericalCodebook:
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G).
 
-        Exact from a dense matrix; from a basis, to ~1e-12 of ||v||.
+        Exact from a dense matrix or a screen; from phase modes, to ~1e-12
+        of ||v||.
         """
         if self.modes is not None:
             return self.modes.correlate(v)
@@ -261,9 +287,9 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
         return SphericalCodebook(None, layout, PhaseModes(layout, geom, lam))
-    matrix = np.empty((config.num_antennas, layout.num_columns), dtype=np.complex128)
-    fill_rings(matrix, layout.elevations(), geom, lam)
-    return SphericalCodebook(matrix, layout)
+    if layout.num_columns >= _SCREEN_MIN_COLUMNS:
+        return SphericalCodebook(None, layout, Complex64Screen(layout, geom, lam))
+    return SphericalCodebook(ring_matrix(layout, geom, lam), layout)
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:
@@ -347,24 +373,48 @@ def _adjacent_correlations(codebook: SphericalCodebook):
     """|correlation| of the column pairs adjacent in t, in s and in z: three
     arrays, each in ascending order of the pairs' first column.
 
-    One `columns` call per elevation gives an (N, S, Z) block, in which s and
-    z neighbours are views offset by one; t neighbours share (s, z) with the
-    previous elevation's block. Two elevations' columns are held at most.
+    The layout is walked in azimuth slices of `_COHERENCE_AZIMUTHS`, each
+    slice through every elevation in turn. One `columns` call gives an
+    elevation's slice as an (N, S, Z) block, with one azimuth more than the
+    slice, so that its s neighbours are in it: s and z neighbours are views
+    offset by one, and t neighbours share (s, z) with the same slice of the
+    previous elevation, the block before. Each pair's value is written at
+    its place in the output, which the layout gives. So every column is
+    filled once (the overlap azimuth twice), and the walk holds three
+    blocks of one slice, whatever the size of an elevation, where whole
+    elevations took 875 MB a block at N = 2048.
     """
     n = codebook.num_antennas
-    pairs = tuple([np.empty(0)] for _ in range(3))
-    previous = None  # the previous elevation's block, conjugated
-    for _, phis, rings, first in codebook.layout.elevations():
-        shape = (n, len(phis), len(rings))
-        block = codebook.columns(np.arange(first, first + shape[1] * shape[2])).reshape(shape)
-        conj = block.conj()
-        if previous is not None:
-            s, z = min(previous.shape[1], shape[1]), min(previous.shape[2], shape[2])
-            pairs[0].append(_correlations(previous[:, :s, :z], block[:, :s, :z]))
-        pairs[1].append(_correlations(conj[:, :-1], block[:, 1:]))
-        pairs[2].append(_correlations(conj[:, :, :-1], block[:, :, 1:]))
-        previous = conj
-    return [np.concatenate(values) for values in pairs]
+    layout = codebook.layout
+    counts, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
+    shared = np.minimum(counts, np.roll(counts, 1))  # azimuths with a t neighbour
+    depth = np.minimum(rings, np.roll(rings, 1))  # rings with a t neighbour
+    shared[0] = depth[0] = 0
+    sizes = (shared * depth, (counts - 1) * rings, counts * (rings - 1))
+    offsets = [np.concatenate([[0], np.cumsum(size)]).tolist() for size in sizes]
+    pairs = [np.empty(offset[-1]) for offset in offsets]
+
+    def put(axis, start, values):
+        pairs[axis][start : start + values.size] = values
+
+    for s0 in range(0, int(counts.max()), _COHERENCE_AZIMUTHS):
+        below = None  # the previous elevation's block of this slice, conjugated
+        for t, (count, z) in enumerate(zip(counts.tolist(), rings.tolist())):
+            if count <= s0:
+                below = None
+                continue
+            s1 = min(s0 + _COHERENCE_AZIMUTHS, count)
+            first = int(layout.column_starts[t]) + s0 * z
+            this = codebook.columns(np.arange(first, first + (min(s1 + 1, count) - s0) * z))
+            this = this.reshape(n, -1, z)
+            conj = this.conj()
+            if s0 < shared[t]:
+                width, common = min(s1, int(shared[t])) - s0, int(depth[t])
+                put(0, offsets[0][t] + s0 * common, _correlations(below[:, :width, :common], this[:, :width, :common]))
+            put(1, offsets[1][t] + s0 * z, _correlations(conj[:, :-1], this[:, 1:]))
+            put(2, offsets[2][t] + s0 * (z - 1), _correlations(conj[:, : s1 - s0, :-1], this[:, : s1 - s0, 1:]))
+            below = conj
+    return pairs
 
 
 def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int = 0) -> CoherenceStats:
@@ -397,11 +447,17 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
 
 
 def export_grid_text(codebook: SphericalCodebook, path) -> None:
-    """One grid point per line: t,s,z,r,theta,phi (r = inf marks far field)."""
-    columns = (*codebook.grid.indices.T.tolist(), *codebook.grid.coords.T.tolist())
+    """One grid point per line: t,s,z,r,theta,phi (r = inf marks far field).
+
+    Written `_GRID_CHUNK` points at a time from `codebook.layout.locate`, so
+    the grid is never held whole and the codebook does not build `grid`.
+    """
+    layout = codebook.layout
+    g = layout.num_columns
     with open(path, "w", encoding="utf-8") as handle:
-        for t, s, z, r, theta, phi in zip(*columns):
-            handle.write(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n")
+        for start in range(0, g, _GRID_CHUNK):
+            columns = [part.tolist() for part in layout.locate(np.arange(start, min(start + _GRID_CHUNK, g)))]
+            handle.writelines(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
 
 
 def load_grid_text(path) -> CodebookGrid:

@@ -125,13 +125,6 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
     return MeasurementSet(clean + noise, sigma2, snr_db, seed)
 
 
-#: Columns whose phase-mode score lies within this share of ||A^H Y||_F^2
-#: of the best one are rescored on their exact columns; later iterations
-#: widen that slack by a bound on each score update's error. Phase-mode
-#: scores lie within ~1e-12 of ||A^H Y||_F^2 of the exact ones.
-RESCORE_RTOL = 1e-8
-
-
 def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: SphericalCodebook, num_iterations: int) -> EstimationResult:
     """Simultaneous OMP over the dictionary A W, without ever forming it.
 
@@ -142,8 +135,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     subdictionary numerically rank-deficient are skipped with a warning.
 
     Only the selected columns, from `codebook.columns`, pass through A, for
-    the least-squares step and the residual; W is never copied, and nothing
-    P N_RF x G is allocated.
+    the least-squares step and the residual, and the last step's columns
+    give the estimate; W is never copied, and nothing P N_RF x G is
+    allocated.
 
     On a dense codebook the correlations use the Gram update of Batch-OMP
     (Rubinstein, Zibulevsky & Elad 2008) applied to SOMP. With residual
@@ -159,18 +153,23 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     is the M x G complex first term, the (iterations - 1) x G complex Gram
     rows, the float64 scores and boolean `blocked` array (9 B per column),
     M x `_RESCORE_CHUNK` complex and float scratch, and a few N x M blocks:
-    a desk spherical call (G = 3 789, M = 16, 3 iterations) traces 1.44 MiB.
+    a call on the dense float64 twin of the desk spherical book (G = 3 789,
+    M = 16, 3 iterations) traces 1.44 MiB.
 
-    A codebook held as phase modes correlates to ~1e-12, not exactly, and
+    A codebook held as a basis (phase modes, a `DftBasis` or a
+    `Complex64Screen`) scores to within a known bound, not exactly, and
     S-SOMP keeps one float64 score vector on it, and no M x G array. Its
     working set is that vector, two boolean arrays of G entries (`exact`
-    and `blocked`), the scratch of one `PhaseModes.scores` or `move_scores`
-    pass, and a few N x M blocks: A^H is never copied, every A^H X is
-    formed as (X^H A)^H (`numerics.adjoint_product`), and the rescoring
-    window is one comparison of the scores. A paper spherical call
-    (G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector.
+    and `blocked`), the scratch of one `scores` or `move_scores` pass, and
+    a few N x M blocks: A^H is never copied, every A^H X is formed as
+    (X^H A)^H (`numerics.adjoint_product`), and the rescoring window is one
+    comparison of the scores. A paper spherical call (phase modes,
+    G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector; a
+    desk spherical call (screen, G = 3 789, M = 16) 0.60 MiB at 3 and at 8
+    iterations, most of it the M x G complex64 product of the first pass
+    (the dense Gram path took 1.44 and 1.74 MiB).
 
-    - The first iteration's scores come from `PhaseModes.scores(A^H Y)`.
+    - The first iteration's scores come from the basis' `scores(A^H Y)`.
     - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
       rank-1 matrix q d^H (the projection onto the new atom's direction).
       q is Delta's largest column, normalised, and d = Delta^H q. With
@@ -178,18 +177,19 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
           ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-      added in place plan by plan by `PhaseModes.move_scores`
-      (`_rank_one_update`); the result is clamped at 0, and consumed and
-      rejected columns stay at -1. The last iteration's change is never
-      read and is not formed.
+      added in place by the basis' `move_scores` (`_rank_one_update`);
+      the result is clamped at 0, and consumed and rejected columns stay at
+      -1. The last iteration's change is never read and is not formed.
     - Before a column is taken, every column scoring within `slack` of the
       best is rescored in float64 on its exact column, from (A^H R_t)^H W,
       so the support is the one exact scores give, and the least-squares
       step and the estimate use exact columns. The slack starts at
-      RESCORE_RTOL ||A^H Y||_F^2, which covers the first pass's error, and
-      each update adds a bound on its own error (see `_rank_one_update`), so
+      rtol ||A^H Y||_F^2, which covers the first pass's error, and each
+      update adds a bound on its own error (see `_rank_one_update`), so
       every running score stays within the slack of its exact score and
-      the pick is the exact argmax.
+      the pick is the exact argmax. rtol is the basis' `rescore_rtol`:
+      `phase_modes.RESCORE_RTOL` for phase modes and the DFT basis, and a
+      bound derived from its precision for a `Complex64Screen`.
     """
     y = measurements.observations
     a = combining.entries
@@ -202,8 +202,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     projected = adjoint_product(y, a)
     streamed = codebook.modes is not None
     if streamed:
+        rtol = codebook.modes.rescore_rtol
         scores = codebook.modes.scores(projected)
-        slack = RESCORE_RTOL * float(np.vdot(projected, projected).real)
+        slack = rtol * float(np.vdot(projected, projected).real)
         residual, gradient = y, projected  # R_t and A^H R_t
     else:
         base = codebook.correlate(projected)
@@ -238,7 +239,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             # Formed as (W_S^T A^T)^T: BLAS then takes its general GEMM path,
             # whose columns equal those of a full A @ W product bit for bit
             # (A @ W_S with a few columns takes a small-matrix kernel).
-            sub = (codebook.columns(support + [best]).T @ a.T).T
+            selected = codebook.columns(support + [best])
+            sub = (selected.T @ a.T).T
             solution, well_conditioned = lstsq_minimum_norm(sub, y)
             if well_conditioned:
                 break
@@ -259,16 +261,16 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         if step < num_iterations - 1:
             if streamed:
                 updated = adjoint_product(remainder, a)
-                slack = _rank_one_update(codebook, a, residual - remainder, gradient, updated, scores, blocked, slack)
+                slack = _rank_one_update(codebook, a, residual - remainder, gradient, updated, scores, blocked, slack, rtol)
                 residual, gradient = remainder, updated
             else:
                 gram_rows[step] = codebook.correlate(adjoint_product(sub[:, -1], a))  # A^H A w_i
 
-    estimate = codebook.columns(support) @ coeffs
+    estimate = selected @ coeffs  # W_S of the final support
     return EstimationResult(support, coeffs, estimate, residual_norms, steps)
 
 
-def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack) -> float:
+def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack, rtol) -> float:
     """Move phase-mode `scores` from residual R_{t-1} to R_t = R_{t-1} - change,
     and return `slack` widened by a bound on the move's error.
 
@@ -280,14 +282,16 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
 
         ||x_j||^2 = old score + ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-    e = a^H W and phi = b^H W, added by `PhaseModes.move_scores`. Two
+    e = a^H W and phi = b^H W, added by the basis' `move_scores`. Two
     errors move the running score off the exact one, and the slack grows
     by a bound on each:
 
-    - e and phi come from phase modes, each entry within eps of ||a|| and
-      ||b|| (eps ~1e-12), so the move is off by at most
-      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||), and RESCORE_RTOL
-      stands in for eps (2 + eps), which it bounds up to eps = 5e-9;
+    - e and phi come from the basis, each entry within eps of ||a|| and
+      ||b|| (eps ~1e-12 for phase modes), so the move is off by at most
+      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||). `rtol`, the basis'
+      `rescore_rtol`, stands in for eps (2 + eps): RESCORE_RTOL bounds it
+      up to eps = 5e-9, and a `Complex64Screen` derives its own from its
+      eps;
     - E is zero but for rounding, because `change` is the rank-1
       projection of the residual onto the new atom's direction; it moves
       the score by at most ||E||_F (2 ||x_j|| + ||E||_F), with
@@ -310,7 +314,7 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
         atom_norm = float(np.linalg.norm(atom))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
         reach = float(np.linalg.norm(previous)) + math.sqrt(weight) * atom_norm
-        slack += RESCORE_RTOL * atom_norm * (weight * atom_norm + 2.0 * float(np.linalg.norm(direction)))
+        slack += rtol * atom_norm * (weight * atom_norm + 2.0 * float(np.linalg.norm(direction)))
         slack += mismatch * (2.0 * reach + mismatch)
     scores[blocked] = -1.0
     return slack

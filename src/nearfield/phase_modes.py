@@ -23,8 +23,15 @@ The angular codebook's DFT columns e^{-j k psi_n} / sqrt(N) are the UCA's
 phase-mode excitations themselves, so `DftBasis` correlates with all of
 them by one FFT of conj(v) and holds nothing but N.
 
-Both bases fill the columns asked of them, bit for bit as the dense matrix
-of the same book, and fill that whole matrix on request (`dense`).
+A ring-built book too small for phase modes to pay but wide enough for
+its dense float64 matrix to dominate memory holds a `Complex64Screen`: the
+matrix in complex64, half the bytes, which scores every column by one
+complex64 product. Its scores carry a proven bound on their error, so
+S-SOMP rescores every column near the best on its exact float64 column
+and every pick is the one the float64 matrix gives.
+
+Every basis fills the columns asked of it, bit for bit as the dense matrix
+of the same book, and fills that whole matrix on request (`dense`).
 """
 
 import math
@@ -45,6 +52,19 @@ _MAX_DOUBLINGS = 4
 #: Azimuths per slice of the ring fill: small enough that a slice's scratch
 #: stays in cache.
 _AZIMUTH_SLICE = 64
+#: Columns whose phase-mode or DFT score lies within this share of
+#: ||A^H Y||_F^2 of the best one are rescored on their exact columns by
+#: `estimator.s_somp`; later iterations widen that slack by a bound on each
+#: score update's error. Phase-mode scores lie within ~1e-12 of
+#: ||A^H Y||_F^2 of the exact ones, DFT scores within ~1e-15. Each basis
+#: states its share as `rescore_rtol`: this one for `PhaseModes` and
+#: `DftBasis`, and `screen_rtol(N)` for a `Complex64Screen`, whose complex64
+#: scores are further off (4.5e-5 at N = 128).
+RESCORE_RTOL = 1e-8
+#: Rows of the complex64 correlations whose squares `Complex64Screen.scores`
+#: sums in float32 before adding the block's sums in float64, so that the
+#: float32 sum's error bound does not grow with the number of vectors.
+_SCREEN_SUM_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,32 +171,118 @@ def fill_rings(matrix, elevations, geom, wavelength_m):
 def _as_slice(positions):
     """The slice that picks `positions` when they rise in even steps, else
     `positions` itself; indexing with either gives the same elements."""
-    step = int(positions[1] - positions[0]) if positions.size > 1 else 1
-    if step > 0 and np.all(np.diff(positions) == step):
-        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    first = int(positions[0])
+    step = int(positions[1]) - first if positions.size > 1 else 1
+    if step > 0 and (positions[1:] - positions[:-1] == step).all():
+        return slice(first, int(positions[-1]) + 1, step)
     return positions
 
 
-class PhaseModes:
-    """V^H W of a ring-built codebook W, from its rings' phase modes.
+def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
+    """The N x G matrix of a ring layout in `dtype`, filled by `fill_rings`.
+
+    Each ufunc of the fill computes in float64 and casts on output, so a
+    complex64 matrix holds every float64 entry rounded once, and no float64
+    matrix is formed on the way.
+    """
+    matrix = np.empty((geom.num_antennas, layout.num_columns), dtype=dtype)
+    fill_rings(matrix, layout.elevations(), geom, wavelength_m)
+    return matrix
+
+
+def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
+    """W[:, idx] of the ring layout's book as a new (N, len(idx)) complex128
+    array, bit for bit as `fill_rings` fills the dense matrix, and in the
+    Fortran order in which `matrix[:, idx]` gives them: numpy's product of
+    a matrix with one vector sums in an order that follows the layout.
+
+    Indices select as on the matrix: negative ones count from the end, and
+    out-of-range ones raise IndexError. Only the columns asked for are
+    filled, through `ring_steering`; the layout gives their rings and
+    azimuths. The columns are grouped by ring with one stable sort, and
+    every ring takes its rows of one `azimuth_cosines` array of the
+    distinct azimuths asked for, which the rings of a contiguous range
+    share. Every entry is the same expression however many columns are
+    filled at once.
+    """
+    g = layout.num_columns
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and (idx.min() < -g or idx.max() >= g):
+        raise IndexError(f"column index out of range for {g} columns")
+    idx = idx % g  # negative indices count from the end, as in the matrix
+    n = geom.num_antennas
+    out = np.empty((n, idx.size), dtype=np.complex128, order="F")
+    t, _, z, r, theta, phi = layout.locate(idx)
+    phis, azimuth_of = np.unique(phi, return_inverse=True)
+    cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
+    keys = (t << 32) + z
+    by_ring = np.argsort(keys, kind="stable")
+    ordered = keys[by_ring]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), idx.size] if idx.size else []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        sel = by_ring[start:stop]
+        # In a contiguous range, a ring's columns step evenly and its
+        # azimuths are consecutive, so both are taken as views.
+        cols = _as_slice(sel)
+        rows = _as_slice(azimuth_of[sel])
+        view = isinstance(cols, slice)
+        block = out[:, cols] if view else np.empty((n, sel.size), dtype=np.complex128)
+        ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, wavelength_m, block)
+        if not view:
+            out[:, sel] = block
+    return out
+
+
+class _RingBasis:
+    """What the bases of a ring-built codebook share: the ring layout, the
+    array and the wavelength, and from them the exact float64 matrix and
+    columns, bit for bit as `fill_rings` fills them.
 
     `layout` (a `codebook._RingLayout`) says where every column lies: its
     `elevations()` yields (theta, azimuths, rings, first column) per
     elevation, the order `fill_rings` fills, with columns s-major and
-    z-minor within an elevation and azimuths uniform from 0. Besides the
-    layout, only the coefficients and per-elevation chirps are stored, a
-    few MB where the dense W of an N = 512 array takes 822 MB.
+    z-minor within an elevation and azimuths uniform from 0.
     """
 
     def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
         self.layout = layout
         self.geom = geom
         self.wavelength_m = wavelength_m
+
+    @property
+    def num_antennas(self) -> int:
+        return self.geom.num_antennas
+
+    @property
+    def num_columns(self) -> int:
+        return self.layout.num_columns
+
+    def dense(self) -> np.ndarray:
+        """The dense float64 N x G matrix, filled ring by ring by `fill_rings`."""
+        return ring_matrix(self.layout, self.geom, self.wavelength_m)
+
+    def columns(self, idx) -> np.ndarray:
+        """W[:, idx] as a new (N, len(idx)) array, bit for bit as `dense`
+        (`ring_columns`)."""
+        return ring_columns(self.layout, self.geom, self.wavelength_m, idx)
+
+
+class PhaseModes(_RingBasis):
+    """V^H W of a ring-built codebook W, from its rings' phase modes.
+
+    Besides the layout, only the coefficients and per-elevation chirps are
+    stored, a few MB where the dense W of an N = 512 array takes 822 MB.
+    Its correlations lie within ~1e-12 of ||v||, so S-SOMP rescores the
+    columns within `rescore_rtol` of the best.
+    """
+
+    rescore_rtol = RESCORE_RTOL
+
+    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
+        super().__init__(layout, geom, wavelength_m)
         n = geom.num_antennas
-        self.num_columns = 0
         shapes = []  # (first column, coef, azimuth step, S, F, chirp) per elevation
         for theta, phis, rings, col in layout.elevations():
-            self.num_columns += len(phis) * len(rings)
             modes = ring_modes(theta, rings, geom, wavelength_m)
             step = float(phis[1]) if len(phis) > 1 else 0.0
             width = modes.shape[1]
@@ -217,10 +323,6 @@ class PhaseModes:
             )
 
     @property
-    def num_antennas(self) -> int:
-        return self.geom.num_antennas
-
-    @property
     def num_rings(self) -> int:
         return sum(plan.coef.shape[0] for plan in self._plans)
 
@@ -232,48 +334,6 @@ class PhaseModes:
     @property
     def nbytes(self) -> int:
         return self._wrap.nbytes + sum(plan.nbytes for plan in self._plans)
-
-    def dense(self) -> np.ndarray:
-        """The dense N x G matrix, filled ring by ring by `fill_rings`."""
-        matrix = np.empty((self.num_antennas, self.num_columns), dtype=np.complex128)
-        fill_rings(matrix, self.layout.elevations(), self.geom, self.wavelength_m)
-        return matrix
-
-    def columns(self, idx) -> np.ndarray:
-        """W[:, idx] as a new (N, len(idx)) array, bit for bit as `dense`.
-
-        Only the columns asked for are filled, through `ring_steering` one
-        ring at a time, as `fill_rings` fills them; the layout gives their
-        rings and azimuths. The columns are grouped by ring with one stable
-        sort, and every ring takes its rows of one `azimuth_cosines` array
-        of the distinct azimuths asked for, which the rings of a contiguous
-        range share.
-        """
-        g = self.num_columns
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < -g or idx.max() >= g):
-            raise IndexError(f"column index out of range for {g} columns")
-        idx = idx % g  # negative indices count from the end, as in the matrix
-        geom, lam = self.geom, self.wavelength_m
-        out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128)
-        t, _, z, r, theta, phi = self.layout.locate(idx)
-        phis, azimuth_of = np.unique(phi, return_inverse=True)
-        cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
-        keys = (t << 32) + z
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        for start, stop in zip(starts, np.append(starts[1:], idx.size)):
-            sel = order[start:stop]
-            # In a contiguous range, a ring's columns step evenly and its
-            # azimuths are consecutive, so both are taken as views.
-            cols = _as_slice(sel)
-            rows = _as_slice(azimuth_of[sel])
-            view = isinstance(cols, slice)
-            block = out[:, cols] if view else np.empty((geom.num_antennas, sel.size), dtype=np.complex128)
-            ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, lam, block)
-            if not view:
-                out[:, sel] = block
-        return out
 
     def _wrapped_spectra(self, v) -> np.ndarray:
         """U = FFT(conj(V)) at the antenna modes -H..H, (k, 2H + 1): plan
@@ -427,6 +487,7 @@ class DftBasis:
     """
 
     nbytes = 0
+    rescore_rtol = RESCORE_RTOL
 
     def __init__(self, num_antennas: int):
         self.num_antennas = num_antennas
@@ -479,3 +540,126 @@ class DftBasis:
         (N, k): (G,) float64, sum_k |FFT(conj(v_k))|^2 / N."""
         spectra = self._spectra(v)
         return np.sum(spectra.real**2 + spectra.imag**2, axis=0) / self.num_antennas
+
+
+def screen_rtol(num_antennas: int) -> float:
+    """eps (2 + eps) for the eps that bounds `Complex64Screen`'s correlation
+    errors at N antennas; see the class docstring for the derivation."""
+    u = 2.0**-24  # unit roundoff of float32
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    inner = math.sqrt(2.0) * gamma(2 * num_antennas) * (1.0 + u) ** 2 + u * (2.0 + u)
+    eps = inner + gamma(_SCREEN_SUM_ROWS) + u
+    return eps * (2.0 + eps)
+
+
+class Complex64Screen(_RingBasis):
+    """V^H W of a ring-built codebook W, screened through W held in complex64.
+
+    The basis holds the N x G matrix rounded once to complex64
+    (`ring_matrix`), half the bytes of the float64 one: 3.9 MB for the
+    desk spherical book (N = 128, G = 3 789). `scores` is one complex64
+    GEMM plus a reduction and `move_scores` two complex64 GEMVs, each
+    within a proven bound of the float64 values; `columns`, `dense` and
+    `correlate` are exact float64, from the layout through `ring_steering`,
+    so S-SOMP rescores the columns near the best on exact columns and every
+    pick is the float64 argmax.
+
+    The bound. Each vector v is scaled by 1 / ||v|| in float64 and then
+    rounded to complex64, v', and w_j is stored as w'_j; with u = 2^-24
+    each entry moves by at most u of its modulus, so ||v' - v|| <= u ||v||
+    and ||w' - w_j|| <= u. The real and imaginary parts of v'^H w'_j are
+    each a float32 dot product of 2N real products, which in any summation
+    order, with or without fused multiply-adds, is off by at most
+    gamma_{2N} = 2N u / (1 - 2N u) of the sum of the products' moduli
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec.
+    3.1); by Cauchy-Schwarz over the 2N (re, im) pairs, that puts the
+    complex result within sqrt(2) gamma_{2N} ||v'|| ||w'_j||. So every
+    correlation is within
+
+        eps_c ||v||,  eps_c = sqrt(2) gamma_{2N} (1 + u)^2 + u (2 + u),
+
+    of v^H w_j, and its squared modulus within eps_c (2 + eps_c) ||v||^2.
+    `scores` sums the squares of real and imaginary parts in float32
+    `_SCREEN_SUM_ROWS` vectors at a time, off by at most gamma_16 of the
+    (nonnegative) sum, and adds the blocks in float64; with the float64
+    scaling, that is at most eta = gamma_16 + u of the score for fewer than
+    2^28 vectors. With eps = eps_c + eta, every score is within
+
+        rescore_rtol ||V||_F^2,  rescore_rtol = eps (2 + eps),
+
+    of sum_k |v_k^H w_j|^2, since eps_c (2 + eps_c) + eta (1 + eps_c)^2
+    <= eps (2 + eps). The moves of `move_scores` come from correlations
+    within eps_c of their vectors' norms, the premise under which
+    `estimator._rank_one_update` widens S-SOMP's slack by rescore_rtol.
+    Underflow of tiny entries after the scaling adds ~1e-36 absolutely,
+    and the 1 / ||v|| scaling keeps float32 from overflowing. At N = 128,
+    rescore_rtol = 4.5e-5; on 120 desk first passes the error reached 3.4e-8.
+    """
+
+    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
+        super().__init__(layout, geom, wavelength_m)
+        self.entries = ring_matrix(layout, geom, wavelength_m, np.complex64)
+        self.rescore_rtol = screen_rtol(geom.num_antennas)
+
+    @property
+    def nbytes(self) -> int:
+        return self.entries.nbytes
+
+    def correlate(self, v) -> np.ndarray:
+        """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from
+        the dense float64 matrix, which it fills for the call."""
+        return np.asarray(v).conj().T @ self.dense()
+
+    def _screened(self, v, norm) -> np.ndarray:
+        """v^H W of one vector with ||v|| = norm: v / norm in complex64
+        through one GEMV, scaled back by norm in float64, (G,) complex128."""
+        if norm == 0.0:
+            return np.zeros(self.num_columns, dtype=np.complex128)
+        unit = (v / norm).astype(np.complex64)
+        out = (unit.conj() @ self.entries).astype(np.complex128)
+        out *= norm
+        return out
+
+    def move_scores(self, v, weight, scores) -> None:
+        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, as
+        `PhaseModes.move_scores`, with e and phi the screened correlations
+        of V's two columns, each within eps_c of its column's norm. The
+        columns are scaled by sqrt(weight) and -2 / sqrt(weight) first, and
+        the move Re(conj(e') (e' + phi')) is formed in float64."""
+        scale = math.sqrt(weight)
+        v = np.asarray(v) * [scale, -2.0 / scale]
+        norms = np.linalg.norm(v, axis=0)
+        e, phi = (self._screened(column, float(norm)) for column, norm in zip(v.T, norms))
+        phi += e
+        scores += np.einsum("gi,gi->g", e.view(np.float64).reshape(-1, 2), phi.view(np.float64).reshape(-1, 2))
+
+    def scores(self, v) -> np.ndarray:
+        """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or
+        (N, k): (G,) float64, within rescore_rtol ||V||_F^2.
+
+        One complex64 GEMM of V / ||V||_F against the screen, then the
+        squares of its real and imaginary parts summed over the vectors,
+        `_SCREEN_SUM_ROWS` at a time in float32 and across blocks in
+        float64, and scaled by ||V||_F^2. Besides the (G,) output, a call
+        holds the (k, G) complex64 product and one block's (2G,) float32
+        sums: 0.5 MB at k = 16 on the desk book.
+        """
+        vectors = np.asarray(v).reshape(self.num_antennas, -1)
+        g = self.num_columns
+        out = np.zeros(g)
+        norm = float(np.linalg.norm(vectors))
+        if norm == 0.0:
+            return out
+        unit = (vectors / norm).astype(np.complex64)
+        parts = (unit.conj().T @ self.entries).view(np.float32)  # (k, 2G): re, im interleaved
+        power = np.empty(2 * g, dtype=np.float32)
+        for start in range(0, parts.shape[0], _SCREEN_SUM_ROWS):
+            block = parts[start : start + _SCREEN_SUM_ROWS]
+            np.einsum("kl,kl->l", block, block, out=power)
+            out += power[0::2]
+            out += power[1::2]
+        out *= norm * norm
+        return out

@@ -39,6 +39,7 @@ from nearfield.codebook import (
     min_codebook_distance,
 )
 from nearfield.harness import paper_profile
+from nearfield.phase_modes import Complex64Screen, PhaseModes
 from steering_oracle import oracle_column, oracle_matrix
 
 # sha256 of each codebook's grid text, frozen from the per-point GridPoint
@@ -260,13 +261,20 @@ def _grid_of(spec, thetas):
 def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, monkeypatch, phase_modes, polar):
     """A ring-built codebook keeps its layout as arrays and builds `grid`
     from it on first read, then keeps it; the grid equals the per-elevation
-    construction bit for bit, and so do the float64 azimuth grids."""
+    construction bit for bit, and so do the float64 azimuth grids. The desk
+    polar book (G = 504) holds its matrix and the spherical one
+    (G = 3 789) a complex64 screen, unless phase modes are forced."""
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     system = desk_spec.system
     build = build_polar_codebook if polar else build_spherical_codebook
     book = build(system, desk_spec.delta, desk_spec.r_min_m)
-    assert (book.modes is not None) == phase_modes
+    if phase_modes:
+        assert isinstance(book.modes, PhaseModes)
+    elif polar:
+        assert book.modes is None
+    else:
+        assert isinstance(book.modes, Complex64Screen)
     assert book._grid is None
     thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
     want = _grid_of(desk_spec, thetas)
@@ -524,6 +532,93 @@ def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle():
     assert got == _coherence_stats_by_dict(book, 2000, seed=0)
 
 
+@pytest.mark.slow
+def test_paper_grid_text_equals_the_export_of_the_whole_grid(tmp_path):
+    """The paper grid, written in chunks of `layout.locate`, is byte for byte
+    the text of its whole grid, which the export is not left to build."""
+    spec = paper_profile()
+    book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    path = tmp_path / "grid.txt"
+    export_grid_text(book, path)
+    assert book._grid is None
+    grid = book.layout.grid()
+    columns = (*grid.indices.T.tolist(), *grid.coords.T.tolist())
+    want = "".join(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
+    assert path.read_text(encoding="utf-8") == want
+
+
+def _representations(desk_spec):
+    """The desk spherical book held each way: {name: codebook}."""
+    system = desk_spec.system
+    screened = build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+        held = build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m)
+    return {
+        "dense": SphericalCodebook(screened.modes.dense(), screened.layout),
+        "screen": screened,
+        "phase modes": held,
+    }
+
+
+@pytest.mark.parametrize("azimuths", [1, 7, 256])
+def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, azimuths):
+    """Walked in slices of 1, 7 and the default 256 azimuths (the desk
+    book's elevations have up to 82, so 7 cuts every elevation but the
+    zenith), the per-pair values equal the dict oracle's bit for bit and
+    in the same order, and the statistics are identical, on the desk
+    spherical book dense, screened and with phase modes forced. Neither
+    the matrix nor the grid of a book held as a basis is built."""
+    monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", azimuths)
+    books = _representations(desk_spec)
+    want = _adjacent_correlations_by_dict(books["dense"])
+    stats = _coherence_stats_by_dict(books["dense"], 700, seed=5)
+    assert np.diff(books["dense"].layout.azimuth_starts).max() > 7
+    for name, book in books.items():
+        got = codebook._adjacent_correlations(book)
+        for axis in range(3):
+            assert np.array_equal(got[axis], want[axis]), (name, axis)
+        assert coherence_stats(book, 700, seed=5) == stats, name
+        if book.modes is not None:
+            assert book._matrix is None and book._grid is None, name
+
+
+def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
+    """With 8-azimuth slices, the walk over the desk book's dense columns
+    traces under half of one block of its largest elevation (82 azimuths x
+    3 rings, 1.0 MB): measured, 0.31 MB. Walking whole elevations, it held
+    three such blocks at once and traced 3.1 MB."""
+    book = _representations(desk_spec)["dense"]
+    layout = book.layout
+    largest = 16 * book.num_antennas * int((np.diff(layout.azimuth_starts) * np.diff(layout.ring_starts)).max())
+    monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", 8)
+    codebook._adjacent_correlations(book)
+    assert _traced_peak(codebook._adjacent_correlations, book) < 0.5 * largest
+
+
+def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, monkeypatch):
+    """The grid export, in chunks of 1 000 points (3 789 is not a multiple),
+    writes the frozen desk text byte for byte from each representation of
+    the desk spherical book, and builds no book's grid."""
+    monkeypatch.setattr(codebook, "_GRID_CHUNK", 1000)
+    for name, book in _representations(desk_spec).items():
+        path = tmp_path / f"{name}.txt"
+        export_grid_text(book, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256["desk"], name
+        assert book._grid is None, name
+
+
+def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch):
+    """In chunks of 256 points, the export traces less than the desk grid's
+    own arrays, 48 B per column (182 kB; measured, 0.1 MB): it never holds
+    the grid. Exporting from the whole grid traced 0.67 MB, mostly the
+    Python numbers of its rows."""
+    monkeypatch.setattr(codebook, "_GRID_CHUNK", 256)
+    path = tmp_path / "grid.txt"
+    export_grid_text(desk_codebook, path)
+    assert _traced_peak(export_grid_text, desk_codebook, path) < 48 * desk_codebook.num_columns
+
+
 def test_coherence_stats_rejects_zero_budget(small_codebook):
     with pytest.raises(ValueError):
         coherence_stats(small_codebook, 0)
@@ -551,13 +646,20 @@ def test_grid_text_round_trip(tmp_path, books):
 )
 def test_grid_text_round_trip_property(tmp_path_factory, points):
     """Any grid, with +-inf, -0.0, subnormal and extreme values, loads back
-    bit for bit."""
+    bit for bit, also when it is written in chunks of 5 points."""
     indices = np.array([p[0] for p in points], dtype=np.int64).reshape(-1, 3)
     coords = np.array([p[1] for p in points], dtype=np.float64).reshape(-1, 3)
-    # The export reads only `grid`, so a stand-in that holds one will do.
-    book = types.SimpleNamespace(grid=CodebookGrid(indices, coords))
+    # The export reads only the layout's column count and `locate`, so a
+    # stand-in whose `locate` reads the arrays will do.
+    layout = types.SimpleNamespace(
+        num_columns=len(points),
+        locate=lambda idx: (*indices[idx].T, *coords[idx].T),
+    )
+    book = types.SimpleNamespace(layout=layout)
     path = tmp_path_factory.mktemp("grid") / "grid.txt"
-    export_grid_text(book, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codebook, "_GRID_CHUNK", 5)
+        export_grid_text(book, path)
     loaded = load_grid_text(path)
     assert loaded.indices.tobytes() == indices.tobytes()
     assert loaded.coords.tobytes() == coords.tobytes()

@@ -573,6 +573,30 @@ def test_cli_codebook_build_and_stats(tmp_path, capsys):
     assert out.count(size_line) == 2
 
 
+def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
+    """The desk profile's spherical book (N = 128, G = 3 789) holds a
+    complex64 screen: build and stats both say so, with its bytes (8 per
+    entry) beside the dense matrix's (16), and the exported matrix is the
+    exact float64 one."""
+    grid_out = tmp_path / "grid.txt"
+    matrix_out = tmp_path / "matrix.bin"
+    args = ["codebook", "build", "--profile", "desk", "--out", str(grid_out), "--matrix-out", str(matrix_out)]
+    assert cli_main(args) == 0
+    assert cli_main(["codebook", "stats", "--profile", "desk", "--budget", "200"]) == 0
+    out = capsys.readouterr().out
+    n, g = 128, 3789
+    assert len(grid_out.read_text().splitlines()) == g
+    size_line = (
+        f"codebook {n} x {g} holds a complex64 screen of the matrix, exact columns on request: "
+        f"{8 * n * g} bytes (dense: {16 * n * g} bytes), built in "
+    )
+    assert out.count(size_line) == 2
+    assert "adjacent distance" in out
+    spec = desk_profile()
+    book = codebook.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.modes.dense())
+
+
 def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     fills = []

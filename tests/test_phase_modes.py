@@ -1,10 +1,12 @@
-"""Matrix-free codebooks against the dense matrix they stand in for.
+"""Codebook bases against the dense matrix they stand in for.
 
 Spherical and polar codebooks hold phase modes, and the angular one a
 `DftBasis`, only for arrays of `codebook._PHASE_MODE_MIN_ANTENNAS` (512)
 antennas or more. These tests lower that threshold to build phase modes for
 the small and desk geometries, where the dense matrix of the same geometry
-is the oracle; the DFT basis is checked against the dense DFT matrix.
+is the oracle; the DFT basis is checked against the dense DFT matrix. The
+desk spherical book holds a `Complex64Screen`, checked against the bound it
+derives and against its dense float64 twin.
 """
 
 import dataclasses
@@ -24,14 +26,21 @@ from nearfield.codebook import (
     build_spherical_codebook,
     export_matrix_binary,
 )
+from nearfield.channel import UcaGeometry
 from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
-from nearfield.phase_modes import DftBasis, fft_length
+from nearfield.phase_modes import Complex64Screen, DftBasis, fft_length
 
 
 def _phase_mode_build(build, *args):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
         return build(*args)
+
+
+def _dense_build(build, *args):
+    """The codebook `build` gives, holding its dense float64 matrix."""
+    book = build(*args)
+    return book if book.modes is None else codebook.SphericalCodebook(book.modes.dense(), book.layout)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +52,7 @@ def book_pairs(small_config, desk_spec):
         "desk-polar": (build_polar_codebook, desk_spec.system, desk_spec.delta, desk_spec.r_min_m),
     }
     return {
-        name: (_phase_mode_build(build, *args), build(*args))
+        name: (_phase_mode_build(build, *args), _dense_build(build, *args))
         for name, (build, *args) in builds.items()
     }
 
@@ -52,8 +61,13 @@ BOOKS = ("small", "desk", "desk-polar")
 
 
 def test_array_size_selects_the_representation(desk_spec, desk_codebook):
+    """Desk (N = 128): the spherical book (G = 3 789) is screened in
+    complex64 and the polar (G = 504) and angular books hold their dense
+    matrices. Paper (N = 512): phase modes and a `DftBasis`."""
     assert codebook._PHASE_MODE_MIN_ANTENNAS == 512
-    assert desk_codebook.modes is None
+    assert codebook._SCREEN_MIN_COLUMNS == 3072
+    assert isinstance(desk_codebook.modes, Complex64Screen)
+    assert build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m).modes is None
     paper = paper_profile()
     for build in (build_spherical_codebook, build_polar_codebook):
         book = build(paper.system, paper.delta, paper.r_min_m)
@@ -150,7 +164,7 @@ def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
     held, dense = book_pairs[name]
     every = np.random.default_rng(1).permutation(held.num_columns)
     got = held.columns(every)
-    assert got.flags.c_contiguous
+    assert got.flags.f_contiguous  # as dense.matrix[:, every] is
     assert np.array_equal(got, dense.matrix[:, every])
     assert np.array_equal(held.columns([5, 2, 5]), dense.matrix[:, [5, 2, 5]])
     assert held.columns([]).shape == (held.num_antennas, 0)
@@ -398,7 +412,7 @@ def test_phase_mode_export_equals_the_dense_export_and_builds_no_matrix(tmp_path
     args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     held = _phase_mode_build(build_spherical_codebook, *args)
     export_matrix_binary(held, tmp_path / "held.bin")
-    export_matrix_binary(build_spherical_codebook(*args), tmp_path / "dense.bin")
+    export_matrix_binary(_dense_build(build_spherical_codebook, *args), tmp_path / "dense.bin")
     assert held._matrix is None
     assert (tmp_path / "held.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
 
@@ -507,3 +521,133 @@ def test_dft_basis_coherence_stats_equal_the_dense_book(small_config):
     assert isinstance(held.modes, DftBasis)
     assert codebook.coherence_stats(held, 300, seed=2) == codebook.coherence_stats(book, 300, seed=2)
     assert held._matrix is None
+
+
+@pytest.fixture(scope="module")
+def screens(small_config, desk_spec):
+    """{name: (complex64 screen, dense float64 codebook of the same layout)}:
+    the desk spherical book as built, and the small spherical book (G = 660,
+    dense as built) with a screen built on its layout."""
+    desk = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    small = build_spherical_codebook(small_config, 0.55, 0.25)
+    geom = UcaGeometry.from_config(small_config)
+    small_screen = Complex64Screen(small.layout, geom, small_config.wavelength_m)
+    return {
+        "desk": (desk.modes, desk.modes.dense()),
+        "small": (small_screen, small.matrix),
+    }
+
+
+@pytest.mark.parametrize("name", ["desk", "small"])
+def test_screen_holds_the_float64_matrix_rounded_once(screens, name):
+    """The screen is the float64 matrix rounded to complex64 entry by entry,
+    half its bytes; `dense` is that float64 matrix bit for bit."""
+    screen, dense = screens[name]
+    assert screen.entries.dtype == np.complex64
+    assert np.array_equal(screen.entries, dense.astype(np.complex64))
+    assert screen.nbytes == 8 * dense.size == dense.nbytes // 2
+    assert np.array_equal(screen.dense(), dense)
+
+
+def test_screen_rtol_follows_its_derivation():
+    """rescore_rtol = eps (2 + eps), eps = sqrt(2) gamma_{2N} (1 + u)^2 +
+    u (2 + u) + gamma_16 + u with u = 2^-24: 4.5e-5 at N = 128."""
+    u = 2.0**-24
+    eps = math.sqrt(2.0) * 256 * u / (1 - 256 * u) * (1 + u) ** 2 + u * (2 + u) + 16 * u / (1 - 16 * u) + u
+    assert phase_modes.screen_rtol(128) == pytest.approx(eps * (2 + eps), rel=1e-12)
+    assert 4.4e-5 < phase_modes.screen_rtol(128) < 4.6e-5
+    assert phase_modes.screen_rtol(64) < phase_modes.screen_rtol(128)
+
+
+@pytest.mark.parametrize("name", ["desk", "small"])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([1, 2, 16, 64]),
+    scale=st.sampled_from([1e-30, 1.0, 1e30]),
+    clustered=st.booleans(),
+)
+def test_screen_scores_lie_within_their_slack(screens, name, seed, width, scale, clustered):
+    """`scores` and `move_scores` of the screen lie within the slack its
+    `rescore_rtol` gives of the float64 scores from exact `correlate`: the
+    scores within rtol ||V||_F^2, and a move within
+    rtol (w ||a||^2 + 2 ||a|| ||b||), the widening `_rank_one_update` adds,
+    for k = 1, 2, 16 and 64 vectors, at scales float32 alone would
+    underflow or overflow. `clustered` vectors lie near a few columns,
+    where the scores are largest."""
+    screen, dense = screens[name]
+    rng = np.random.default_rng(seed)
+    if clustered:
+        picks = dense[:, rng.integers(0, dense.shape[1], 3)]
+        v = picks @ _random_block(rng, 3, width) + 0.05 * _random_block(rng, screen.num_antennas, width)
+    else:
+        v = _random_block(rng, screen.num_antennas, width)
+    v *= scale
+    rtol = screen.rescore_rtol
+    exact = np.sum(np.abs(screen.correlate(v)) ** 2, axis=0)
+    assert np.max(np.abs(screen.scores(v) - exact)) <= rtol * np.linalg.norm(v) ** 2
+
+    pair = v[:, :2] if width >= 2 else np.column_stack([v[:, 0], _random_block(rng, screen.num_antennas, 1)[:, 0] * scale])
+    weight = float(rng.uniform(0.1, 10.0))
+    start = rng.uniform(0.0, 1.0, screen.num_columns) * scale**2
+    got = start.copy()
+    screen.move_scores(pair, weight, got)
+    e, phi = screen.correlate(pair)
+    want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
+    norm_a, norm_b = np.linalg.norm(pair, axis=0)
+    bound = rtol * (weight * norm_a**2 + 2.0 * norm_a * norm_b) + 1e-15 * np.abs(start).max()
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("name", ["desk", "small"])
+def test_screen_correlate_is_exact(screens, name):
+    """`correlate` multiplies the exact float64 matrix: it is the dense
+    product bit for bit, and zero input scores zero."""
+    screen, dense = screens[name]
+    v = _random_block(np.random.default_rng(4), screen.num_antennas, 3)
+    got = screen.correlate(v)
+    assert np.array_equal(got, v.conj().T @ dense)
+    single = screen.correlate(v[:, 0])
+    assert single.shape == (screen.num_columns,)
+    assert np.max(np.abs(single - got[0])) <= 1e-14 * np.linalg.norm(v[:, 0])
+    zero = np.zeros((screen.num_antennas, 2), dtype=complex)
+    assert np.array_equal(screen.scores(zero), np.zeros(screen.num_columns))
+
+
+@pytest.mark.parametrize("name", ["desk", "small"])
+def test_screen_columns_equal_the_dense_matrix_bit_for_bit(screens, name):
+    """`columns` is exact float64: every index pattern, from the one or few
+    scattered columns S-SOMP asks for to the whole book, equals
+    `dense()[:, idx]` bit for bit, in the dense matrix's Fortran order, and
+    so does each single column."""
+    screen, dense = screens[name]
+    g = screen.num_columns
+    rng = np.random.default_rng(g)
+    patterns = [[0], [g - 1], [-1], rng.integers(0, g, 3), rng.integers(0, g, 16), rng.integers(0, g, 17), np.arange(g)]
+    for idx in patterns:
+        got, want = screen.columns(idx), dense[:, idx]
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+    for j in rng.integers(0, g, 200):
+        assert np.array_equal(screen.columns([j])[:, 0], dense[:, j])
+
+
+def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
+    """A desk bank build fills the spherical book in complex64 and no
+    complex128 matrix as wide as it (only the 504-column polar book is
+    float64); the spherical book holds <= 8 N G bytes, and the build traces
+    less than the 7.76 MB one float64 spherical matrix took."""
+    fills = []
+    real_fill = phase_modes.fill_rings
+    monkeypatch.setattr(phase_modes, "fill_rings", lambda matrix, *args: fills.append((matrix.dtype, matrix.shape)) or real_fill(matrix, *args))
+    tracemalloc.start()
+    try:
+        bank = build_codebooks(desk_spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, g = bank.spherical.num_antennas, bank.spherical.num_columns
+    assert (np.complex64, (n, g)) in fills
+    assert all(g < codebook._SCREEN_MIN_COLUMNS for dtype, (_, g) in fills if dtype == np.complex128)
+    assert bank.spherical.modes.nbytes <= 8 * n * g and bank.spherical._matrix is None
+    assert peak < 16 * n * g

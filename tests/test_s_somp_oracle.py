@@ -2,13 +2,16 @@
 
 `_dense_s_somp` is the earlier implementation, kept here verbatim as the
 test oracle: it forms the full P N_RF x G dictionary and correlates the
-residual against it from scratch at every iteration.
+residual against it from scratch at every iteration. It reads a book's
+float64 matrix through `dense_matrix`, which leaves a book held as a basis
+as it was, so that its own `columns` keep their path.
 """
 
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,15 +33,34 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
-from nearfield.phase_modes import DftBasis, PhaseModes
+from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DftBasis, PhaseModes
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
+
+_DENSE = weakref.WeakKeyDictionary()
+
+
+def dense_matrix(book):
+    """The float64 matrix of `book`: the one it holds, or one its basis
+    fills once per book and this module keeps, so that the book's lazy
+    `matrix` stays unbuilt."""
+    if book.modes is None:
+        return book.matrix
+    if book not in _DENSE:
+        _DENSE[book] = book.modes.dense() if book._matrix is None else book._matrix
+    return _DENSE[book]
+
+
+def dense_twin(book):
+    """`book` itself when it holds its matrix, else a codebook that holds the
+    matrix its basis fills."""
+    return book if book.modes is None else SphericalCodebook(dense_matrix(book), book.layout)
 
 
 def _dense_s_somp(measurements, combining, codebook, num_iterations):
     y = measurements.observations
     a = combining.entries
-    w = codebook.matrix
+    w = dense_matrix(codebook)
     if num_iterations < 1:
         raise ValueError("num_iterations must be >= 1")
     budget = min(a.shape[0], w.shape[1])
@@ -99,7 +121,7 @@ def assert_matches_dense(args):
     np.testing.assert_allclose(got.sparse_coeffs, want.sparse_coeffs, rtol=0, atol=1e-10)
     np.testing.assert_allclose(got.residual_norms, want.residual_norms, rtol=0, atol=1e-10)
     codebook = args[2]
-    rebuilt = codebook.matrix[:, got.support] @ got.sparse_coeffs
+    rebuilt = dense_matrix(codebook)[:, got.support] @ got.sparse_coeffs
     assert np.array_equal(rebuilt, got.channel_estimate)
     assert [str(w.message) for w in gram_warnings] == [str(w.message) for w in dense_warnings]
     return got
@@ -212,12 +234,94 @@ def desk_somp_calls(desk_spec):
     )
 
 
+@pytest.fixture(scope="module")
+def desk_dense_calls(desk_somp_calls):
+    """The calls of `desk_somp_calls`, each on a codebook that holds its
+    dense float64 matrix: the screened desk spherical book's twin, and the
+    polar and angular books themselves."""
+    twins = {}
+    return {
+        method: [(m, a, twins.setdefault(id(book), dense_twin(book)), n) for m, a, book, n in calls]
+        for method, calls in desk_somp_calls.items()
+    }
+
+
 @pytest.mark.parametrize("method", SOMP_METHODS)
-def test_gram_matches_dense_on_desk_trials(desk_somp_calls, method):
-    calls = desk_somp_calls[method]
+def test_gram_matches_dense_on_desk_trials(desk_dense_calls, method):
+    calls = desk_dense_calls[method]
     assert len(calls) >= 25
     for args in calls:
+        assert args[2].modes is None
         assert_matches_dense(args)
+
+
+def assert_same_bits(got, want):
+    assert got.support == want.support
+    assert np.array_equal(got.sparse_coeffs, want.sparse_coeffs)
+    assert np.array_equal(got.channel_estimate, want.channel_estimate)
+    assert got.residual_norms == want.residual_norms
+
+
+def test_desk_book_representations(desk_somp_calls):
+    """The harness's desk spherical book is screened in complex64; its
+    polar (G = 504) and angular (G = 128) books hold their matrices."""
+    books = {method: calls[0][2] for method, calls in desk_somp_calls.items()}
+    assert isinstance(books[METHOD_S_SOMP].modes, Complex64Screen)
+    assert books[METHOD_P_SOMP].modes is None and books[METHOD_ANGULAR].modes is None
+
+
+@pytest.mark.parametrize("iterations", [None, 8])
+def test_screen_matches_dense_on_desk_trials(desk_somp_calls, desk_dense_calls, iterations):
+    """S-SOMP on the complex64 screen of the desk spherical book gives the
+    outputs of the same call on the book's dense float64 twin, bit for bit,
+    on the 33 seeded desk trials, at their own iteration count and at 8,
+    and every pick went through at least one exact rescoring. The screened
+    book's lazy matrix stays unbuilt."""
+    calls = desk_somp_calls[METHOD_S_SOMP]
+    assert len(calls) == 33
+    for args, dense_args in zip(calls, desk_dense_calls[METHOD_S_SOMP]):
+        count = iterations or args[3]
+        got = s_somp(*args[:3], count)
+        assert_same_bits(got, s_somp(*dense_args[:3], count))
+        assert all(step.rescored >= 1 and step.slack > 0.0 for step in got.steps)
+        assert args[2]._matrix is None
+
+
+@pytest.mark.parametrize("snr_db", [5.0, math.inf])
+def test_screen_matches_dense_on_desk_pilot_trials(desk_spec, snr_db):
+    """The pilot sweep's calls (P = 8 to 64, so 32 to 256 measurement rows)
+    at 5 dB and noiseless, where the residual cancels to rounding once the
+    paths are found: the screen's outputs are the dense twin's, bit for bit,
+    at the desk iteration count and at 8."""
+    spec = replace(desk_spec, methods=(METHOD_S_SOMP,), snr_db=snr_db)
+    calls = record_somp_calls(spec, {"pilot": (spec.pilot_lengths, 2)})[METHOD_S_SOMP]
+    assert len(calls) == 2 * len(spec.pilot_lengths)
+    twin = dense_twin(calls[0][2])
+    for measurements, combining, book, iterations in calls:
+        assert isinstance(book.modes, Complex64Screen)
+        for count in (iterations, 8):
+            got = s_somp(measurements, combining, book, count)
+            assert_same_bits(got, s_somp(measurements, combining, twin, count))
+
+
+@pytest.mark.parametrize("phase_modes", [False, True])
+def test_streamed_s_somp_matches_dense_on_one_subcarrier(desk_spec, monkeypatch, phase_modes):
+    """With one subcarrier the estimate W_S c is a matrix-vector product,
+    whose sum order follows the layout of W_S: the screen's and the phase
+    modes' columns come in the dense matrix's Fortran order, so their
+    outputs are the dense twin's, bit for bit, on 24 desk calls."""
+    system = replace(desk_spec.system, num_subcarriers=1)
+    spec = replace(desk_spec, system=system, methods=(METHOD_S_SOMP,))
+    if phase_modes:
+        monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
+    calls = record_somp_calls(spec, {"snr": ((0.0, 10.0, 20.0, math.inf), 6)})[METHOD_S_SOMP]
+    assert len(calls) == 24
+    book = calls[0][2]
+    assert isinstance(book.modes, PhaseModes if phase_modes else Complex64Screen)
+    twin = dense_twin(book)
+    for measurements, combining, _, iterations in calls:
+        assert measurements.observations.shape[1] == 1
+        assert_same_bits(s_somp(measurements, combining, book, iterations), s_somp(measurements, combining, twin, iterations))
 
 
 @pytest.fixture(scope="module")
@@ -233,13 +337,13 @@ def desk_phase_mode_calls(desk_spec):
 
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
-def test_phase_modes_match_dense_on_desk_trials(desk_somp_calls, desk_phase_mode_calls, method):
+def test_phase_modes_match_dense_on_desk_trials(desk_dense_calls, desk_phase_mode_calls, method):
     """Same supports as the dense oracle, and the same coefficients,
     estimates and residuals, bit for bit, as the Gram path on the dense
     codebook, on the 33 seeded desk trials."""
     calls = desk_phase_mode_calls[method]
-    assert len(calls) == len(desk_somp_calls[method]) == 33
-    for args, dense_args in zip(calls, desk_somp_calls[method]):
+    assert len(calls) == len(desk_dense_calls[method]) == 33
+    for args, dense_args in zip(calls, desk_dense_calls[method]):
         assert args[2].modes is not None and dense_args[2].modes is None
         got = assert_matches_dense(args)
         want = s_somp(*dense_args)
@@ -249,12 +353,13 @@ def test_phase_modes_match_dense_on_desk_trials(desk_somp_calls, desk_phase_mode
         assert got.residual_norms == want.residual_norms
 
 
-@pytest.mark.parametrize("rtol", [estimator.RESCORE_RTOL, 0.5])
+@pytest.mark.parametrize("rtol", [RESCORE_RTOL, 0.5])
 def test_near_best_phase_mode_scores_are_rescored(desk_somp_calls, desk_phase_mode_calls, monkeypatch, rtol):
     """At the first iteration, every column whose phase-mode score lies
-    within RESCORE_RTOL of the best is among those rescored exactly; a wide
-    window (0.5) takes in many columns and leaves the support unchanged."""
-    monkeypatch.setattr(estimator, "RESCORE_RTOL", rtol)
+    within the basis' `rescore_rtol` (RESCORE_RTOL) of the best is among
+    those rescored exactly; a wide window (0.5) takes in many columns and
+    leaves the support unchanged."""
+    monkeypatch.setattr(PhaseModes, "rescore_rtol", rtol)
     measurements, combining, held, iterations = desk_phase_mode_calls[METHOD_S_SOMP][0]
     projected = combining.entries.conj().T @ measurements.observations
     scores = np.sum(np.abs(held.correlate(projected)) ** 2, axis=0)
@@ -344,13 +449,15 @@ def _check_chunked_scores(num_columns, num_subcarriers):
 
 class _PerturbedModes:
     """Stand-in phase modes of a dense matrix, off by as much as phase
-    modes may be for `s_somp`'s slack: each correlation by `error` of its
+    modes may be for `s_somp`'s slack at their `rescore_rtol`: each correlation by `error` of its
     vector's norm, and so each score by error (2 + error) of ||V||_F^2, up
     or down at random. The correlations are pushed along the phase of the
     first row, the first row outward and the others against it. For the
     rows e and phi of a rank-1 score move, that moves
     ||d||^2 |e|^2 - 2 Re(conj(e) phi) up by ~2 error |e| (||d||^2 ||a|| + ||b||),
     near the worst case."""
+
+    rescore_rtol = RESCORE_RTOL
 
     def __init__(self, matrix, error, rng):
         self.matrix = matrix
@@ -391,14 +498,12 @@ def _check_running_scores(patch, args):
     """Wrap `_rank_one_update` so that, before and after every move, each
     unblocked running score is >= 0 and within the slack of its exact
     score ||(A^H R)^H w_j||^2, blocked ones are -1 after it, and the slack
-    grows by at most 4 RESCORE_RTOL ||A||_2^2 ||Y||_F^2 a step (the bound
-    in `_rank_one_update` is at most 3 of these, plus rounding). Returns
-    the list of slacks after each move."""
+    grows by at most 4 rtol ||A||_2^2 ||Y||_F^2 a step, rtol the basis'
+    `rescore_rtol` (the bound in `_rank_one_update` is at most 3 of these,
+    plus rounding). Returns the list of slacks after each move."""
     measurements, combining, book, _ = args
     w = book.matrix
-    growth = 4.0 * estimator.RESCORE_RTOL * (
-        np.linalg.norm(combining.entries, 2) * np.linalg.norm(measurements.observations)
-    ) ** 2
+    scale = (np.linalg.norm(combining.entries, 2) * np.linalg.norm(measurements.observations)) ** 2
     real = estimator._rank_one_update
     slacks = []
 
@@ -408,10 +513,11 @@ def _check_running_scores(patch, args):
         assert np.all(scores[free] >= 0.0)
         assert np.all(np.abs(scores[free] - exact[free]) <= slack)
 
-    def checking(book, a, change, previous, updated, scores, blocked, slack):
+    def checking(book, a, change, previous, updated, scores, blocked, slack, rtol):
+        assert rtol == book.modes.rescore_rtol
         check(scores, previous, blocked, slack)
-        widened = real(book, a, change, previous, updated, scores, blocked, slack)
-        assert slack <= widened <= slack + growth
+        widened = real(book, a, change, previous, updated, scores, blocked, slack, rtol)
+        assert slack <= widened <= slack + 4.0 * rtol * scale
         check(scores, updated, blocked, widened)
         assert np.all(scores[blocked] == -1.0)
         slacks.append(widened)
@@ -542,13 +648,26 @@ def test_running_scores_stay_within_the_slack_on_desk_trials(desk_phase_mode_cal
 
 @pytest.mark.parametrize("phase_modes", [False, True])
 @pytest.mark.parametrize("rejected_step", [None, 1])
-def test_s_somp_records_each_step(desk_somp_calls, desk_phase_mode_calls, phase_modes, rejected_step):
+def test_s_somp_records_each_step(desk_dense_calls, desk_phase_mode_calls, phase_modes, rejected_step):
     """`EstimationResult.steps` holds, per iteration, the count of columns
     passed to `_exact_scores`, the slack in force at the pick (RESCORE_RTOL
     ||A^H Y||_F^2 first, then what each `_rank_one_update` returned), and
     the columns rejected as rank-deficient. Dense books rescore nothing at
     slack 0."""
-    calls = (desk_phase_mode_calls if phase_modes else desk_somp_calls)[METHOD_S_SOMP][:4]
+    calls = (desk_phase_mode_calls if phase_modes else desk_dense_calls)[METHOD_S_SOMP][:4]
+    _check_recorded_steps(calls, phase_modes, rejected_step)
+
+
+@pytest.mark.parametrize("rejected_step", [None, 1])
+def test_screened_s_somp_records_each_step(desk_somp_calls, rejected_step):
+    """As above on the complex64 screen of the desk spherical book, whose
+    first slack is its own `rescore_rtol` ||A^H Y||_F^2."""
+    calls = desk_somp_calls[METHOD_S_SOMP][:4]
+    assert isinstance(calls[0][2].modes, Complex64Screen)
+    _check_recorded_steps(calls, True, rejected_step)
+
+
+def _check_recorded_steps(calls, streamed, rejected_step):
     for args in calls:
         measurements, combining, book, iterations = args
         picked = s_somp(*args).support[rejected_step] if rejected_step is not None else None
@@ -573,12 +692,13 @@ def test_s_somp_records_each_step(desk_somp_calls, desk_phase_mode_calls, phase_
                 warnings.simplefilter("always")
                 got = s_somp(*args)
         assert len(got.steps) == iterations
-        assert len(events) == (iterations if phase_modes else 1)
+        assert len(events) == (iterations if streamed else 1)
         projected = combining.entries.conj().T @ measurements.observations
-        events[0][1] = estimator.RESCORE_RTOL * float(np.vdot(projected, projected).real)
+        rtol = book.modes.rescore_rtol if streamed else RESCORE_RTOL
+        events[0][1] = rtol * float(np.vdot(projected, projected).real)
         for step, record in enumerate(got.steps):
             assert isinstance(record, estimator.SompStep)
-            if phase_modes:
+            if streamed:
                 rescored, slack = events[step]
                 assert record.rescored == rescored >= 1
                 assert record.slack == slack > 0.0
@@ -610,7 +730,7 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
     blocked = np.zeros(w.shape[1], dtype=bool)
     blocked[0] = True
     slack = estimator._rank_one_update(
-        book, a, residual, previous, np.zeros_like(previous), scores, blocked, estimator.RESCORE_RTOL * scale
+        book, a, residual, previous, np.zeros_like(previous), scores, blocked, RESCORE_RTOL * scale, RESCORE_RTOL
     )
     assert scores[0] == -1.0
     assert np.all(scores[1:] >= 0.0)
@@ -618,12 +738,14 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
-def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_phase_mode_calls, monkeypatch, method):
+def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_dense_calls, desk_phase_mode_calls, monkeypatch, method):
     """The desk books are narrower than one 4096-column chunk, the size the
     scores were once formed in; at the default 512-column chunks every
-    output on the 33 desk trials, dense and from phase modes, is bit for
-    bit the one a single chunk gives."""
+    output on the 33 desk trials, dense, screened and from phase modes, is
+    bit for bit the one a single chunk gives."""
     calls = desk_somp_calls[method] + desk_phase_mode_calls[method]
+    if method == METHOD_S_SOMP:
+        calls = calls + desk_dense_calls[method]
     with monkeypatch.context() as patch:
         patch.setattr(estimator, "_RESCORE_CHUNK", 4096)
         assert max(args[2].num_columns for args in calls) <= 4096
@@ -714,26 +836,54 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
         assert _traced_peak(s_somp, *args) <= bound
 
 
+def _desk_call(desk_spec, book, iterations=None):
+    """One desk S-SOMP call's arguments: 3 paths (seed 5), combiner seed 7,
+    10 dB (noise seed 9)."""
+    system = desk_spec.system
+    paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
+    combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
+    measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
+    return measurements, combining, book, iterations or desk_spec.num_paths
+
+
 def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
     """One dense desk spherical S-SOMP call (G = 3 789, M = 16, 3
-    iterations) traces at most its working set: the M x G complex first
-    term, (iterations - 1) Gram rows of G complex entries, the float64
-    scores and boolean `blocked` array (9 B per column), the complex and
-    float scratch of one `_RESCORE_CHUNK`-column chunk (24 B per entry), and
-    eight N x M complex blocks for the rest. Measured: 1.44 MiB against a
-    bound of 1.51 MiB. It traced 2.57 MiB while the scores were formed 4096
-    columns at a time, in scratch as wide as the whole desk book."""
-    assert desk_codebook.modes is None
+    iterations), on the dense twin of the screened desk book, traces at
+    most its working set: the M x G complex first term, (iterations - 1)
+    Gram rows of G complex entries, the float64 scores and boolean
+    `blocked` array (9 B per column), the complex and float scratch of one
+    `_RESCORE_CHUNK`-column chunk (24 B per entry), and eight N x M complex
+    blocks for the rest. Measured: 1.44 MiB against a bound of 1.51 MiB. It
+    traced 2.57 MiB while the scores were formed 4096 columns at a time, in
+    scratch as wide as the whole desk book."""
+    twin = dense_twin(desk_codebook)
+    assert twin.modes is None
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
     measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
     iterations = desk_spec.num_paths
-    args = (measurements, combining, desk_codebook, iterations)
-    m, g, n = system.num_subcarriers, desk_codebook.num_columns, system.num_antennas
+    args = (measurements, combining, twin, iterations)
+    m, g, n = system.num_subcarriers, twin.num_columns, system.num_antennas
     bound = 16 * m * g + 16 * (iterations - 1) * g + 9 * g + 24 * m * estimator._RESCORE_CHUNK + 8 * 16 * n * m
     s_somp(*args)  # warm any lazily built state
     assert _traced_peak(s_somp, *args) <= bound <= 1.6 * 2**20
+
+
+@pytest.mark.parametrize("iterations", [3, 8])
+def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations):
+    """One desk spherical S-SOMP call on the complex64 screen traces at most
+    0.8 MiB at 3 and at 8 iterations: the M x G complex64 product of the
+    first pass (0.46 MiB), the score vector and its two boolean arrays, and
+    N x M blocks; no array grows with the iteration count. Measured:
+    0.60 MiB at both. On the dense float64 book the Gram path traced 1.44
+    and 1.74 MiB."""
+    book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    assert isinstance(book.modes, Complex64Screen)
+    args = _desk_call(desk_spec, book, iterations)
+    s_somp(*args)  # warm any lazily built state
+    assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
+    assert book._matrix is None
 
 
 @pytest.mark.parametrize("phase_modes", [False, True])
@@ -753,6 +903,8 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     if phase_modes:
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    if not phase_modes:
+        book = dense_twin(book)
     assert (book.modes is not None) == phase_modes
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
