@@ -17,7 +17,6 @@ import numpy as np
 from . import codebook as cb
 from . import estimator, harness
 from .channel import ConfigurationError, SystemConfig
-from .phase_modes import Complex64Screen
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,6 +27,7 @@ _RANGE_FIELDS = {"distance_range", "elevation_range", "azimuth_range"}
 _INT_FIELDS = {"num_paths", "num_iterations", "trials", "master_seed"}
 _FLOAT_FIELDS = {"delta", "r_min_m", "snr_db"}
 _LIST_FIELDS = {"snr_list_db", "pilot_lengths", "methods"}
+_SNR_RULE = "nominal, ||H||_F^2/||N||_F^2 (noise variance ||H||_F^2/(P N_RF M 10^(SNR/10))); the receiver sees SNR + 10 log10(P N_RF/N) dB"
 
 
 def parse_config_file(path) -> dict:
@@ -147,18 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     snr = sweep_sub.add_parser("snr", help="NMSE versus SNR")
     _add_common_flags(snr)
-    snr.add_argument("--snr-list", help="comma list of SNR points in dB")
+    snr.add_argument("--snr-list", help="comma list of SNR points in dB, " + _SNR_RULE)
     snr.add_argument("--out", required=True, help="output CSV path")
 
     pilot = sweep_sub.add_parser("pilot", help="NMSE versus pilot length")
     _add_common_flags(pilot)
     pilot.add_argument("--pilot-list", help="comma list of pilot lengths")
-    pilot.add_argument("--snr", type=float, help="fixed SNR in dB")
+    pilot.add_argument("--snr", type=float, help="fixed SNR in dB, " + _SNR_RULE)
     pilot.add_argument("--out", required=True, help="output CSV path")
 
     trial = sub.add_parser("trial", help="single seeded trial (debug)")
     _add_common_flags(trial)
-    trial.add_argument("--snr", type=float, help="SNR in dB (default: profile snr_db)")
+    trial.add_argument("--snr", type=float, help="SNR in dB (default: profile snr_db), " + _SNR_RULE)
     trial.add_argument("--trial-index", type=int, default=0)
 
     return parser
@@ -171,14 +171,7 @@ def _build_spherical(spec) -> cb.SphericalCodebook:
     book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     seconds = time.perf_counter() - start
     n, g = book.num_antennas, book.num_columns
-    modes = book.modes
-    if modes is None:
-        held = f"the dense matrix: {book.matrix.nbytes} bytes"
-    elif isinstance(modes, Complex64Screen):
-        held = f"a complex64 screen of the matrix, exact columns on request: {modes.nbytes} bytes"
-    else:
-        held = f"phase modes of {modes.num_rings} rings, {modes.num_modes} modes: {modes.nbytes} bytes"
-    print(f"codebook {n} x {g} holds {held} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
+    print(f"codebook {n} x {g} holds {book.basis.describe()} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
     return book
 
 

@@ -9,14 +9,13 @@ and angular (DFT) variants back the baseline estimators.
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ConfigurationError, SystemConfig, UcaGeometry
 from .numerics import first_j0_zero, solve_beta_delta
-from .phase_modes import Complex64Screen, DftBasis, PhaseModes, ring_matrix
+from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, ring_matrix
 
 #: Distance value marking the plane-wave (z = 0) ring of the distance grid.
 FAR_FIELD = math.inf
@@ -137,79 +136,47 @@ class _RingLayout:
 
 
 class SphericalCodebook:
-    """Transform W (N x G) plus the ring layout of its columns.
+    """Transform W (N x G): the ring layout of its columns plus one basis.
 
-    A codebook holds W one of two ways: as the dense float64 `matrix`, or
-    as `modes`, a basis with no float64 matrix: the phase modes of its
-    rings (`PhaseModes`), the FFT of the DFT book (`DftBasis`), or W in
-    complex64 (`Complex64Screen`). The codebooks of an array of
-    `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold phase modes or a
-    `DftBasis`; smaller ring-built books of `_SCREEN_MIN_COLUMNS` or more
-    columns hold a screen; the rest hold the matrix. A book with a basis
-    has it fill `matrix` only when it is first read, then keeps it.
-    `correlate` and `columns` never build it, and both are exact to
-    float64 rounding but for phase modes, which correlate to ~1e-12.
-
-    `layout` (a `_RingLayout`) says where every column lies; `grid`, the
-    same as per-column arrays, is built from it on first read and kept.
+    `layout` (a `_RingLayout`) says where every column lies and `basis`
+    holds W: a `DenseBasis`, `Complex64Screen`, `PhaseModes` or `DftBasis`,
+    which the builds choose from N and G. `correlate` and `columns` are the
+    basis', exact to float64 rounding but for phase modes, which correlate
+    to ~1e-12.
     """
 
-    def __init__(self, matrix, layout: _RingLayout, modes: PhaseModes | DftBasis | Complex64Screen | None = None):
-        if (matrix is None) == (modes is None):
-            raise ValueError("a codebook holds exactly one of a matrix and a matrix-free basis")
-        columns = modes.num_columns if matrix is None else matrix.shape[1]
-        if columns != layout.num_columns:
-            raise ValueError(f"{columns} columns but {layout.num_columns} grid points")
+    def __init__(self, layout: _RingLayout, basis):
+        if basis.num_columns != layout.num_columns:
+            raise ValueError(f"{basis.num_columns} columns but {layout.num_columns} grid points")
         self.layout = layout
-        self.modes = modes
-        self._matrix = matrix
-        self._grid = None
-        self._lock = threading.Lock()  # user threads may read `matrix` or `grid` at once
+        self.basis = basis
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense N x G matrix; filled by the basis on first use."""
-        with self._lock:
-            if self._matrix is None:
-                self._matrix = self.modes.dense()
-        return self._matrix
+        """`basis.dense()`, filled on each read unless the basis is dense. Only
+        the benchmark's traced runs read it; ROADMAP item 1 retires them."""
+        return self.basis.dense()
 
     @property
     def grid(self) -> CodebookGrid:
-        """Grid metadata of every column; built from the layout on first use."""
-        with self._lock:
-            if self._grid is None:
-                self._grid = self.layout.grid()
-        return self._grid
+        """`layout.grid()`, built on each read; read only where `matrix` is."""
+        return self.layout.grid()
 
     @property
     def num_antennas(self) -> int:
-        return self.modes.num_antennas if self.modes is not None else self._matrix.shape[0]
+        return self.basis.num_antennas
 
     @property
     def num_columns(self) -> int:
         return self.layout.num_columns
 
     def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G).
-
-        Exact from a dense matrix or a screen; from phase modes, to ~1e-12
-        of ||v||.
-        """
-        if self.modes is not None:
-            return self.modes.correlate(v)
-        return v.conj().T @ self._matrix
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
+        return self.basis.correlate(v)
 
     def columns(self, idx) -> np.ndarray:
-        """W[:, idx] as a new (N, len(idx)) array, bit for bit.
-
-        A matrix the codebook holds, built or not, is read; it is set only
-        once it is filled. Otherwise the basis fills only the columns asked
-        for.
-        """
-        if self._matrix is not None:
-            return self._matrix[:, idx]
-        return self.modes.columns(idx)
+        """W[:, idx] as an (N, len(idx)) array, bit for bit as the dense matrix."""
+        return self.basis.columns(idx)
 
 
 def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
@@ -286,10 +253,10 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     layout = _RingLayout(elevations)
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(None, layout, PhaseModes(layout, geom, lam))
+        return SphericalCodebook(layout, PhaseModes(layout, geom, lam))
     if layout.num_columns >= _SCREEN_MIN_COLUMNS:
-        return SphericalCodebook(None, layout, Complex64Screen(layout, geom, lam))
-    return SphericalCodebook(ring_matrix(layout, geom, lam), layout)
+        return SphericalCodebook(layout, Complex64Screen(layout, geom, lam))
+    return SphericalCodebook(layout, DenseBasis(ring_matrix(layout, geom, lam)))
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:
@@ -318,9 +285,7 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     n = config.num_antennas
     layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])
     basis = DftBasis(n)
-    if n >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(None, layout, basis)
-    return SphericalCodebook(basis.dense(), layout)
+    return SphericalCodebook(layout, basis if n >= _PHASE_MODE_MIN_ANTENNAS else DenseBasis(basis.dense()))
 
 
 def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -422,8 +387,8 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
 
     Covers every pair of columns adjacent in one grid index (t, s, or z with
     the other two fixed) plus a seeded random sample of up to `sample_budget`
-    arbitrary pairs. Columns come from `codebook.columns`, so a codebook held
-    as a matrix-free basis builds neither its matrix nor its grid.
+    arbitrary pairs. Columns come from `codebook.columns`, so a matrix-free
+    basis fills no dense matrix and no grid is built.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
@@ -450,7 +415,7 @@ def export_grid_text(codebook: SphericalCodebook, path) -> None:
     """One grid point per line: t,s,z,r,theta,phi (r = inf marks far field).
 
     Written `_GRID_CHUNK` points at a time from `codebook.layout.locate`, so
-    the grid is never held whole and the codebook does not build `grid`.
+    the grid is never held whole.
     """
     layout = codebook.layout
     g = layout.num_columns
@@ -474,9 +439,8 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     u32) followed by the matrix as column-major interleaved re/im float64.
 
     Written a chunk of `codebook.columns` at a time, so no matrix-sized copy
-    is made, and a codebook held as a matrix-free basis never builds its
-    matrix. A chunk and its transposed copy share the 1 MiB of
-    `_IO_CHUNK_BYTES`.
+    is made, and a matrix-free basis never fills its dense matrix. A chunk
+    and its transposed copy share the 1 MiB of `_IO_CHUNK_BYTES`.
     """
     n, g = codebook.num_antennas, codebook.num_columns
     step = max(1, _IO_CHUNK_BYTES // (32 * max(n, 1)))

@@ -139,9 +139,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     give the estimate; W is never copied, and nothing P N_RF x G is
     allocated.
 
-    On a dense codebook the correlations use the Gram update of Batch-OMP
-    (Rubinstein, Zibulevsky & Elad 2008) applied to SOMP. With residual
-    R = Y - A W_S C,
+    On a `DenseBasis` (`basis.streamed` False) the correlations use the
+    Gram update of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) applied
+    to SOMP. With residual R = Y - A W_S C,
 
         R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
 
@@ -156,12 +156,12 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     a call on the dense float64 twin of the desk spherical book (G = 3 789,
     M = 16, 3 iterations) traces 1.44 MiB.
 
-    A codebook held as a basis (phase modes, a `DftBasis` or a
-    `Complex64Screen`) scores to within a known bound, not exactly, and
-    S-SOMP keeps one float64 score vector on it, and no M x G array. Its
-    working set is that vector, two boolean arrays of G entries (`exact`
-    and `blocked`), the scratch of one `scores` or `move_scores` pass, and
-    a few N x M blocks: A^H is never copied, every A^H X is formed as
+    A streamed basis (phase modes, a `DftBasis` or a `Complex64Screen`)
+    scores to within a known bound, not exactly, and S-SOMP keeps one
+    float64 score vector on it, and no M x G array. Its working set is that
+    vector, two boolean arrays of G entries (`exact` and `blocked`), the
+    scratch of one `scores` or `move_scores` pass, and a few N x M blocks:
+    A^H is never copied, every A^H X is formed as
     (X^H A)^H (`numerics.adjoint_product`), and the rescoring window is one
     comparison of the scores. A paper spherical call (phase modes,
     G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector; a
@@ -200,10 +200,10 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     if num_iterations > budget:
         raise ValueError(f"num_iterations={num_iterations} exceeds the rank budget {budget}")
     projected = adjoint_product(y, a)
-    streamed = codebook.modes is not None
+    streamed = codebook.basis.streamed
     if streamed:
-        rtol = codebook.modes.rescore_rtol
-        scores = codebook.modes.scores(projected)
+        rtol = codebook.basis.rescore_rtol
+        scores = codebook.basis.scores(projected)
         slack = rtol * float(np.vdot(projected, projected).real)
         residual, gradient = y, projected  # R_t and A^H R_t
     else:
@@ -309,7 +309,7 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
         atom = adjoint_product(q, a)
         direction = previous @ d
         weight = float(np.vdot(d, d).real)
-        codebook.modes.move_scores(np.column_stack([atom, direction]), weight, scores)
+        codebook.basis.move_scores(np.column_stack([atom, direction]), weight, scores)
         np.maximum(scores, 0.0, out=scores)
         atom_norm = float(np.linalg.norm(atom))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))

@@ -31,7 +31,9 @@ S-SOMP rescores every column near the best on its exact float64 column
 and every pick is the one the float64 matrix gives.
 
 Every basis fills the columns asked of it, bit for bit as the dense matrix
-of the same book, and fills that whole matrix on request (`dense`).
+of the same book, and fills that whole matrix on request (`dense`). A
+`DenseBasis` holds that matrix; it alone has `streamed` False, so S-SOMP
+takes its exact Gram path there instead of `scores` and `move_scores`.
 """
 
 import math
@@ -233,6 +235,32 @@ def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
     return out
 
 
+class DenseBasis:
+    """W held as its dense N x G matrix; every product is exact float64."""
+
+    streamed = False
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.num_antennas, self.num_columns = matrix.shape
+        self.nbytes = matrix.nbytes
+
+    def describe(self) -> str:
+        return f"the dense matrix: {self.nbytes} bytes"
+
+    def dense(self) -> np.ndarray:
+        """The matrix held, not a copy."""
+        return self.matrix
+
+    def columns(self, idx) -> np.ndarray:
+        """W[:, idx], as numpy indexes the matrix."""
+        return self.matrix[:, idx]
+
+    def correlate(self, v) -> np.ndarray:
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
+        return v.conj().T @ self.matrix
+
+
 class _RingBasis:
     """What the bases of a ring-built codebook share: the ring layout, the
     array and the wavelength, and from them the exact float64 matrix and
@@ -243,6 +271,8 @@ class _RingBasis:
     elevation, the order `fill_rings` fills, with columns s-major and
     z-minor within an elevation and azimuths uniform from 0.
     """
+
+    streamed = True
 
     def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
         self.layout = layout
@@ -334,6 +364,9 @@ class PhaseModes(_RingBasis):
     @property
     def nbytes(self) -> int:
         return self._wrap.nbytes + sum(plan.nbytes for plan in self._plans)
+
+    def describe(self) -> str:
+        return f"phase modes of {self.num_rings} rings, {self.num_modes} modes: {self.nbytes} bytes"
 
     def _wrapped_spectra(self, v) -> np.ndarray:
         """U = FFT(conj(V)) at the antenna modes -H..H, (k, 2H + 1): plan
@@ -488,6 +521,7 @@ class DftBasis:
 
     nbytes = 0
     rescore_rtol = RESCORE_RTOL
+    streamed = True
 
     def __init__(self, num_antennas: int):
         self.num_antennas = num_antennas
@@ -607,6 +641,9 @@ class Complex64Screen(_RingBasis):
     @property
     def nbytes(self) -> int:
         return self.entries.nbytes
+
+    def describe(self) -> str:
+        return f"a complex64 screen of the matrix, exact columns on request: {self.nbytes} bytes"
 
     def correlate(self, v) -> np.ndarray:
         """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from

@@ -1,6 +1,6 @@
 import pytest
 
-from nearfield import SystemConfig, build_spherical_codebook, desk_profile
+from nearfield import SystemConfig, build_spherical_codebook, codebook, desk_profile, phase_modes
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,21 @@ def desk_spec():
 @pytest.fixture(scope="session")
 def desk_codebook(desk_spec):
     return build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+
+
+@pytest.fixture
+def record_fills(monkeypatch):
+    """Call to start recording what fills a dense matrix or builds a grid:
+    "matrix" per `phase_modes.fill_rings` call (every ring-built matrix, in
+    any dtype), "dft" per `DftBasis.dense` call and "grid" per
+    `_RingLayout.grid` call. Returns the list they are appended to."""
+
+    def start():
+        built = []
+        fill, dft, grid = phase_modes.fill_rings, phase_modes.DftBasis.dense, codebook._RingLayout.grid
+        monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or fill(*args))
+        monkeypatch.setattr(phase_modes.DftBasis, "dense", lambda self: built.append("dft") or dft(self))
+        monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or grid(self))
+        return built
+
+    return start

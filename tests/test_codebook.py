@@ -39,7 +39,7 @@ from nearfield.codebook import (
     min_codebook_distance,
 )
 from nearfield.harness import paper_profile
-from nearfield.phase_modes import Complex64Screen, PhaseModes
+from nearfield.phase_modes import Complex64Screen, DenseBasis, PhaseModes
 from steering_oracle import oracle_column, oracle_matrix
 
 # sha256 of each codebook's grid text, frozen from the per-point GridPoint
@@ -167,7 +167,7 @@ def test_paper_z_cap_composition():
 
 
 def test_spherical_codebook_columns_unit_norm(small_codebook):
-    norms = np.linalg.norm(small_codebook.matrix, axis=0)
+    norms = np.linalg.norm(small_codebook.basis.dense(), axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
 
 def test_spherical_codebook_deterministic(small_config, small_codebook):
     again = build_spherical_codebook(small_config, 0.55, 0.25)
-    assert np.array_equal(again.matrix, small_codebook.matrix)
+    assert np.array_equal(again.basis.dense(), small_codebook.basis.dense())
     assert again.grid == small_codebook.grid
 
 
@@ -258,9 +258,9 @@ def _grid_of(spec, thetas):
 
 @pytest.mark.parametrize("phase_modes", [False, True])
 @pytest.mark.parametrize("polar", [False, True])
-def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, monkeypatch, phase_modes, polar):
+def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, monkeypatch, phase_modes, polar, record_fills):
     """A ring-built codebook keeps its layout as arrays and builds `grid`
-    from it on first read, then keeps it; the grid equals the per-elevation
+    from it only when it is read; the grid equals the per-elevation
     construction bit for bit, and so do the float64 azimuth grids. The desk
     polar book (G = 504) holds its matrix and the spherical one
     (G = 3 789) a complex64 screen, unless phase modes are forced."""
@@ -268,18 +268,19 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
         monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     system = desk_spec.system
     build = build_polar_codebook if polar else build_spherical_codebook
+    built = record_fills()
     book = build(system, desk_spec.delta, desk_spec.r_min_m)
     if phase_modes:
-        assert isinstance(book.modes, PhaseModes)
+        assert isinstance(book.basis, PhaseModes)
     elif polar:
-        assert book.modes is None
+        assert isinstance(book.basis, DenseBasis)
     else:
-        assert isinstance(book.modes, Complex64Screen)
-    assert book._grid is None
+        assert isinstance(book.basis, Complex64Screen)
+    assert "grid" not in built
     thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
     want = _grid_of(desk_spec, thetas)
     grid = book.grid
-    assert grid is book.grid
+    assert built.count("grid") == 1
     assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
     assert np.array_equal(grid.indices, want.indices) and np.array_equal(grid.coords, want.coords)
     assert book.num_columns == len(want)
@@ -297,7 +298,7 @@ def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebo
     lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     for book in (desk_codebook, polar):
-        assert np.array_equal(book.matrix, oracle_matrix(book.grid, geom, lam))
+        assert np.array_equal(book.basis.dense(), oracle_matrix(book.grid, geom, lam))
 
 
 def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
@@ -310,19 +311,18 @@ def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
 
 
 @pytest.mark.slow
-def test_paper_spherical_codebook_matches_per_column_oracle():
+def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
     # Column by column, so the test never holds a second 822 MB matrix. The
-    # paper codebook holds phase modes: its exact columns and its lazily
-    # built matrix must both equal the oracle.
+    # paper codebook holds phase modes: its exact columns, which fill no
+    # matrix, and the matrix its basis fills must both equal the oracle.
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     assert book.num_columns == 100358
-    assert book.modes is not None
+    assert isinstance(book.basis, PhaseModes)
     geom = UcaGeometry.from_config(spec.system)
     lam = spec.system.wavelength_m
     coords = book.grid.coords.tolist()
-    # `columns` reads the matrix once it is built, so the columns filled
-    # ring by ring are checked in full before the first `matrix` read.
+    built = record_fills()
     mismatched = []
     for start in range(0, book.num_columns, 4096):
         block = book.columns(np.arange(start, min(start + 4096, book.num_columns)))
@@ -330,15 +330,16 @@ def test_paper_spherical_codebook_matches_per_column_oracle():
             if not np.array_equal(column, oracle_column(coords[start + offset], geom, lam)):
                 mismatched.append(start + offset)
     assert mismatched == []
-    assert book._matrix is None
+    assert built == []
+    matrix = book.basis.dense()
     for col, point in enumerate(coords):
-        if not np.array_equal(book.matrix[:, col], oracle_column(point, geom, lam)):
+        if not np.array_equal(matrix[:, col], oracle_column(point, geom, lam)):
             mismatched.append(col)
     assert mismatched == []
     # Phase-mode correlations match the dense product to 1e-10 of ||v||.
     rng = np.random.default_rng(0)
     v = rng.standard_normal((book.num_antennas, 16)) + 1j * rng.standard_normal((book.num_antennas, 16))
-    error = np.abs(book.correlate(v) - v.conj().T @ book.matrix)
+    error = np.abs(book.correlate(v) - v.conj().T @ matrix)
     assert (error / np.linalg.norm(v, axis=0)[:, None]).max() <= 1e-10
 
 
@@ -370,15 +371,15 @@ def test_angular_codebook_is_unitary(small_config):
     angular = build_angular_codebook(small_config)
     n = small_config.num_antennas
     assert angular.num_columns == n
-    gram = angular.matrix.conj().T @ angular.matrix
+    matrix = angular.basis.dense()
+    gram = matrix.conj().T @ matrix
     assert np.allclose(gram, np.eye(n), atol=1e-10)
-    assert np.allclose(angular.matrix[:, 0], 1.0 / math.sqrt(n), atol=1e-14)
+    assert np.allclose(matrix[:, 0], 1.0 / math.sqrt(n), atol=1e-14)
 
 
 def test_column_correlation_basic_cases(small_config):
     angular = build_angular_codebook(small_config)
-    b0 = angular.matrix[:, 0]
-    b1 = angular.matrix[:, 1]
+    b0, b1 = angular.columns([0, 1]).T
     assert column_correlation(b0, b0) == pytest.approx(1.0, abs=1e-12)
     assert column_correlation(b0, b1) < 1e-10
     with pytest.raises(ValueError):
@@ -435,7 +436,7 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
-    single = SphericalCodebook(book.matrix[:, :1], codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]))
+    single = SphericalCodebook(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), DenseBasis(book.columns([0])))
     assert single.grid == CodebookGrid(book.grid.indices[:1], book.grid.coords[:1])
     stats = coherence_stats(single, 10)
     assert stats.random_pairs.count == 0
@@ -470,10 +471,10 @@ def _gathered_correlations(matrix, left, right, chunk=16384):
     return out
 
 
-def _adjacent_correlations_by_dict(book):
+def _adjacent_correlations_by_dict(book, matrix):
     """The correlations of the column pairs adjacent in t, s and z, found
     through a dict of (t, s, z) tuples, in ascending order of the first
-    column of each pair, and gathered from the dense matrix."""
+    column of each pair, and gathered from the book's dense `matrix`."""
     by_index = {tuple(ids): col for col, ids in enumerate(book.grid.indices.tolist())}
     axes = {0: ([], []), 1: ([], []), 2: ([], [])}
     for (t, s, z), col in by_index.items():
@@ -482,13 +483,14 @@ def _adjacent_correlations_by_dict(book):
             if other is not None:
                 axes[axis][0].append(col)
                 axes[axis][1].append(other)
-    return [_gathered_correlations(book.matrix, *map(np.array, axes[axis])) for axis in range(3)]
+    return [_gathered_correlations(matrix, *map(np.array, axes[axis])) for axis in range(3)]
 
 
 def _coherence_stats_by_dict(book, sample_budget, seed=0):
     """The dict-of-tuples `coherence_stats` with gathered pairs that the
     ring-layout walk replaced, kept as its oracle."""
-    adjacent = [PairStats.from_values(values) for values in _adjacent_correlations_by_dict(book)]
+    matrix = book.basis.dense()
+    adjacent = [PairStats.from_values(values) for values in _adjacent_correlations_by_dict(book, matrix)]
     g = book.num_columns
     if g < 2:
         random_stats = PairStats.from_values(np.empty(0))
@@ -497,7 +499,7 @@ def _coherence_stats_by_dict(book, sample_budget, seed=0):
         left = rng.integers(0, g, size=sample_budget)
         right = rng.integers(0, g - 1, size=sample_budget)
         right = np.where(right >= left, right + 1, right)
-        random_stats = PairStats.from_values(_gathered_correlations(book.matrix, left, right))
+        random_stats = PairStats.from_values(_gathered_correlations(matrix, left, right))
     return codebook.CoherenceStats(*adjacent, random_stats)
 
 
@@ -507,7 +509,7 @@ def test_coherence_stats_matches_dict_oracle(books, name):
     # order: the per-pair values are equal bit for bit, element by element.
     book = books[name]
     got = codebook._adjacent_correlations(book)
-    want = _adjacent_correlations_by_dict(book)
+    want = _adjacent_correlations_by_dict(book, book.basis.dense())
     for axis in range(3):
         assert got[axis].dtype == np.float64
         assert np.array_equal(got[axis], want[axis]), axis
@@ -515,32 +517,34 @@ def test_coherence_stats_matches_dict_oracle(books, name):
 
 
 @pytest.mark.slow
-def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle():
+def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(record_fills):
     """On the phase-mode paper book, coherence takes two elevations' columns
     at a time: a traced peak under 300 MB, where the dense matrix alone is
     822 MB. Its statistics equal the gather oracle's bit for bit."""
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    built = record_fills()
     tracemalloc.start()
     try:
         got = coherence_stats(book, 2000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert book._matrix is None
+    assert built == []
     assert peak < 300e6
     assert got == _coherence_stats_by_dict(book, 2000, seed=0)
 
 
 @pytest.mark.slow
-def test_paper_grid_text_equals_the_export_of_the_whole_grid(tmp_path):
+def test_paper_grid_text_equals_the_export_of_the_whole_grid(tmp_path, record_fills):
     """The paper grid, written in chunks of `layout.locate`, is byte for byte
     the text of its whole grid, which the export is not left to build."""
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     path = tmp_path / "grid.txt"
+    built = record_fills()
     export_grid_text(book, path)
-    assert book._grid is None
+    assert built == []
     grid = book.layout.grid()
     columns = (*grid.indices.T.tolist(), *grid.coords.T.tolist())
     want = "".join(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
@@ -555,32 +559,32 @@ def _representations(desk_spec):
         patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
         held = build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     return {
-        "dense": SphericalCodebook(screened.modes.dense(), screened.layout),
+        "dense": SphericalCodebook(screened.layout, DenseBasis(screened.basis.dense())),
         "screen": screened,
         "phase modes": held,
     }
 
 
 @pytest.mark.parametrize("azimuths", [1, 7, 256])
-def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, azimuths):
+def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, azimuths, record_fills):
     """Walked in slices of 1, 7 and the default 256 azimuths (the desk
     book's elevations have up to 82, so 7 cuts every elevation but the
     zenith), the per-pair values equal the dict oracle's bit for bit and
     in the same order, and the statistics are identical, on the desk
-    spherical book dense, screened and with phase modes forced. Neither
-    the matrix nor the grid of a book held as a basis is built."""
+    spherical book dense, screened and with phase modes forced. No book
+    fills a dense matrix or builds its grid."""
     monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", azimuths)
     books = _representations(desk_spec)
-    want = _adjacent_correlations_by_dict(books["dense"])
+    want = _adjacent_correlations_by_dict(books["dense"], books["dense"].basis.dense())
     stats = _coherence_stats_by_dict(books["dense"], 700, seed=5)
     assert np.diff(books["dense"].layout.azimuth_starts).max() > 7
+    built = record_fills()
     for name, book in books.items():
         got = codebook._adjacent_correlations(book)
         for axis in range(3):
             assert np.array_equal(got[axis], want[axis]), (name, axis)
         assert coherence_stats(book, 700, seed=5) == stats, name
-        if book.modes is not None:
-            assert book._matrix is None and book._grid is None, name
+    assert built == []
 
 
 def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
@@ -596,16 +600,18 @@ def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
     assert _traced_peak(codebook._adjacent_correlations, book) < 0.5 * largest
 
 
-def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, monkeypatch):
+def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, monkeypatch, record_fills):
     """The grid export, in chunks of 1 000 points (3 789 is not a multiple),
     writes the frozen desk text byte for byte from each representation of
     the desk spherical book, and builds no book's grid."""
     monkeypatch.setattr(codebook, "_GRID_CHUNK", 1000)
-    for name, book in _representations(desk_spec).items():
+    books = _representations(desk_spec)
+    built = record_fills()
+    for name, book in books.items():
         path = tmp_path / f"{name}.txt"
         export_grid_text(book, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256["desk"], name
-        assert book._grid is None, name
+    assert built == []
 
 
 def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch):
@@ -679,13 +685,13 @@ def test_matrix_binary_round_trip(tmp_path, small_codebook):
     path = tmp_path / "matrix.bin"
     export_matrix_binary(small_codebook, path)
     loaded = load_matrix_binary(path)
-    assert np.array_equal(loaded, small_codebook.matrix)
+    assert np.array_equal(loaded, small_codebook.basis.dense())
     with open(path, "rb") as handle:
         header = handle.read(16)
     assert header[:4] == b"SPHW"
     n = int.from_bytes(header[8:12], "little")
     g = int.from_bytes(header[12:16], "little")
-    assert (n, g) == small_codebook.matrix.shape
+    assert (n, g) == small_codebook.basis.dense().shape
 
 
 def test_matrix_binary_rejects_corrupt_header(tmp_path):
@@ -698,9 +704,10 @@ def test_matrix_binary_rejects_corrupt_header(tmp_path):
 def test_matrix_binary_layout_is_header_then_column_major(tmp_path, desk_codebook):
     path = tmp_path / "matrix.bin"
     export_matrix_binary(desk_codebook, path)
-    n, g = desk_codebook.matrix.shape
+    matrix = desk_codebook.basis.dense()
+    n, g = matrix.shape
     header = b"SPHW" + (1).to_bytes(4, "little") + n.to_bytes(4, "little") + g.to_bytes(4, "little")
-    assert path.read_bytes() == header + desk_codebook.matrix.astype("<c16").tobytes(order="F")
+    assert path.read_bytes() == header + matrix.astype("<c16").tobytes(order="F")
 
 
 def _traced_peak(fn, *args):
@@ -714,7 +721,7 @@ def _traced_peak(fn, *args):
 
 def test_matrix_binary_holds_no_matrix_sized_temporary(tmp_path, desk_codebook):
     path = tmp_path / "matrix.bin"
-    nbytes = desk_codebook.matrix.nbytes
+    nbytes = 16 * desk_codebook.num_antennas * desk_codebook.num_columns  # the dense matrix's bytes
     assert _traced_peak(export_matrix_binary, desk_codebook, path) < 0.25 * nbytes
     # The load allocates its result, which shows the allocations are traced.
     peak = _traced_peak(load_matrix_binary, path)

@@ -18,6 +18,7 @@ from nearfield import (
 )
 from nearfield.codebook import FAR_FIELD, CodebookGrid, SphericalCodebook, _RingLayout
 from nearfield.estimator import MeasurementSet
+from nearfield.phase_modes import DenseBasis
 
 
 def small_system(**overrides):
@@ -205,13 +206,13 @@ def test_s_somp_projection_idempotent_and_reconstruction_identity(small_config, 
     measurements = synthesize_measurements(h, combining, 10.0, seed=2)
     result = s_somp(measurements, combining, small_codebook, 2)
 
-    dictionary = combining.entries @ small_codebook.matrix
+    dictionary = combining.entries @ small_codebook.basis.dense()
     rerun, _, _, _ = np.linalg.lstsq(
         dictionary[:, result.support], measurements.observations, rcond=None
     )
     assert np.abs(rerun - result.sparse_coeffs).max() < 1e-12
 
-    rebuilt = small_codebook.matrix[:, result.support] @ result.sparse_coeffs
+    rebuilt = small_codebook.basis.dense()[:, result.support] @ result.sparse_coeffs
     assert np.array_equal(rebuilt, result.channel_estimate)
 
 
@@ -221,7 +222,7 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     other /= np.linalg.norm(other)
     matrix = np.column_stack([geom_column, geom_column, other])
     layout = _RingLayout([(0.5 * math.pi, [0.0] * 3, [FAR_FIELD])])
-    duplicated = SphericalCodebook(matrix, layout)
+    duplicated = SphericalCodebook(layout, DenseBasis(matrix))
     assert duplicated.grid == CodebookGrid(
         np.array([[0, s, 0] for s in range(3)]), np.tile([math.inf, 0.5 * math.pi, 0.0], (3, 1))
     )

@@ -28,7 +28,7 @@ from nearfield.codebook import (
 )
 from nearfield.channel import UcaGeometry
 from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
-from nearfield.phase_modes import Complex64Screen, DftBasis, fft_length
+from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, fft_length
 
 
 def _phase_mode_build(build, *args):
@@ -40,7 +40,7 @@ def _phase_mode_build(build, *args):
 def _dense_build(build, *args):
     """The codebook `build` gives, holding its dense float64 matrix."""
     book = build(*args)
-    return book if book.modes is None else codebook.SphericalCodebook(book.modes.dense(), book.layout)
+    return codebook.SphericalCodebook(book.layout, DenseBasis(book.basis.dense()))
 
 
 @pytest.fixture(scope="module")
@@ -60,70 +60,114 @@ def book_pairs(small_config, desk_spec):
 BOOKS = ("small", "desk", "desk-polar")
 
 
-def test_array_size_selects_the_representation(desk_spec, desk_codebook):
+def test_array_size_selects_the_representation(desk_spec, desk_codebook, record_fills):
     """Desk (N = 128): the spherical book (G = 3 789) is screened in
     complex64 and the polar (G = 504) and angular books hold their dense
-    matrices. Paper (N = 512): phase modes and a `DftBasis`."""
+    matrices. Paper (N = 512): phase modes, whose build fills no matrix, and
+    a `DftBasis`."""
     assert codebook._PHASE_MODE_MIN_ANTENNAS == 512
     assert codebook._SCREEN_MIN_COLUMNS == 3072
-    assert isinstance(desk_codebook.modes, Complex64Screen)
-    assert build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m).modes is None
+    assert isinstance(desk_codebook.basis, Complex64Screen)
+    assert isinstance(build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m).basis, DenseBasis)
     paper = paper_profile()
+    built = record_fills()
     for build in (build_spherical_codebook, build_polar_codebook):
         book = build(paper.system, paper.delta, paper.r_min_m)
-        assert book.modes is not None and book._matrix is None
-        assert book.modes.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
-    assert build_angular_codebook(desk_spec.system).modes is None
-    assert isinstance(build_angular_codebook(paper.system).modes, DftBasis)
+        assert isinstance(book.basis, PhaseModes)
+        assert book.basis.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
+    assert built == []
+    assert isinstance(build_angular_codebook(desk_spec.system).basis, DenseBasis)
+    assert isinstance(build_angular_codebook(paper.system).basis, DftBasis)
 
 
-def test_matrix_is_built_on_first_use_and_kept(small_config, book_pairs):
+def test_matrix_is_built_on_each_read_from_the_basis(small_config, book_pairs, record_fills):
+    """`correlate` and `columns` fill no matrix; each read of `matrix` fills
+    one from the basis, the dense matrix bit for bit, and keeps none."""
     book = _phase_mode_build(build_spherical_codebook, small_config, 0.55, 0.25)
     dense = book_pairs["small"][1]
-    assert book.grid == dense.grid
     assert book.num_antennas == dense.num_antennas
     assert book.num_columns == dense.num_columns
+    built = record_fills()
     book.correlate(np.ones(book.num_antennas))
     book.columns([0, 1])
-    assert book._matrix is None
-    assert np.array_equal(book.matrix, dense.matrix)
-    assert book.matrix is book.matrix
-
-
-def test_columns_read_a_built_matrix(small_config, book_pairs, monkeypatch):
-    """Once a phase-mode book's matrix is built, `columns` reads it rather
-    than filling rings again."""
-    book = _phase_mode_build(build_spherical_codebook, small_config, 0.55, 0.25)
-    dense = book_pairs["small"][1]
-    book.matrix
-    filled = []
-    monkeypatch.setattr(phase_modes, "ring_steering", lambda *args: filled.append(args))
-    idx = [7, 0, 7, book.num_columns - 1]
-    assert np.array_equal(book.columns(idx), dense.matrix[:, idx])
-    assert filled == []
+    assert built == []
+    assert book.grid == dense.grid
+    assert np.array_equal(book.matrix, dense.basis.dense())
+    assert np.array_equal(book.matrix, dense.basis.dense())
+    assert built == ["grid", "grid", "matrix", "matrix"]
 
 
 def test_codebook_holds_exactly_one_representation(small_config, small_codebook, book_pairs):
-    with pytest.raises(ValueError, match="exactly one"):
-        codebook.SphericalCodebook(None, small_codebook.layout)
+    """A codebook is a layout plus one basis, with as many columns as grid
+    points."""
     held, other = book_pairs["small"][0], book_pairs["desk"][0]
-    with pytest.raises(ValueError, match="exactly one"):
-        codebook.SphericalCodebook(small_codebook.matrix, held.layout, held.modes)
     mismatch = f"{other.num_columns} columns but {held.num_columns} grid points"
     with pytest.raises(ValueError, match=mismatch):
-        codebook.SphericalCodebook(None, held.layout, other.modes)
+        codebook.SphericalCodebook(held.layout, other.basis)
     mismatch = f"{held.num_columns - 1} columns but {held.num_columns} grid points"
     with pytest.raises(ValueError, match=mismatch):
-        codebook.SphericalCodebook(small_codebook.matrix[:, 1:], small_codebook.layout)
+        codebook.SphericalCodebook(small_codebook.layout, DenseBasis(small_codebook.basis.dense()[:, 1:]))
     # The DFT book: a matrix or a DftBasis, with as many columns as points.
     angular = build_angular_codebook(small_config)
     n = angular.num_columns
-    with pytest.raises(ValueError, match="exactly one"):
-        codebook.SphericalCodebook(angular.matrix, angular.layout, DftBasis(n))
     with pytest.raises(ValueError, match=f"{n + 1} columns but {n} grid points"):
-        codebook.SphericalCodebook(None, angular.layout, DftBasis(n + 1))
-    held = codebook.SphericalCodebook(None, angular.layout, DftBasis(n))
-    assert held.num_antennas == n and np.array_equal(held.columns(np.arange(n)), angular.matrix)
+        codebook.SphericalCodebook(angular.layout, DftBasis(n + 1))
+    held = codebook.SphericalCodebook(angular.layout, DftBasis(n))
+    assert held.num_antennas == n and np.array_equal(held.columns(np.arange(n)), angular.basis.dense())
+
+
+BASES = {"dense": DenseBasis, "screen": Complex64Screen, "phase modes": PhaseModes, "dft": DftBasis}
+
+
+@pytest.fixture(scope="module")
+def desk_bases(desk_spec):
+    """{kind: (desk book holding a basis of that kind, the basis' dense())}:
+    the polar book (dense), the spherical book (screened, and with phase
+    modes forced) and the angular book with its `DftBasis` forced."""
+    args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
+    books = {
+        "dense": build_polar_codebook(*args),
+        "screen": build_spherical_codebook(*args),
+        "phase modes": _phase_mode_build(build_spherical_codebook, *args),
+        "dft": _phase_mode_build(build_angular_codebook, desk_spec.system),
+    }
+    return {kind: (book, book.basis.dense()) for kind, book in books.items()}
+
+
+def _held_bytes(basis):
+    """Bytes of the arrays a basis holds, its own and its plans', counting
+    once an array that is a view of another of them."""
+    arrays = []
+    for value in vars(basis).values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, list):
+            arrays += [a for plan in value for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    owners = {id(a) for a in arrays}
+    return sum(a.nbytes for a in arrays if id(a.base) not in owners)
+
+
+@pytest.mark.parametrize("kind", BASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
+    """Each basis a book can hold: `dense()` is N x G, `columns(idx)` is
+    `dense()[:, idx]` bit for bit for any index list (negative indices
+    included), `nbytes` counts the arrays it holds, only `DenseBasis` is not
+    streamed, and the book's `matrix` and `grid` are `basis.dense()` and
+    `layout.grid()`."""
+    book, dense = desk_bases[kind]
+    basis = book.basis
+    assert type(basis) is BASES[kind]
+    g = basis.num_columns
+    assert dense.shape == (basis.num_antennas, g) == (book.num_antennas, book.num_columns)
+    idx = data.draw(st.lists(st.integers(-g, g - 1), max_size=40), label="idx")
+    assert np.array_equal(basis.columns(idx), dense[:, idx])
+    assert basis.nbytes == _held_bytes(basis)
+    assert (basis.nbytes == 0) == (kind == "dft")
+    assert basis.streamed == (kind != "dense")
+    assert np.array_equal(book.matrix, dense)
+    assert book.grid == book.layout.grid()
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -136,7 +180,7 @@ def test_correlate_matches_dense_product(book_pairs, name, seed, width):
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = held.correlate(v)
-    want = v.conj().T @ dense.matrix
+    want = v.conj().T @ dense.basis.dense()
     assert got.shape == want.shape
     scale = np.linalg.norm(v, axis=0)
     error = np.abs(got - want) / (scale[:, None] if width else scale)
@@ -154,7 +198,7 @@ def test_scores_equal_the_summed_squared_correlations(book_pairs, name, seed, wi
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     magnitude = np.abs(held.correlate(v).reshape(-1, held.num_columns))
-    got = held.modes.scores(v)
+    got = held.basis.scores(v)
     assert got.shape == (held.num_columns,) and got.dtype == np.float64
     assert np.max(np.abs(got - np.sum(magnitude**2, axis=0))) <= 1e-12 * np.linalg.norm(v) ** 2
 
@@ -164,9 +208,9 @@ def test_columns_equal_the_dense_matrix_bit_for_bit(book_pairs, name):
     held, dense = book_pairs[name]
     every = np.random.default_rng(1).permutation(held.num_columns)
     got = held.columns(every)
-    assert got.flags.f_contiguous  # as dense.matrix[:, every] is
-    assert np.array_equal(got, dense.matrix[:, every])
-    assert np.array_equal(held.columns([5, 2, 5]), dense.matrix[:, [5, 2, 5]])
+    assert got.flags.f_contiguous  # as dense.columns(every) is
+    assert np.array_equal(got, dense.columns(every))
+    assert np.array_equal(held.columns([5, 2, 5]), dense.columns([5, 2, 5]))
     assert held.columns([]).shape == (held.num_antennas, 0)
 
 
@@ -187,69 +231,62 @@ def _index_patterns(book):
 
 
 @pytest.mark.parametrize("name", ("desk", "desk-polar"))
-def test_columns_located_through_the_ring_layout_equal_the_dense_matrix(book_pairs, name):
+def test_columns_located_through_the_ring_layout_equal_the_dense_matrix(book_pairs, name, record_fills):
     """`columns` finds each column's ring and azimuth from the layout
     arrays alone; it builds neither the grid nor the matrix."""
     held, dense = book_pairs[name]
+    built = record_fills()
     for pattern, idx in _index_patterns(held).items():
         got = held.columns(idx)
         assert got.shape == (held.num_antennas, idx.size), pattern
-        assert np.array_equal(got, dense.matrix[:, idx]), pattern
-    assert held._matrix is None
+        assert np.array_equal(got, dense.columns(idx)), pattern
+    assert built == []
     negative = [-1, -held.num_columns, 3]
-    assert np.array_equal(held.columns(negative), dense.matrix[:, negative])
+    assert np.array_equal(held.columns(negative), dense.columns(negative))
     for outside in ([held.num_columns], [-held.num_columns - 1]):
         with pytest.raises(IndexError):
             held.columns(outside)
         with pytest.raises(IndexError):
-            dense.matrix[:, outside]
+            dense.columns(outside)
 
 
-def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch):
+def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, record_fills):
     """A sweep on phase-mode books reads neither `grid` nor `matrix`: the
     ring layout gives `columns` and `num_columns` what they need."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
-    built = []
-    real_fill, real_grid = phase_modes.fill_rings, codebook._RingLayout.grid
-    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
-    monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
+    built = record_fills()
     spec = dataclasses.replace(desk_spec, methods=(METHOD_S_SOMP, METHOD_P_SOMP))
     bank = build_codebooks(spec)
     for book in (bank.spherical, bank.polar):
-        assert book.modes is not None
+        assert isinstance(book.basis, PhaseModes)
     for snr_db in spec.snr_list_db:
         run_trial(spec, snr_db, 0, bank, "snr")
     assert built == []
-    assert bank.spherical.grid is bank.spherical.grid
-    assert built == ["grid"]
 
 
 @pytest.mark.parametrize("name", BOOKS)
-def test_coherence_stats_equal_the_dense_twin(book_pairs, name):
+def test_coherence_stats_equal_the_dense_twin(book_pairs, name, record_fills):
     """Columns filled ring by ring give the dense book's pair statistics bit
     for bit, and the per-pair values in the same order."""
     held, dense = book_pairs[name]
+    built = record_fills()
     assert codebook.coherence_stats(held, 700, seed=5) == codebook.coherence_stats(dense, 700, seed=5)
     for got, want in zip(codebook._adjacent_correlations(held), codebook._adjacent_correlations(dense)):
         assert np.array_equal(got, want)
-    assert held._matrix is None
+    assert built == []
 
 
 @pytest.mark.parametrize("polar", [False, True])
-def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, polar):
+def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, polar, record_fills):
     """Coherence walks the ring layout: it reads neither `grid` nor `matrix`."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     build = build_polar_codebook if polar else build_spherical_codebook
     book = build(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert book.modes is not None
-    built = []
-    real_fill, real_grid = phase_modes.fill_rings, codebook._RingLayout.grid
-    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or real_fill(*args))
-    monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or real_grid(self))
+    assert isinstance(book.basis, PhaseModes)
+    built = record_fills()
     stats = codebook.coherence_stats(book, 500, seed=1)
     assert built == []
     assert stats.adjacent_azimuth.count > 0 and stats.random_pairs.count == 500
-    assert book._matrix is None and book._grid is None
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -263,8 +300,8 @@ def test_move_scores_equal_the_move_of_the_correlations(book_pairs, name, seed):
     weight = float(rng.uniform(0.1, 10.0))
     start = rng.uniform(0.0, 1.0, held.num_columns)
     got = start.copy()
-    held.modes.move_scores(v, weight, got)
-    e, phi = v.conj().T @ dense.matrix
+    held.basis.move_scores(v, weight, got)
+    e, phi = v.conj().T @ dense.basis.dense()
     want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
     norms = np.linalg.norm(v, axis=0)
     scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
@@ -279,10 +316,10 @@ def test_move_scores_form_no_array_of_the_column_count(book_pairs):
     held = book_pairs["desk"][0]
     v = _random_block(np.random.default_rng(3), held.num_antennas, 2)
     scores = np.zeros(held.num_columns)
-    held.modes.move_scores(v, 1.5, scores)
+    held.basis.move_scores(v, 1.5, scores)
     tracemalloc.start()
     try:
-        held.modes.move_scores(v, 1.5, scores)
+        held.basis.move_scores(v, 1.5, scores)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,7 +360,7 @@ def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width
     rng = np.random.default_rng(width)
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(held.correlate(v), _reference_correlate(held.modes, v))
+    assert np.array_equal(held.correlate(v), _reference_correlate(held.basis, v))
 
 
 def _reference_scores(modes, v):
@@ -360,8 +397,8 @@ def test_scores_equal_the_bluestein_reference(book_pairs, name, seed, width):
     per-vector Bluestein pass they replace."""
     held = book_pairs[name][0]
     v = _random_block(np.random.default_rng(seed), held.num_antennas, width)
-    got = held.modes.scores(v)
-    assert np.max(np.abs(got - _reference_scores(held.modes, v))) <= 1e-13 * np.linalg.norm(v) ** 2
+    got = held.basis.scores(v)
+    assert np.max(np.abs(got - _reference_scores(held.basis, v))) <= 1e-13 * np.linalg.norm(v) ** 2
 
 
 @pytest.mark.parametrize("name", ("small", "desk"))
@@ -370,11 +407,11 @@ def test_zenith_plan_scores_its_single_column(book_pairs, name):
     azimuth and one phase mode, so its power polynomial has no lags beyond
     h[0]. (The polar book has one elevation, the horizon.)"""
     held, dense = book_pairs[name]
-    plan = held.modes._plans[0]
+    plan = held.basis._plans[0]
     assert plan.first_column == 0 and plan.coef.shape == (1, 1) and plan.count == 1
     v = _random_block(np.random.default_rng(5), held.num_antennas, 16)
-    want = np.sum(np.abs(v.conj().T @ dense.matrix[:, 0]) ** 2)
-    assert abs(held.modes.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2
+    want = np.sum(np.abs(v.conj().T @ dense.columns([0])[:, 0]) ** 2)
+    assert abs(held.basis.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -384,12 +421,12 @@ def test_scores_that_cancel_stay_at_zero_or_above(book_pairs, name, width):
     that column's score cancels to rounding; every score stays finite and
     >= 0, since the triangle bound takes its square root."""
     held, dense = book_pairs[name]
-    modes = held.modes
+    modes = held.basis
     zero = modes.scores(np.zeros((held.num_antennas, width), dtype=np.complex128))
     assert np.array_equal(zero, np.zeros(held.num_columns))
     rng = np.random.default_rng(width)
     for j in (0, held.num_columns // 2, held.num_columns - 1):
-        w = dense.matrix[:, j : j + 1]
+        w = dense.columns([j])
         v = _random_block(rng, held.num_antennas, width)
         v -= w @ (w.conj().T @ v) / np.vdot(w, w).real
         got = modes.scores(v)
@@ -401,19 +438,21 @@ def test_scores_that_cancel_stay_at_zero_or_above(book_pairs, name, width):
 @pytest.mark.parametrize("width", [1, 16])
 def test_paper_scores_equal_the_bluestein_reference(width):
     paper = paper_profile()
-    modes = build_spherical_codebook(paper.system, paper.delta, paper.r_min_m).modes
+    modes = build_spherical_codebook(paper.system, paper.delta, paper.r_min_m).basis
     v = _random_block(np.random.default_rng(width), modes.num_antennas, width)
     got = modes.scores(v)
     assert got.min() >= 0.0
     assert np.max(np.abs(got - _reference_scores(modes, v))) <= 1e-13 * np.linalg.norm(v) ** 2
 
 
-def test_phase_mode_export_equals_the_dense_export_and_builds_no_matrix(tmp_path, desk_spec):
+def test_phase_mode_export_equals_the_dense_export_and_builds_no_matrix(tmp_path, desk_spec, record_fills):
     args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     held = _phase_mode_build(build_spherical_codebook, *args)
+    dense = _dense_build(build_spherical_codebook, *args)
+    built = record_fills()
     export_matrix_binary(held, tmp_path / "held.bin")
-    export_matrix_binary(_dense_build(build_spherical_codebook, *args), tmp_path / "dense.bin")
-    assert held._matrix is None
+    assert built == []
+    export_matrix_binary(dense, tmp_path / "dense.bin")
     assert (tmp_path / "held.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
 
 
@@ -492,11 +531,10 @@ def test_dft_basis_columns_equal_the_dense_dft_matrix(n):
             dense[:, outside]
 
 
-def test_angular_book_of_a_large_array_is_matrix_free():
+def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
     """At N = 2048 the angular book's build allocates under 1 MB, where its
-    dense matrix takes 67 MB; `columns`, `correlate` and export leave that
-    matrix unfilled until `matrix` is read, and it is then the dense DFT
-    matrix bit for bit."""
+    dense matrix takes 67 MB; `columns` and `correlate` fill no dense
+    matrix, and `matrix` is the dense DFT matrix bit for bit."""
     system = dataclasses.replace(paper_profile().system, num_antennas=2048)
     tracemalloc.start()
     try:
@@ -505,22 +543,24 @@ def test_angular_book_of_a_large_array_is_matrix_free():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert isinstance(book.modes, DftBasis) and book.modes.nbytes == 0 and book._matrix is None
+    assert isinstance(book.basis, DftBasis) and book.basis.nbytes == 0
     dense = _dft_matrix(2048)
+    built = record_fills()
     assert np.array_equal(book.columns([0, 7, -1]), dense[:, [0, 7, -1]])
     v = _random_block(np.random.default_rng(0), 2048, 3)
     assert np.max(np.abs(book.correlate(v) - v.conj().T @ dense)) <= 1e-12 * np.linalg.norm(v)
-    assert book._matrix is None
-    assert np.array_equal(book.matrix, dense) and book.matrix is book.matrix
+    assert built == []
+    assert np.array_equal(book.matrix, dense)
 
 
-def test_dft_basis_coherence_stats_equal_the_dense_book(small_config):
+def test_dft_basis_coherence_stats_equal_the_dense_book(small_config, record_fills):
     book = build_angular_codebook(small_config)
-    assert np.array_equal(book.matrix, _dft_matrix(small_config.num_antennas))
+    assert np.array_equal(book.basis.dense(), _dft_matrix(small_config.num_antennas))
     held = _phase_mode_build(build_angular_codebook, small_config)
-    assert isinstance(held.modes, DftBasis)
+    assert isinstance(held.basis, DftBasis)
+    built = record_fills()
     assert codebook.coherence_stats(held, 300, seed=2) == codebook.coherence_stats(book, 300, seed=2)
-    assert held._matrix is None
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -533,8 +573,8 @@ def screens(small_config, desk_spec):
     geom = UcaGeometry.from_config(small_config)
     small_screen = Complex64Screen(small.layout, geom, small_config.wavelength_m)
     return {
-        "desk": (desk.modes, desk.modes.dense()),
-        "small": (small_screen, small.matrix),
+        "desk": (desk.basis, desk.basis.dense()),
+        "small": (small_screen, small.basis.dense()),
     }
 
 
@@ -649,5 +689,5 @@ def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
     n, g = bank.spherical.num_antennas, bank.spherical.num_columns
     assert (np.complex64, (n, g)) in fills
     assert all(g < codebook._SCREEN_MIN_COLUMNS for dtype, (_, g) in fills if dtype == np.complex128)
-    assert bank.spherical.modes.nbytes <= 8 * n * g and bank.spherical._matrix is None
+    assert isinstance(bank.spherical.basis, Complex64Screen) and bank.spherical.basis.nbytes <= 8 * n * g
     assert peak < 16 * n * g

@@ -3,8 +3,8 @@
 `_dense_s_somp` is the earlier implementation, kept here verbatim as the
 test oracle: it forms the full P N_RF x G dictionary and correlates the
 residual against it from scratch at every iteration. It reads a book's
-float64 matrix through `dense_matrix`, which leaves a book held as a basis
-as it was, so that its own `columns` keep their path.
+float64 matrix through `dense_matrix`, which fills it from the basis once
+per book.
 """
 
 import math
@@ -33,7 +33,7 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
-from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DftBasis, PhaseModes
+from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DenseBasis, DftBasis, PhaseModes
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
 
@@ -41,20 +41,17 @@ _DENSE = weakref.WeakKeyDictionary()
 
 
 def dense_matrix(book):
-    """The float64 matrix of `book`: the one it holds, or one its basis
-    fills once per book and this module keeps, so that the book's lazy
-    `matrix` stays unbuilt."""
-    if book.modes is None:
-        return book.matrix
+    """The float64 matrix of `book`, `book.basis.dense()`, kept here per
+    book: a matrix-free basis fills it anew on every call."""
     if book not in _DENSE:
-        _DENSE[book] = book.modes.dense() if book._matrix is None else book._matrix
+        _DENSE[book] = book.basis.dense()
     return _DENSE[book]
 
 
 def dense_twin(book):
     """`book` itself when it holds its matrix, else a codebook that holds the
     matrix its basis fills."""
-    return book if book.modes is None else SphericalCodebook(dense_matrix(book), book.layout)
+    return SphericalCodebook(book.layout, DenseBasis(dense_matrix(book))) if book.basis.streamed else book
 
 
 def _dense_s_somp(measurements, combining, codebook, num_iterations):
@@ -154,7 +151,7 @@ def test_gram_matches_dense_on_random_configurations(
         (num_antennas, num_columns)
     )
     w /= np.linalg.norm(w, axis=0)
-    codebook = SphericalCodebook(w, _dummy_layout(num_columns))
+    codebook = SphericalCodebook(_dummy_layout(num_columns), DenseBasis(w))
     combining = generate_combining(rng, rows, 1, num_antennas)
     support = rng.choice(num_columns, size=min(planted, num_columns), replace=False)
     gains = rng.standard_normal((support.size, num_subcarriers)) + 1j * rng.standard_normal(
@@ -174,7 +171,7 @@ def test_gram_matches_dense_on_duplicate_column_codebook(small_config):
     geom_column = np.full(small_config.num_antennas, 1.0 / math.sqrt(small_config.num_antennas), dtype=complex)
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
-    duplicated = SphericalCodebook(np.column_stack([geom_column, geom_column, other]), _dummy_layout(3))
+    duplicated = SphericalCodebook(_dummy_layout(3), DenseBasis(np.column_stack([geom_column, geom_column, other])))
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     zero = MeasurementSet(np.zeros((combining.entries.shape[0], 2)), 0.0, math.inf)
     assert_matches_dense((zero, combining, duplicated, 2))
@@ -194,7 +191,7 @@ def test_phase_modes_match_dense_on_zero_input(small_config, small_codebook, mon
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 64)
     held = build_spherical_codebook(small_config, 0.55, 0.25)
-    assert held.modes is not None and held.num_columns > 3 * 64
+    assert isinstance(held.basis, PhaseModes) and held.num_columns > 3 * 64
     combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]
     zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0, math.inf)
@@ -251,7 +248,7 @@ def test_gram_matches_dense_on_desk_trials(desk_dense_calls, method):
     calls = desk_dense_calls[method]
     assert len(calls) >= 25
     for args in calls:
-        assert args[2].modes is None
+        assert isinstance(args[2].basis, DenseBasis)
         assert_matches_dense(args)
 
 
@@ -266,25 +263,26 @@ def test_desk_book_representations(desk_somp_calls):
     """The harness's desk spherical book is screened in complex64; its
     polar (G = 504) and angular (G = 128) books hold their matrices."""
     books = {method: calls[0][2] for method, calls in desk_somp_calls.items()}
-    assert isinstance(books[METHOD_S_SOMP].modes, Complex64Screen)
-    assert books[METHOD_P_SOMP].modes is None and books[METHOD_ANGULAR].modes is None
+    assert isinstance(books[METHOD_S_SOMP].basis, Complex64Screen)
+    assert isinstance(books[METHOD_P_SOMP].basis, DenseBasis) and isinstance(books[METHOD_ANGULAR].basis, DenseBasis)
 
 
 @pytest.mark.parametrize("iterations", [None, 8])
-def test_screen_matches_dense_on_desk_trials(desk_somp_calls, desk_dense_calls, iterations):
+def test_screen_matches_dense_on_desk_trials(desk_somp_calls, desk_dense_calls, iterations, record_fills):
     """S-SOMP on the complex64 screen of the desk spherical book gives the
     outputs of the same call on the book's dense float64 twin, bit for bit,
     on the 33 seeded desk trials, at their own iteration count and at 8,
-    and every pick went through at least one exact rescoring. The screened
-    book's lazy matrix stays unbuilt."""
+    and every pick went through at least one exact rescoring. S-SOMP on the
+    screen fills no dense matrix."""
     calls = desk_somp_calls[METHOD_S_SOMP]
     assert len(calls) == 33
+    built = record_fills()
     for args, dense_args in zip(calls, desk_dense_calls[METHOD_S_SOMP]):
         count = iterations or args[3]
         got = s_somp(*args[:3], count)
         assert_same_bits(got, s_somp(*dense_args[:3], count))
         assert all(step.rescored >= 1 and step.slack > 0.0 for step in got.steps)
-        assert args[2]._matrix is None
+    assert built == []
 
 
 @pytest.mark.parametrize("snr_db", [5.0, math.inf])
@@ -298,7 +296,7 @@ def test_screen_matches_dense_on_desk_pilot_trials(desk_spec, snr_db):
     assert len(calls) == 2 * len(spec.pilot_lengths)
     twin = dense_twin(calls[0][2])
     for measurements, combining, book, iterations in calls:
-        assert isinstance(book.modes, Complex64Screen)
+        assert isinstance(book.basis, Complex64Screen)
         for count in (iterations, 8):
             got = s_somp(measurements, combining, book, count)
             assert_same_bits(got, s_somp(measurements, combining, twin, count))
@@ -317,7 +315,7 @@ def test_streamed_s_somp_matches_dense_on_one_subcarrier(desk_spec, monkeypatch,
     calls = record_somp_calls(spec, {"snr": ((0.0, 10.0, 20.0, math.inf), 6)})[METHOD_S_SOMP]
     assert len(calls) == 24
     book = calls[0][2]
-    assert isinstance(book.modes, PhaseModes if phase_modes else Complex64Screen)
+    assert isinstance(book.basis, PhaseModes if phase_modes else Complex64Screen)
     twin = dense_twin(book)
     for measurements, combining, _, iterations in calls:
         assert measurements.observations.shape[1] == 1
@@ -344,7 +342,7 @@ def test_phase_modes_match_dense_on_desk_trials(desk_dense_calls, desk_phase_mod
     calls = desk_phase_mode_calls[method]
     assert len(calls) == len(desk_dense_calls[method]) == 33
     for args, dense_args in zip(calls, desk_dense_calls[method]):
-        assert args[2].modes is not None and dense_args[2].modes is None
+        assert args[2].basis.streamed and isinstance(dense_args[2].basis, DenseBasis)
         got = assert_matches_dense(args)
         want = s_somp(*dense_args)
         assert got.support == want.support
@@ -458,6 +456,7 @@ class _PerturbedModes:
     near the worst case."""
 
     rescore_rtol = RESCORE_RTOL
+    streamed = True
 
     def __init__(self, matrix, error, rng):
         self.matrix = matrix
@@ -467,6 +466,16 @@ class _PerturbedModes:
     @property
     def num_antennas(self):
         return self.matrix.shape[0]
+
+    @property
+    def num_columns(self):
+        return self.matrix.shape[1]
+
+    def dense(self):
+        return self.matrix
+
+    def columns(self, idx):
+        return self.matrix[:, idx]
 
     def correlate(self, v):
         v = np.asarray(v)
@@ -485,13 +494,10 @@ class _PerturbedModes:
         return np.maximum(exact + shift, 0.0)
 
 
-class _PerturbedCodebook(SphericalCodebook):
-    """A dense codebook that S-SOMP sees as one held in `_PerturbedModes`;
-    `columns` reads the matrix it holds."""
-
-    def __init__(self, matrix, error, rng):
-        super().__init__(matrix, _dummy_layout(matrix.shape[1]))
-        self.modes = _PerturbedModes(matrix, error, rng)
+def _perturbed_codebook(matrix, error, rng):
+    """A codebook of `matrix` held in `_PerturbedModes`, which S-SOMP streams
+    on; `columns` reads the matrix."""
+    return SphericalCodebook(_dummy_layout(matrix.shape[1]), _PerturbedModes(matrix, error, rng))
 
 
 def _check_running_scores(patch, args):
@@ -502,7 +508,7 @@ def _check_running_scores(patch, args):
     `rescore_rtol` (the bound in `_rank_one_update` is at most 3 of these,
     plus rounding). Returns the list of slacks after each move."""
     measurements, combining, book, _ = args
-    w = book.matrix
+    w = dense_matrix(book)
     scale = (np.linalg.norm(combining.entries, 2) * np.linalg.norm(measurements.observations)) ** 2
     real = estimator._rank_one_update
     slacks = []
@@ -514,7 +520,7 @@ def _check_running_scores(patch, args):
         assert np.all(np.abs(scores[free] - exact[free]) <= slack)
 
     def checking(book, a, change, previous, updated, scores, blocked, slack, rtol):
-        assert rtol == book.modes.rescore_rtol
+        assert rtol == book.basis.rescore_rtol
         check(scores, previous, blocked, slack)
         widened = real(book, a, change, previous, updated, scores, blocked, slack, rtol)
         assert slack <= widened <= slack + 4.0 * rtol * scale
@@ -605,7 +611,7 @@ def _check_random_configuration(
     if clustered:
         w = w[:, rng.integers(0, min(3, num_columns), num_columns)] + 0.2 * w
     w /= np.linalg.norm(w, axis=0)
-    book = _PerturbedCodebook(w, error, rng)
+    book = _perturbed_codebook(w, error, rng)
     combining = generate_combining(rng, rows, 1, num_antennas)
     support = rng.choice(num_columns, size=min(planted, num_columns), replace=False)
     gains = rng.standard_normal((support.size, num_subcarriers)) + 1j * rng.standard_normal(
@@ -663,7 +669,7 @@ def test_screened_s_somp_records_each_step(desk_somp_calls, rejected_step):
     """As above on the complex64 screen of the desk spherical book, whose
     first slack is its own `rescore_rtol` ||A^H Y||_F^2."""
     calls = desk_somp_calls[METHOD_S_SOMP][:4]
-    assert isinstance(calls[0][2].modes, Complex64Screen)
+    assert isinstance(calls[0][2].basis, Complex64Screen)
     _check_recorded_steps(calls, True, rejected_step)
 
 
@@ -694,7 +700,7 @@ def _check_recorded_steps(calls, streamed, rejected_step):
         assert len(got.steps) == iterations
         assert len(events) == (iterations if streamed else 1)
         projected = combining.entries.conj().T @ measurements.observations
-        rtol = book.modes.rescore_rtol if streamed else RESCORE_RTOL
+        rtol = book.basis.rescore_rtol if streamed else RESCORE_RTOL
         events[0][1] = rtol * float(np.vdot(projected, projected).real)
         for step, record in enumerate(got.steps):
             assert isinstance(record, estimator.SompStep)
@@ -721,7 +727,7 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
     w = draw(16, 300)
     w /= np.linalg.norm(w, axis=0)
-    book = _PerturbedCodebook(w, 0.0, rng)
+    book = _perturbed_codebook(w, 0.0, rng)
     a = draw(8, 16)
     residual = np.outer(a @ w[:, 0], draw(num_subcarriers))
     previous = a.conj().T @ residual
@@ -800,11 +806,11 @@ def test_ring_by_ring_power_spectra_change_no_bit_of_s_somp(desk_phase_mode_call
     scores of A^H Y are those of all rings at once, bit for bit, and with
     `scores` taking all rings at once every S-SOMP output keeps its bits."""
     calls = desk_phase_mode_calls[method]
-    assert max(plan.coef.shape[0] for plan in calls[0][2].modes._plans) > 1
+    assert max(plan.coef.shape[0] for plan in calls[0][2].basis._plans) > 1
     want = [s_somp(*args) for args in calls]
     for measurements, combining, book, _ in calls:
         projected = combining.entries.conj().T @ measurements.observations
-        assert np.array_equal(book.modes.scores(projected), _all_rings_scores(book.modes, projected))
+        assert np.array_equal(book.basis.scores(projected), _all_rings_scores(book.basis, projected))
     monkeypatch.setattr(PhaseModes, "scores", _all_rings_scores)
     for args, expected in zip(calls, want):
         got = s_somp(*args)
@@ -830,7 +836,7 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
     for args in desk_phase_mode_calls[method][:3]:
         measurements, combining, book, _ = args
         num_antennas, k = book.num_antennas, measurements.observations.shape[1]
-        longest = max(plan.power_length for plan in book.modes._plans)
+        longest = max(plan.power_length for plan in book.basis._plans)
         bound = 10 * book.num_columns + 16 * k * longest + 10 * 16 * num_antennas * k
         s_somp(*args)  # warm any lazily built state
         assert _traced_peak(s_somp, *args) <= bound
@@ -857,7 +863,7 @@ def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
     traced 2.57 MiB while the scores were formed 4096 columns at a time, in
     scratch as wide as the whole desk book."""
     twin = dense_twin(desk_codebook)
-    assert twin.modes is None
+    assert isinstance(twin.basis, DenseBasis)
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -871,7 +877,7 @@ def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
 
 
 @pytest.mark.parametrize("iterations", [3, 8])
-def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations):
+def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fills):
     """One desk spherical S-SOMP call on the complex64 screen traces at most
     0.8 MiB at 3 and at 8 iterations: the M x G complex64 product of the
     first pass (0.46 MiB), the score vector and its two boolean arrays, and
@@ -879,11 +885,12 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations):
     0.60 MiB at both. On the dense float64 book the Gram path traced 1.44
     and 1.74 MiB."""
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert isinstance(book.modes, Complex64Screen)
+    assert isinstance(book.basis, Complex64Screen)
     args = _desk_call(desk_spec, book, iterations)
+    built = record_fills()
     s_somp(*args)  # warm any lazily built state
     assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
-    assert book._matrix is None
+    assert built == []
 
 
 @pytest.mark.parametrize("phase_modes", [False, True])
@@ -905,7 +912,7 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     if not phase_modes:
         book = dense_twin(book)
-    assert (book.modes is not None) == phase_modes
+    assert book.basis.streamed == phase_modes
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -923,7 +930,7 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
     row and a row C (A^H Y)^H W of G entries)."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert book.modes is not None
+    assert isinstance(book.basis, PhaseModes)
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -962,7 +969,7 @@ def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, monkeyp
 @pytest.fixture(scope="module")
 def paper_somp_calls():
     # The paper spherical and polar codebooks hold phase modes, and the
-    # angular one a DftBasis; the oracle reads their lazily built matrices.
+    # angular one a DftBasis; the oracle reads the matrices they fill.
     spec = paper_profile(methods=SOMP_METHODS)
     return record_somp_calls(spec, {"snr": ((10.0,), 2)})
 
@@ -977,22 +984,23 @@ def test_paper_scale_supports_match_dense_oracle(paper_somp_calls):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("iterations", [3, 12])
-def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations):
-    """The paper angular book holds a `DftBasis`; S-SOMP on it gives the
-    outputs of the same call on a dense twin of that book, bit for bit.
-    (Other tests read the recorded book's lazy matrix, so a basis-only copy
-    of it is used.)"""
+def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations, record_fills):
+    """The paper angular book holds a `DftBasis`; S-SOMP on it fills no
+    dense matrix and gives the outputs of the same call on a dense twin of
+    that book, bit for bit."""
+    twins = {}
+    for _, _, book, _ in paper_somp_calls[METHOD_ANGULAR]:
+        assert isinstance(book.basis, DftBasis)
+        twins.setdefault(id(book), dense_twin(book))
+    built = record_fills()
     for measurements, combining, book, _ in paper_somp_calls[METHOD_ANGULAR]:
-        assert isinstance(book.modes, DftBasis)
-        held = SphericalCodebook(None, book.layout, book.modes)
-        twin = SphericalCodebook(book.modes.dense(), book.layout)
-        got = s_somp(measurements, combining, held, iterations)
-        want = s_somp(measurements, combining, twin, iterations)
+        got = s_somp(measurements, combining, book, iterations)
+        want = s_somp(measurements, combining, twins[id(book)], iterations)
         assert got.support == want.support
         assert np.array_equal(got.sparse_coeffs, want.sparse_coeffs)
         assert np.array_equal(got.channel_estimate, want.channel_estimate)
         assert got.residual_norms == want.residual_norms
-        assert held._matrix is None
+    assert built == []
 
 
 @pytest.mark.slow
@@ -1002,7 +1010,7 @@ def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
     copied A^H, `scores` held the spectra of every ring of the widest plan
     and the rescoring window formed four boolean arrays of G entries."""
     for args in paper_somp_calls[METHOD_S_SOMP]:
-        assert args[2].modes is not None
+        assert isinstance(args[2].basis, PhaseModes)
         s_somp(*args)  # warm any lazily built state
         assert _traced_peak(s_somp, *args) <= 2.5e6
 
@@ -1011,6 +1019,6 @@ def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
 def test_paper_scale_supports_match_dense_oracle_at_twelve_iterations(paper_somp_calls):
     """Eleven rank-1 score moves in a row on the paper spherical book."""
     for measurements, combining, book, _ in paper_somp_calls[METHOD_S_SOMP]:
-        assert book.modes is not None
+        assert isinstance(book.basis, PhaseModes)
         args = (measurements, combining, book, 12)
         assert s_somp(*args).support == _dense_s_somp(*args).support
