@@ -191,22 +191,18 @@ def approx_distance(r, theta, phi, antenna_index, geom: UcaGeometry):
     return r - radius * cross + radius * radius / (2.0 * r) * (1.0 - cross * cross)
 
 
-def azimuth_cosines(phis, geom: UcaGeometry, out=None) -> np.ndarray:
+def azimuth_cosines(phis, geom: UcaGeometry) -> np.ndarray:
     """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`.
 
     Every distance ring of one (theta, phi) point shares these values, so
     callers that fill several rings compute them once and pass them to
     `ring_steering`.
     """
-    phis = np.asarray(phis, dtype=np.float64)
-    psi = geom.antenna_azimuths_rad
-    if out is None:
-        out = np.empty((phis.size, psi.size))
-    np.subtract(phis[:, None], psi, out=out)
+    out = np.subtract(np.asarray(phis, dtype=np.float64)[:, None], geom.antenna_azimuths_rad)
     return np.cos(out, out=out)
 
 
-def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out, scratch=None):
+def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out):
     """Write the unit-norm steering vectors of ring (r, theta) into `out` (N x S).
 
     Column s of `out` is the steering vector towards (r, theta, phi_s), where
@@ -214,17 +210,13 @@ def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out
     A finite r gives the spherical wave exp(-j 2pi/lambda (r^(n) - r)) /
     sqrt(N) with the exact per-antenna distance r^(n); r = inf gives the
     plane wave exp(+j 2pi/lambda R sin(theta) cos(phi_s - psi_n)) / sqrt(N).
-    `scratch` is an optional (float64, complex128) pair of arrays shaped like
-    `cosines`; with it, every ufunc writes into caller-owned memory.
     """
     radius = geom.radius_m
     if r <= radius:
         raise ValueError(
             f"near-field source must lie outside the array: r={r} <= R={radius}"
         )
-    if scratch is None:
-        scratch = (np.empty(cosines.shape), np.empty(cosines.shape, dtype=np.complex128))
-    real, phase = scratch
+    real, phase = np.empty(cosines.shape), np.empty(cosines.shape, dtype=np.complex128)
     # The scalar factors are grouped, and the ufuncs applied, in the order of
     # the per-column formulas, so every column is bit-identical to them
     # whatever S is.

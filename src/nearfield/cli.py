@@ -197,6 +197,8 @@ def _describe_pairs(label: str, stats: cb.PairStats) -> str:
 
 def _cmd_codebook_stats(args) -> int:
     spec = assemble_spec(args)
+    if args.budget < 1:
+        raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
     book = _build_spherical(spec)
     layout = book.layout
     levels = layout.thetas.size
@@ -224,6 +226,8 @@ def _cmd_sweep(args, kind: str) -> int:
 
 def _cmd_trial(args) -> int:
     spec = assemble_spec(args)
+    if args.trial_index < 0:
+        raise ConfigurationError(f"--trial-index must be >= 0, got {args.trial_index}")
     snr_db = args.snr if args.snr is not None else spec.snr_db
     if snr_db is None:
         snr_db = 10.0

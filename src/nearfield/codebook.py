@@ -94,9 +94,10 @@ class _RingLayout:
     Elevation t (angle `thetas[t]`) holds columns `column_starts[t]` up to
     `column_starts[t + 1]`, s-major and z-minor over its azimuths
     `azimuths[azimuth_starts[t]:azimuth_starts[t + 1]]` and its distance
-    rings `rings[ring_starts[t]:ring_starts[t + 1]]`, the order
-    `fill_rings` fills. Its size grows with the rings and azimuths, not
-    with the column count G.
+    rings `rings[ring_starts[t]:ring_starts[t + 1]]`; `locate` gives any
+    column's ring and azimuth, from which `phase_modes.ring_columns` fills
+    it. Its size grows with the rings and azimuths, not with the column
+    count G.
     """
 
     def __init__(self, elevations):
@@ -117,7 +118,7 @@ class _RingLayout:
 
     def elevations(self):
         """(theta, azimuths, rings, first column) per elevation, as
-        `fill_rings` and `PhaseModes` take them."""
+        `PhaseModes` takes them."""
         for t, theta in enumerate(self.thetas.tolist()):
             rings = self.rings[self.ring_starts[t] : self.ring_starts[t + 1]]
             azimuths = self.azimuths[self.azimuth_starts[t] : self.azimuth_starts[t + 1]]

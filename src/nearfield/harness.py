@@ -80,6 +80,10 @@ class RunSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigurationError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
+        # A CSV row per method and sweep point must mean one method.
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigurationError(f"methods named more than once: {repeated}")
         if self.num_paths < 1:
             raise ConfigurationError(f"num_paths must be >= 1, got {self.num_paths}")
         if self.num_iterations is not None and self.num_iterations < 1:

@@ -51,9 +51,11 @@ from .channel import UcaGeometry, azimuth_cosines, ring_steering
 MODE_RTOL = 1e-12
 #: Doublings of the sample count allowed beyond the first estimate.
 _MAX_DOUBLINGS = 4
-#: Azimuths per slice of the ring fill: small enough that a slice's scratch
-#: stays in cache.
-_AZIMUTH_SLICE = 64
+#: Columns per `ring_columns` call of `ring_matrix`. Minimum CPU time of
+#: the desk bank build (N = 128, 4 293 ring-built columns) over 40
+#: interleaved builds on a 2-vCPU VM: 256 columns, 28.1 ms; 512, 29.3;
+#: 1024, 31.0; 2048, 34.7; 64, 32.7.
+_FILL_COLUMNS = 256
 #: Columns whose phase-mode or DFT score lies within this share of
 #: ||A^H Y||_F^2 of the best one are rescored on their exact columns by
 #: `estimator.s_somp`; later iterations widen that slack by a bound on each
@@ -147,29 +149,6 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     )
 
 
-def fill_rings(matrix, elevations, geom, wavelength_m):
-    """Fill `matrix` ring by ring.
-
-    `elevations` yields (theta, azimuths, rings, first column) per
-    elevation. Within one elevation the columns run s-major, z-minor, so
-    ring z of the azimuth slice [s0, s1) is the strided view
-    `block[:, s0:s1, z]` of the elevation's (N, S, Z) block. Each slice
-    computes cos(phi_s - psi_n) once for all of its rings, and every ufunc
-    writes into the scratch allocated here.
-    """
-    n = matrix.shape[0]
-    cos_buf, real_buf = np.empty((_AZIMUTH_SLICE, n)), np.empty((_AZIMUTH_SLICE, n))
-    phase_buf = np.empty((_AZIMUTH_SLICE, n), dtype=np.complex128)
-    for theta, phis, rings, col in elevations:
-        block = matrix[:, col : col + len(phis) * len(rings)].reshape(n, len(phis), len(rings))
-        for s0 in range(0, len(phis), _AZIMUTH_SLICE):
-            s = min(_AZIMUTH_SLICE, len(phis) - s0)
-            cosines = azimuth_cosines(phis[s0 : s0 + s], geom, out=cos_buf[:s])
-            scratch = (real_buf[:s], phase_buf[:s])
-            for z, ring in enumerate(rings):
-                ring_steering(ring, theta, cosines, geom, wavelength_m, block[:, s0 : s0 + s, z], scratch)
-
-
 def _as_slice(positions):
     """The slice that picks `positions` when they rise in even steps, else
     `positions` itself; indexing with either gives the same elements."""
@@ -181,22 +160,29 @@ def _as_slice(positions):
 
 
 def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
-    """The N x G matrix of a ring layout in `dtype`, filled by `fill_rings`.
+    """The C-ordered N x G matrix of a ring layout in `dtype`, copied from
+    `ring_columns` `_FILL_COLUMNS` columns at a time.
 
-    Each ufunc of the fill computes in float64 and casts on output, so a
-    complex64 matrix holds every float64 entry rounded once, and no float64
-    matrix is formed on the way.
+    The C order is kept because BLAS may sum a product in an order that
+    follows the operands' layout, and S-SOMP's outputs were checked bit for
+    bit on C-ordered matrices. A complex64 matrix holds every float64 entry
+    rounded once, by the copy's cast, and no float64 matrix is formed on
+    the way.
     """
-    matrix = np.empty((geom.num_antennas, layout.num_columns), dtype=dtype)
-    fill_rings(matrix, layout.elevations(), geom, wavelength_m)
+    g = layout.num_columns
+    matrix = np.empty((geom.num_antennas, g), dtype=dtype)
+    for start in range(0, g, _FILL_COLUMNS):
+        stop = min(start + _FILL_COLUMNS, g)
+        matrix[:, start:stop] = ring_columns(layout, geom, wavelength_m, np.arange(start, stop))
     return matrix
 
 
 def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
     """W[:, idx] of the ring layout's book as a new (N, len(idx)) complex128
-    array, bit for bit as `fill_rings` fills the dense matrix, and in the
-    Fortran order in which `matrix[:, idx]` gives them: numpy's product of
-    a matrix with one vector sums in an order that follows the layout.
+    array, the one filler of every column and matrix of a ring-built book.
+    The array is in the Fortran order in which `matrix[:, idx]` gives the
+    columns: numpy's product of a matrix with one vector sums in an order
+    that follows the layout.
 
     Indices select as on the matrix: negative ones count from the end, and
     out-of-range ones raise IndexError. Only the columns asked for are
@@ -264,12 +250,13 @@ class DenseBasis:
 class _RingBasis:
     """What the bases of a ring-built codebook share: the ring layout, the
     array and the wavelength, and from them the exact float64 matrix and
-    columns, bit for bit as `fill_rings` fills them.
+    columns, both filled by `ring_columns`.
 
     `layout` (a `codebook._RingLayout`) says where every column lies: its
     `elevations()` yields (theta, azimuths, rings, first column) per
-    elevation, the order `fill_rings` fills, with columns s-major and
-    z-minor within an elevation and azimuths uniform from 0.
+    elevation, with columns s-major and z-minor within an elevation and
+    azimuths uniform from 0, and its `locate` gives the ring and azimuth of
+    any column.
     """
 
     streamed = True
@@ -288,7 +275,7 @@ class _RingBasis:
         return self.layout.num_columns
 
     def dense(self) -> np.ndarray:
-        """The dense float64 N x G matrix, filled ring by ring by `fill_rings`."""
+        """The dense float64 N x G matrix (`ring_matrix`)."""
         return ring_matrix(self.layout, self.geom, self.wavelength_m)
 
     def columns(self, idx) -> np.ndarray:
@@ -310,41 +297,29 @@ class PhaseModes(_RingBasis):
 
     def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
         super().__init__(layout, geom, wavelength_m)
-        n = geom.num_antennas
-        shapes = []  # (first column, coef, azimuth step, S, F, chirp) per elevation
-        for theta, phis, rings, col in layout.elevations():
-            modes = ring_modes(theta, rings, geom, wavelength_m)
-            step = float(phis[1]) if len(phis) > 1 else 0.0
-            width = modes.shape[1]
-            p = np.arange(max(width, len(phis)), dtype=np.float64)
-            chirp = np.exp(0.5j * step * p * p)
-            coef = modes * chirp[:width]
-            shapes.append((col, coef, step, len(phis), fft_length(width + len(phis) - 1), chirp))
-        spectra = [None] * len(shapes)
-        # One batched FFT per chirp length.
-        for size in {shape[4] for shape in shapes}:
-            members = [i for i, shape in enumerate(shapes) if shape[4] == size]
-            chirps = np.zeros((len(members), size), dtype=np.complex128)
-            for row, i in zip(chirps, members):
-                _, coef, step, count, _, _ = shapes[i]
-                q = np.arange(1 - coef.shape[1], count)
-                row[q % size] = np.exp(-0.5j * step * (q * q).astype(np.float64))
-            for i, spectrum in zip(members, np.fft.fft(chirps, axis=1)):
-                spectra[i] = spectrum
+        elevations = [(ring_modes(theta, rings, geom, wavelength_m), phis, col) for theta, phis, rings, col in layout.elevations()]
         # The antenna modes -H..H of the widest plan, mod N: each call gathers
         # U there once, and each plan reads the slice around mode 0 it needs.
-        reach = max(shape[1].shape[1] for shape in shapes) // 2
-        self._wrap = np.arange(-reach, reach + 1) % n
+        reach = max(modes.shape[1] for modes, _, _ in elevations) // 2
+        self._wrap = np.arange(-reach, reach + 1) % geom.num_antennas
         self._plans = []
-        for (col, coef, step, count, _, chirp), spectrum in zip(shapes, spectra):
-            width = coef.shape[1]
+        for modes, phis, col in elevations:
+            step = float(phis[1]) if len(phis) > 1 else 0.0
+            width, count = modes.shape[1], len(phis)
+            p = np.arange(max(width, count), dtype=np.float64)
+            chirp = np.exp(0.5j * step * p * p)
+            modes *= chirp[:width]  # the plan's `coef`
+            size = fft_length(width + count - 1)
+            q = np.arange(1 - width, count)
+            spectrum = np.zeros(size, dtype=np.complex128)
+            spectrum[q % size] = np.exp(-0.5j * step * (q * q).astype(np.float64))
             half = width // 2
             self._plans.append(
                 _ElevationPlan(
                     col,
                     self._wrap[reach - half : reach + half + 1],
-                    coef,
-                    spectrum,
+                    modes,
+                    np.fft.fft(spectrum),
                     chirp,
                     step,
                     count,

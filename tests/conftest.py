@@ -35,14 +35,16 @@ def desk_codebook(desk_spec):
 @pytest.fixture
 def record_fills(monkeypatch):
     """Call to start recording what fills a dense matrix or builds a grid:
-    "matrix" per `phase_modes.fill_rings` call (every ring-built matrix, in
+    "matrix" per `phase_modes.ring_matrix` call (every ring-built matrix, in
     any dtype), "dft" per `DftBasis.dense` call and "grid" per
     `_RingLayout.grid` call. Returns the list they are appended to."""
 
     def start():
         built = []
-        fill, dft, grid = phase_modes.fill_rings, phase_modes.DftBasis.dense, codebook._RingLayout.grid
-        monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: built.append("matrix") or fill(*args))
+        fill, dft, grid = phase_modes.ring_matrix, phase_modes.DftBasis.dense, codebook._RingLayout.grid
+        # `codebook` imports `ring_matrix` by name, so both names are patched.
+        for module in (phase_modes, codebook):
+            monkeypatch.setattr(module, "ring_matrix", lambda *args: built.append("matrix") or fill(*args))
         monkeypatch.setattr(phase_modes.DftBasis, "dense", lambda self: built.append("dft") or dft(self))
         monkeypatch.setattr(codebook._RingLayout, "grid", lambda self: built.append("grid") or grid(self))
         return built

@@ -2,8 +2,9 @@
 
 `near_field_column` and `far_field_column` are the earlier bodies of
 `near_field_steering` and `far_field_steering` (with `exact_distance`
-inlined): one N-vector per call, computed from scratch. The codebook fill
-and `ring_steering` must reproduce them bit for bit.
+inlined): one N-vector per call, computed from scratch. `ring_steering`
+and `phase_modes.ring_columns`, which fills every column and matrix of a
+ring-built codebook from it, must reproduce them bit for bit.
 """
 
 import math

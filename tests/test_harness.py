@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearfield
-from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, phase_modes, run_trial
+from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
@@ -56,6 +56,9 @@ def test_run_spec_validation():
         tiny_spec(methods=())
     with pytest.raises(ConfigurationError):
         tiny_spec(methods=("somp-of-doom",))
+    # Each CSV row names one method; a repeated one ran twice per trial.
+    with pytest.raises(ConfigurationError, match=r"methods named more than once: \['s-somp'\]"):
+        tiny_spec(methods=("s-somp", "ls", "s-somp"))
     with pytest.raises(ConfigurationError):
         tiny_spec(snr_list_db=(10.0, 0.0))
     # A pilot sweep runs int(value) slots, so only integers >= 1 may label rows.
@@ -627,11 +630,9 @@ def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.basis.dense())
 
 
-def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch):
+def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch, record_fills):
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
-    fills = []
-    real_fill = phase_modes.fill_rings
-    monkeypatch.setattr(phase_modes, "fill_rings", lambda *args: fills.append(real_fill(*args)))
+    fills = record_fills()
     grid_out = tmp_path / "grid.txt"
     matrix_out = tmp_path / "matrix.bin"
     config_path = tmp_path / "small.cfg"
@@ -672,6 +673,24 @@ def test_cli_paper_profile_needs_no_slow_flag(capsys):
 def test_cli_rejects_unknown_method():
     code = cli_main(["trial", "--methods", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["trial", "--trial-index", "-1"], "--trial-index must be >= 0, got -1"),
+        (["codebook", "stats", "--budget", "0"], "--budget must be >= 1, got 0"),
+        (["sweep", "snr", "--methods", "s-somp,s-somp", "--out", "{tmp}/snr.csv"], "methods named more than once: ['s-somp']"),
+    ],
+)
+def test_cli_rejects_a_bad_flag_before_building_a_codebook(tmp_path, capsys, args, message):
+    """Exit 2 with a message naming the flag, and no codebook built (no
+    "built in" line) or file written."""
+    assert cli_main([arg.format(tmp=tmp_path) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {message}" in captured.err
+    assert "built in" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

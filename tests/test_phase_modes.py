@@ -155,12 +155,17 @@ def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
     `dense()[:, idx]` bit for bit for any index list (negative indices
     included), `nbytes` counts the arrays it holds, only `DenseBasis` is not
     streamed, and the book's `matrix` and `grid` are `basis.dense()` and
-    `layout.grid()`."""
+    `layout.grid()`. `dense()` and the matrix a dense or screen basis holds
+    are C-ordered: BLAS may sum a product in an order that follows the
+    operands' layout, and S-SOMP's Gram and screen GEMMs were checked bit
+    for bit on that order."""
     book, dense = desk_bases[kind]
     basis = book.basis
     assert type(basis) is BASES[kind]
     g = basis.num_columns
     assert dense.shape == (basis.num_antennas, g) == (book.num_antennas, book.num_columns)
+    held = {"dense": "matrix", "screen": "entries"}.get(kind)
+    assert dense.flags.c_contiguous and (held is None or getattr(basis, held).flags.c_contiguous)
     idx = data.draw(st.lists(st.integers(-g, g - 1), max_size=40), label="idx")
     assert np.array_equal(basis.columns(idx), dense[:, idx])
     assert basis.nbytes == _held_bytes(basis)
@@ -678,8 +683,16 @@ def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
     float64); the spherical book holds <= 8 N G bytes, and the build traces
     less than the 7.76 MB one float64 spherical matrix took."""
     fills = []
-    real_fill = phase_modes.fill_rings
-    monkeypatch.setattr(phase_modes, "fill_rings", lambda matrix, *args: fills.append((matrix.dtype, matrix.shape)) or real_fill(matrix, *args))
+    real_fill = phase_modes.ring_matrix
+
+    def recorded_fill(*args):
+        matrix = real_fill(*args)
+        fills.append((matrix.dtype, matrix.shape))
+        return matrix
+
+    # `codebook` imports `ring_matrix` by name, so both names are patched.
+    for module in (phase_modes, codebook):
+        monkeypatch.setattr(module, "ring_matrix", recorded_fill)
     tracemalloc.start()
     try:
         bank = build_codebooks(desk_spec)
