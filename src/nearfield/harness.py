@@ -84,8 +84,14 @@ class RunSpec:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigurationError(f"methods named more than once: {repeated}")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.num_paths < 1:
             raise ConfigurationError(f"num_paths must be >= 1, got {self.num_paths}")
+        if self.num_paths > self.system.num_antennas:
+            raise ConfigurationError(
+                f"num_paths={self.num_paths} exceeds num_antennas={self.system.num_antennas}"
+            )
         if self.num_iterations is not None and self.num_iterations < 1:
             raise ConfigurationError(f"num_iterations must be >= 1, got {self.num_iterations}")
         # +inf is the noiseless sentinel; a NaN or -inf row would be mislabelled,

@@ -12,73 +12,43 @@ import numpy as np
 # as numerically rank-deficient.
 CONDITION_LIMIT = 1e12
 
-# Crossover between the power series and the Hankel asymptotic expansion.
-# The series loses ~5 digits to cancellation near x = 20; at 12 the
-# asymptotic tail already truncates below 1e-11.
-_SERIES_CROSSOVER = 12.0
-
 
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero.
 
-    Uses the ascending power series sum_k (-1)^k (x/2)^(2k) / (k!)^2 for
-    |x| <= 12 and the Hankel asymptotic expansion beyond, giving absolute
-    error below 1e-10 on [0, 50]. Negative arguments are accepted via the
-    even symmetry of J0.
+    Bessel's integral J0(x) = (1/2 pi) int_0^{2 pi} cos(x sin t) dt, averaged
+    over K = 64 + 2 ceil(|x|) uniform ring points, as a UCA's column
+    correlation averages e^{jx cos(phi - psi_n)} over its antennas. The
+    K-point average equals J0(x) + 2 sum_{m >= 1} J_{mK}(x) exactly, and
+    J_K(x) is negligible once K exceeds |x| by that margin: the absolute
+    error is rounding alone, below 1e-14 on [0, 50] and about 2e-14 out to
+    1e4. Negative arguments are accepted via the even symmetry of J0;
+    non-finite ones and |x| > 1e4 are rejected.
     """
     x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel_j0 requires a finite argument, got {x!r}")
+    if not math.isfinite(x) or abs(x) > 1e4:
+        raise ValueError(f"bessel_j0 requires a finite |x| <= 1e4, got {x!r}")
     x = abs(x)
-    if x <= _SERIES_CROSSOVER:
-        return _j0_series(x)
-    return _j0_asymptotic(x)
+    k = 64 + 2 * math.ceil(x)
+    ring = np.sin((2.0 * math.pi / k) * np.arange(k))
+    return float(np.mean(np.cos(x * ring)))
 
 
-def _j0_series(x: float) -> float:
-    q = -0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while abs(term) > 1e-18:
-        k += 1
-        term *= q / (k * k)
-        total += term
-    return total
-
-
-def _j0_asymptotic(x: float) -> float:
-    # J0(x) = Re[ sqrt(2/(pi x)) e^{i(x - pi/4)} sum_m i^m a_m / x^m ] with
-    # a_{m+1}/a_m = -(2m+1)^2 / (8(m+1)); truncated at the smallest term.
-    ratio_base = 1j / x
-    term = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    smallest = math.inf
-    m = 0
-    while 1e-19 < abs(term) < smallest:
-        total += term
-        smallest = abs(term)
-        term *= ratio_base * (-((2 * m + 1) ** 2) / (8.0 * (m + 1)))
-        m += 1
-    w = x - 0.25 * math.pi
-    phase = complex(math.cos(w), math.sin(w))
-    return math.sqrt(2.0 / (math.pi * x)) * (phase * total).real
+def _bisect_j0(level: float, lo: float, hi: float, tol: float) -> float:
+    """The x in [lo, hi], where J0 decreases, at which it crosses `level`, to within tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if bessel_j0(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @functools.lru_cache(maxsize=1)
 def first_j0_zero() -> float:
     """First positive zero of J0, located by bisection on (2, 3)."""
-    lo, hi = 2.0, 3.0
-    f_lo = bessel_j0(lo)
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        f_mid = bessel_j0(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = f_mid
-    return 0.5 * (lo + hi)
+    return _bisect_j0(0.0, 2.0, 3.0, 1e-14)
 
 
 def solve_beta_delta(delta: float) -> float:
@@ -95,14 +65,7 @@ def solve_beta_delta(delta: float) -> float:
     zero = first_j0_zero()
     if delta == 0.0:
         return zero
-    lo, hi = 0.0, zero
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if bessel_j0(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_j0(delta, 0.0, zero, 1e-12)
 
 
 def lstsq_minimum_norm(a_sub: np.ndarray, y: np.ndarray):

@@ -111,10 +111,11 @@ def test_criterion_3_noiseless_on_grid_exact_recovery(desk):
     # represented. The printed azimuth rule double-covers phi = 0 vs
     # phi ~ 2 pi, so the s = 0 / s = S endpoint columns have a
     # near-duplicate twin and are excluded from planting.
-    t, s, _ = book.grid.indices.T
+    grid = book.layout.grid()
+    t, s, _ = grid.indices.T
     s_max = np.zeros(t.max() + 1, dtype=np.int64)
     np.maximum.at(s_max, t, s)
-    finite = np.isfinite(book.grid.coords[:, 0])
+    finite = np.isfinite(grid.coords[:, 0])
     plantable = np.flatnonzero(finite & (0 < s) & (s < s_max[t])).tolist()
     assert len(plantable) > 1000
 
@@ -123,7 +124,7 @@ def test_criterion_3_noiseless_on_grid_exact_recovery(desk):
         rng = np.random.default_rng(trial)
         col = plantable[rng.integers(len(plantable))]
         gain = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        path = PathParams(*book.grid.coords[col].tolist(), gain)
+        path = PathParams(*grid.coords[col].tolist(), gain)
         truth = generate_channel([path], config)
         combining = generate_combining(
             10_000 + trial, config.num_pilot_slots, config.num_rf_chains, config.num_antennas

@@ -181,7 +181,7 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
     )
     assert small_codebook.num_columns == total
     by_level = {}
-    for t, s, z in small_codebook.grid.indices.tolist():
+    for t, s, z in small_codebook.layout.grid().indices.tolist():
         azimuths, rings = by_level.get(t, (0, 0))
         by_level[t] = (max(azimuths, s + 1), max(rings, z + 1))
     assert by_level == {t: (azimuths, rings) for t, azimuths, rings in per_level}
@@ -190,11 +190,11 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
 def test_spherical_codebook_deterministic(small_config, small_codebook):
     again = build_spherical_codebook(small_config, 0.55, 0.25)
     assert np.array_equal(again.basis.dense(), small_codebook.basis.dense())
-    assert again.grid == small_codebook.grid
+    assert again.layout.grid() == small_codebook.layout.grid()
 
 
 def test_spherical_codebook_grid_consistency(small_codebook):
-    grid = small_codebook.grid
+    grid = small_codebook.layout.grid()
     assert len(grid) == small_codebook.num_columns
     assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
     indices = [tuple(row) for row in grid.indices.tolist()]
@@ -208,13 +208,14 @@ def test_spherical_codebook_grid_consistency(small_codebook):
 
 
 def test_spherical_codebook_zenith_contributes_one_column(small_codebook):
-    zenith = small_codebook.grid.coords[small_codebook.grid.indices[:, 0] == 0]
+    grid = small_codebook.layout.grid()
+    zenith = grid.coords[grid.indices[:, 0] == 0]
     assert len(zenith) == 1
     assert math.isinf(zenith[0, 0])
 
 
 def test_codebook_grid_equality_is_a_bool(small_codebook):
-    grid = small_codebook.grid
+    grid = small_codebook.layout.grid()
     same = CodebookGrid(grid.indices.copy(), grid.coords.copy())
     assert (same == grid) is True
     moved = grid.coords.copy()
@@ -279,7 +280,7 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
     assert "grid" not in built
     thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
     want = _grid_of(desk_spec, thetas)
-    grid = book.grid
+    grid = book.layout.grid()
     assert built.count("grid") == 1
     assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
     assert np.array_equal(grid.indices, want.indices) and np.array_equal(grid.coords, want.coords)
@@ -298,7 +299,7 @@ def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebo
     lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     for book in (desk_codebook, polar):
-        assert np.array_equal(book.basis.dense(), oracle_matrix(book.grid, geom, lam))
+        assert np.array_equal(book.basis.dense(), oracle_matrix(book.layout.grid(), geom, lam))
 
 
 def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
@@ -321,7 +322,7 @@ def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
     assert isinstance(book.basis, PhaseModes)
     geom = UcaGeometry.from_config(spec.system)
     lam = spec.system.wavelength_m
-    coords = book.grid.coords.tolist()
+    coords = book.layout.grid().coords.tolist()
     built = record_fills()
     mismatched = []
     for start in range(0, book.num_columns, 4096):
@@ -357,7 +358,7 @@ def test_spherical_codebook_rejects_bad_delta(small_config):
 
 def test_polar_codebook_is_coplanar_subset(small_config, small_codebook):
     polar = build_polar_codebook(small_config, 0.55, 0.25)
-    assert np.all(polar.grid.coords[:, 1] == 0.5 * math.pi)
+    assert np.all(polar.layout.grid().coords[:, 1] == 0.5 * math.pi)
     assert polar.num_columns <= small_codebook.num_columns
 
 
@@ -437,7 +438,8 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
     single = SphericalCodebook(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), DenseBasis(book.columns([0])))
-    assert single.grid == CodebookGrid(book.grid.indices[:1], book.grid.coords[:1])
+    grid = book.layout.grid()
+    assert single.layout.grid() == CodebookGrid(grid.indices[:1], grid.coords[:1])
     stats = coherence_stats(single, 10)
     assert stats.random_pairs.count == 0
     assert stats.adjacent_azimuth.count == 0
@@ -475,7 +477,7 @@ def _adjacent_correlations_by_dict(book, matrix):
     """The correlations of the column pairs adjacent in t, s and z, found
     through a dict of (t, s, z) tuples, in ascending order of the first
     column of each pair, and gathered from the book's dense `matrix`."""
-    by_index = {tuple(ids): col for col, ids in enumerate(book.grid.indices.tolist())}
+    by_index = {tuple(ids): col for col, ids in enumerate(book.layout.grid().indices.tolist())}
     axes = {0: ([], []), 1: ([], []), 2: ([], [])}
     for (t, s, z), col in by_index.items():
         for axis, neighbour in enumerate(((t + 1, s, z), (t, s + 1, z), (t, s, z + 1))):
@@ -637,7 +639,7 @@ def test_grid_text_round_trip(tmp_path, books):
         path = tmp_path / f"{name}.txt"
         export_grid_text(book, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256[name], name
-        assert (load_grid_text(path) == book.grid) is True, name
+        assert (load_grid_text(path) == book.layout.grid()) is True, name
 
 
 @settings(max_examples=60, deadline=None)

@@ -43,16 +43,17 @@ def plantable_columns(codebook):
     s = 0 / s = S endpoint columns of each elevation have a near-duplicate
     twin and cannot be told apart through a compressed measurement.
     """
-    t, s, _ = codebook.grid.indices.T
+    grid = codebook.layout.grid()
+    t, s, _ = grid.indices.T
     s_max = np.zeros(t.max() + 1, dtype=np.int64)
     np.maximum.at(s_max, t, s)
-    finite = np.isfinite(codebook.grid.coords[:, 0])
+    finite = np.isfinite(grid.coords[:, 0])
     return np.flatnonzero(finite & (0 < s) & (s < s_max[t])).tolist()
 
 
 def path_at(codebook, col, gain):
     """A path at the (r, theta, phi) of one codebook column."""
-    return PathParams(*codebook.grid.coords[col].tolist(), gain)
+    return PathParams(*codebook.layout.grid().coords[col].tolist(), gain)
 
 
 def test_combining_entries_have_constant_modulus():
@@ -173,7 +174,7 @@ def test_s_somp_recovers_single_planted_column(small_config, small_codebook):
 
 def test_s_somp_recovers_two_separated_columns(small_config, small_codebook):
     candidates = plantable_columns(small_codebook)
-    azimuth_index = small_codebook.grid.indices[:, 1]
+    azimuth_index = small_codebook.layout.grid().indices[:, 1]
     col_a = candidates[0]
     col_b = next(
         c for c in candidates if abs(azimuth_index[c] - azimuth_index[col_a]) >= 3  # >= 3 azimuth cells apart
@@ -223,7 +224,7 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     matrix = np.column_stack([geom_column, geom_column, other])
     layout = _RingLayout([(0.5 * math.pi, [0.0] * 3, [FAR_FIELD])])
     duplicated = SphericalCodebook(layout, DenseBasis(matrix))
-    assert duplicated.grid == CodebookGrid(
+    assert duplicated.layout.grid() == CodebookGrid(
         np.array([[0, s, 0] for s in range(3)]), np.tile([math.inf, 0.5 * math.pi, 0.0], (3, 1))
     )
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)

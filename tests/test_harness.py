@@ -72,6 +72,16 @@ def test_run_spec_validation():
     # Each of these failed or mislabelled every trial.
     with pytest.raises(ConfigurationError, match="num_paths must be >= 1, got 0"):
         tiny_spec(num_paths=0)
+    # More paths than antennas failed every trial's channel synthesis.
+    for paths in (129, 200):
+        with pytest.raises(ConfigurationError, match=f"num_paths={paths} exceeds num_antennas=128"):
+            tiny_spec(num_paths=paths, num_iterations=3)
+    assert tiny_spec(num_paths=128, num_iterations=3).num_paths == 128
+    # SeedSequence rejects a negative entropy only once the first trial is seeded.
+    for seed in (-1, -(2**63)):
+        with pytest.raises(ConfigurationError, match=f"master_seed must be >= 0, got {seed}"):
+            tiny_spec(master_seed=seed)
+    assert tiny_spec(master_seed=0).master_seed == 0
     for iterations in (0, -1):
         with pytest.raises(ConfigurationError, match=f"num_iterations must be >= 1, got {iterations}"):
             tiny_spec(num_iterations=iterations)
@@ -717,6 +727,7 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         ("snr_list_db = 0, nan, 10", "snr_list_db must be finite or +inf, got [nan]"),
         ("num_paths = 0", "num_paths must be >= 1, got 0"),
         ("num_iterations = 0", "num_iterations must be >= 1, got 0"),
+        ("master_seed = -1", "master_seed must be >= 0, got -1"),
     ],
 )
 def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys, line, message):
@@ -792,6 +803,34 @@ def test_cli_rejects_iterations_above_the_rank_budget(tmp_path, capsys, command,
     flags = ["--out", str(out)] if command[0] == "sweep" else []
     assert cli_main(command + ["--config", str(config_path), "--trials", "1"] + flags) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("", ["--seed", "-1", "--methods", "ls", "--snr-list", "10"], "master_seed must be >= 0, got -1"),
+        ("num_paths = 200\nnum_iterations = 3\n", [], "num_paths=200 exceeds num_antennas=128"),
+    ],
+    ids=["negative-seed", "more-paths-than-antennas"],
+)
+def test_cli_rejects_a_sweep_that_fails_every_trial_before_building_a_codebook(
+    tmp_path, capsys, monkeypatch, config, flags, message
+):
+    """A negative seed used to exit 3 with numpy's "expected non-negative
+    integer" once the bank was built, and a desk sweep of 200 paths to exit 0
+    with NaN rows of 0 trials, each trial warning "path count 200 exceeds
+    antenna count 128". Each exits 2 before any codebook is built, and no CSV
+    is written."""
+    builds = []
+    monkeypatch.setattr(harness, "build_codebooks", lambda spec: builds.append(spec))
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config)
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "snr", "--config", str(config_path), "--trials", "1", "--out", str(out)]
+    assert cli_main(argv + flags) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert builds == []
     assert not out.exists()
 
 

@@ -24,6 +24,11 @@ J0_AT_ONE = 0.7651976865579666
 FIRST_ZERO = 2.404825557695773
 BETA_FOR_055 = 1.4309457931011534
 
+# The exact bits of alpha = j01 and beta(0.55) every codebook is spaced by:
+# a J0 that moves either moves every column of every book.
+FIRST_ZERO_BITS = "0x1.33d152e971b38p+1"
+BETA_FOR_055_BITS = "0x1.6e5276a7b7e76p+0"
+
 
 def j0_series_oracle(x):
     """Independent oracle: sum (-1)^k (x/2)^(2k) / (k!)^2 in 40-digit arithmetic."""
@@ -52,12 +57,23 @@ def test_j0_vanishes_at_first_zero():
 
 @pytest.mark.parametrize("x", [0.5 * k for k in range(41)])
 def test_j0_matches_series_oracle_on_grid(x):
-    assert bessel_j0(x) == pytest.approx(j0_series_oracle(x), abs=1e-10)
+    assert bessel_j0(x) == pytest.approx(j0_series_oracle(x), abs=1e-14)
 
 
 @pytest.mark.parametrize("x", [12.5, 15.0, 21.7, 30.0, 37.5, 44.1, 50.0])
 def test_j0_matches_series_oracle_beyond_crossover(x):
-    assert bessel_j0(x) == pytest.approx(j0_series_oracle(x), abs=1e-10)
+    assert bessel_j0(x) == pytest.approx(j0_series_oracle(x), abs=1e-14)
+
+
+def test_j0_matches_mpmath_to_rounding():
+    """The ring average is exact up to rounding: within 1e-14 of mpmath's J0
+    on 5 001 points of [0, 50], and within 1e-13 at 1e3 and 1e4."""
+    worst = max(
+        abs(bessel_j0(x) - float(mpmath.besselj(0, x))) for x in np.linspace(0.0, 50.0, 5001)
+    )
+    assert worst <= 1e-14
+    for x in (1e3, 1e4, -1e4):
+        assert abs(bessel_j0(x) - float(mpmath.besselj(0, x))) <= 1e-13
 
 
 def test_j0_even_symmetry():
@@ -76,8 +92,15 @@ def test_j0_rejects_non_finite(bad):
         bessel_j0(bad)
 
 
+@pytest.mark.parametrize("bad", [1e4 * (1 + 1e-15), -1.5e4, 1e300])
+def test_j0_rejects_arguments_beyond_1e4(bad):
+    with pytest.raises(ValueError, match=r"\|x\| <= 1e4"):
+        bessel_j0(bad)
+
+
 def test_first_zero_matches_frozen_value():
     assert first_j0_zero() == pytest.approx(FIRST_ZERO, abs=1e-12)
+    assert first_j0_zero() == float.fromhex(FIRST_ZERO_BITS)
 
 
 def test_first_zero_composes_with_j0():
@@ -96,6 +119,7 @@ def test_beta_delta_endpoints():
 def test_beta_delta_for_paper_threshold():
     beta = solve_beta_delta(0.55)
     assert beta == pytest.approx(BETA_FOR_055, abs=1e-9)
+    assert beta == float.fromhex(BETA_FOR_055_BITS)
     # bracketing sanity: J0(1.4) > 0.55 > J0(1.5)
     assert j0_series_oracle(1.4) > 0.55 > j0_series_oracle(1.5)
     assert abs(bessel_j0(beta) - 0.55) < 1e-10
