@@ -32,7 +32,9 @@ _IO_CHUNK_BYTES = 1 << 20
 #: dense against phase modes, on a 2-core VM with OpenBLAS: N = 128,
 #: 0.8 ms against 2.8 ms (0.2 against 1.1); N = 256, 9.3 against 17 ms
 #: (1.8 against 3.0); N = 512, 110 against 88 ms (43 against 8.1), where the
-#: dense spherical matrix also takes 822 MB.
+#: dense spherical matrix also takes 822 MB. Smaller angular books keep their
+#: matrix: a `DftBasis` loads numpy's FFT kernels into desk runs, +0.3 to
+#: +0.6 MB of peak RSS on the desk SNR sweep.
 _PHASE_MODE_MIN_ANTENNAS = 512
 
 #: Ring-built codebooks of smaller arrays with this many columns or more hold
@@ -281,7 +283,8 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     """Unitary DFT-over-antenna-index codebook (far-field, azimuth-only).
 
     Arrays of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold it as a
-    `DftBasis`; smaller ones hold the matrix that basis fills.
+    `DftBasis`; smaller ones hold the matrix that basis fills: the same
+    S-SOMP outputs, without loading numpy's FFT kernels into desk runs.
     """
     n = config.num_antennas
     layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])

@@ -50,7 +50,7 @@ class MeasurementSet:
 class SompStep:
     """One S-SOMP iteration: the count of columns rescored exactly, the slack
     of the best running score they lay within, and the columns skipped as
-    rank-deficient. Dense codebooks score exactly: 0 columns, slack 0."""
+    rank-deficient. Unstreamed books score exactly: 0 columns, slack 0."""
 
     rescored: int
     slack: float
@@ -139,9 +139,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     give the estimate; W is never copied, and nothing P N_RF x G is
     allocated.
 
-    On a `DenseBasis` (`basis.streamed` False) the correlations use the
-    Gram update of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) applied
-    to SOMP. With residual R = Y - A W_S C,
+    On a `DenseBasis` or a `DftBasis` (`basis.streamed` False) the
+    correlations use the Gram update of Batch-OMP (Rubinstein, Zibulevsky &
+    Elad 2008) applied to SOMP. With residual R = Y - A W_S C,
 
         R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
 
@@ -156,14 +156,13 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     a call on the dense float64 twin of the desk spherical book (G = 3 789,
     M = 16, 3 iterations) traces 1.44 MiB.
 
-    A streamed basis (phase modes, a `DftBasis` or a `Complex64Screen`)
-    scores to within a known bound, not exactly, and S-SOMP keeps one
-    float64 score vector on it, and no M x G array. Its working set is that
-    vector, two boolean arrays of G entries (`exact` and `blocked`), the
-    scratch of one `scores` or `move_scores` pass, and a few N x M blocks:
-    A^H is never copied, every A^H X is formed as
-    (X^H A)^H (`numerics.adjoint_product`), and the rescoring window is one
-    comparison of the scores. A paper spherical call (phase modes,
+    A streamed basis (phase modes or a `Complex64Screen`) scores to within
+    a known bound, not exactly, and S-SOMP keeps one float64 score vector
+    on it, and no M x G array. Its working set is that vector, two boolean
+    arrays of G entries (`exact` and `blocked`), the scratch of one
+    `scores` or `move_scores` pass, and a few N x M blocks: A^H is never
+    copied, every A^H X is formed as (X^H A)^H (`numerics.adjoint_product`),
+    and the rescoring window is one comparison of the scores. A paper spherical call (phase modes,
     G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector; a
     desk spherical call (screen, G = 3 789, M = 16) 0.60 MiB at 3 and at 8
     iterations, most of it the M x G complex64 product of the first pass
@@ -188,8 +187,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
       update adds a bound on its own error (see `_rank_one_update`), so
       every running score stays within the slack of its exact score and
       the pick is the exact argmax. rtol is the basis' `rescore_rtol`:
-      `phase_modes.RESCORE_RTOL` for phase modes and the DFT basis, and a
-      bound derived from its precision for a `Complex64Screen`.
+      `phase_modes.RESCORE_RTOL` for phase modes, and a bound derived
+      from its precision for a `Complex64Screen`.
     """
     y = measurements.observations
     a = combining.entries
@@ -271,7 +270,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
 
 def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack, rtol) -> float:
-    """Move phase-mode `scores` from residual R_{t-1} to R_t = R_{t-1} - change,
+    """Move the running `scores` of a streamed basis (phase modes or a
+    `Complex64Screen`) from residual R_{t-1} to R_t = R_{t-1} - change,
     and return `slack` widened by a bound on the move's error.
 
     `previous` and `updated` are A^H R_{t-1} and A^H R_t. With q the

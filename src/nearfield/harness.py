@@ -73,6 +73,11 @@ class RunSpec:
     workers: int = 1  # must be 1: a sweep runs its trials in sequence
 
     def __post_init__(self):
+        # A fractional or boolean count would give all-NaN rows or fail after the bank build.
+        counts = {"trials": self.trials, "num_paths": self.num_paths, "num_iterations": self.effective_iterations, "master_seed": self.master_seed}
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not self.methods:
@@ -107,7 +112,7 @@ class RunSpec:
                 raise ConfigurationError(f"{name} must lie within +-{limit:g} dB or be +inf, got {bad}")
         # A pilot sweep runs int(value) slots, and its CSV rows carry the value.
         if self.pilot_lengths is not None:
-            bad = [p for p in self.pilot_lengths if not isinstance(p, numbers.Integral) or p < 1]
+            bad = [p for p in self.pilot_lengths if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1]
             if bad:
                 raise ConfigurationError(f"pilot_lengths must be integers >= 1, got {bad}")
         for name in ("snr_list_db", "pilot_lengths"):

@@ -32,8 +32,8 @@ and every pick is the one the float64 matrix gives.
 
 Every basis fills the columns asked of it, bit for bit as the dense matrix
 of the same book, and fills that whole matrix on request (`dense`). A
-`DenseBasis` holds that matrix; it alone has `streamed` False, so S-SOMP
-takes its exact Gram path there instead of `scores` and `move_scores`.
+`DenseBasis` holds that matrix; it and `DftBasis` have `streamed` False,
+so S-SOMP takes its exact Gram path there, not `scores` and `move_scores`.
 """
 
 import math
@@ -56,14 +56,13 @@ _MAX_DOUBLINGS = 4
 #: interleaved builds on a 2-vCPU VM: 256 columns, 28.1 ms; 512, 29.3;
 #: 1024, 31.0; 2048, 34.7; 64, 32.7.
 _FILL_COLUMNS = 256
-#: Columns whose phase-mode or DFT score lies within this share of
-#: ||A^H Y||_F^2 of the best one are rescored on their exact columns by
-#: `estimator.s_somp`; later iterations widen that slack by a bound on each
-#: score update's error. Phase-mode scores lie within ~1e-12 of
-#: ||A^H Y||_F^2 of the exact ones, DFT scores within ~1e-15. Each basis
-#: states its share as `rescore_rtol`: this one for `PhaseModes` and
-#: `DftBasis`, and `screen_rtol(N)` for a `Complex64Screen`, whose complex64
-#: scores are further off (4.5e-5 at N = 128).
+#: Columns whose phase-mode score lies within this share of ||A^H Y||_F^2
+#: of the best one are rescored on their exact columns by `estimator.s_somp`;
+#: later iterations widen that slack by a bound on each score update's
+#: error. Phase-mode scores lie within ~1e-12 of ||A^H Y||_F^2 of the exact
+#: ones. Each streamed basis states its share as `rescore_rtol`: this one
+#: for `PhaseModes`, and `screen_rtol(N)` for a `Complex64Screen`, whose
+#: complex64 scores are further off (4.5e-5 at N = 128).
 RESCORE_RTOL = 1e-8
 #: Rows of the complex64 correlations whose squares `Complex64Screen.scores`
 #: sums in float32 before adding the block's sums in float64, so that the
@@ -76,17 +75,16 @@ class _ElevationPlan:
     """Chirp-z evaluation of every ring of one elevation.
 
     Position p = 0..2M of `coef` holds c_{p-M} e^{j step p^2 / 2} of each
-    ring, `modes` the antenna-mode index (p - M) mod N it multiplies (a
-    view of `PhaseModes`' shared mode range), `spectrum` the FFT of the
-    length-F chirp e^{-j step q^2 / 2}, and `chirp` the unit chirp
-    e^{j step n^2 / 2} for n below both 2M + 1 and S, which `scores` uses.
-    The plan holds these, O(Z M + F) entries; the output chirp
-    e^{j step (s^2 / 2 - M s)} of its S azimuths, which only `correlate`
-    applies, is formed there from `step` and `count`.
+    ring, which multiplies antenna mode (p - M) mod N
+    (`PhaseModes._plan_modes`), `spectrum` the FFT of the length-F chirp
+    e^{-j step q^2 / 2}, and `chirp` the unit chirp e^{j step n^2 / 2}
+    for n below both 2M + 1 and S, which `scores` uses. The plan holds
+    these, O(Z M + F) entries; the output chirp e^{j step (s^2 / 2 - M s)}
+    of its S azimuths, which only `correlate` applies, is formed there from
+    `step` and `count`.
     """
 
     first_column: int
-    modes: np.ndarray = field(repr=False)  # (2M + 1,) int, a view
     coef: np.ndarray = field(repr=False)  # (Z, 2M + 1) complex128
     spectrum: np.ndarray = field(repr=False)  # (F,) complex128
     chirp: np.ndarray = field(repr=False)  # (max(2M + 1, S),) complex128
@@ -96,7 +94,7 @@ class _ElevationPlan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the plan holds; `modes` is a view, counted by `PhaseModes`."""
+        """Bytes the plan holds."""
         return sum(a.nbytes for a in (self.coef, self.spectrum, self.chirp))
 
 
@@ -313,19 +311,8 @@ class PhaseModes(_RingBasis):
             q = np.arange(1 - width, count)
             spectrum = np.zeros(size, dtype=np.complex128)
             spectrum[q % size] = np.exp(-0.5j * step * (q * q).astype(np.float64))
-            half = width // 2
-            self._plans.append(
-                _ElevationPlan(
-                    col,
-                    self._wrap[reach - half : reach + half + 1],
-                    modes,
-                    np.fft.fft(spectrum),
-                    chirp,
-                    step,
-                    count,
-                    fft_length(2 * width - 1),
-                )
-            )
+            plan = _ElevationPlan(col, modes, np.fft.fft(spectrum), chirp, step, count, fft_length(2 * width - 1))
+            self._plans.append(plan)
 
     @property
     def num_rings(self) -> int:
@@ -350,7 +337,8 @@ class PhaseModes(_RingBasis):
         return u[:, self._wrap]
 
     def _plan_modes(self, wrapped, plan) -> np.ndarray:
-        """U[:, plan.modes] of a `_wrapped_spectra` array, as a (k, 2M + 1) view."""
+        """U at the plan's antenna modes (p - M) mod N, p = 0..2M, of a
+        `_wrapped_spectra` array, as a (k, 2M + 1) view."""
         start = self._wrap.size // 2 - plan.coef.shape[1] // 2
         return wrapped[:, start : start + plan.coef.shape[1]]
 
@@ -491,12 +479,14 @@ class DftBasis:
 
     Column k is e^{-2j pi n k / N} / sqrt(N), the UCA's phase mode of order
     k (psi_n = 2 pi n / N), so V^H W is FFT(conj(V))^T / sqrt(N), exact to
-    the FFT's rounding, ~1e-15 of ||v||. The interface is `PhaseModes`'.
+    the FFT's rounding, ~1e-15 of ||v||, the order of a dense product's own.
+    The book has G = N columns, so S-SOMP's M x G arrays are small: it is
+    not streamed, and S-SOMP takes its exact Gram path here, as on a
+    `DenseBasis`, through `correlate`.
     """
 
     nbytes = 0
-    rescore_rtol = RESCORE_RTOL
-    streamed = True
+    streamed = False
 
     def __init__(self, num_antennas: int):
         self.num_antennas = num_antennas
@@ -504,10 +494,6 @@ class DftBasis:
     @property
     def num_columns(self) -> int:
         return self.num_antennas
-
-    def _spectra(self, v) -> np.ndarray:
-        """FFT(conj(V)) of V (N,) or (N, k), one row per vector: (k, N)."""
-        return np.fft.fft(np.asarray(v).reshape(self.num_antennas, -1).T.conj(), axis=-1)
 
     def dense(self) -> np.ndarray:
         """The dense N x N matrix, as `columns` fills it."""
@@ -526,29 +512,12 @@ class DftBasis:
         return out
 
     def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
+        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), one FFT of
+        conj(v) per vector."""
         v = np.asarray(v)
-        out = self._spectra(v)
+        out = np.fft.fft(v.reshape(self.num_antennas, -1).T.conj(), axis=-1)
         out /= math.sqrt(self.num_antennas)
         return out[0] if v.ndim == 1 else out
-
-    def move_scores(self, v, weight, scores) -> None:
-        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, as
-        `PhaseModes.move_scores`, with e and phi the correlations of V's two
-        columns. Scaling the columns by sqrt(weight / N) and
-        -2 / sqrt(weight N) before the FFT turns e and phi into e' and
-        phi' with a move of Re(conj(e') (e' + phi'))."""
-        scale = math.sqrt(weight)
-        root = math.sqrt(self.num_antennas)
-        e, phi = self._spectra(np.asarray(v) * [scale / root, -2.0 / (scale * root)])
-        phi += e
-        scores += e.real * phi.real + e.imag * phi.imag
-
-    def scores(self, v) -> np.ndarray:
-        """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or
-        (N, k): (G,) float64, sum_k |FFT(conj(v_k))|^2 / N."""
-        spectra = self._spectra(v)
-        return np.sum(spectra.real**2 + spectra.imag**2, axis=0) / self.num_antennas
 
 
 def screen_rtol(num_antennas: int) -> float:

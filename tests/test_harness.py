@@ -62,7 +62,7 @@ def test_run_spec_validation():
     with pytest.raises(ConfigurationError):
         tiny_spec(snr_list_db=(10.0, 0.0))
     # A pilot sweep runs int(value) slots, so only integers >= 1 may label rows.
-    for lengths in ((8.5, 16), (16.0,), (0, 8), (-8,), ("8",)):
+    for lengths in ((8.5, 16), (16.0,), (0, 8), (-8,), ("8",), (True, 8)):
         with pytest.raises(ConfigurationError, match="pilot_lengths must be integers >= 1"):
             tiny_spec(pilot_lengths=lengths)
     assert tiny_spec(pilot_lengths=(np.int64(8), 16)).pilot_lengths == (8, 16)
@@ -101,6 +101,13 @@ def test_run_spec_validation():
     with pytest.raises(ConfigurationError, match=r"snr_list_db must lie within \+-1000 dB or be \+inf, got \[-4000.0, 4000.0\]"):
         tiny_spec(snr_list_db=(-4000.0, 0.0, 4000.0, math.inf))
     assert tiny_spec(snr_db=-1000.0, snr_list_db=(-1000.0, 1000.0, math.inf)).snr_list_db == (-1000.0, 1000.0, math.inf)
+    # A fractional or boolean count ran a sweep of NaN rows, or raised
+    # TypeError once the codebook bank was built.
+    for name, value in (("num_paths", 2.5), ("num_paths", True), ("num_iterations", 2.5), ("num_iterations", False), ("trials", 2.5), ("trials", 3.0), ("master_seed", 1.5), ("master_seed", False)):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+            tiny_spec(**{name: value})
+    counts = tiny_spec(trials=np.int64(2), num_paths=np.int32(2), num_iterations=np.int64(2), master_seed=np.uint32(1))
+    assert (counts.trials, counts.num_paths, counts.effective_iterations, counts.master_seed) == (2, 2, 2, 1)
 
 
 def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):

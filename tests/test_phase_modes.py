@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfield import codebook, phase_modes
+from nearfield import codebook, generate_combining, phase_modes, s_somp
 from nearfield.codebook import (
     build_angular_codebook,
     build_polar_codebook,
@@ -27,6 +27,7 @@ from nearfield.codebook import (
     export_matrix_binary,
 )
 from nearfield.channel import UcaGeometry
+from nearfield.estimator import MeasurementSet
 from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
 from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, fft_length
 
@@ -153,8 +154,8 @@ def _held_bytes(basis):
 def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
     """Each basis a book can hold: `dense()` is N x G, `columns(idx)` is
     `dense()[:, idx]` bit for bit for any index list (negative indices
-    included), `nbytes` counts the arrays it holds, only `DenseBasis` is not
-    streamed, and the book's `matrix` and `grid` are `basis.dense()` and
+    included), `nbytes` counts the arrays it holds, only the screen and the
+    phase modes are streamed, and the book's `matrix` and `grid` are `basis.dense()` and
     `layout.grid()`. `dense()` and the matrix a dense or screen basis holds
     are C-ordered: BLAS may sum a product in an order that follows the
     operands' layout, and S-SOMP's Gram and screen GEMMs were checked bit
@@ -170,7 +171,7 @@ def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
     assert np.array_equal(basis.columns(idx), dense[:, idx])
     assert basis.nbytes == _held_bytes(basis)
     assert (basis.nbytes == 0) == (kind == "dft")
-    assert basis.streamed == (kind != "dense")
+    assert basis.streamed == (kind in ("screen", "phase modes"))
     assert np.array_equal(book.matrix, dense)
     assert book.grid == book.layout.grid()
 
@@ -331,6 +332,13 @@ def test_move_scores_form_no_array_of_the_column_count(book_pairs):
     assert peak < 2 * 16 * held.num_columns
 
 
+def _antenna_modes(modes, plan):
+    """The antenna-mode indices (p - M) mod N of a plan's positions p = 0..2M,
+    from the basis' shared mode range."""
+    reach, half = modes._wrap.size // 2, plan.coef.shape[1] // 2
+    return modes._wrap[reach - half : reach + half + 1]
+
+
 def _reference_correlate(modes, v):
     """`PhaseModes.correlate` as written before its scratch was shared across
     plans: a zeroed buffer per plan, and the output chirp, formed from the
@@ -345,7 +353,7 @@ def _reference_correlate(modes, v):
         s = np.arange(count, dtype=np.float64)
         post = np.exp(1j * plan.step * s * (0.5 * s - width // 2))
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
-        np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
+        np.multiply(u[:, None, _antenna_modes(modes, plan)], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= plan.spectrum
         np.fft.ifft(buf, axis=-1, out=buf)
@@ -380,7 +388,7 @@ def _reference_scores(modes, v):
         rings, width = plan.coef.shape
         count = plan.count
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
-        np.multiply(u[:, None, plan.modes], plan.coef, out=buf[:, :, :width])
+        np.multiply(u[:, None, _antenna_modes(modes, plan)], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= plan.spectrum
         np.fft.ifft(buf, axis=-1, out=buf)
@@ -485,8 +493,8 @@ def _dft_matrix(n):
     width=st.sampled_from([0, 1, 3, 16]),
 )
 def test_dft_basis_matches_the_dense_dft_product(seed, n, width):
-    """`correlate`, `scores` and `move_scores` of the FFT basis equal the
-    dense products to 1e-12 of the norms involved."""
+    """`correlate` of the FFT basis equals the dense product to 1e-12 of the
+    norms involved."""
     basis, dense = DftBasis(n), _dft_matrix(n)
     rng = np.random.default_rng(seed)
     v = _random_block(rng, n, width)
@@ -494,19 +502,6 @@ def test_dft_basis_matches_the_dense_dft_product(seed, n, width):
     assert got.shape == want.shape
     scale = np.linalg.norm(v, axis=0)
     assert np.max(np.abs(got - want) / (scale[:, None] if width else scale), initial=0.0) <= 1e-12
-    power = np.linalg.norm(v) ** 2
-    summed = np.sum(np.abs(want.reshape(-1, n)) ** 2, axis=0)
-    assert basis.scores(v).shape == (n,)
-    assert np.max(np.abs(basis.scores(v) - summed)) <= 1e-12 * max(power, 1.0)
-    pair = _random_block(rng, n, 2)
-    weight = float(rng.uniform(0.1, 10.0))
-    start = rng.uniform(0.0, 1.0, n)
-    moved = start.copy()
-    basis.move_scores(pair, weight, moved)
-    e, phi = pair.conj().T @ dense
-    norms = np.linalg.norm(pair, axis=0)
-    move_scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
-    assert np.max(np.abs(moved - (start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real))) <= 1e-12 * move_scale
 
 
 @pytest.mark.parametrize("n", [8, 61, 128, 512])
@@ -538,8 +533,9 @@ def test_dft_basis_columns_equal_the_dense_dft_matrix(n):
 
 def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
     """At N = 2048 the angular book's build allocates under 1 MB, where its
-    dense matrix takes 67 MB; `columns` and `correlate` fill no dense
-    matrix, and `matrix` is the dense DFT matrix bit for bit."""
+    dense matrix takes 67 MB; `columns`, `correlate` and one S-SOMP call
+    fill no dense matrix, and `matrix` is the dense DFT matrix bit for
+    bit."""
     system = dataclasses.replace(paper_profile().system, num_antennas=2048)
     tracemalloc.start()
     try:
@@ -554,6 +550,12 @@ def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
     assert np.array_equal(book.columns([0, 7, -1]), dense[:, [0, 7, -1]])
     v = _random_block(np.random.default_rng(0), 2048, 3)
     assert np.max(np.abs(book.correlate(v) - v.conj().T @ dense)) <= 1e-12 * np.linalg.norm(v)
+    combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, 2048)
+    y = _random_block(np.random.default_rng(1), combining.entries.shape[0], system.num_subcarriers)
+    got = s_somp(MeasurementSet(y, 0.0, math.nan), combining, book, 3)
+    first = np.sum(np.abs(book.correlate(combining.entries.conj().T @ y)) ** 2, axis=0)
+    assert len(got.support) == 3 and got.support[0] == int(np.argmax(first))
+    assert np.array_equal(got.channel_estimate, book.columns(got.support) @ got.sparse_coeffs)
     assert built == []
     assert np.array_equal(book.matrix, dense)
 

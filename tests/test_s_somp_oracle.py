@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from nearfield import codebook, estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_spherical_codebook
+from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_angular_codebook, build_spherical_codebook
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
@@ -49,9 +49,9 @@ def dense_matrix(book):
 
 
 def dense_twin(book):
-    """`book` itself when it holds its matrix, else a codebook that holds the
-    matrix its basis fills."""
-    return SphericalCodebook(book.layout, DenseBasis(dense_matrix(book))) if book.basis.streamed else book
+    """`book` itself when it holds its matrix in a `DenseBasis`, else a
+    codebook that holds the matrix its basis fills."""
+    return book if isinstance(book.basis, DenseBasis) else SphericalCodebook(book.layout, DenseBasis(dense_matrix(book)))
 
 
 def _dense_s_somp(measurements, combining, codebook, num_iterations):
@@ -107,7 +107,10 @@ def _dense_s_somp(measurements, combining, codebook, num_iterations):
 
 def assert_matches_dense(args):
     """Run both implementations on one input, compare every output, and
-    return the Gram result."""
+    return the Gram result. Supports must be equal. Coefficients may differ
+    by 1e-10 of their largest modulus (at least 1e-10): an ill-conditioned
+    least-squares step amplifies rounding by the condition number of A W_S
+    (`_LARGE_COEFFICIENTS`)."""
     with warnings.catch_warnings(record=True) as gram_warnings:
         warnings.simplefilter("always")
         got = s_somp(*args)
@@ -115,7 +118,8 @@ def assert_matches_dense(args):
         warnings.simplefilter("always")
         want = _dense_s_somp(*args)
     assert got.support == want.support
-    np.testing.assert_allclose(got.sparse_coeffs, want.sparse_coeffs, rtol=0, atol=1e-10)
+    scale = max(1.0, float(np.max(np.abs(want.sparse_coeffs), initial=0.0)))
+    np.testing.assert_allclose(got.sparse_coeffs, want.sparse_coeffs, rtol=0, atol=1e-10 * scale)
     np.testing.assert_allclose(got.residual_norms, want.residual_norms, rtol=0, atol=1e-10)
     codebook = args[2]
     rebuilt = dense_matrix(codebook)[:, got.support] @ got.sparse_coeffs
@@ -342,7 +346,8 @@ def test_phase_modes_match_dense_on_desk_trials(desk_dense_calls, desk_phase_mod
     calls = desk_phase_mode_calls[method]
     assert len(calls) == len(desk_dense_calls[method]) == 33
     for args, dense_args in zip(calls, desk_dense_calls[method]):
-        assert args[2].basis.streamed and isinstance(dense_args[2].basis, DenseBasis)
+        assert isinstance(args[2].basis, DftBasis if method == METHOD_ANGULAR else PhaseModes)
+        assert isinstance(dense_args[2].basis, DenseBasis) and isinstance(dense_twin(args[2]).basis, DenseBasis)
         got = assert_matches_dense(args)
         want = s_somp(*dense_args)
         assert got.support == want.support
@@ -593,11 +598,20 @@ _SLACK_CRITICAL = [
 ]
 
 
-@pytest.mark.parametrize("configuration", _SLACK_CRITICAL)
+#: A configuration, drawn by a fresh run of the property above, whose
+#: coefficients reach 2 282: A W_S is 6 x 6 with condition number 4.1e3,
+#: and `s_somp` and the dense oracle differ by 2.0e-10 (8.9e-14 relative),
+#: inside the first-order bound eps kappa ||x|| ~ 2.1e-9. It failed while
+#: `assert_matches_dense` held coefficients to a fixed 1e-10.
+_LARGE_COEFFICIENTS = (16, 8, 6, 6, 1, 1, 1.0, 0.0, True, 6, None)
+
+
+@pytest.mark.parametrize("configuration", _SLACK_CRITICAL + [_LARGE_COEFFICIENTS])
 def test_running_scores_stay_within_the_slack_on_critical_configurations(configuration):
     """Pinned examples of the property above, so that a fresh run without
     hypothesis' example database still meets a configuration where the
-    phase-mode term of the slack is needed."""
+    phase-mode term of the slack is needed, and one with large
+    coefficients."""
     _check_random_configuration(*configuration)
 
 
@@ -842,14 +856,14 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
         assert _traced_peak(s_somp, *args) <= bound
 
 
-def _desk_call(desk_spec, book, iterations=None):
-    """One desk S-SOMP call's arguments: 3 paths (seed 5), combiner seed 7,
-    10 dB (noise seed 9)."""
-    system = desk_spec.system
-    paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
+def _one_call(spec, book, iterations=None):
+    """One S-SOMP call's arguments under a profile `spec`: its paths (seed
+    5), combiner seed 7, 10 dB (noise seed 9)."""
+    system = spec.system
+    paths = sample_paths(5, spec.num_paths, spec.distance_range, spec.elevation_range, spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
     measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
-    return measurements, combining, book, iterations or desk_spec.num_paths
+    return measurements, combining, book, iterations or spec.num_paths
 
 
 def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
@@ -886,7 +900,24 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fi
     and 1.74 MiB."""
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     assert isinstance(book.basis, Complex64Screen)
-    args = _desk_call(desk_spec, book, iterations)
+    args = _one_call(desk_spec, book, iterations)
+    built = record_fills()
+    s_somp(*args)  # warm any lazily built state
+    assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
+    assert built == []
+
+
+def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
+    """One paper angular S-SOMP call (a `DftBasis`, G = N = 512, M = 16, 3
+    iterations) on the exact Gram path traces at most 0.8 MiB: the M x G
+    first term and two Gram rows, the scores and chunk scratch, and N x M
+    blocks. It fills no dense matrix. Measured: 0.65 MiB; the streamed
+    path, with running scores, rank-1 moves and rescoring, traced
+    1.02 MiB."""
+    spec = paper_profile()
+    book = build_angular_codebook(spec.system)
+    assert isinstance(book.basis, DftBasis)
+    args = _one_call(spec, book, 3)
     built = record_fills()
     s_somp(*args)  # warm any lazily built state
     assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
@@ -991,7 +1022,7 @@ def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations
     twins = {}
     for _, _, book, _ in paper_somp_calls[METHOD_ANGULAR]:
         assert isinstance(book.basis, DftBasis)
-        twins.setdefault(id(book), dense_twin(book))
+        assert isinstance(twins.setdefault(id(book), dense_twin(book)).basis, DenseBasis)
     built = record_fills()
     for measurements, combining, book, _ in paper_somp_calls[METHOD_ANGULAR]:
         got = s_somp(measurements, combining, book, iterations)
