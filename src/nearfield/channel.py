@@ -192,45 +192,45 @@ def approx_distance(r, theta, phi, antenna_index, geom: UcaGeometry):
 
 
 def azimuth_cosines(phis, geom: UcaGeometry) -> np.ndarray:
-    """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`.
-
-    Every distance ring of one (theta, phi) point shares these values, so
-    callers that fill several rings compute them once and pass them to
-    `ring_steering`.
-    """
+    """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`."""
     out = np.subtract(np.asarray(phis, dtype=np.float64)[:, None], geom.antenna_azimuths_rad)
     return np.cos(out, out=out)
 
 
 def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out):
-    """Write the unit-norm steering vectors of ring (r, theta) into `out` (N x S).
+    """Write the unit-norm steering vectors towards (r_s, theta_s, phi_s) into
+    `out` (N x S), the one kernel every steering vector comes from.
 
-    Column s of `out` is the steering vector towards (r, theta, phi_s), where
-    row s of `cosines` holds cos(phi_s - psi_n) (see `azimuth_cosines`).
-    A finite r gives the spherical wave exp(-j 2pi/lambda (r^(n) - r)) /
-    sqrt(N) with the exact per-antenna distance r^(n); r = inf gives the
-    plane wave exp(+j 2pi/lambda R sin(theta) cos(phi_s - psi_n)) / sqrt(N).
+    Row s of `cosines` holds cos(phi_s - psi_n) (see `azimuth_cosines`); r
+    and theta hold one value per column, and a scalar serves every column.
+    A finite r_s gives the spherical wave exp(-j 2pi/lambda (r^(n) - r_s)) /
+    sqrt(N) with the exact per-antenna distance r^(n); r_s = inf gives the
+    plane wave exp(+j 2pi/lambda R sin(theta_s) cos(phi_s - psi_n)) / sqrt(N).
     """
     radius = geom.radius_m
-    if r <= radius:
+    r = np.asarray(r, dtype=np.float64).reshape(-1, 1)
+    sin = np.sin(np.asarray(theta, dtype=np.float64).reshape(-1, 1))
+    if (r <= radius).any():
         raise ValueError(
-            f"near-field source must lie outside the array: r={r} <= R={radius}"
+            f"near-field source must lie outside the array: r={r.min()} <= R={radius}"
         )
-    real, phase = np.empty(cosines.shape), np.empty(cosines.shape, dtype=np.complex128)
-    # The scalar factors are grouped, and the ufuncs applied, in the order of
-    # the per-column formulas, so every column is bit-identical to them
-    # whatever S is.
-    if math.isinf(r):
-        np.multiply(2.0 * math.pi / wavelength_m * radius * np.sin(theta), cosines, out=real)
-        np.multiply(1j, real, out=phase)
-    else:
-        np.multiply(2.0 * radius * r * np.sin(theta), cosines, out=real)
-        np.subtract(r * r + radius * radius, real, out=real)
-        np.sqrt(real, out=real)
-        np.subtract(real, r, out=real)
-        np.multiply(-2j * math.pi / wavelength_m, real, out=phase)
+    # The factors are grouped, and the ufuncs applied, in the order of the
+    # per-column formulas, so every column is bit-identical to them whichever
+    # columns are filled together. The spherical-wave steps skip the
+    # plane-wave rows, and both kinds of row meet at the phase, j times a
+    # real number: 1j * x and (-2j pi / lambda) * y round as 1j * (x * 1)
+    # and 1j * (y * (-2 pi / lambda)), up to the sign of a zero real part,
+    # which exp ignores.
+    far = np.isinf(r)
+    near = ~far
+    real = np.multiply(np.where(far, 2.0 * math.pi / wavelength_m * radius, 2.0 * radius * r) * sin, cosines)
+    np.subtract(r * r + radius * radius, real, out=real, where=near)
+    np.sqrt(real, out=real, where=near)
+    np.subtract(real, r, out=real, where=near)
+    np.multiply(np.where(far, 1.0, -2.0 * math.pi / wavelength_m), real, out=real)
+    phase = np.multiply(1j, real, out=out.T)
     np.exp(phase, out=phase)
-    np.divide(phase, math.sqrt(geom.num_antennas), out=out.T)
+    np.divide(phase, math.sqrt(geom.num_antennas), out=phase)
     return out
 
 
@@ -250,6 +250,14 @@ def far_field_steering(theta, phi, geom: UcaGeometry, wavelength_m: float) -> np
     Entry n is exp(+j 2pi/lambda R sin(theta) cos(phi - psi_n)) / sqrt(N).
     """
     return near_field_steering(math.inf, theta, phi, geom, wavelength_m)
+
+
+def path_steering(paths, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
+    """The C-ordered (N, L) steering vectors of L paths, one column per path,
+    from one `ring_steering` call."""
+    r, theta, phi = np.array([(p.distance_m, p.elevation_rad, p.azimuth_rad) for p in paths]).T
+    out = np.empty((geom.num_antennas, len(paths)), dtype=np.complex128)
+    return ring_steering(r, theta, azimuth_cosines(phi, geom), geom, wavelength_m, out)
 
 
 def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
@@ -272,14 +280,7 @@ def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
             raise ValueError(
                 f"path at r={p.distance_m} lies inside the array (R={geom.radius_m})"
             )
-    steering = np.column_stack(
-        [
-            near_field_steering(
-                p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m
-            )
-            for p in paths
-        ]
-    )
+    steering = path_steering(paths, geom, config.wavelength_m)
     wavenumbers = 2.0 * math.pi * subcarrier_frequencies(config) / C_LIGHT
     distances = np.array([p.distance_m for p in paths])
     gains = np.array([p.gain for p in paths], dtype=np.complex128)

@@ -31,8 +31,9 @@ _SNR_RULE = "nominal, ||H||_F^2/||N||_F^2 (noise variance ||H||_F^2/(P N_RF M 10
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; lists are comma separated, '#' comments."""
-    values = {}
+    """Read `key = value` lines; lists are comma separated, '#' comments.
+    A key set on two lines is a configuration error, not the later value."""
+    values, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -44,7 +45,9 @@ def parse_config_file(path) -> dict:
                         f"{path}:{lineno}: expected 'key = value', got {raw!r}"
                     )
                 key, text = (part.strip() for part in line.split("=", 1))
-                values[key] = text
+                if key in lines:
+                    raise ConfigurationError(f"{path}:{lineno}: {key} is set again, first on line {lines[key]}")
+                values[key], lines[key] = text, lineno
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return values

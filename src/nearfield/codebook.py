@@ -282,6 +282,10 @@ def build_polar_codebook(config: SystemConfig, delta: float, r_min_m: float) -> 
 def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     """Unitary DFT-over-antenna-index codebook (far-field, azimuth-only).
 
+    Column k is the phase-mode vector e^{-2 pi j n k / N} / sqrt(N), not a
+    steering vector. Its layout point (r = inf, theta = pi/2,
+    phi = 2 pi k / N) only indexes the column and is no direction of it.
+
     Arrays of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold it as a
     `DftBasis`; smaller ones hold the matrix that basis fills: the same
     S-SOMP outputs, without loading numpy's FFT kernels into desk runs.

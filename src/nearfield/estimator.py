@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, SystemConfig, UcaGeometry, near_field_steering
+from .channel import ChannelMatrix, SystemConfig, UcaGeometry, path_steering
 from .codebook import SphericalCodebook
 from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
 
@@ -401,9 +401,7 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
     if not paths:
         raise ValueError("oracle_estimate needs at least one true path")
     geom = UcaGeometry.from_config(config)
-    basis = np.column_stack(
-        [near_field_steering(p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m) for p in paths]
-    )
+    basis = path_steering(paths, geom, config.wavelength_m)
     solution, well_conditioned = lstsq_minimum_norm(
         combining.entries @ basis, measurements.observations
     )

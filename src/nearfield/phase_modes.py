@@ -51,11 +51,12 @@ from .channel import UcaGeometry, azimuth_cosines, ring_steering
 MODE_RTOL = 1e-12
 #: Doublings of the sample count allowed beyond the first estimate.
 _MAX_DOUBLINGS = 4
-#: Columns per `ring_columns` call of `ring_matrix`. Minimum CPU time of
-#: the desk bank build (N = 128, 4 293 ring-built columns) over 40
-#: interleaved builds on a 2-vCPU VM: 256 columns, 28.1 ms; 512, 29.3;
-#: 1024, 31.0; 2048, 34.7; 64, 32.7.
-_FILL_COLUMNS = 256
+#: Columns per `ring_columns` call of `ring_matrix` and `_RingBasis.correlate`.
+#: Minimum CPU time of the desk bank build (N = 128, 4 293 ring-built
+#: columns) over 80 interleaved builds on a 2-vCPU VM: 128 columns, 28.5 ms;
+#: 256, 28.5; 64, 30.4; 512, 29.9. At 128, a 16-vector `correlate` on the
+#: desk screen traces 1.6 MiB, against 2.1 MiB at 256.
+_FILL_COLUMNS = 128
 #: Columns whose phase-mode score lies within this share of ||A^H Y||_F^2
 #: of the best one are rescored on their exact columns by `estimator.s_somp`;
 #: later iterations widen that slack by a bound on each score update's
@@ -131,11 +132,11 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     while size < 4.0 * reach + 128.0:
         size *= 2
     for _ in range(_MAX_DOUBLINGS + 1):
-        cosines = np.cos(2.0 * math.pi * np.arange(size) / size)[:, None]
-        samples = np.empty((len(rings), size), dtype=np.complex128)
-        for z, r in enumerate(rings):
-            ring_steering(r, theta, cosines, geom, wavelength_m, samples[z : z + 1])
-        coeffs = np.fft.fft(samples, axis=1) / size
+        # One call samples every ring: column z holds ring z's entries at the
+        # K azimuths, as if they were K antennas.
+        cosines = np.broadcast_to(np.cos(2.0 * math.pi * np.arange(size) / size), (len(rings), size))
+        samples = np.empty((size, len(rings)), dtype=np.complex128, order="F")
+        coeffs = np.fft.fft(ring_steering(rings, theta, cosines, geom, wavelength_m, samples).T, axis=1) / size
         order = np.minimum(np.arange(size), size - np.arange(size))  # |m| of each bin
         kept = np.any(np.abs(coeffs) > MODE_RTOL / math.sqrt(geom.num_antennas), axis=0)
         cutoff = int(order[kept].max())
@@ -145,16 +146,6 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     raise ValueError(
         f"phase modes of the rings at theta={theta} did not converge within {size // 2} samples"
     )
-
-
-def _as_slice(positions):
-    """The slice that picks `positions` when they rise in even steps, else
-    `positions` itself; indexing with either gives the same elements."""
-    first = int(positions[0])
-    step = int(positions[1]) - first if positions.size > 1 else 1
-    if step > 0 and (positions[1:] - positions[:-1] == step).all():
-        return slice(first, int(positions[-1]) + 1, step)
-    return positions
 
 
 def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
@@ -184,39 +175,18 @@ def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
 
     Indices select as on the matrix: negative ones count from the end, and
     out-of-range ones raise IndexError. Only the columns asked for are
-    filled, through `ring_steering`; the layout gives their rings and
-    azimuths. The columns are grouped by ring with one stable sort, and
-    every ring takes its rows of one `azimuth_cosines` array of the
-    distinct azimuths asked for, which the rings of a contiguous range
-    share. Every entry is the same expression however many columns are
-    filled at once.
+    filled, by one `ring_steering` call with each column's (r, theta) from
+    `layout.locate`; the cosines are computed once per distinct azimuth
+    asked for and gathered per column.
     """
     g = layout.num_columns
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < -g or idx.max() >= g):
         raise IndexError(f"column index out of range for {g} columns")
-    idx = idx % g  # negative indices count from the end, as in the matrix
-    n = geom.num_antennas
-    out = np.empty((n, idx.size), dtype=np.complex128, order="F")
-    t, _, z, r, theta, phi = layout.locate(idx)
+    _, _, _, r, theta, phi = layout.locate(idx % g)  # negative indices count from the end
     phis, azimuth_of = np.unique(phi, return_inverse=True)
-    cosines = azimuth_cosines(phis, geom)  # one row per distinct azimuth
-    keys = (t << 32) + z
-    by_ring = np.argsort(keys, kind="stable")
-    ordered = keys[by_ring]
-    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), idx.size] if idx.size else []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        sel = by_ring[start:stop]
-        # In a contiguous range, a ring's columns step evenly and its
-        # azimuths are consecutive, so both are taken as views.
-        cols = _as_slice(sel)
-        rows = _as_slice(azimuth_of[sel])
-        view = isinstance(cols, slice)
-        block = out[:, cols] if view else np.empty((n, sel.size), dtype=np.complex128)
-        ring_steering(float(r[sel[0]]), float(theta[sel[0]]), cosines[rows], geom, wavelength_m, block)
-        if not view:
-            out[:, sel] = block
-    return out
+    out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128, order="F")
+    return ring_steering(r, theta, azimuth_cosines(phis, geom)[azimuth_of], geom, wavelength_m, out)
 
 
 class DenseBasis:
@@ -247,8 +217,9 @@ class DenseBasis:
 
 class _RingBasis:
     """What the bases of a ring-built codebook share: the ring layout, the
-    array and the wavelength, and from them the exact float64 matrix and
-    columns, both filled by `ring_columns`.
+    array and the wavelength, and from them the exact float64 matrix,
+    columns and correlations, all filled by `ring_columns` (`PhaseModes`
+    correlates through its phase modes instead).
 
     `layout` (a `codebook._RingLayout`) says where every column lies: its
     `elevations()` yields (theta, azimuths, rings, first column) per
@@ -280,6 +251,16 @@ class _RingBasis:
         """W[:, idx] as a new (N, len(idx)) array, bit for bit as `dense`
         (`ring_columns`)."""
         return ring_columns(self.layout, self.geom, self.wavelength_m, idx)
+
+    def correlate(self, v) -> np.ndarray:
+        """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from
+        `columns` blocks of `_FILL_COLUMNS`, so no dense matrix is filled."""
+        adjoint = np.asarray(v).conj().T
+        out = np.empty(adjoint.shape[:-1] + (self.num_columns,), dtype=np.complex128)
+        for start in range(0, self.num_columns, _FILL_COLUMNS):
+            stop = min(start + _FILL_COLUMNS, self.num_columns)
+            out[..., start:stop] = adjoint @ self.columns(np.arange(start, stop))
+        return out
 
 
 class PhaseModes(_RingBasis):
@@ -588,11 +569,6 @@ class Complex64Screen(_RingBasis):
 
     def describe(self) -> str:
         return f"a complex64 screen of the matrix, exact columns on request: {self.nbytes} bytes"
-
-    def correlate(self, v) -> np.ndarray:
-        """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from
-        the dense float64 matrix, which it fills for the call."""
-        return np.asarray(v).conj().T @ self.dense()
 
     def _screened(self, v, norm) -> np.ndarray:
         """v^H W of one vector with ||v|| = norm: v / norm in complex64

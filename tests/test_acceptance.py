@@ -29,7 +29,7 @@ from nearfield import (
     synthesize_measurements,
     uca_radius,
 )
-from nearfield.harness import build_codebooks, emit_csv, run_trial, sweep_pilot, sweep_snr
+from nearfield.harness import build_codebooks, emit_csv, paper_profile, run_trial, sweep_pilot, sweep_snr
 
 
 def paper_system():
@@ -281,3 +281,40 @@ def test_criterion_8_invariant_suite(desk, tmp_path):
     checks.append("full-run CSV determinism")
 
     _report(8, "; ".join(checks))
+
+
+#: Trials per point of the paper-scale gate, fixed before its first run.
+PAPER_TRIALS = 20
+PAPER_BASELINES = ("p-somp", "angular-somp", "ls")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["snr", "pilot"])
+def test_criterion_9_paper_scale_claim(kind):
+    """The paper's claim at N = 512: on the paper SNR sweep (0-20 dB) and
+    pilot sweep (P = 16, 32, 64 at 5 dB), s-somp's mean NMSE lies >= 1 dB
+    below p-somp, angular-somp and ls at every point, and so do the trials
+    paired: the mean of the per-trial dB differences lies below -1 dB with
+    its 2-standard-error band below 0. Every method of a trial sees the same
+    channel, combiner and noise, and one bank serves the sweep. P = 8 (32
+    measurement rows) is run and printed but not gated."""
+    spec = paper_profile()
+    bank = build_codebooks(spec)
+    points = spec.snr_list_db if kind == "snr" else spec.pilot_lengths
+    assert points == ((0.0, 5.0, 10.0, 15.0, 20.0) if kind == "snr" else (8, 16, 32, 64))
+    for value in points:
+        records = [run_trial(spec, value, i, bank, kind) for i in range(PAPER_TRIALS)]
+        linear = {m: np.array([rec[m][0] for rec in records]) for m in spec.methods}
+        mean_db = {m: 10.0 * math.log10(float(np.mean(v))) for m, v in linear.items()}
+        line = f"paper {kind} {value:g}: " + ", ".join(f"{m} {mean_db[m]:.2f}" for m in spec.methods) + " dB"
+        if kind == "pilot" and value == 8:
+            print(f"[acceptance] criterion 9: NOT GATED - {line}")
+            continue
+        paired = []
+        for baseline in PAPER_BASELINES:
+            diff = 10.0 * np.log10(linear["s-somp"] / linear[baseline])
+            mean, band = float(diff.mean()), 2.0 * float(diff.std(ddof=1)) / math.sqrt(diff.size)
+            assert mean_db["s-somp"] <= mean_db[baseline] - 1.0, f"{line}: s-somp not 1 dB below {baseline}"
+            assert mean < -1.0 and mean + band < 0.0, f"{line}: paired s-somp - {baseline} {mean:.2f} +- {band:.2f} dB"
+            paired.append(f"{baseline} {mean:.2f} +- {band:.2f}")
+        _report(9, f"{line}; paired s-somp - baseline (mean +- 2 SE, {PAPER_TRIALS} trials): " + ", ".join(paired) + " dB")

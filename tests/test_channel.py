@@ -14,15 +14,20 @@ from nearfield import (
     UcaGeometry,
     approx_distance,
     azimuth_cosines,
+    channel,
     exact_distance,
     far_field_steering,
     generate_channel,
+    generate_combining,
     near_field_steering,
+    oracle_estimate,
     ring_steering,
     sample_paths,
     subcarrier_frequencies,
+    synthesize_measurements,
     uca_radius,
 )
+from nearfield.channel import path_steering
 from steering_oracle import far_field_column, near_field_column
 
 # Frozen from direct evaluation (Cartesian oracle below for distances).
@@ -243,6 +248,55 @@ def test_ring_steering_azimuth_step_is_cyclic_antenna_shift(ring):
     block = ring_block(r, theta, phis, geom)
     rotated = ring_block(r, theta, [phi + step for phi in phis], geom)
     assert np.max(np.abs(rotated - np.roll(block, 1, axis=0))) <= 1e-12
+
+
+@st.composite
+def column_sets(draw):
+    """A UCA and 1-12 columns, each with its own (r, theta, phi): plane-wave
+    and spherical-wave columns mixed in any order."""
+    geom = UcaGeometry.from_layout(draw(st.integers(3, 256)), 0.005)
+    r = st.one_of(st.just(math.inf), st.floats(1.01 * geom.radius_m, 10.0))
+    column = st.tuples(r, st.floats(0.0, 0.5 * math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    return geom, draw(st.lists(column, min_size=1, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_sets())
+def test_ring_steering_takes_r_and_theta_per_column(case):
+    """One call with per-column (r, theta) fills every column bit for bit as
+    the per-column oracle, and as a call of that column alone, whichever
+    columns share the call; the plane-wave columns are picked by r = inf."""
+    geom, columns = case
+    r, theta, phi = (list(values) for values in zip(*columns))
+    out = np.empty((geom.num_antennas, len(columns)), dtype=np.complex128)
+    block = ring_steering(r, theta, azimuth_cosines(phi, geom), geom, 0.01, out)
+    assert block is out
+    for s, (r_s, theta_s, phi_s) in enumerate(columns):
+        if math.isinf(r_s):
+            expected = far_field_column(theta_s, phi_s, geom, 0.01)
+        else:
+            expected = near_field_column(r_s, theta_s, phi_s, geom, 0.01)
+        assert np.array_equal(block[:, s], expected)
+        assert np.array_equal(block[:, s], ring_block(r_s, theta_s, [phi_s], geom)[:, 0])
+
+
+def test_channel_synthesis_and_oracle_fill_every_path_in_one_kernel_call(monkeypatch):
+    """`generate_channel` and `oracle_estimate` each fill their L steering
+    columns by one `ring_steering` call, in the C order `column_stack` gave."""
+    config = paper_system(num_antennas=64, num_subcarriers=4, num_pilot_slots=8)
+    paths = sample_paths(3, 5, (1.0, 20.0), (0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi))
+    calls = []
+    kernel = channel.ring_steering
+    monkeypatch.setattr(channel, "ring_steering", lambda *args: calls.append(args[2].shape) or kernel(*args))
+    truth = generate_channel(paths, config)
+    assert calls == [(5, 64)]
+    combining = generate_combining(1, 8, config.num_rf_chains, 64)
+    oracle_estimate(synthesize_measurements(truth, combining, math.inf), combining, paths, config)
+    assert calls == [(5, 64)] * 2
+    geom = UcaGeometry.from_config(config)
+    steering = path_steering(paths, geom, config.wavelength_m)
+    stacked = np.column_stack([near_field_steering(p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m) for p in paths])
+    assert steering.flags.c_contiguous and np.array_equal(steering, stacked)
 
 
 def test_ring_steering_rejects_source_inside_array():

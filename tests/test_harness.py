@@ -718,6 +718,21 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys, monkeypatch):
+    """`trials = 10` and later `trials = 1000` used to run 1000 trials
+    without a word. A key set twice exits 2, naming the key and both lines,
+    before any codebook is built, and no CSV is written."""
+    builds = []
+    monkeypatch.setattr(harness, "build_codebooks", lambda spec: builds.append(spec))
+    config_path = tmp_path / "twice.cfg"
+    config_path.write_text("trials = 10\n# the run's size\nmethods = ls\ntrials = 1000\n")
+    out = tmp_path / "out.csv"
+    assert cli_main(["sweep", "snr", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"configuration error: {config_path}:4: trials is set again, first on line 1" in capsys.readouterr().err
+    assert builds == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

@@ -256,6 +256,25 @@ def test_columns_located_through_the_ring_layout_equal_the_dense_matrix(book_pai
             dense.columns(outside)
 
 
+def test_every_column_set_and_elevation_is_one_kernel_call(small_config, book_pairs, monkeypatch):
+    """`ring_columns` fills any index set, contiguous, scattered or across
+    elevations, by one `ring_steering` call, and `ring_modes` samples all
+    rings of an elevation in one call: a phase-mode build makes one call
+    per elevation."""
+    calls = []
+    kernel = phase_modes.ring_steering
+    monkeypatch.setattr(phase_modes, "ring_steering", lambda *args: calls.append(args[2].shape[0]) or kernel(*args))
+    held, dense = book_pairs["desk"]
+    for pattern, idx in _index_patterns(held).items():
+        calls.clear()
+        assert np.array_equal(held.columns(idx), dense.columns(idx)), pattern
+        assert calls == [idx.size], pattern
+    layout = build_spherical_codebook(small_config, 0.55, 0.25).layout
+    calls.clear()
+    PhaseModes(layout, UcaGeometry.from_config(small_config), small_config.wavelength_m)
+    assert len(calls) == layout.thetas.size
+
+
 def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, record_fills):
     """A sweep on phase-mode books reads neither `grid` nor `matrix`: the
     ring layout gives `columns` and `num_columns` what they need."""
@@ -659,6 +678,25 @@ def test_screen_correlate_is_exact(screens, name):
     assert np.max(np.abs(single - got[0])) <= 1e-14 * np.linalg.norm(v[:, 0])
     zero = np.zeros((screen.num_antennas, 2), dtype=complex)
     assert np.array_equal(screen.scores(zero), np.zeros(screen.num_columns))
+
+
+def test_screen_correlate_fills_no_dense_matrix(screens, record_fills):
+    """`correlate` multiplies blocks of `_FILL_COLUMNS` exact columns into
+    its output: 16 vectors on the desk screen fill no matrix and trace at
+    most 2 MiB (1.6 MiB measured), where filling the 7.76 MB float64
+    matrix for the product traced 8.7 MiB."""
+    screen = screens["desk"][0]
+    v = _random_block(np.random.default_rng(5), screen.num_antennas, 16)
+    built = record_fills()
+    tracemalloc.start()
+    try:
+        got = screen.correlate(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert got.shape == (16, screen.num_columns)
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("name", ["desk", "small"])
