@@ -98,10 +98,6 @@ class UcaGeometry:
     def num_antennas(self) -> int:
         return self.antenna_azimuths_rad.size
 
-    @property
-    def aperture_m(self) -> float:
-        return 2.0 * self.radius_m
-
     def positions(self) -> np.ndarray:
         """Cartesian (N, 3) coordinates; the ring lies in the z = 0 plane."""
         psi = self.antenna_azimuths_rad

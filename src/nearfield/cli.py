@@ -232,8 +232,6 @@ def _cmd_trial(args) -> int:
     if args.trial_index < 0:
         raise ConfigurationError(f"--trial-index must be >= 0, got {args.trial_index}")
     snr_db = args.snr if args.snr is not None else spec.snr_db
-    if snr_db is None:
-        snr_db = 10.0
     records = harness.run_trial(spec, snr_db, args.trial_index, kind="snr")
     print(f"trial {args.trial_index} at {snr_db:g} dB (seed {spec.master_seed}):")
     for method, (value, seconds) in records.items():

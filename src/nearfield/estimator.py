@@ -147,14 +147,16 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
     so the M x G first term is the same at every iteration, and each chosen
     atom w_i adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`;
-    the row after the last iteration is never read and is not formed. The
-    scores are formed `_RESCORE_CHUNK` columns at a time (`_chunked_scores`),
-    bit for bit as the whole M x G expression gives them. The working set
-    is the M x G complex first term, the (iterations - 1) x G complex Gram
-    rows, the float64 scores and boolean `blocked` array (9 B per column),
-    M x `_RESCORE_CHUNK` complex and float scratch, and a few N x M blocks:
-    a call on the dense float64 twin of the desk spherical book (G = 3 789,
-    M = 16, 3 iterations) traces 1.44 MiB.
+    the row after the last iteration is never read and is not formed. Each
+    step forms the scores of all G columns in place, in one M x G complex
+    and one M x G float buffer allocated once per call. The working set is
+    those buffers, the M x G complex first term, the (iterations - 1) x G
+    complex Gram rows, the float64 scores and boolean `blocked` array (9 B
+    per column), and a few N x M blocks: at M = 16 and 3 iterations, a
+    call traces 0.42 MiB on desk polar (G = 504), 0.17 on desk angular
+    (128) and 0.65 on paper angular (512), the books the builds give this
+    path, and 2.58 MiB on the dense float64 twin of the desk spherical
+    book (G = 3 789).
 
     A streamed basis (phase modes or a `Complex64Screen`) scores to within
     a known bound, not exactly, and S-SOMP keeps one float64 score vector
@@ -166,7 +168,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector; a
     desk spherical call (screen, G = 3 789, M = 16) 0.60 MiB at 3 and at 8
     iterations, most of it the M x G complex64 product of the first pass
-    (the dense Gram path took 1.44 and 1.74 MiB).
+    (the Gram path takes 2.58 and 2.88 MiB on the book's dense twin).
 
     - The first iteration's scores come from the basis' `scores(A^H Y)`.
     - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
@@ -208,7 +210,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     else:
         base = codebook.correlate(projected)
         scores = np.empty(g)
-        scratch = _score_scratch(base)
+        update = np.empty_like(base)
+        magnitude = np.empty(base.shape)
         gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
 
     support, residual_norms, steps = [], [], []
@@ -220,7 +223,11 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         if streamed:
             exact = np.zeros(g, dtype=bool)
         else:
-            _chunked_scores(base, coeffs if step else None, gram_rows[:step], scores, scratch)
+            if step:
+                np.matmul(coeffs.conj().T, gram_rows[:step], out=update)
+                np.subtract(base, update, out=update)
+            np.abs(update if step else base, out=magnitude)
+            np.einsum("ij,ij->j", magnitude, magnitude, out=scores)
             scores[blocked] = -1.0
         rescored, rejected = 0, []
         while True:
@@ -320,59 +327,10 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
     return slack
 
 
-#: Columns scored, or rescored, at once, so that neither the scores of all
-#: columns nor a wide tie ever forms a large block. The dense path's scratch
-#: is M x `_RESCORE_CHUNK` complex plus float entries (0.19 MiB at M = 16);
-#: the rescoring window forms M x `_RESCORE_CHUNK` complex correlations.
+#: Columns rescored at once on a streamed basis, so that a wide tie never
+#: forms a large block: the rescoring window forms M x `_RESCORE_CHUNK`
+#: complex correlations.
 _RESCORE_CHUNK = 512
-
-
-def _score_chunks(shape) -> list:
-    """Column bounds of the chunks `_chunked_scores` scores an (M, G) base in.
-
-    Chunks start at multiples of `_RESCORE_CHUNK` and the last ends at G, so
-    BLAS and `einsum` meet every column at the same place within their
-    vector blocks as in one M x G call. A last chunk of one column joins the
-    one before it: numpy would send it through GEMV, and `einsum` would sum
-    it in another order. With M = 1, numpy sends the update through GEMV,
-    whose bits depend on where the call starts, so the scores are formed in
-    one piece, which is then only G wide.
-    """
-    m, g = shape
-    if m == 1:
-        return [0, g]
-    bounds = list(range(0, g, _RESCORE_CHUNK)) + [g]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return bounds
-
-
-def _score_scratch(base):
-    """Flat buffers for the widest chunk of `_chunked_scores`: (complex, float)."""
-    size = base.shape[0] * max(np.diff(_score_chunks(base.shape)))
-    return np.empty(size, dtype=np.complex128), np.empty(size)
-
-
-def _chunked_scores(base, coeffs, gram_rows, out, scratch):
-    """out[j] = sum_k |base - coeffs^H gram_rows|_kj^2, chunk by chunk.
-
-    Bit for bit the scores of the whole M x G expression: each chunk goes
-    through the same GEMM, subtraction, `abs` and `einsum` on contiguous
-    (M, width) views of `scratch`, so only chunk-sized memory is touched.
-    `coeffs` is None at the first step, where the scores are |base|^2.
-    """
-    m = base.shape[0]
-    weights = None if coeffs is None else coeffs.conj().T
-    bounds = _score_chunks(base.shape)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        size = m * (stop - start)
-        gamma = base[:, start:stop]
-        if weights is not None:
-            update = scratch[0][:size].reshape(m, -1)
-            np.matmul(weights, gram_rows[:, start:stop], out=update)
-            gamma = np.subtract(gamma, update, out=update)
-        magnitude = np.abs(gamma, out=scratch[1][:size].reshape(m, -1))
-        np.einsum("ij,ij->j", magnitude, magnitude, out=out[start:stop])
 
 
 def _exact_scores(codebook, gradient, idx) -> np.ndarray:

@@ -120,8 +120,9 @@ class RunSpec:
             if values is not None:
                 if len(values) == 0:
                     raise ConfigurationError(f"{name} must not be empty")
-                if list(values) != sorted(values):
-                    raise ConfigurationError(f"{name} must be sorted ascending")
+                # A repeated point (0 and -0 included) wrote rows that share seeds.
+                if any(b <= a for a, b in zip(values, values[1:])):
+                    raise ConfigurationError(f"{name} must be strictly ascending, got {list(values)}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
         # Ranges that fail every trial are configuration errors, not trial failures.

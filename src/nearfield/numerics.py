@@ -51,11 +51,13 @@ def first_j0_zero() -> float:
     return _bisect_j0(0.0, 2.0, 3.0, 1e-14)
 
 
+@functools.lru_cache
 def solve_beta_delta(delta: float) -> float:
     """Invert J0 on [0, j01]: the unique beta with J0(beta) = delta.
 
     J0 decreases monotonically from 1 to 0 on that interval, so bisection
-    converges unconditionally; the root is resolved to 1e-12.
+    converges unconditionally; the root is resolved to 1e-12. Each delta is
+    solved once per process, as every spherical and polar build asks again.
     """
     delta = float(delta)
     if not 0.0 <= delta <= 1.0:

@@ -251,6 +251,28 @@ def test_ring_steering_azimuth_step_is_cyclic_antenna_shift(ring):
 
 
 @st.composite
+def rotations(draw):
+    """A UCA of 16, 128 or 512 antennas, a source on or outside 1.01 R out to
+    80 m (r = inf included), any elevation and azimuth, and a shift k."""
+    geom = UcaGeometry.from_layout(draw(st.sampled_from((16, 128, 512))), 0.005)
+    r = draw(st.one_of(st.just(math.inf), st.floats(1.01 * geom.radius_m, 80.0)))
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    return geom, r, theta, phi, draw(st.integers(0, geom.num_antennas - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotations())
+def test_steering_rotation_by_k_antennas_is_a_cyclic_shift(case):
+    # The UCA rotation symmetry that phase modes rest on: turning the source
+    # by 2 pi k / N shifts the steering vector k antennas round the ring.
+    geom, r, theta, phi, k = case
+    steering = near_field_steering(r, theta, phi, geom, 0.01)
+    rotated = near_field_steering(r, theta, phi + 2.0 * math.pi * k / geom.num_antennas, geom, 0.01)
+    assert np.max(np.abs(rotated - np.roll(steering, k))) <= 1e-10
+
+
+@st.composite
 def column_sets(draw):
     """A UCA and 1-12 columns, each with its own (r, theta, phi): plane-wave
     and spherical-wave columns mixed in any order."""

@@ -61,6 +61,13 @@ def test_run_spec_validation():
         tiny_spec(methods=("s-somp", "ls", "s-somp"))
     with pytest.raises(ConfigurationError):
         tiny_spec(snr_list_db=(10.0, 0.0))
+    # A repeated point wrote identical rows, and -0 drew 0's seeds.
+    for snrs in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0, 5.0), (0.0, 5.0, 5.0), (math.inf, math.inf)):
+        with pytest.raises(ConfigurationError, match=r"snr_list_db must be strictly ascending, got \["):
+            tiny_spec(snr_list_db=snrs)
+    for lengths in ((8, 8), (8, 16, 16)):
+        with pytest.raises(ConfigurationError, match=r"pilot_lengths must be strictly ascending, got \["):
+            tiny_spec(pilot_lengths=lengths)
     # A pilot sweep runs int(value) slots, so only integers >= 1 may label rows.
     for lengths in ((8.5, 16), (16.0,), (0, 8), (-8,), ("8",), (True, 8)):
         with pytest.raises(ConfigurationError, match="pilot_lengths must be integers >= 1"):
@@ -775,15 +782,22 @@ def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys
         (["sweep", "snr", "--snr-list=-1001,0,1001"], "snr_list_db must lie within +-1000 dB or be +inf, got [-1001.0, 1001.0]"),
         (["sweep", "pilot", "--snr=-4000"], "snr_db must lie within +-1000 dB or be +inf, got [-4000.0]"),
         (["sweep", "pilot", "--snr", "1001"], "snr_db must lie within +-1000 dB or be +inf, got [1001.0]"),
+        (["sweep", "snr", "--snr-list", "0,0,-0"], "snr_list_db must be strictly ascending, got [0.0, 0.0, -0.0]"),
+        (["sweep", "pilot", "--pilot-list", "8,8"], "pilot_lengths must be strictly ascending, got [8, 8]"),
     ],
 )
-def test_cli_rejects_bad_list_flags(tmp_path, capsys, command, message):
+def test_cli_rejects_bad_list_flags(tmp_path, capsys, monkeypatch, command, message):
     """List flags parse their items as config lists do: a bad item exits 2
     naming its key, and no CSV is written. A NaN or -inf SNR is one, and so
-    is one beyond +-1000 dB, which used to exit 0 with rows of 0 trials."""
+    is one beyond +-1000 dB, which used to exit 0 with rows of 0 trials, and
+    so is a repeated sweep point, which used to write one row per repeat.
+    Each exits before any codebook is built."""
+    builds = []
+    monkeypatch.setattr(harness, "build_codebooks", lambda spec: builds.append(spec))
     out = tmp_path / "out.csv"
     assert cli_main(command + ["--trials", "1", "--methods", "ls", "--out", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
+    assert builds == []
     assert not out.exists()
 
 

@@ -133,8 +133,30 @@ def test_beta_delta_monotone_decreasing_in_delta():
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
 def test_beta_delta_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        solve_beta_delta(bad)
+    for _ in range(2):  # a rejection is not cached: it raises on every call
+        with pytest.raises(ValueError):
+            solve_beta_delta(bad)
+
+
+def test_beta_delta_bisects_once_per_process(monkeypatch):
+    """A second call at the same delta returns the cached beta, bit for bit,
+    without running the bisection again."""
+    calls = []
+    bisect = numerics._bisect_j0
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    first_j0_zero()  # cached apart: only beta's own bisection is counted
+    monkeypatch.setattr(numerics, "_bisect_j0", counting)
+    solve_beta_delta.cache_clear()
+    try:
+        betas = [solve_beta_delta(0.55) for _ in range(2)]
+    finally:
+        solve_beta_delta.cache_clear()  # no cached beta from the counting run
+    assert len(calls) == 1
+    assert betas == [float.fromhex(BETA_FOR_055_BITS)] * 2
 
 
 def _random_complex(rng, *shape):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from nearfield import codebook, estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_angular_codebook, build_spherical_codebook
+from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_angular_codebook, build_polar_codebook, build_spherical_codebook
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
@@ -405,51 +405,6 @@ def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
     assert _traced_peak(s_somp, *args) < 0.5 * dictionary_bytes
 
 
-def _unchunked_scores(base, coeffs, gram_rows):
-    """The S-SOMP scores as one M x G expression, as formed before scoring
-    went chunk by chunk."""
-    if coeffs is None:
-        gamma = base
-    else:
-        gamma = coeffs.conj().T @ gram_rows
-        np.subtract(base, gamma, out=gamma)
-    magnitude = np.abs(gamma)
-    return np.einsum("ij,ij->j", magnitude, magnitude)
-
-
-@pytest.mark.parametrize("num_columns", [300, 512, 3 * 512 + 1, 3 * 512 + 217])
-@pytest.mark.parametrize("num_subcarriers", [1, 4, 16])
-def test_chunked_scores_equal_unchunked_bit_for_bit(monkeypatch, num_columns, num_subcarriers):
-    """Fewer columns than one chunk, a whole number of chunks, one column
-    past a whole number, and a ragged last chunk; the first step and later
-    ones."""
-    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 512)
-    _check_chunked_scores(num_columns, num_subcarriers)
-
-
-@pytest.mark.parametrize("num_subcarriers", [1, 4, 16])
-def test_default_chunked_scores_equal_unchunked_bit_for_bit(desk_codebook, num_subcarriers):
-    """At the module's own chunk, on the desk book's width (G = 3 789)."""
-    assert desk_codebook.num_columns == 3789
-    _check_chunked_scores(desk_codebook.num_columns, num_subcarriers)
-
-
-def _check_chunked_scores(num_columns, num_subcarriers):
-    rng = np.random.default_rng(num_columns + num_subcarriers)
-
-    def draw(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    base = draw(num_subcarriers, num_columns)
-    scratch = estimator._score_scratch(base)
-    for step in range(6):
-        coeffs = draw(step, num_subcarriers) if step else None
-        gram_rows = draw(step, num_columns)
-        got = np.full(num_columns, np.nan)
-        estimator._chunked_scores(base, coeffs, gram_rows, got, scratch)
-        assert np.array_equal(got, _unchunked_scores(base, coeffs, gram_rows)), step
-
-
 class _PerturbedModes:
     """Stand-in phase modes of a dense matrix, off by as much as phase
     modes may be for `s_somp`'s slack at their `rescore_rtol`: each correlation by `error` of its
@@ -759,10 +714,11 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
 def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_dense_calls, desk_phase_mode_calls, monkeypatch, method):
-    """The desk books are narrower than one 4096-column chunk, the size the
-    scores were once formed in; at the default 512-column chunks every
-    output on the 33 desk trials, dense, screened and from phase modes, is
-    bit for bit the one a single chunk gives."""
+    """The desk books are narrower than one 4096-column rescoring window;
+    with the default 512-column window every output on the 33 desk trials,
+    dense, screened and from phase modes, is bit for bit the one a single
+    window gives. The Gram path scores every column at once, whatever the
+    window."""
     calls = desk_somp_calls[method] + desk_phase_mode_calls[method]
     if method == METHOD_S_SOMP:
         calls = calls + desk_dense_calls[method]
@@ -866,28 +822,41 @@ def _one_call(spec, book, iterations=None):
     return measurements, combining, book, iterations or spec.num_paths
 
 
+def _gram_working_set(m, g, n, iterations):
+    """Bytes a Gram-path S-SOMP call may trace: the M x G complex first
+    term, (iterations - 1) Gram rows of G complex entries, the float64
+    scores and boolean `blocked` array (9 B per column), the M x G complex
+    and float scratch the scores are formed in (24 B per entry), and eight
+    N x M complex blocks for the rest."""
+    return 16 * m * g + 16 * (iterations - 1) * g + 9 * g + 24 * m * g + 8 * 16 * n * m
+
+
 def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
-    """One dense desk spherical S-SOMP call (G = 3 789, M = 16, 3
-    iterations), on the dense twin of the screened desk book, traces at
-    most its working set: the M x G complex first term, (iterations - 1)
-    Gram rows of G complex entries, the float64 scores and boolean
-    `blocked` array (9 B per column), the complex and float scratch of one
-    `_RESCORE_CHUNK`-column chunk (24 B per entry), and eight N x M complex
-    blocks for the rest. Measured: 1.44 MiB against a bound of 1.51 MiB. It
-    traced 2.57 MiB while the scores were formed 4096 columns at a time, in
-    scratch as wide as the whole desk book."""
-    twin = dense_twin(desk_codebook)
-    assert isinstance(twin.basis, DenseBasis)
-    system = desk_spec.system
-    paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
-    combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
-    measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
-    iterations = desk_spec.num_paths
-    args = (measurements, combining, twin, iterations)
-    m, g, n = system.num_subcarriers, twin.num_columns, system.num_antennas
-    bound = 16 * m * g + 16 * (iterations - 1) * g + 9 * g + 24 * m * estimator._RESCORE_CHUNK + 8 * 16 * n * m
-    s_somp(*args)  # warm any lazily built state
-    assert _traced_peak(s_somp, *args) <= bound <= 1.6 * 2**20
+    """One S-SOMP call on each book the Gram path searches, at 3 and at 8
+    iterations, traces at most its working set (`_gram_working_set`). The
+    builds give that path desk polar (a `DenseBasis`, G = 504), desk
+    angular and paper angular (a `DftBasis`, G = N = 128 and 512); the
+    dense float64 twin of the screened desk spherical book (G = 3 789),
+    which no build makes, is the widest case. Measured at 3 / 8
+    iterations: 0.42 / 0.47, 0.17 / 0.20, 0.65 / 0.76 and 2.58 / 2.88 MiB.
+    The twin traced 1.44 / 1.75 MiB, under a bound of 1.51 MiB at 3
+    iterations, while the scores were formed 512 columns at a time in
+    M x 512 scratch; the three built books, at most 512 wide, were scored
+    in one such piece then too."""
+    paper = paper_profile()
+    books = [
+        (desk_spec, build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)),
+        (desk_spec, build_angular_codebook(desk_spec.system)),
+        (paper, build_angular_codebook(paper.system)),
+        (desk_spec, dense_twin(desk_codebook)),
+    ]
+    for spec, book in books:
+        assert not book.basis.streamed
+        m, g, n = spec.system.num_subcarriers, book.num_columns, spec.system.num_antennas
+        for iterations in (3, 8):
+            args = _one_call(spec, book, iterations)
+            s_somp(*args)  # warm any lazily built state
+            assert _traced_peak(s_somp, *args) <= _gram_working_set(m, g, n, iterations), (g, iterations)
 
 
 @pytest.mark.parametrize("iterations", [3, 8])
@@ -896,8 +865,8 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fi
     0.8 MiB at 3 and at 8 iterations: the M x G complex64 product of the
     first pass (0.46 MiB), the score vector and its two boolean arrays, and
     N x M blocks; no array grows with the iteration count. Measured:
-    0.60 MiB at both. On the dense float64 book the Gram path traced 1.44
-    and 1.74 MiB."""
+    0.60 MiB at both. On the dense float64 twin the Gram path traces 2.58
+    and 2.88 MiB."""
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     assert isinstance(book.basis, Complex64Screen)
     args = _one_call(desk_spec, book, iterations)
@@ -910,7 +879,7 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fi
 def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
     """One paper angular S-SOMP call (a `DftBasis`, G = N = 512, M = 16, 3
     iterations) on the exact Gram path traces at most 0.8 MiB: the M x G
-    first term and two Gram rows, the scores and chunk scratch, and N x M
+    first term and two Gram rows, the scores and their M x G scratch, and N x M
     blocks. It fills no dense matrix. Measured: 0.65 MiB; the streamed
     path, with running scores, rank-1 moves and rescoring, traced
     1.02 MiB."""
@@ -926,10 +895,12 @@ def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
 
 @pytest.mark.parametrize("phase_modes", [False, True])
 def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
-    """With the default 512-column chunks, S-SOMP's own peak on a dense
-    book stays within 2.25 M x G complex arrays: the first term, the Gram
-    rows, one score vector and chunk scratch. It was 3.84 when the scores of
-    all columns were formed at once. A phase-mode book holds no M x G array:
+    """On the dense twin of the desk spherical book, S-SOMP's own peak
+    stays within its Gram-path working set, 2.93 M x G complex arrays: the
+    first term, the Gram rows, one score vector and M x G scratch.
+    Measured: 2.79. The bound was 2.25 while the scores were formed 512
+    columns at a time, and the peak 3.84 when they were formed of
+    temporaries over all columns at once. A phase-mode book holds no M x G array:
     its peak, 1.015 M x G when measured, is mostly the FFT scratch of the
     first scoring pass, which at desk scale is large next to M x G;
     1.10 leaves a margin of a twelfth. It was 1.94 while the first term was
@@ -950,8 +921,9 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
     args = (measurements, combining, book, desk_spec.num_paths)
     s_somp(*args)  # warm any lazily built state
-    one_array = 16 * system.num_subcarriers * book.num_columns
-    assert _traced_peak(s_somp, *args) <= (1.10 if phase_modes else 2.25) * one_array
+    m, g, n = system.num_subcarriers, book.num_columns, system.num_antennas
+    bound = 1.10 * 16 * m * g if phase_modes else _gram_working_set(m, g, n, desk_spec.num_paths)
+    assert _traced_peak(s_somp, *args) <= bound
 
 
 def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeypatch):
