@@ -44,17 +44,13 @@ class SystemConfig:
     num_pilot_slots: int
 
     def __post_init__(self):
-        if self.num_antennas < 3:
-            raise ConfigurationError("num_antennas must be >= 3")
-        if self.num_subcarriers < 1:
-            raise ConfigurationError("num_subcarriers must be >= 1")
-        if self.num_pilot_slots < 1:
-            raise ConfigurationError("num_pilot_slots must be >= 1")
-        if self.num_rf_chains < 1:
-            raise ConfigurationError("num_rf_chains must be >= 1")
+        for name, least in (("num_antennas", 3), ("num_subcarriers", 1), ("num_pilot_slots", 1), ("num_rf_chains", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
         for name in ("carrier_freq_hz", "bandwidth_hz", "antenna_spacing_m"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and strictly positive, got {value}")
 
     @property
     def wavelength_m(self) -> float:
@@ -199,34 +195,32 @@ def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out
 
     Row s of `cosines` holds cos(phi_s - psi_n) (see `azimuth_cosines`); r
     and theta hold one value per column, and a scalar serves every column.
-    A finite r_s gives the spherical wave exp(-j 2pi/lambda (r^(n) - r_s)) /
-    sqrt(N) with the exact per-antenna distance r^(n); r_s = inf gives the
-    plane wave exp(+j 2pi/lambda R sin(theta_s) cos(phi_s - psi_n)) / sqrt(N).
+    Entry n is exp(-j k (r^(n) - r_s)) / sqrt(N), k = 2pi/lambda, r^(n) the
+    exact distance, and its phase k (r_s - r^(n)) = v / (sqrt(1/4 - v / (2 k r_s)) + 1/2)
+    with v = k R (x - R / (2 r_s)), x = sin(theta_s) cos(phi_s - psi_n): no
+    cancellation at large r_s, and at r_s = inf the plane wave's k R x.
     """
     radius = geom.radius_m
+    wavenumber = 2.0 * math.pi / wavelength_m
     r = np.asarray(r, dtype=np.float64).reshape(-1, 1)
     sin = np.sin(np.asarray(theta, dtype=np.float64).reshape(-1, 1))
     if (r <= radius).any():
-        raise ValueError(
-            f"near-field source must lie outside the array: r={r.min()} <= R={radius}"
-        )
-    # The factors are grouped, and the ufuncs applied, in the order of the
-    # per-column formulas, so every column is bit-identical to them whichever
-    # columns are filled together. The spherical-wave steps skip the
-    # plane-wave rows, and both kinds of row meet at the phase, j times a
-    # real number: 1j * x and (-2j pi / lambda) * y round as 1j * (x * 1)
-    # and 1j * (y * (-2 pi / lambda)), up to the sign of a zero real part,
-    # which exp ignores.
-    far = np.isinf(r)
-    near = ~far
-    real = np.multiply(np.where(far, 2.0 * math.pi / wavelength_m * radius, 2.0 * radius * r) * sin, cosines)
-    np.subtract(r * r + radius * radius, real, out=real, where=near)
-    np.sqrt(real, out=real, where=near)
-    np.subtract(real, r, out=real, where=near)
-    np.multiply(np.where(far, 1.0, -2.0 * math.pi / wavelength_m), real, out=real)
-    phase = np.multiply(1j, real, out=out.T)
-    np.exp(phase, out=phase)
-    np.divide(phase, math.sqrt(geom.num_antennas), out=phase)
+        raise ValueError(f"near-field source must lie outside the array: r={r.min()} <= R={radius}")
+    # Every step is elementwise in the order of the per-column formula, so each
+    # column's bits do not depend on which columns share the call. The halves
+    # keep v and the root's 1/2 exact at r = inf, even where k R x is subnormal.
+    # The root is held in the first S N floats of `out`, contiguous.
+    phase = np.multiply(wavenumber * radius * sin, cosines)
+    np.subtract(phase, wavenumber * radius * (radius / r) * 0.5, out=phase)
+    root = out.ravel(order="K").view(np.float64)[: phase.size].reshape(phase.shape)
+    np.multiply(0.5 / (wavenumber * r), phase, out=root)
+    np.subtract(0.25, root, out=root)
+    np.sqrt(root, out=root)
+    np.add(root, 0.5, out=root)
+    np.divide(phase, root, out=phase)
+    entries = np.multiply(1j, phase, out=out.T)
+    np.exp(entries, out=entries)
+    np.divide(entries, math.sqrt(geom.num_antennas), out=entries)
     return out
 
 
@@ -287,15 +281,15 @@ def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
 
 def check_path_ranges(distance_range, theta_range, phi_range, radius_m: float = 0.0) -> None:
     """Raise ConfigurationError unless paths drawn from these (low, high)
-    ranges are valid: low < high, every distance beyond `radius_m` (the
+    ranges are valid: finite, low < high, every distance beyond `radius_m` (the
     array's, to keep sources outside it), and elevations within [0, pi/2]."""
     for name, (lo, hi) in (
         ("distance_range", distance_range),
-        ("theta_range", theta_range),
-        ("phi_range", phi_range),
+        ("elevation_range", theta_range),
+        ("azimuth_range", phi_range),
     ):
-        if not lo < hi:
-            raise ConfigurationError(f"{name} must satisfy low < high, got ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigurationError(f"{name} must be finite with low < high, got ({lo}, {hi})")
     if not distance_range[0] > radius_m:
         raise ConfigurationError(
             f"distance range must start beyond {radius_m} m, got {distance_range[0]}"

@@ -12,8 +12,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import codebook as cb
 from . import estimator, harness
 from .channel import ConfigurationError, SystemConfig
@@ -203,13 +201,14 @@ def _cmd_codebook_stats(args) -> int:
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
     book = _build_spherical(spec)
-    layout = book.layout
-    levels = layout.thetas.size
-    azimuths, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
+    azimuths, rings, _, _, pairs = cb.adjacent_pair_sizes(book.layout)
     print(f"columns G = {book.num_columns} over {book.num_antennas} antennas")
-    print(f"elevation levels: {levels} (t = 0..{levels - 1})")
+    print(f"elevation levels: {azimuths.size} (t = 0..{azimuths.size - 1})")
     print(f"azimuth samples per elevation: min {azimuths.min()}, max {azimuths.max()}")
     print(f"distance rings per elevation (far field included): min {rings.min()}, max {rings.max()}")
+    # The walk below fills every column: at N = 4096 it ran for minutes unannounced.
+    elevation, azimuth, distance = (int(size.sum()) for size in pairs)
+    print(f"adjacent pairs to correlate: elevation {elevation}, azimuth {azimuth}, distance {distance}", flush=True)
     summary = cb.coherence_stats(book, args.budget)
     print("column correlations:")
     print(_describe_pairs("adjacent elevation", summary.adjacent_elevation))

@@ -342,6 +342,17 @@ def _correlations(left_conj, right) -> np.ndarray:
     return np.abs(np.einsum("i...,i...->...", left_conj, right)).ravel()
 
 
+def adjacent_pair_sizes(layout: _RingLayout):
+    """Per elevation: its azimuth and ring counts, those it shares with the
+    elevation before (none for the first), and its numbers of the column
+    pairs adjacent in t, in s and in z that `coherence_stats` correlates."""
+    counts, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
+    shared = np.minimum(counts, np.roll(counts, 1))
+    depth = np.minimum(rings, np.roll(rings, 1))
+    shared[0] = depth[0] = 0
+    return counts, rings, shared, depth, (shared * depth, (counts - 1) * rings, counts * (rings - 1))
+
+
 def _adjacent_correlations(codebook: SphericalCodebook):
     """|correlation| of the column pairs adjacent in t, in s and in z: three
     arrays, each in ascending order of the pairs' first column.
@@ -359,11 +370,7 @@ def _adjacent_correlations(codebook: SphericalCodebook):
     """
     n = codebook.num_antennas
     layout = codebook.layout
-    counts, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
-    shared = np.minimum(counts, np.roll(counts, 1))  # azimuths with a t neighbour
-    depth = np.minimum(rings, np.roll(rings, 1))  # rings with a t neighbour
-    shared[0] = depth[0] = 0
-    sizes = (shared * depth, (counts - 1) * rings, counts * (rings - 1))
+    counts, rings, shared, depth, sizes = adjacent_pair_sizes(layout)
     offsets = [np.concatenate([[0], np.cumsum(size)]).tolist() for size in sizes]
     pairs = [np.empty(offset[-1]) for offset in offsets]
 

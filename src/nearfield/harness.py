@@ -123,12 +123,12 @@ class RunSpec:
                 # A repeated point (0 and -0 included) wrote rows that share seeds.
                 if any(b <= a for a, b in zip(values, values[1:])):
                     raise ConfigurationError(f"{name} must be strictly ascending, got {list(values)}")
+        if not (math.isfinite(self.r_min_m) and self.r_min_m > 0.0):
+            raise ConfigurationError(f"r_min_m must be finite and positive, got {self.r_min_m}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
         # Ranges that fail every trial are configuration errors, not trial failures.
-        check_path_ranges(
-            self.distance_range, self.elevation_range, self.azimuth_range, self.system.radius_m
-        )
+        check_path_ranges(self.distance_range, self.elevation_range, self.azimuth_range, self.system.radius_m)
 
     @property
     def effective_iterations(self) -> int:

@@ -515,6 +515,8 @@ def test_coherence_stats_matches_dict_oracle(books, name):
     for axis in range(3):
         assert got[axis].dtype == np.float64
         assert np.array_equal(got[axis], want[axis]), axis
+    # The counts `codebook stats` prints before the walk are the walk's.
+    assert [size.sum() for size in codebook.adjacent_pair_sizes(book.layout)[-1]] == [len(values) for values in want]
     assert coherence_stats(book, 700, seed=5) == _coherence_stats_by_dict(book, 700, seed=5)
 
 

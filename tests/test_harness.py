@@ -115,6 +115,19 @@ def test_run_spec_validation():
             tiny_spec(**{name: value})
     counts = tiny_spec(trials=np.int64(2), num_paths=np.int32(2), num_iterations=np.int64(2), master_seed=np.uint32(1))
     assert (counts.trials, counts.num_paths, counts.effective_iterations, counts.master_seed) == (2, 2, 2, 1)
+    # A NaN or inf r_min left both SOMP books with the plane-wave ring alone.
+    for r_min in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match=f"r_min_m must be finite and positive, got {r_min}"):
+            tiny_spec(r_min_m=r_min)
+    # A NaN bandwidth wrote rows of 0 trials, and an inf carrier exited 3.
+    for name in ("carrier_freq_hz", "bandwidth_hz", "antenna_spacing_m"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite and strictly positive, got {value}"):
+                tiny_spec(system=dataclasses.replace(tiny_spec().system, **{name: value}))
+    # An infinite bound wrote NaN rows.
+    for name, bounds in (("distance_range", (4.0, math.inf)), ("azimuth_range", (0.0, math.inf)), ("azimuth_range", (-math.inf, 0.0)), ("elevation_range", (math.nan, 1.0))):
+        with pytest.raises(ConfigurationError, match=rf"{name} must be finite with low < high, got \({bounds[0]}, {bounds[1]}\)"):
+            tiny_spec(**{name: bounds})
 
 
 def test_run_spec_rejects_ranges_that_fail_every_trial(tmp_path):
@@ -654,6 +667,26 @@ def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.basis.dense())
 
 
+def test_cli_codebook_stats_states_its_pair_counts_before_the_walk(capsys, monkeypatch):
+    """`codebook stats` prints how many adjacent pairs it will correlate
+    before it walks them, so a walk too long to finish (N = 4096) shows its
+    size first. The counts are those the walk reports."""
+    argv = ["codebook", "stats", "--profile", "desk", "--budget", "200"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    line = "adjacent pairs to correlate: elevation 3297, azimuth 3751, distance 1571\n"
+    assert out.index(line) < out.index("column correlations:")
+    for label, count in (("adjacent elevation", 3297), ("adjacent azimuth", 3751), ("adjacent distance", 1571)):
+        assert f"  {label:<18} n={count:<7d} max=" in out
+
+    def stopped(*args):
+        raise RuntimeError("walk stopped")
+
+    monkeypatch.setattr(codebook, "coherence_stats", stopped)
+    assert cli_main(argv) == 3
+    assert line in capsys.readouterr().out
+
+
 def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, monkeypatch, record_fills):
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     fills = record_fills()
@@ -847,8 +880,14 @@ def test_cli_rejects_iterations_above_the_rank_budget(tmp_path, capsys, command,
     [
         ("", ["--seed", "-1", "--methods", "ls", "--snr-list", "10"], "master_seed must be >= 0, got -1"),
         ("num_paths = 200\nnum_iterations = 3\n", [], "num_paths=200 exceeds num_antennas=128"),
+        ("bandwidth_hz = nan\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "bandwidth_hz must be finite and strictly positive, got nan"),
+        ("carrier_freq_hz = inf\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "carrier_freq_hz must be finite and strictly positive, got inf"),
+        ("distance_range = 4, inf\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "distance_range must be finite with low < high, got (4.0, inf)"),
+        ("azimuth_range = 0, inf\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "azimuth_range must be finite with low < high, got (0.0, inf)"),
+        ("r_min_m = nan\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "r_min_m must be finite and positive, got nan"),
+        ("r_min_m = inf\n", ["--methods", "ls,s-somp", "--snr-list", "10"], "r_min_m must be finite and positive, got inf"),
     ],
-    ids=["negative-seed", "more-paths-than-antennas"],
+    ids=["negative-seed", "more-paths-than-antennas", "nan-bandwidth", "inf-carrier", "inf-distance", "inf-azimuth", "nan-r-min", "inf-r-min"],
 )
 def test_cli_rejects_a_sweep_that_fails_every_trial_before_building_a_codebook(
     tmp_path, capsys, monkeypatch, config, flags, message
@@ -856,8 +895,10 @@ def test_cli_rejects_a_sweep_that_fails_every_trial_before_building_a_codebook(
     """A negative seed used to exit 3 with numpy's "expected non-negative
     integer" once the bank was built, and a desk sweep of 200 paths to exit 0
     with NaN rows of 0 trials, each trial warning "path count 200 exceeds
-    antenna count 128". Each exits 2 before any codebook is built, and no CSV
-    is written."""
+    antenna count 128". A NaN bandwidth or an infinite range bound exited 0
+    with NaN rows, a NaN or inf r_min exited 0 having searched books of the
+    plane-wave ring alone, and an inf carrier exited 3. Each exits 2 before
+    any codebook is built, and no CSV is written."""
     builds = []
     monkeypatch.setattr(harness, "build_codebooks", lambda spec: builds.append(spec))
     config_path = tmp_path / "run.cfg"
