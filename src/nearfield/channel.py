@@ -2,6 +2,7 @@
 and multipath OFDM channel synthesis."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,11 @@ class SystemConfig:
 
     def __post_init__(self):
         for name, least in (("num_antennas", 3), ("num_subcarriers", 1), ("num_pilot_slots", 1), ("num_rf_chains", 1)):
-            if getattr(self, name) < least:
+            value = getattr(self, name)
+            # A fractional count built both codebooks and then failed every trial.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
         for name in ("carrier_freq_hz", "bandwidth_hz", "antenna_spacing_m"):
             value = getattr(self, name)

@@ -25,6 +25,7 @@ _RANGE_FIELDS = {"distance_range", "elevation_range", "azimuth_range"}
 _INT_FIELDS = {"num_paths", "num_iterations", "trials", "master_seed"}
 _FLOAT_FIELDS = {"delta", "r_min_m", "snr_db"}
 _LIST_FIELDS = {"snr_list_db", "pilot_lengths", "methods"}
+_FLAG_KEYS = {"seed": "master_seed", "trials": "trials", "methods": "methods", "snr": "snr_db", "snr_list": "snr_list_db", "pilot_list": "pilot_lengths"}
 _SNR_RULE = "nominal, ||H||_F^2/||N||_F^2 (noise variance ||H||_F^2/(P N_RF M 10^(SNR/10))); the receiver sees SNR + 10 log10(P N_RF/N) dB"
 
 
@@ -91,18 +92,9 @@ def assemble_spec(args) -> harness.RunSpec:
         for key, text in parse_config_file(args.config).items():
             overrides[key] = _coerce(key, text)
 
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "methods", None) is not None:
-        overrides["methods"] = _coerce("methods", args.methods)
-    if getattr(args, "snr", None) is not None:
-        overrides["snr_db"] = args.snr
-    if getattr(args, "snr_list", None) is not None:
-        overrides["snr_list_db"] = _coerce("snr_list_db", args.snr_list)
-    if getattr(args, "pilot_list", None) is not None:
-        overrides["pilot_lengths"] = _coerce("pilot_lengths", args.pilot_list)
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            overrides[key] = _coerce(key, getattr(args, flag))
 
     system_updates = {k: v for k, v in overrides.items() if k in _SYSTEM_FIELDS}
     spec_updates = {k: v for k, v in overrides.items() if k not in _SYSTEM_FIELDS}
@@ -230,9 +222,8 @@ def _cmd_trial(args) -> int:
     spec = assemble_spec(args)
     if args.trial_index < 0:
         raise ConfigurationError(f"--trial-index must be >= 0, got {args.trial_index}")
-    snr_db = args.snr if args.snr is not None else spec.snr_db
-    records = harness.run_trial(spec, snr_db, args.trial_index, kind="snr")
-    print(f"trial {args.trial_index} at {snr_db:g} dB (seed {spec.master_seed}):")
+    records = harness.run_trial(spec, spec.snr_db, args.trial_index, kind="snr")
+    print(f"trial {args.trial_index} at {spec.snr_db:g} dB (seed {spec.master_seed}):")
     for method, (value, seconds) in records.items():
         if math.isnan(value):
             print(f"  {method:<14} failed")

@@ -15,16 +15,13 @@ import numpy as np
 
 from .channel import ConfigurationError, SystemConfig, UcaGeometry
 from .numerics import first_j0_zero, solve_beta_delta
-from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, ring_matrix
+from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, column_blocks, ring_matrix
 
 #: Distance value marking the plane-wave (z = 0) ring of the distance grid.
 FAR_FIELD = math.inf
 
 _BINARY_MAGIC = b"SPHW"
 _BINARY_VERSION = 1
-
-#: Bytes of matrix columns per read or write of the binary export.
-_IO_CHUNK_BYTES = 1 << 20
 
 #: Codebooks of arrays this large hold a matrix-free basis, not a dense
 #: matrix: phase modes for the spherical and polar books, `DftBasis` for the
@@ -54,9 +51,6 @@ _SCREEN_MIN_COLUMNS = 3072
 #: blocks of at most this S + 1 whatever the elevation's azimuth count
 #: (84 MB each at N = 2048, where an elevation holds up to 10 rings).
 _COHERENCE_AZIMUTHS = 256
-
-#: Grid points per chunk of the grid text export.
-_GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +397,8 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
     Covers every pair of columns adjacent in one grid index (t, s, or z with
     the other two fixed) plus a seeded random sample of up to `sample_budget`
     arbitrary pairs. Columns come from `codebook.columns`, so a matrix-free
-    basis fills no dense matrix and no grid is built.
+    basis fills no dense matrix and no grid is built; the random pairs are
+    walked in `column_blocks`, two blocks of columns at a time.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
@@ -417,11 +412,8 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
         left = rng.integers(0, g, size=sample_budget)
         right = rng.integers(0, g - 1, size=sample_budget)
         right = np.where(right >= left, right + 1, right)  # exclude i == j
-        step = 4096  # pairs per `columns` call, so a large budget holds few columns
-        values = [
-            _correlations(codebook.columns(left[i : i + step]).conj(), codebook.columns(right[i : i + step]))
-            for i in range(0, sample_budget, step)
-        ]
+        blocks = zip(column_blocks(codebook.columns, left), column_blocks(codebook.columns, right))
+        values = [_correlations(first.conj(), second) for (_, first), (_, second) in blocks]
         random_stats = PairStats.from_values(np.concatenate(values))
     return CoherenceStats(*adjacent, random_stats)
 
@@ -429,14 +421,13 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
 def export_grid_text(codebook: SphericalCodebook, path) -> None:
     """One grid point per line: t,s,z,r,theta,phi (r = inf marks far field).
 
-    Written `_GRID_CHUNK` points at a time from `codebook.layout.locate`, so
-    the grid is never held whole.
+    Written a `column_blocks` block at a time from `codebook.layout.locate`,
+    so the grid is never held whole.
     """
     layout = codebook.layout
-    g = layout.num_columns
     with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, g, _GRID_CHUNK):
-            columns = [part.tolist() for part in layout.locate(np.arange(start, min(start + _GRID_CHUNK, g)))]
+        for _, located in column_blocks(layout.locate, range(layout.num_columns)):
+            columns = [part.tolist() for part in located]
             handle.writelines(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
 
 
@@ -453,22 +444,20 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     """Raw dump: 16-byte header (magic 'SPHW', version, N, G as little-endian
     u32) followed by the matrix as column-major interleaved re/im float64.
 
-    Written a chunk of `codebook.columns` at a time, so no matrix-sized copy
-    is made, and a matrix-free basis never fills its dense matrix. A chunk
-    and its transposed copy share the 1 MiB of `_IO_CHUNK_BYTES`.
+    Written a `column_blocks` block of `codebook.columns` at a time, so no
+    matrix-sized copy is made, and a matrix-free basis never fills its
+    dense matrix: a walk holds one block and its transposed copy.
     """
     n, g = codebook.num_antennas, codebook.num_columns
-    step = max(1, _IO_CHUNK_BYTES // (32 * max(n, 1)))
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC + struct.pack("<III", _BINARY_VERSION, n, g))
-        for start in range(0, g, step):
-            block = codebook.columns(np.arange(start, min(start + step, g)))
+        for _, block in column_blocks(codebook.columns, range(g)):
             handle.write(np.ascontiguousarray(block.T, dtype="<c16"))
 
 
 def load_matrix_binary(path) -> np.ndarray:
-    """Read a matrix written by `export_matrix_binary`, a chunk of columns at
-    a time straight into the (N, G) result."""
+    """Read a matrix written by `export_matrix_binary`, a `column_blocks`
+    block of columns at a time, into the (N, G) result."""
     with open(path, "rb") as handle:
         header = handle.read(16)
         if len(header) != 16 or header[:4] != _BINARY_MAGIC:
@@ -480,10 +469,9 @@ def load_matrix_binary(path) -> np.ndarray:
         if payload != 16 * n * g:
             raise ValueError(f"{path}: expected {16 * n * g} payload bytes, got {payload}")
         matrix = np.empty((n, g), dtype=np.complex128)
-        chunk = np.empty((max(1, _IO_CHUNK_BYTES // (16 * max(n, 1))), n), dtype="<c16")
-        for start in range(0, g, chunk.shape[0]):
-            block = chunk[: g - start]
-            if handle.readinto(block) != block.nbytes:
+        for part, data in column_blocks(lambda idx: handle.read(16 * n * len(idx)), range(g)):
+            block = matrix[:, part]
+            if len(data) != block.nbytes:
                 raise ValueError(f"{path}: file shrank while it was read")
-            matrix[:, start : start + block.shape[0]] = block.T
+            block[...] = np.frombuffer(data, dtype="<c16").reshape(block.shape[::-1]).T
     return matrix

@@ -13,6 +13,7 @@ import numpy as np
 from .channel import ChannelMatrix, SystemConfig, UcaGeometry, path_steering
 from .codebook import SphericalCodebook
 from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
+from .phase_modes import column_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +165,9 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     arrays of G entries (`exact` and `blocked`), the scratch of one
     `scores` or `move_scores` pass, and a few N x M blocks: A^H is never
     copied, every A^H X is formed as (X^H A)^H (`numerics.adjoint_product`),
-    and the rescoring window is one comparison of the scores. A paper spherical call (phase modes,
+    the rescoring window is one comparison of the scores, and the columns
+    it rescores are filled one `phase_modes.column_blocks` block at a time
+    (`_exact_scores`). A paper spherical call (phase modes,
     G = 100 358, M = 16) traces 2.1 MB, 0.8 MB of it the score vector; a
     desk spherical call (screen, G = 3 789, M = 16) 0.60 MiB at 3 and at 8
     iterations, most of it the M x G complex64 product of the first pass
@@ -327,20 +330,16 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
     return slack
 
 
-#: Columns rescored at once on a streamed basis, so that a wide tie never
-#: forms a large block: the rescoring window forms M x `_RESCORE_CHUNK`
-#: complex correlations.
-_RESCORE_CHUNK = 512
-
-
 def _exact_scores(codebook, gradient, idx) -> np.ndarray:
     """S-SOMP scores ||gradient^H w_j||^2 of columns idx, from their exact
-    columns; `gradient` is A^H R of the current residual R."""
+    columns; `gradient` is A^H R of the current residual R. The columns come
+    in `column_blocks`, so a wide tie forms M x `_FILL_COLUMNS` complex
+    correlations at a time, never M x len(idx)."""
     scores = np.empty(idx.size)
-    for start in range(0, idx.size, _RESCORE_CHUNK):
-        columns = codebook.columns(idx[start : start + _RESCORE_CHUNK])
-        magnitude = np.abs(gradient.conj().T @ columns)
-        scores[start : start + _RESCORE_CHUNK] = np.einsum("ij,ij->j", magnitude, magnitude)
+    adjoint = gradient.conj().T
+    for part, columns in column_blocks(codebook.columns, idx):
+        magnitude = np.abs(adjoint @ columns)
+        scores[part] = np.einsum("ij,ij->j", magnitude, magnitude)
     return scores
 
 

@@ -160,6 +160,22 @@ class CodebookBank:
     angular: SphericalCodebook | None = None
 
 
+def _profile(num_antennas: int, num_pilot_slots: int, **settings) -> RunSpec:
+    """A RunSpec of the shared carrier, array spacing and sweeps, with the
+    caller's `settings` (any RunSpec fields, `system` too) over them."""
+    system = SystemConfig(
+        carrier_freq_hz=30e9,
+        bandwidth_hz=100e6,
+        num_subcarriers=16,
+        num_antennas=num_antennas,
+        antenna_spacing_m=0.005,
+        num_rf_chains=4,
+        num_pilot_slots=num_pilot_slots,
+    )
+    shared = {"system": system, "snr_list_db": (0.0, 5.0, 10.0, 15.0, 20.0), "pilot_lengths": (8, 16, 32, 64), "snr_db": 5.0}
+    return RunSpec(**{**shared, **settings})
+
+
 def desk_profile(**overrides) -> RunSpec:
     """Small geometry that keeps a full five-method sweep under a minute.
 
@@ -168,45 +184,12 @@ def desk_profile(**overrides) -> RunSpec:
     sources, so admitting them would wash out the distinction between the
     baselines that the method-ordering checks rely on.
     """
-    system = SystemConfig(
-        carrier_freq_hz=30e9,
-        bandwidth_hz=100e6,
-        num_subcarriers=16,
-        num_antennas=128,
-        antenna_spacing_m=0.005,
-        num_rf_chains=4,
-        num_pilot_slots=16,
-    )
-    spec = RunSpec(
-        system=system,
-        r_min_m=0.5,
-        elevation_range=(0.3 * math.pi, 0.5 * math.pi),
-        snr_list_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-        pilot_lengths=(8, 16, 32, 64),
-        snr_db=5.0,
-    )
-    return replace(spec, **overrides) if overrides else spec
+    return _profile(128, 16, **{"r_min_m": 0.5, "elevation_range": (0.3 * math.pi, 0.5 * math.pi), **overrides})
 
 
 def paper_profile(**overrides) -> RunSpec:
     """Full-scale geometry (N = 512, P = 32)."""
-    system = SystemConfig(
-        carrier_freq_hz=30e9,
-        bandwidth_hz=100e6,
-        num_subcarriers=16,
-        num_antennas=512,
-        antenna_spacing_m=0.005,
-        num_rf_chains=4,
-        num_pilot_slots=32,
-    )
-    spec = RunSpec(
-        system=system,
-        r_min_m=4.0,
-        snr_list_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-        pilot_lengths=(8, 16, 32, 64),
-        snr_db=5.0,
-    )
-    return replace(spec, **overrides) if overrides else spec
+    return _profile(512, 32, **{"r_min_m": 4.0, **overrides})
 
 
 PROFILES = {"desk": desk_profile, "paper": paper_profile}

@@ -38,6 +38,7 @@ so S-SOMP takes its exact Gram path there, not `scores` and `move_scores`.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,14 @@ from .channel import UcaGeometry, azimuth_cosines, ring_steering
 MODE_RTOL = 1e-12
 #: Doublings of the sample count allowed beyond the first estimate.
 _MAX_DOUBLINGS = 4
-#: Columns per `ring_columns` call of `ring_matrix` and `_RingBasis.correlate`.
+#: Columns per block of `column_blocks`, the one width of every walk over a
+#: book's columns: the matrix fill, exact correlation, S-SOMP's rescoring,
+#: the random pairs of the coherence stats and the grid and matrix exports.
+#: It bounds what a walk holds at once, 16 N B per complex128 column
+#: (2 MiB a block at N = 1024). The walks' outputs do not depend on it, but
+#: for the last bits of the BLAS products (`_RingBasis.correlate`, S-SOMP's
+#: rescoring), which follow the GEMM kernel's column unroll: with OpenBLAS
+#: they keep their bits at multiples of 8, and can move at 1, 2, 3, 5, 7, 9.
 #: Minimum CPU time of the desk bank build (N = 128, 4 293 ring-built
 #: columns) over 80 interleaved builds on a 2-vCPU VM: 128 columns, 28.5 ms;
 #: 256, 28.5; 64, 30.4; 512, 29.9. At 128, a 16-vector `correlate` on the
@@ -148,9 +156,19 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     )
 
 
+def column_blocks(fill, idx):
+    """Yield (part, fill(idx[part])) for consecutive `_FILL_COLUMNS`-long
+    slices `part` of `idx`: a walk over a book's columns that holds one
+    block of them at a time. A walk over every column passes `range(G)`,
+    so that not even its indices are held whole."""
+    for start in range(0, len(idx), _FILL_COLUMNS):
+        part = slice(start, start + _FILL_COLUMNS)
+        yield part, fill(idx[part])
+
+
 def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
     """The C-ordered N x G matrix of a ring layout in `dtype`, copied from
-    `ring_columns` `_FILL_COLUMNS` columns at a time.
+    `ring_columns` a `column_blocks` block at a time.
 
     The C order is kept because BLAS may sum a product in an order that
     follows the operands' layout, and S-SOMP's outputs were checked bit for
@@ -158,11 +176,9 @@ def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
     rounded once, by the copy's cast, and no float64 matrix is formed on
     the way.
     """
-    g = layout.num_columns
-    matrix = np.empty((geom.num_antennas, g), dtype=dtype)
-    for start in range(0, g, _FILL_COLUMNS):
-        stop = min(start + _FILL_COLUMNS, g)
-        matrix[:, start:stop] = ring_columns(layout, geom, wavelength_m, np.arange(start, stop))
+    matrix = np.empty((geom.num_antennas, layout.num_columns), dtype=dtype)
+    for part, block in column_blocks(partial(ring_columns, layout, geom, wavelength_m), range(layout.num_columns)):
+        matrix[:, part] = block
     return matrix
 
 
@@ -254,12 +270,11 @@ class _RingBasis:
 
     def correlate(self, v) -> np.ndarray:
         """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from
-        `columns` blocks of `_FILL_COLUMNS`, so no dense matrix is filled."""
+        `column_blocks` of `columns`, so no dense matrix is filled."""
         adjoint = np.asarray(v).conj().T
         out = np.empty(adjoint.shape[:-1] + (self.num_columns,), dtype=np.complex128)
-        for start in range(0, self.num_columns, _FILL_COLUMNS):
-            stop = min(start + _FILL_COLUMNS, self.num_columns)
-            out[..., start:stop] = adjoint @ self.columns(np.arange(start, stop))
+        for part, block in column_blocks(self.columns, range(self.num_columns)):
+            out[..., part] = adjoint @ block
         return out
 
 

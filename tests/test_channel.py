@@ -85,6 +85,12 @@ def test_system_config_validation():
         paper_system(num_subcarriers=0)
     with pytest.raises(ConfigurationError):
         paper_system(carrier_freq_hz=-1.0)
+    # Each count is an integer: these four once built both codebooks and
+    # swept NaN rows, or ran with M = 1.
+    for name, value in (("num_pilot_slots", 16.0), ("num_rf_chains", 4.0), ("num_antennas", 128.5), ("num_subcarriers", True)):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+            paper_system(**{name: value})
+    assert paper_system(num_antennas=np.int64(128)).num_antennas == 128
 
 
 def test_subcarrier_center_and_endpoint():

@@ -608,7 +608,7 @@ def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, mon
     """The grid export, in chunks of 1 000 points (3 789 is not a multiple),
     writes the frozen desk text byte for byte from each representation of
     the desk spherical book, and builds no book's grid."""
-    monkeypatch.setattr(codebook, "_GRID_CHUNK", 1000)
+    monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 1000)
     books = _representations(desk_spec)
     built = record_fills()
     for name, book in books.items():
@@ -623,7 +623,7 @@ def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch):
     own arrays, 48 B per column (182 kB; measured, 0.1 MB): it never holds
     the grid. Exporting from the whole grid traced 0.67 MB, mostly the
     Python numbers of its rows."""
-    monkeypatch.setattr(codebook, "_GRID_CHUNK", 256)
+    monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 256)
     path = tmp_path / "grid.txt"
     export_grid_text(desk_codebook, path)
     assert _traced_peak(export_grid_text, desk_codebook, path) < 48 * desk_codebook.num_columns
@@ -668,7 +668,7 @@ def test_grid_text_round_trip_property(tmp_path_factory, points):
     book = types.SimpleNamespace(layout=layout)
     path = tmp_path_factory.mktemp("grid") / "grid.txt"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codebook, "_GRID_CHUNK", 5)
+        patch.setattr(phase_modes, "_FILL_COLUMNS", 5)
         export_grid_text(book, path)
     loaded = load_grid_text(path)
     assert loaded.indices.tobytes() == indices.tobytes()

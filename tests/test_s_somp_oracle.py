@@ -21,7 +21,17 @@ from hypothesis import strategies as st
 
 from nearfield import codebook, estimator, generate_combining, s_somp, sample_paths
 from nearfield.channel import generate_channel
-from nearfield.codebook import FAR_FIELD, SphericalCodebook, _RingLayout, build_angular_codebook, build_polar_codebook, build_spherical_codebook
+from nearfield.codebook import (
+    FAR_FIELD,
+    SphericalCodebook,
+    _RingLayout,
+    build_angular_codebook,
+    build_polar_codebook,
+    build_spherical_codebook,
+    export_grid_text,
+    export_matrix_binary,
+    load_matrix_binary,
+)
 from nearfield.estimator import EstimationResult, MeasurementSet, synthesize_measurements
 from nearfield.harness import (
     METHOD_ANGULAR,
@@ -33,7 +43,7 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
-from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DenseBasis, DftBasis, PhaseModes
+from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DenseBasis, DftBasis, PhaseModes, ring_matrix
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
 
@@ -193,7 +203,7 @@ def test_phase_modes_match_dense_on_zero_input(small_config, small_codebook, mon
     """All scores tie at zero, so every column is rescored, in several chunks,
     and the lowest index wins, as from the dense matrix."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
-    monkeypatch.setattr(estimator, "_RESCORE_CHUNK", 64)
+    monkeypatch.setattr("nearfield.phase_modes._FILL_COLUMNS", 64)
     held = build_spherical_codebook(small_config, 0.55, 0.25)
     assert isinstance(held.basis, PhaseModes) and held.num_columns > 3 * 64
     combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
@@ -714,16 +724,16 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
 @pytest.mark.parametrize("method", SOMP_METHODS)
 def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_dense_calls, desk_phase_mode_calls, monkeypatch, method):
-    """The desk books are narrower than one 4096-column rescoring window;
-    with the default 512-column window every output on the 33 desk trials,
-    dense, screened and from phase modes, is bit for bit the one a single
-    window gives. The Gram path scores every column at once, whatever the
-    window."""
+    """The desk books are narrower than one 4096-column block of
+    `phase_modes.column_blocks`; with the default 128-column blocks every
+    output on the 33 desk trials, dense, screened and from phase modes, is
+    bit for bit the one a single block gives. The Gram path scores every
+    column at once, whatever the width."""
     calls = desk_somp_calls[method] + desk_phase_mode_calls[method]
     if method == METHOD_S_SOMP:
         calls = calls + desk_dense_calls[method]
     with monkeypatch.context() as patch:
-        patch.setattr(estimator, "_RESCORE_CHUNK", 4096)
+        patch.setattr("nearfield.phase_modes._FILL_COLUMNS", 4096)
         assert max(args[2].num_columns for args in calls) <= 4096
         want = [s_somp(*args) for args in calls]
     for args, expected in zip(calls, want):
@@ -732,6 +742,62 @@ def test_small_chunks_change_no_bit_of_s_somp(desk_somp_calls, desk_dense_calls,
         assert np.array_equal(got.sparse_coeffs, expected.sparse_coeffs)
         assert np.array_equal(got.channel_estimate, expected.channel_estimate)
         assert got.residual_norms == expected.residual_norms
+
+
+def _width_outputs(books, calls, v, folder):
+    """The screen's `correlate` of v, and a list of everything else a walk
+    of `phase_modes.column_blocks` makes on the desk spherical (screened)
+    and polar (dense) books, as arrays and bytes."""
+    screen = books["spherical"].basis
+    out = [ring_matrix(screen.layout, screen.geom, screen.wavelength_m, dtype) for dtype in (np.complex128, np.complex64)]
+    for args in calls:
+        got = s_somp(*args)
+        out += [np.array(got.support), got.sparse_coeffs, got.channel_estimate, np.array(got.residual_norms), repr(got.steps)]
+    real, values = codebook.PairStats.from_values, []
+    for name, book in books.items():
+        text, binary = folder / f"{name}.txt", folder / f"{name}.bin"
+        export_grid_text(book, text)
+        export_matrix_binary(book, binary)
+        out += [text.read_bytes(), binary.read_bytes(), load_matrix_binary(binary)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codebook.PairStats, "from_values", lambda found: values.append(found) or real(found))
+            codebook.coherence_stats(book, 700, seed=5)
+        out.append(values[-1])  # the random pairs' values, the last ones summarised
+    return screen.correlate(v), out
+
+
+def test_column_width_changes_no_bit(desk_spec, desk_somp_calls, desk_phase_mode_calls, tmp_path, monkeypatch):
+    """Walking a book's columns 1, 5 or 4 096 at a time gives what the
+    default 128 give, bit for bit or byte for byte: the matrix filled in
+    complex128 and complex64, every output of S-SOMP on the desk screen and
+    on forced phase modes, the grid text, the binary export and its load,
+    and the random pairs' correlations. The screen's `correlate` is one
+    BLAS product per block, which sums in an order that follows the GEMM
+    kernel's column unroll: it keeps its bits at 4 096, and at 1 and 5
+    columns lies within rounding of them."""
+    system = desk_spec.system
+    books = {
+        "spherical": build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m),
+        "polar": build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m),
+    }
+    assert isinstance(books["spherical"].basis, Complex64Screen) and isinstance(books["polar"].basis, DenseBasis)
+    calls = desk_somp_calls[METHOD_S_SOMP] + desk_phase_mode_calls[METHOD_S_SOMP] + desk_phase_mode_calls[METHOD_P_SOMP]
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((system.num_antennas, 3)) + 1j * rng.standard_normal((system.num_antennas, 3))
+    correlations, want = _width_outputs(books, calls, v, tmp_path)
+    for width in (1, 5, 4096):
+        monkeypatch.setattr("nearfield.phase_modes._FILL_COLUMNS", width)
+        correlated, got = _width_outputs(books, calls, v, tmp_path)
+        if width % 8:
+            assert np.abs(correlated - correlations).max() <= 1e-14 * np.linalg.norm(v, axis=0).max()
+        else:
+            assert np.array_equal(correlated, correlations)
+        assert len(got) == len(want)
+        for position, (a, b) in enumerate(zip(got, want)):
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (width, position)
+            else:
+                assert a == b, (width, position)
 
 
 def _all_rings_scores(modes, v):
