@@ -7,7 +7,6 @@ seeded Monte Carlo experiment harness.
 
 from .channel import (
     C_LIGHT,
-    ChannelMatrix,
     ConfigurationError,
     PathParams,
     SystemConfig,

@@ -1,6 +1,7 @@
 """UCA geometry, spherical-wave propagation distances, steering vectors,
 and multipath OFDM channel synthesis."""
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -112,10 +113,10 @@ class UcaGeometry:
 class PathParams:
     """One propagation path: spherical position of the source plus complex gain.
 
-    Azimuth is stored wrapped into [0, 2pi). Elevation 0 is the zenith,
-    where every antenna is equidistant from the source and the azimuth has
-    no effect. Callers are responsible for keeping the source outside the
-    array (distance_m > radius).
+    Every field must be finite. Azimuth is stored wrapped into [0, 2pi).
+    Elevation 0 is the zenith, where every antenna is equidistant from the
+    source and the azimuth has no effect. Callers are responsible for
+    keeping the source outside the array (distance_m > radius).
     """
 
     distance_m: float
@@ -124,6 +125,9 @@ class PathParams:
     gain: complex
 
     def __post_init__(self):
+        for name in ("distance_m", "elevation_rad", "azimuth_rad", "gain"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.distance_m <= 0.0:
             raise ValueError(f"path distance must be positive, got {self.distance_m}")
         if not 0.0 <= self.elevation_rad <= 0.5 * math.pi:
@@ -131,26 +135,6 @@ class PathParams:
                 f"elevation must lie in [0, pi/2], got {self.elevation_rad}"
             )
         object.__setattr__(self, "azimuth_rad", self.azimuth_rad % (2.0 * math.pi))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """Frequency-domain channel H (N x M); column m belongs to subcarrier m."""
-
-    entries: np.ndarray = field(repr=False)
-    config: SystemConfig
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        object.__setattr__(self, "entries", entries)
-        n, m = entries.shape
-        if n != self.config.num_antennas or m != self.config.num_subcarriers:
-            raise ValueError(
-                f"channel shape {entries.shape} does not match config "
-                f"({self.config.num_antennas}, {self.config.num_subcarriers})"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("channel entries must be finite")
 
 
 def subcarrier_frequencies(config: SystemConfig) -> np.ndarray:
@@ -255,8 +239,9 @@ def path_steering(paths, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
     return ring_steering(r, theta, azimuth_cosines(phi, geom), geom, wavelength_m, out)
 
 
-def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
-    """Superpose L spherical-wave paths into the N x M channel matrix.
+def generate_channel(paths, config: SystemConfig) -> np.ndarray:
+    """Superpose L spherical-wave paths into the channel H, a C-ordered
+    (N, M) complex128 array whose column m belongs to subcarrier m.
 
     Column m is sqrt(N/L) sum_l g_l exp(-j k_m r_l) b(r_l, theta_l, phi_l)
     with k_m = 2 pi f_m / c; the steering vectors use the centre wavelength.
@@ -281,7 +266,7 @@ def generate_channel(paths, config: SystemConfig) -> ChannelMatrix:
     gains = np.array([p.gain for p in paths], dtype=np.complex128)
     coeffs = gains[:, None] * np.exp(-1j * np.outer(distances, wavenumbers))
     scale = math.sqrt(config.num_antennas / num_paths)
-    return ChannelMatrix(scale * (steering @ coeffs), config)
+    return scale * (steering @ coeffs)
 
 
 def check_path_ranges(distance_range, theta_range, phi_range, radius_m: float = 0.0) -> None:

@@ -431,10 +431,26 @@ def export_grid_text(codebook: SphericalCodebook, path) -> None:
             handle.writelines(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
 
 
+def parse_text_row(path, number: int, line: str, parsers) -> list:
+    """The comma-separated fields of `line`, line `number` of the text file
+    at `path`, each through its parser in `parsers`. A row with the wrong
+    field count or a field its parser rejects raises ValueError naming
+    path:number."""
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != len(parsers):
+        raise ValueError(f"{path}:{number}: expected {len(parsers)} comma-separated fields, got {len(fields)}")
+    try:
+        return [parse(value) for parse, value in zip(parsers, fields)]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{number}: {exc}") from None
+
+
 def load_grid_text(path) -> CodebookGrid:
-    """Parse a file written by `export_grid_text`."""
+    """Parse a file written by `export_grid_text`; blank lines are skipped,
+    and a malformed row raises ValueError naming path:line."""
+    parsers = (int,) * 3 + (float,) * 3
     with open(path, "r", encoding="utf-8") as handle:
-        rows = [line.split(",") for line in handle if line.strip()]
+        rows = [parse_text_row(path, number, line, parsers) for number, line in enumerate(handle, 1) if line.strip()]
     indices = np.array([row[:3] for row in rows], dtype=np.int64).reshape(len(rows), 3)
     coords = np.array([row[3:] for row in rows], dtype=np.float64).reshape(len(rows), 3)
     return CodebookGrid(indices, coords)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, SystemConfig, UcaGeometry, path_steering
+from .channel import SystemConfig, UcaGeometry, path_steering
 from .codebook import SphericalCodebook
 from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
 from .phase_modes import column_blocks
@@ -18,33 +18,19 @@ from .phase_modes import column_blocks
 
 @dataclass(frozen=True, eq=False)
 class CombiningMatrix:
-    """Stacked constant-modulus analog combiners, one N_RF-row block per slot."""
+    """Stacked constant-modulus analog combiners A (P N_RF x N), one N_RF-row
+    block per slot."""
 
     entries: np.ndarray = field(repr=False)
-    num_slots: int
-    num_rf_chains: int
-
-    def __post_init__(self):
-        rows, _ = self.entries.shape
-        if rows != self.num_slots * self.num_rf_chains:
-            raise ValueError(
-                f"{rows} rows inconsistent with {self.num_slots} slots x "
-                f"{self.num_rf_chains} RF chains"
-            )
-
-    @property
-    def num_antennas(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Observations Y = A H + N across all subcarriers, plus noise metadata."""
+    """Observations Y = A H + N across all subcarriers, and the variance
+    sigma^2 of each complex noise entry (0 for noiseless Y)."""
 
     observations: np.ndarray = field(repr=False)
     noise_variance: float
-    snr_db: float
-    seed: object = None
 
 
 @dataclass(frozen=True)
@@ -82,11 +68,7 @@ def generate_combining(seed, num_slots: int, num_rf_chains: int, num_antennas: i
     entries = np.multiply(1j, omega)  # the one complex array; the rest is in place
     np.exp(entries, out=entries)
     entries /= math.sqrt(num_antennas)
-    return CombiningMatrix(entries, num_slots, num_rf_chains)
-
-
-def _entries_of(channel) -> np.ndarray:
-    return channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
+    return CombiningMatrix(entries)
 
 
 #: Largest |SNR| in dB that measurements are synthesised at. 10^(snr/10)
@@ -96,7 +78,8 @@ SNR_LIMIT_DB = 1000.0
 
 
 def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, seed=None) -> MeasurementSet:
-    """Form Y = A H + N with noise calibrated to the target SNR.
+    """Form Y = A H + N with noise calibrated to the target SNR, from the
+    (N, M) channel array H (see `generate_channel`).
 
     The noise variance is ||H||_F^2 / (P N_RF M 10^(snr/10)), so the defined
     ratio E(||H||_F^2 / ||N||_F^2) hits the target exactly in expectation.
@@ -107,7 +90,7 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     if math.isfinite(snr_db) and abs(snr_db) > SNR_LIMIT_DB:
         raise ValueError(f"snr_db must lie within +-{SNR_LIMIT_DB:g} dB or be +inf, got {snr_db}")
-    h = _entries_of(channel)
+    h = np.asarray(channel)
     a = combining.entries
     if h.shape[0] != a.shape[1]:
         raise ValueError(
@@ -115,15 +98,15 @@ def synthesize_measurements(channel, combining: CombiningMatrix, snr_db: float, 
         )
     clean = a @ h
     if snr_db == math.inf:
-        return MeasurementSet(clean, 0.0, snr_db, seed)
+        return MeasurementSet(clean, 0.0)
     energy = float(np.linalg.norm(h) ** 2)
     sigma2 = energy / (clean.shape[0] * h.shape[1] * 10.0 ** (snr_db / 10.0))
     if sigma2 == 0.0:
-        return MeasurementSet(clean, 0.0, snr_db, seed)
+        return MeasurementSet(clean, 0.0)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     noise *= math.sqrt(sigma2 / 2.0)
-    return MeasurementSet(clean + noise, sigma2, snr_db, seed)
+    return MeasurementSet(clean + noise, sigma2)
 
 
 def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: SphericalCodebook, num_iterations: int) -> EstimationResult:
@@ -372,9 +355,10 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
 
 
 def nmse(truth, estimate) -> float:
-    """Single-realisation normalised error ||H - H_hat||_F^2 / ||H||_F^2."""
-    h = _entries_of(truth)
-    h_hat = _entries_of(estimate)
+    """Single-realisation normalised error ||H - H_hat||_F^2 / ||H||_F^2 of
+    two equal-shape arrays."""
+    h = np.asarray(truth)
+    h_hat = np.asarray(estimate)
     if h.shape != h_hat.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {h_hat.shape}")
     denom = float(np.linalg.norm(h) ** 2)

@@ -23,6 +23,7 @@ from .codebook import (
     build_angular_codebook,
     build_polar_codebook,
     build_spherical_codebook,
+    parse_text_row,
 )
 
 METHOD_S_SOMP = "s-somp"
@@ -253,7 +254,8 @@ def trial_seeds(master_seed: int, kind: str, sweep_value, trial_index: int):
 
 
 def run_trial(spec: RunSpec, sweep_value, trial_index: int, bank: CodebookBank | None = None, kind: str = "snr") -> dict:
-    """One seeded trial: shared (H, A, Y), every method estimated on it.
+    """One seeded trial: the channel array H, the combiner A and the
+    measurements Y = A H + N, shared by every method estimated on them.
 
     Returns {method: (nmse_linear, seconds)}; a method that raises is
     recorded as (nan, seconds) without aborting the others. When drawing
@@ -387,15 +389,11 @@ def emit_csv(result: SweepResult, path) -> None:
 
 
 def load_csv(path) -> list:
-    """Parse a file written by `emit_csv` back into SweepRow records."""
-    rows = []
+    """Parse a file written by `emit_csv` back into SweepRow records; a
+    malformed row raises ValueError naming path:line."""
+    parsers = (float, str, float, float, int, float)
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in handle:
-            value, method, lin, db, trials, seconds = line.strip().split(",")
-            rows.append(
-                SweepRow(float(value), method, float(lin), float(db), int(trials), float(seconds))
-            )
-    return rows
+        return [SweepRow(*parse_text_row(path, number, line, parsers)) for number, line in enumerate(handle, 2)]

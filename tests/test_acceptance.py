@@ -253,11 +253,11 @@ def test_criterion_8_invariant_suite(desk, tmp_path):
     checks.append("combining modulus (1e-14)")
 
     # SNR calibration within 5% over 1e3 redraws
-    h_energy = np.linalg.norm(truth.entries) ** 2
+    h_energy = np.linalg.norm(truth) ** 2
     ratios = [
         np.linalg.norm(
             synthesize_measurements(truth, combining, 10.0, seed=s).observations
-            - combining.entries @ truth.entries
+            - combining.entries @ truth
         )
         ** 2
         / h_energy

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nearfield import (
     C_LIGHT,
-    ChannelMatrix,
     ConfigurationError,
     PathParams,
     SystemConfig,
@@ -434,14 +433,14 @@ def test_generate_channel_single_path_column_norms():
     config = small_system()
     path = PathParams(5.0, 1.0, 0.3, 1.0 + 0j)
     h = generate_channel([path], config)
-    norms = np.linalg.norm(h.entries, axis=0)
+    norms = np.linalg.norm(h, axis=0)
     assert np.allclose(norms, math.sqrt(config.num_antennas), atol=1e-10)
 
 
 def test_generate_channel_zero_gains_gives_zero_matrix():
     config = small_system()
     paths = [PathParams(5.0, 1.0, 0.3, 0.0), PathParams(7.0, 0.8, 2.0, 0.0)]
-    assert np.all(generate_channel(paths, config).entries == 0.0)
+    assert np.all(generate_channel(paths, config) == 0.0)
 
 
 def test_generate_channel_matches_naive_oracle():
@@ -451,7 +450,8 @@ def test_generate_channel_matches_naive_oracle():
         PathParams(11.0, 0.6, 2.8, -0.3 + 0.9j),
     ]
     h = generate_channel(paths, config)
-    assert np.allclose(h.entries, channel_oracle(paths, config), atol=1e-12)
+    assert h.shape == (16, 4) and h.dtype == np.complex128 and h.flags.c_contiguous
+    assert np.allclose(h, channel_oracle(paths, config), atol=1e-12)
 
 
 def test_generate_channel_linear_in_gains():
@@ -459,8 +459,8 @@ def test_generate_channel_linear_in_gains():
     paths = [PathParams(5.0, 1.2, 0.4, 0.8 - 0.1j), PathParams(9.0, 0.7, 1.4, 0.2 + 0.5j)]
     doubled = [PathParams(p.distance_m, p.elevation_rad, p.azimuth_rad, 2.0 * p.gain) for p in paths]
     assert np.allclose(
-        generate_channel(doubled, config).entries,
-        2.0 * generate_channel(paths, config).entries,
+        generate_channel(doubled, config),
+        2.0 * generate_channel(paths, config),
         atol=0.0,
     )
 
@@ -474,12 +474,6 @@ def test_generate_channel_rejects_empty_and_oversized_path_lists():
         generate_channel(too_many, config)
 
 
-def test_channel_matrix_validates_shape():
-    config = small_system()
-    with pytest.raises(ValueError):
-        ChannelMatrix(np.zeros((3, 3)), config)
-
-
 def test_path_params_validation_and_azimuth_wrap():
     with pytest.raises(ValueError):
         PathParams(-1.0, 1.0, 0.0, 1.0)
@@ -487,6 +481,21 @@ def test_path_params_validation_and_azimuth_wrap():
         PathParams(5.0, -0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         PathParams(5.0, 0.5 * math.pi + 1e-9, 0.0, 1.0)
+    # A non-finite field is named where the path is made: a nan distance
+    # would reach LAPACK in `oracle_estimate`, and inf % 2pi is nan.
+    for args, name in (
+        ((math.nan, 1.0, 0.0, 1.0), "distance_m"),
+        ((math.inf, 1.0, 0.0, 1.0), "distance_m"),
+        ((5.0, math.nan, 0.0, 1.0), "elevation_rad"),
+        ((5.0, 1.0, math.inf, 1.0), "azimuth_rad"),
+        ((5.0, 1.0, -math.inf, 1.0), "azimuth_rad"),
+        ((5.0, 1.0, math.nan, 1.0), "azimuth_rad"),
+        ((5.0, 1.0, 0.0, complex(math.nan, 1.0)), "gain"),
+        ((5.0, 1.0, 0.0, complex(1.0, math.inf)), "gain"),
+        ((5.0, 1.0, 0.0, math.inf), "gain"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            PathParams(*args)
     wrapped = PathParams(5.0, 1.0, -0.5 * math.pi, 1.0)
     assert 0.0 <= wrapped.azimuth_rad < 2.0 * math.pi
     assert wrapped.azimuth_rad == pytest.approx(1.5 * math.pi)
@@ -502,7 +511,7 @@ def test_zenith_path_channel_is_unit_norm_and_azimuth_free():
     assert np.linalg.norm(steering) == pytest.approx(1.0, abs=1e-12)
     assert np.all(steering == steering[0])
     channels = [
-        generate_channel([PathParams(3.0, 0.0, phi, 0.6 - 0.8j)], config).entries
+        generate_channel([PathParams(3.0, 0.0, phi, 0.6 - 0.8j)], config)
         for phi in (0.0, 0.7, -2.5, 4.0)
     ]
     assert all(np.array_equal(h, channels[0]) for h in channels[1:])

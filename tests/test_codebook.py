@@ -676,12 +676,13 @@ def test_grid_text_round_trip_property(tmp_path_factory, points):
 
 
 @pytest.mark.parametrize(
-    "line", ["1.5,0,0,inf,0.1,0.2", "1,0,0,inf,0.1", "1,0,0,inf,0.1,0.2,0.3"]
+    "line", ["1.5,0,0,inf,0.1,0.2", "1,0,0,inf,0.1", "1,0,0,inf,0.1,0.2,0.3", "1,0,0,inf,north,0.2"]
 )
 def test_load_grid_text_rejects_malformed_lines(tmp_path, line):
+    """The error names the file and line; the blank line between counts."""
     path = tmp_path / "grid.txt"
-    path.write_text(f"0,0,0,inf,0.0,0.0\n{line}\n")
-    with pytest.raises(ValueError):
+    path.write_text(f"0,0,0,inf,0.0,0.0\n\n{line}\n")
+    with pytest.raises(ValueError, match="grid.txt:3: "):
         load_grid_text(path)
 
 

@@ -426,7 +426,7 @@ def test_received_snr_is_nominal_plus_the_combining_offset(desk_spec, monkeypatc
 
     def recording(channel, combining, snr_db, seed):
         measurements = real(channel, combining, snr_db, seed)
-        clean = combining.entries @ channel.entries
+        clean = combining.entries @ channel
         received.append(np.linalg.norm(clean) ** 2 / np.linalg.norm(measurements.observations - clean) ** 2)
         return measurements
 
@@ -521,6 +521,24 @@ def test_emit_csv_empty_result(tmp_path):
 def test_emit_csv_reports_os_errors(tmp_path):
     with pytest.raises(OSError, match="sweep CSV"):
         emit_csv(SweepResult("snr", []), tmp_path / "missing-dir" / "x.csv")
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("10,ls,0.05,-13.0103,3", "expected 6 comma-separated fields, got 5"),
+        ("10,ls,0.05,-13.0103,3,0.25,7", "expected 6 comma-separated fields, got 7"),
+        ("10,ls,0.05,-13.0103,3.5,0.25", "invalid literal for int"),
+        ("10,ls,low,-13.0103,3,0.25", "could not convert string to float"),
+        ("", "expected 6 comma-separated fields, got 1"),
+    ],
+    ids=["short", "long", "fractional-count", "non-numeric", "blank"],
+)
+def test_load_csv_names_the_malformed_line(tmp_path, line, reason):
+    path = tmp_path / "sweep.csv"
+    path.write_text(f"{CSV_HEADER}\n10,s-somp,0.025,-16.0206,3,1.5\n{line}\n")
+    with pytest.raises(ValueError, match=f"sweep.csv:3: {reason}"):
+        load_csv(path)
 
 
 @pytest.mark.slow

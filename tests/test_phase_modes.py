@@ -571,7 +571,7 @@ def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
     assert np.max(np.abs(book.correlate(v) - v.conj().T @ dense)) <= 1e-12 * np.linalg.norm(v)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, 2048)
     y = _random_block(np.random.default_rng(1), combining.entries.shape[0], system.num_subcarriers)
-    got = s_somp(MeasurementSet(y, 0.0, math.nan), combining, book, 3)
+    got = s_somp(MeasurementSet(y, 0.0), combining, book, 3)
     first = np.sum(np.abs(book.correlate(combining.entries.conj().T @ y)) ** 2, axis=0)
     assert len(got.support) == 3 and got.support[0] == int(np.argmax(first))
     assert np.array_equal(got.channel_estimate, book.columns(got.support) @ got.sparse_coeffs)

@@ -173,7 +173,7 @@ def test_gram_matches_dense_on_random_configurations(
     )
     y = combining.entries @ w[:, support] @ gains
     y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    measurements = MeasurementSet(y, noise**2, math.nan)
+    measurements = MeasurementSet(y, noise**2)
     norms = assert_matches_dense((measurements, combining, codebook, iterations)).residual_norms
     # Each least-squares step projects onto a superset of the last support.
     assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
@@ -187,7 +187,7 @@ def test_gram_matches_dense_on_duplicate_column_codebook(small_config):
     other /= np.linalg.norm(other)
     duplicated = SphericalCodebook(_dummy_layout(3), DenseBasis(np.column_stack([geom_column, geom_column, other])))
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
-    zero = MeasurementSet(np.zeros((combining.entries.shape[0], 2)), 0.0, math.inf)
+    zero = MeasurementSet(np.zeros((combining.entries.shape[0], 2)), 0.0)
     assert_matches_dense((zero, combining, duplicated, 2))
 
 
@@ -195,7 +195,7 @@ def test_gram_matches_dense_on_zero_input(small_config, small_codebook):
     """Every score is zero at every iteration: the lowest-index tie-break."""
     combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]
-    zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0, math.inf)
+    zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0)
     assert_matches_dense((zero, combining, small_codebook, 3))
 
 
@@ -208,7 +208,7 @@ def test_phase_modes_match_dense_on_zero_input(small_config, small_codebook, mon
     assert isinstance(held.basis, PhaseModes) and held.num_columns > 3 * 64
     combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]
-    zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0, math.inf)
+    zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0)
     got = assert_matches_dense((zero, combining, held, 3))
     assert got.support == s_somp(zero, combining, small_codebook, 3).support == [0, 1, 2]
 
@@ -598,7 +598,7 @@ def _check_random_configuration(
     )
     y = combining.entries @ w[:, support] @ gains
     y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    args = (MeasurementSet(y, noise**2, math.nan), combining, book, iterations)
+    args = (MeasurementSet(y, noise**2), combining, book, iterations)
     with pytest.MonkeyPatch.context() as patch:
         if rejected_step is not None:
             _reject(patch, combining, book, s_somp(*args).support[rejected_step])
