@@ -134,7 +134,8 @@ class PathParams:
             raise ValueError(
                 f"elevation must lie in [0, pi/2], got {self.elevation_rad}"
             )
-        object.__setattr__(self, "azimuth_rad", self.azimuth_rad % (2.0 * math.pi))
+        azimuth = self.azimuth_rad % (2.0 * math.pi)  # a tiny negative one rounds to 2 pi
+        object.__setattr__(self, "azimuth_rad", azimuth if azimuth < 2.0 * math.pi else 0.0)
 
 
 def subcarrier_frequencies(config: SystemConfig) -> np.ndarray:

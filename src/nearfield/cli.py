@@ -164,7 +164,7 @@ def _build_spherical(spec) -> cb.SphericalCodebook:
     book = cb.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     seconds = time.perf_counter() - start
     n, g = book.num_antennas, book.num_columns
-    print(f"codebook {n} x {g} holds {book.basis.describe()} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
+    print(f"codebook {n} x {g} holds {book.describe()} (dense: {16 * n * g} bytes), built in {seconds:.3f} s")
     return book
 
 

@@ -4,6 +4,9 @@ The spherical codebook samples (distance, elevation, azimuth) jointly so
 that neighbouring steering vectors land near the first zero of J0, keeping
 column correlations at or below a target threshold. Polar (single-elevation)
 and angular (DFT) variants back the baseline estimators.
+
+Each build returns the `phase_modes.SphericalCodebook` subclass that holds
+W, on its `_RingLayout`, in the form it chooses from N and G.
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 
 from .channel import ConfigurationError, SystemConfig, UcaGeometry
 from .numerics import first_j0_zero, solve_beta_delta
-from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, column_blocks, ring_matrix
+from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, SphericalCodebook, column_blocks, ring_matrix
 
 #: Distance value marking the plane-wave (z = 0) ring of the distance grid.
 FAR_FIELD = math.inf
@@ -23,8 +26,8 @@ FAR_FIELD = math.inf
 _BINARY_MAGIC = b"SPHW"
 _BINARY_VERSION = 1
 
-#: Codebooks of arrays this large hold a matrix-free basis, not a dense
-#: matrix: phase modes for the spherical and polar books, `DftBasis` for the
+#: Codebooks of arrays this large are matrix-free, not a dense matrix:
+#: `PhaseModes` for the spherical and polar books, `DftBasis` for the
 #: angular one. Median time of one correlation with 16 (and 1) vectors,
 #: dense against phase modes, on a 2-core VM with OpenBLAS: N = 128,
 #: 0.8 ms against 2.8 ms (0.2 against 1.1); N = 256, 9.3 against 17 ms
@@ -132,50 +135,6 @@ class _RingLayout:
         return CodebookGrid(np.column_stack([t, s, z]), np.column_stack([r, theta, phi]))
 
 
-class SphericalCodebook:
-    """Transform W (N x G): the ring layout of its columns plus one basis.
-
-    `layout` (a `_RingLayout`) says where every column lies and `basis`
-    holds W: a `DenseBasis`, `Complex64Screen`, `PhaseModes` or `DftBasis`,
-    which the builds choose from N and G. `correlate` and `columns` are the
-    basis', exact to float64 rounding but for phase modes, which correlate
-    to ~1e-12.
-    """
-
-    def __init__(self, layout: _RingLayout, basis):
-        if basis.num_columns != layout.num_columns:
-            raise ValueError(f"{basis.num_columns} columns but {layout.num_columns} grid points")
-        self.layout = layout
-        self.basis = basis
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """`basis.dense()`, filled on each read unless the basis is dense. Only
-        the benchmark's traced runs read it; ROADMAP item 1 retires them."""
-        return self.basis.dense()
-
-    @property
-    def grid(self) -> CodebookGrid:
-        """`layout.grid()`, built on each read; read only where `matrix` is."""
-        return self.layout.grid()
-
-    @property
-    def num_antennas(self) -> int:
-        return self.basis.num_antennas
-
-    @property
-    def num_columns(self) -> int:
-        return self.layout.num_columns
-
-    def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
-        return self.basis.correlate(v)
-
-    def columns(self, idx) -> np.ndarray:
-        """W[:, idx] as an (N, len(idx)) array, bit for bit as the dense matrix."""
-        return self.basis.columns(idx)
-
-
 def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
     """theta_t = asin(t lambda alpha / (2 pi R)) for t = 0..floor(2 pi R/(lambda alpha))."""
     if radius_m <= 0.0 or wavelength_m <= 0.0:
@@ -250,10 +209,10 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     layout = _RingLayout(elevations)
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return SphericalCodebook(layout, PhaseModes(layout, geom, lam))
+        return PhaseModes(layout, geom, lam)
     if layout.num_columns >= _SCREEN_MIN_COLUMNS:
-        return SphericalCodebook(layout, Complex64Screen(layout, geom, lam))
-    return SphericalCodebook(layout, DenseBasis(ring_matrix(layout, geom, lam)))
+        return Complex64Screen(layout, geom, lam)
+    return DenseBasis(layout, ring_matrix(layout, geom, lam))
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:
@@ -280,14 +239,14 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     steering vector. Its layout point (r = inf, theta = pi/2,
     phi = 2 pi k / N) only indexes the column and is no direction of it.
 
-    Arrays of `_PHASE_MODE_MIN_ANTENNAS` or more antennas hold it as a
-    `DftBasis`; smaller ones hold the matrix that basis fills: the same
+    Arrays of `_PHASE_MODE_MIN_ANTENNAS` or more antennas get a `DftBasis`;
+    smaller ones a `DenseBasis` of the matrix it fills: the same
     S-SOMP outputs, without loading numpy's FFT kernels into desk runs.
     """
     n = config.num_antennas
     layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])
-    basis = DftBasis(n)
-    return SphericalCodebook(layout, basis if n >= _PHASE_MODE_MIN_ANTENNAS else DenseBasis(basis.dense()))
+    dft = DftBasis(layout)
+    return dft if n >= _PHASE_MODE_MIN_ANTENNAS else DenseBasis(layout, dft.dense())
 
 
 def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -397,7 +356,7 @@ def coherence_stats(codebook: SphericalCodebook, sample_budget: int, seed: int =
     Covers every pair of columns adjacent in one grid index (t, s, or z with
     the other two fixed) plus a seeded random sample of up to `sample_budget`
     arbitrary pairs. Columns come from `codebook.columns`, so a matrix-free
-    basis fills no dense matrix and no grid is built; the random pairs are
+    codebook fills no dense matrix and no grid is built; the random pairs are
     walked in `column_blocks`, two blocks of columns at a time.
     """
     if sample_budget < 1:
@@ -431,16 +390,16 @@ def export_grid_text(codebook: SphericalCodebook, path) -> None:
             handle.writelines(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
 
 
-def parse_text_row(path, number: int, line: str, parsers) -> list:
-    """The comma-separated fields of `line`, line `number` of the text file
-    at `path`, each through its parser in `parsers`. A row with the wrong
-    field count or a field its parser rejects raises ValueError naming
-    path:number."""
+def parse_text_row(path, number: int, line: str, parsers, row=list):
+    """`row` of the comma-separated fields of `line`, line `number` of the
+    text file at `path`, each through its parser in `parsers`. A row with
+    the wrong field count, or a field its parser or a row `row` rejects,
+    raises ValueError naming path:number."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != len(parsers):
         raise ValueError(f"{path}:{number}: expected {len(parsers)} comma-separated fields, got {len(fields)}")
     try:
-        return [parse(value) for parse, value in zip(parsers, fields)]
+        return row([parse(value) for parse, value in zip(parsers, fields)])
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
 
@@ -461,7 +420,7 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
     u32) followed by the matrix as column-major interleaved re/im float64.
 
     Written a `column_blocks` block of `codebook.columns` at a time, so no
-    matrix-sized copy is made, and a matrix-free basis never fills its
+    matrix-sized copy is made, and a matrix-free codebook never fills its
     dense matrix: a walk holds one block and its transposed copy.
     """
     n, g = codebook.num_antennas, codebook.num_columns

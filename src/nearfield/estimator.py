@@ -123,7 +123,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     give the estimate; W is never copied, and nothing P N_RF x G is
     allocated.
 
-    On a `DenseBasis` or a `DftBasis` (`basis.streamed` False) the
+    On a `DenseBasis` or a `DftBasis` (`codebook.streamed` False) the
     correlations use the Gram update of Batch-OMP (Rubinstein, Zibulevsky &
     Elad 2008) applied to SOMP. With residual R = Y - A W_S C,
 
@@ -142,7 +142,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     path, and 2.58 MiB on the dense float64 twin of the desk spherical
     book (G = 3 789).
 
-    A streamed basis (phase modes or a `Complex64Screen`) scores to within
+    A streamed codebook (phase modes or a `Complex64Screen`) scores to within
     a known bound, not exactly, and S-SOMP keeps one float64 score vector
     on it, and no M x G array. Its working set is that vector, two boolean
     arrays of G entries (`exact` and `blocked`), the scratch of one
@@ -156,7 +156,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     iterations, most of it the M x G complex64 product of the first pass
     (the Gram path takes 2.58 and 2.88 MiB on the book's dense twin).
 
-    - The first iteration's scores come from the basis' `scores(A^H Y)`.
+    - The first iteration's scores come from the codebook's `scores(A^H Y)`.
     - Adding an atom changes the residual by Delta = R_{t-1} - R_t, a
       rank-1 matrix q d^H (the projection onto the new atom's direction).
       q is Delta's largest column, normalised, and d = Delta^H q. With
@@ -164,7 +164,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
           ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-      added in place by the basis' `move_scores` (`_rank_one_update`);
+      added in place by the codebook's `move_scores` (`_rank_one_update`);
       the result is clamped at 0, and consumed and rejected columns stay at
       -1. The last iteration's change is never read and is not formed.
     - Before a column is taken, every column scoring within `slack` of the
@@ -174,7 +174,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
       rtol ||A^H Y||_F^2, which covers the first pass's error, and each
       update adds a bound on its own error (see `_rank_one_update`), so
       every running score stays within the slack of its exact score and
-      the pick is the exact argmax. rtol is the basis' `rescore_rtol`:
+      the pick is the exact argmax. rtol is the codebook's `rescore_rtol`:
       `phase_modes.RESCORE_RTOL` for phase modes, and a bound derived
       from its precision for a `Complex64Screen`.
     """
@@ -187,10 +187,10 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     if num_iterations > budget:
         raise ValueError(f"num_iterations={num_iterations} exceeds the rank budget {budget}")
     projected = adjoint_product(y, a)
-    streamed = codebook.basis.streamed
+    streamed = codebook.streamed
     if streamed:
-        rtol = codebook.basis.rescore_rtol
-        scores = codebook.basis.scores(projected)
+        rtol = codebook.rescore_rtol
+        scores = codebook.scores(projected)
         slack = rtol * float(np.vdot(projected, projected).real)
         residual, gradient = y, projected  # R_t and A^H R_t
     else:
@@ -263,7 +263,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
 
 def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack, rtol) -> float:
-    """Move the running `scores` of a streamed basis (phase modes or a
+    """Move the running `scores` of a streamed codebook (phase modes or a
     `Complex64Screen`) from residual R_{t-1} to R_t = R_{t-1} - change,
     and return `slack` widened by a bound on the move's error.
 
@@ -275,13 +275,13 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
 
         ||x_j||^2 = old score + ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-    e = a^H W and phi = b^H W, added by the basis' `move_scores`. Two
+    e = a^H W and phi = b^H W, added by the codebook's `move_scores`. Two
     errors move the running score off the exact one, and the slack grows
     by a bound on each:
 
-    - e and phi come from the basis, each entry within eps of ||a|| and
+    - e and phi come from the codebook, each entry within eps of ||a|| and
       ||b|| (eps ~1e-12 for phase modes), so the move is off by at most
-      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||). `rtol`, the basis'
+      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||). `rtol`, the codebook's
       `rescore_rtol`, stands in for eps (2 + eps): RESCORE_RTOL bounds it
       up to eps = 5e-9, and a `Complex64Screen` derives its own from its
       eps;
@@ -302,7 +302,7 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
         atom = adjoint_product(q, a)
         direction = previous @ d
         weight = float(np.vdot(d, d).real)
-        codebook.basis.move_scores(np.column_stack([atom, direction]), weight, scores)
+        codebook.move_scores(np.column_stack([atom, direction]), weight, scores)
         np.maximum(scores, 0.0, out=scores)
         atom_norm = float(np.linalg.norm(atom))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
@@ -368,7 +368,7 @@ def nmse(truth, estimate) -> float:
 
 
 def nmse_db(value: float) -> float:
-    """Linear NMSE to decibels; 0 maps to -inf."""
+    """Linear NMSE to decibels; 0 maps to -inf and NaN (no finite trial) to NaN."""
     if value < 0.0:
         raise ValueError("NMSE cannot be negative")
-    return 10.0 * math.log10(value) if value > 0.0 else -math.inf
+    return -math.inf if value == 0.0 else 10.0 * math.log10(value)

@@ -335,7 +335,7 @@ def _run_sweep(spec: RunSpec, kind: str, values) -> SweepResult:
                     sweep_value=value,
                     method=method,
                     nmse_linear=mean,
-                    nmse_db=estimator.nmse_db(mean) if not math.isnan(mean) else math.nan,
+                    nmse_db=estimator.nmse_db(mean),
                     trials=finite,
                     wall_time_s=seconds,
                 )
@@ -388,12 +388,31 @@ def emit_csv(result: SweepResult, path) -> None:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
 
+def _sweep_row(values) -> SweepRow:
+    """The parsed fields of a CSV row as a SweepRow; ValueError if no sweep
+    writes such a row."""
+    row = SweepRow(*values)
+    if row.method not in METHODS:
+        raise ValueError(f"unknown method {row.method!r}")
+    # `emit_csv` rounds each field to 12 significant digits, which moves the
+    # dB value, or the one nmse_linear gives, by less than these tolerances.
+    db = estimator.nmse_db(row.nmse_linear)  # raises if nmse_linear < 0
+    if not (math.isnan(db) and math.isnan(row.nmse_db) or math.isclose(row.nmse_db, db, rel_tol=1e-11, abs_tol=1e-10)):
+        raise ValueError(f"nmse_db {row.nmse_db} disagrees with nmse_linear {row.nmse_linear}")
+    if row.trials < 0 or (row.trials == 0 and not math.isnan(row.nmse_linear)):
+        raise ValueError(f"{row.trials} trials with nmse_linear {row.nmse_linear}")
+    if not (math.isfinite(row.wall_time_s) and row.wall_time_s >= 0.0):
+        raise ValueError(f"wall_time_s must be finite and >= 0, got {row.wall_time_s}")
+    return row
+
+
 def load_csv(path) -> list:
-    """Parse a file written by `emit_csv` back into SweepRow records; a
-    malformed row raises ValueError naming path:line."""
+    """Parse a file written by `emit_csv` back into SweepRow records; a row
+    that is malformed or that no sweep writes raises ValueError naming
+    path:line."""
     parsers = (float, str, float, float, int, float)
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        return [SweepRow(*parse_text_row(path, number, line, parsers)) for number, line in enumerate(handle, 2)]
+        return [parse_text_row(path, number, line, parsers, _sweep_row) for number, line in enumerate(handle, 2)]

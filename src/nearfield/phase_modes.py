@@ -1,4 +1,6 @@
-"""Matrix-free correlation against a ring-built codebook through UCA phase modes.
+"""Codebooks: a `SphericalCodebook` holds the ring layout of its columns,
+and each subclass holds W in one form, which `codebook`'s builds choose
+from N and G. `PhaseModes` correlates matrix-free through UCA phase modes.
 
 For one (r, theta) ring, the steering entry of antenna n at azimuth phi is
 f(phi - psi_n), with psi_n = 2 pi n / N. f is 2 pi-periodic, so it is the
@@ -21,7 +23,7 @@ each plan in turn, so neither forms an array of correlations per column.
 
 The angular codebook's DFT columns e^{-j k psi_n} / sqrt(N) are the UCA's
 phase-mode excitations themselves, so `DftBasis` correlates with all of
-them by one FFT of conj(v) and holds nothing but N.
+them by one FFT of conj(v) and holds nothing but its layout.
 
 A ring-built book too small for phase modes to pay but wide enough for
 its dense float64 matrix to dominate memory holds a `Complex64Screen`: the
@@ -30,9 +32,9 @@ complex64 product. Its scores carry a proven bound on their error, so
 S-SOMP rescores every column near the best on its exact float64 column
 and every pick is the one the float64 matrix gives.
 
-Every basis fills the columns asked of it, bit for bit as the dense matrix
-of the same book, and fills that whole matrix on request (`dense`). A
-`DenseBasis` holds that matrix; it and `DftBasis` have `streamed` False,
+Every codebook fills the columns asked of it, bit for bit as the dense
+matrix of the same book, and fills that whole matrix on request (`dense`).
+A `DenseBasis` holds that matrix; it and `DftBasis` have `streamed` False,
 so S-SOMP takes its exact Gram path there, not `scores` and `move_scores`.
 """
 
@@ -69,7 +71,7 @@ _FILL_COLUMNS = 128
 #: of the best one are rescored on their exact columns by `estimator.s_somp`;
 #: later iterations widen that slack by a bound on each score update's
 #: error. Phase-mode scores lie within ~1e-12 of ||A^H Y||_F^2 of the exact
-#: ones. Each streamed basis states its share as `rescore_rtol`: this one
+#: ones. Each streamed codebook states its share as `rescore_rtol`: this one
 #: for `PhaseModes`, and `screen_rtol(N)` for a `Complex64Screen`, whose
 #: complex64 scores are further off (4.5e-5 at N = 128).
 RESCORE_RTOL = 1e-8
@@ -205,14 +207,44 @@ def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
     return ring_steering(r, theta, azimuth_cosines(phis, geom)[azimuth_of], geom, wavelength_m, out)
 
 
-class DenseBasis:
-    """W held as its dense N x G matrix; every product is exact float64."""
+class SphericalCodebook:
+    """A codebook: its `layout` (a `codebook._RingLayout`) and, held by each
+    subclass, its transform W (N x G). A subclass gives `num_antennas`,
+    `dense()`, `columns`, `correlate`, `streamed`, `nbytes` and `describe()`,
+    and a streamed one `scores`, `move_scores` and `rescore_rtol`. `columns`
+    and `correlate` are exact to float64 rounding but for phase modes' ~1e-12.
+    """
+
+    def __init__(self, layout):
+        self.layout = layout
+
+    @property
+    def num_columns(self) -> int:
+        return self.layout.num_columns
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """`dense()`, filled on each read unless W is held dense. Only the
+        benchmark's traced runs read it; ROADMAP item 1 retires them."""
+        return self.dense()
+
+    @property
+    def grid(self):
+        """`layout.grid()`, built on each read; read only where `matrix` is."""
+        return self.layout.grid()
+
+
+class DenseBasis(SphericalCodebook):
+    """W held as its dense N x G matrix, `entries`; products are exact float64."""
 
     streamed = False
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.num_antennas, self.num_columns = matrix.shape
+    def __init__(self, layout, matrix: np.ndarray):
+        super().__init__(layout)
+        if matrix.shape[1] != self.num_columns:
+            raise ValueError(f"{matrix.shape[1]} columns but {self.num_columns} grid points")
+        self.entries = matrix
+        self.num_antennas = matrix.shape[0]
         self.nbytes = matrix.nbytes
 
     def describe(self) -> str:
@@ -220,44 +252,31 @@ class DenseBasis:
 
     def dense(self) -> np.ndarray:
         """The matrix held, not a copy."""
-        return self.matrix
+        return self.entries
 
     def columns(self, idx) -> np.ndarray:
         """W[:, idx], as numpy indexes the matrix."""
-        return self.matrix[:, idx]
+        return self.entries[:, idx]
 
     def correlate(self, v) -> np.ndarray:
         """V^H W for V of shape (N,) or (N, k): (G,) or (k, G)."""
-        return v.conj().T @ self.matrix
+        return v.conj().T @ self.entries
 
 
-class _RingBasis:
-    """What the bases of a ring-built codebook share: the ring layout, the
-    array and the wavelength, and from them the exact float64 matrix,
-    columns and correlations, all filled by `ring_columns` (`PhaseModes`
-    correlates through its phase modes instead).
-
-    `layout` (a `codebook._RingLayout`) says where every column lies: its
-    `elevations()` yields (theta, azimuths, rings, first column) per
-    elevation, with columns s-major and z-minor within an elevation and
-    azimuths uniform from 0, and its `locate` gives the ring and azimuth of
-    any column.
+class _RingBasis(SphericalCodebook):
+    """What the ring-built codebooks share: the layout, the array and the
+    wavelength, and from them the exact float64 matrix, columns and
+    correlations, all filled by `ring_columns` (`PhaseModes` correlates
+    through its phase modes instead) from where the layout places each column.
     """
 
     streamed = True
 
     def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
-        self.layout = layout
+        super().__init__(layout)
         self.geom = geom
         self.wavelength_m = wavelength_m
-
-    @property
-    def num_antennas(self) -> int:
-        return self.geom.num_antennas
-
-    @property
-    def num_columns(self) -> int:
-        return self.layout.num_columns
+        self.num_antennas = geom.num_antennas
 
     def dense(self) -> np.ndarray:
         """The dense float64 N x G matrix (`ring_matrix`)."""
@@ -470,8 +489,8 @@ class PhaseModes(_RingBasis):
         return out
 
 
-class DftBasis:
-    """V^H W of the unitary N-point DFT codebook W by FFT, holding only N.
+class DftBasis(SphericalCodebook):
+    """V^H W of the unitary N-point DFT codebook W by FFT, N = G of its layout.
 
     Column k is e^{-2j pi n k / N} / sqrt(N), the UCA's phase mode of order
     k (psi_n = 2 pi n / N), so V^H W is FFT(conj(V))^T / sqrt(N), exact to
@@ -484,12 +503,12 @@ class DftBasis:
     nbytes = 0
     streamed = False
 
-    def __init__(self, num_antennas: int):
-        self.num_antennas = num_antennas
-
     @property
-    def num_columns(self) -> int:
-        return self.num_antennas
+    def num_antennas(self) -> int:
+        return self.num_columns
+
+    def describe(self) -> str:
+        return f"the unitary DFT by FFT: {self.nbytes} bytes"
 
     def dense(self) -> np.ndarray:
         """The dense N x N matrix, as `columns` fills it."""
@@ -532,9 +551,9 @@ def screen_rtol(num_antennas: int) -> float:
 class Complex64Screen(_RingBasis):
     """V^H W of a ring-built codebook W, screened through W held in complex64.
 
-    The basis holds the N x G matrix rounded once to complex64
-    (`ring_matrix`), half the bytes of the float64 one: 3.9 MB for the
-    desk spherical book (N = 128, G = 3 789). `scores` is one complex64
+    It holds the N x G matrix rounded once to complex64 (`ring_matrix`),
+    half the bytes of the float64 one: 3.9 MB for the desk spherical book
+    (N = 128, G = 3 789). `scores` is one complex64
     GEMM plus a reduction and `move_scores` two complex64 GEMVs, each
     within a proven bound of the float64 values; `columns`, `dense` and
     `correlate` are exact float64, from the layout through `ring_steering`,

@@ -244,7 +244,7 @@ def test_criterion_8_invariant_suite(desk, tmp_path):
     result = s_somp(measurements, combining, bank.spherical, 5)
     assert all(b <= a + 1e-9 for a, b in zip(result.residual_norms, result.residual_norms[1:]))
     checks.append("SOMP residual monotonicity")
-    rebuilt = bank.spherical.basis.dense()[:, result.support] @ result.sparse_coeffs
+    rebuilt = bank.spherical.dense()[:, result.support] @ result.sparse_coeffs
     assert np.array_equal(rebuilt, result.channel_estimate)
     checks.append("reconstruction identity")
 

@@ -499,6 +499,9 @@ def test_path_params_validation_and_azimuth_wrap():
     wrapped = PathParams(5.0, 1.0, -0.5 * math.pi, 1.0)
     assert 0.0 <= wrapped.azimuth_rad < 2.0 * math.pi
     assert wrapped.azimuth_rad == pytest.approx(1.5 * math.pi)
+    # A negative azimuth too small to move 2 pi wraps to 0, not to 2 pi.
+    for tiny in (-1e-20, -(2.0**-60)):
+        assert PathParams(5.0, 0.5, tiny, 1.0).azimuth_rad == 0.0
 
 
 def test_zenith_path_channel_is_unit_norm_and_azimuth_free():

@@ -167,7 +167,7 @@ def test_paper_z_cap_composition():
 
 
 def test_spherical_codebook_columns_unit_norm(small_codebook):
-    norms = np.linalg.norm(small_codebook.basis.dense(), axis=0)
+    norms = np.linalg.norm(small_codebook.dense(), axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
 
 def test_spherical_codebook_deterministic(small_config, small_codebook):
     again = build_spherical_codebook(small_config, 0.55, 0.25)
-    assert np.array_equal(again.basis.dense(), small_codebook.basis.dense())
+    assert np.array_equal(again.dense(), small_codebook.dense())
     assert again.layout.grid() == small_codebook.layout.grid()
 
 
@@ -271,12 +271,13 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
     build = build_polar_codebook if polar else build_spherical_codebook
     built = record_fills()
     book = build(system, desk_spec.delta, desk_spec.r_min_m)
+    assert isinstance(book, SphericalCodebook)
     if phase_modes:
-        assert isinstance(book.basis, PhaseModes)
+        assert isinstance(book, PhaseModes)
     elif polar:
-        assert isinstance(book.basis, DenseBasis)
+        assert isinstance(book, DenseBasis)
     else:
-        assert isinstance(book.basis, Complex64Screen)
+        assert isinstance(book, Complex64Screen)
     assert "grid" not in built
     thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
     want = _grid_of(desk_spec, thetas)
@@ -299,7 +300,7 @@ def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebo
     lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     for book in (desk_codebook, polar):
-        assert np.array_equal(book.basis.dense(), oracle_matrix(book.layout.grid(), geom, lam))
+        assert np.array_equal(book.dense(), oracle_matrix(book.layout.grid(), geom, lam))
 
 
 def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
@@ -315,11 +316,11 @@ def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
 def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
     # Column by column, so the test never holds a second 822 MB matrix. The
     # paper codebook holds phase modes: its exact columns, which fill no
-    # matrix, and the matrix its basis fills must both equal the oracle.
+    # matrix, and the matrix it fills must both equal the oracle.
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     assert book.num_columns == 100358
-    assert isinstance(book.basis, PhaseModes)
+    assert isinstance(book, PhaseModes)
     geom = UcaGeometry.from_config(spec.system)
     lam = spec.system.wavelength_m
     coords = book.layout.grid().coords.tolist()
@@ -332,7 +333,7 @@ def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
                 mismatched.append(start + offset)
     assert mismatched == []
     assert built == []
-    matrix = book.basis.dense()
+    matrix = book.dense()
     for col, point in enumerate(coords):
         if not np.array_equal(matrix[:, col], oracle_column(point, geom, lam)):
             mismatched.append(col)
@@ -372,7 +373,7 @@ def test_angular_codebook_is_unitary(small_config):
     angular = build_angular_codebook(small_config)
     n = small_config.num_antennas
     assert angular.num_columns == n
-    matrix = angular.basis.dense()
+    matrix = angular.dense()
     gram = matrix.conj().T @ matrix
     assert np.allclose(gram, np.eye(n), atol=1e-10)
     assert np.allclose(matrix[:, 0], 1.0 / math.sqrt(n), atol=1e-14)
@@ -437,7 +438,7 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
-    single = SphericalCodebook(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), DenseBasis(book.columns([0])))
+    single = DenseBasis(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), book.columns([0]))
     grid = book.layout.grid()
     assert single.layout.grid() == CodebookGrid(grid.indices[:1], grid.coords[:1])
     stats = coherence_stats(single, 10)
@@ -491,7 +492,7 @@ def _adjacent_correlations_by_dict(book, matrix):
 def _coherence_stats_by_dict(book, sample_budget, seed=0):
     """The dict-of-tuples `coherence_stats` with gathered pairs that the
     ring-layout walk replaced, kept as its oracle."""
-    matrix = book.basis.dense()
+    matrix = book.dense()
     adjacent = [PairStats.from_values(values) for values in _adjacent_correlations_by_dict(book, matrix)]
     g = book.num_columns
     if g < 2:
@@ -511,7 +512,7 @@ def test_coherence_stats_matches_dict_oracle(books, name):
     # order: the per-pair values are equal bit for bit, element by element.
     book = books[name]
     got = codebook._adjacent_correlations(book)
-    want = _adjacent_correlations_by_dict(book, book.basis.dense())
+    want = _adjacent_correlations_by_dict(book, book.dense())
     for axis in range(3):
         assert got[axis].dtype == np.float64
         assert np.array_equal(got[axis], want[axis]), axis
@@ -563,7 +564,7 @@ def _representations(desk_spec):
         patch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
         held = build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     return {
-        "dense": SphericalCodebook(screened.layout, DenseBasis(screened.basis.dense())),
+        "dense": DenseBasis(screened.layout, screened.dense()),
         "screen": screened,
         "phase modes": held,
     }
@@ -579,7 +580,7 @@ def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, az
     fills a dense matrix or builds its grid."""
     monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", azimuths)
     books = _representations(desk_spec)
-    want = _adjacent_correlations_by_dict(books["dense"], books["dense"].basis.dense())
+    want = _adjacent_correlations_by_dict(books["dense"], books["dense"].dense())
     stats = _coherence_stats_by_dict(books["dense"], 700, seed=5)
     assert np.diff(books["dense"].layout.azimuth_starts).max() > 7
     built = record_fills()
@@ -690,13 +691,13 @@ def test_matrix_binary_round_trip(tmp_path, small_codebook):
     path = tmp_path / "matrix.bin"
     export_matrix_binary(small_codebook, path)
     loaded = load_matrix_binary(path)
-    assert np.array_equal(loaded, small_codebook.basis.dense())
+    assert np.array_equal(loaded, small_codebook.dense())
     with open(path, "rb") as handle:
         header = handle.read(16)
     assert header[:4] == b"SPHW"
     n = int.from_bytes(header[8:12], "little")
     g = int.from_bytes(header[12:16], "little")
-    assert (n, g) == small_codebook.basis.dense().shape
+    assert (n, g) == small_codebook.dense().shape
 
 
 def test_matrix_binary_rejects_corrupt_header(tmp_path):
@@ -709,7 +710,7 @@ def test_matrix_binary_rejects_corrupt_header(tmp_path):
 def test_matrix_binary_layout_is_header_then_column_major(tmp_path, desk_codebook):
     path = tmp_path / "matrix.bin"
     export_matrix_binary(desk_codebook, path)
-    matrix = desk_codebook.basis.dense()
+    matrix = desk_codebook.dense()
     n, g = matrix.shape
     header = b"SPHW" + (1).to_bytes(4, "little") + n.to_bytes(4, "little") + g.to_bytes(4, "little")
     assert path.read_bytes() == header + matrix.astype("<c16").tobytes(order="F")

@@ -16,7 +16,7 @@ from nearfield import (
     sample_paths,
     synthesize_measurements,
 )
-from nearfield.codebook import FAR_FIELD, CodebookGrid, SphericalCodebook, _RingLayout
+from nearfield.codebook import FAR_FIELD, CodebookGrid, _RingLayout
 from nearfield.estimator import MeasurementSet
 from nearfield.phase_modes import DenseBasis
 
@@ -207,13 +207,13 @@ def test_s_somp_projection_idempotent_and_reconstruction_identity(small_config, 
     measurements = synthesize_measurements(h, combining, 10.0, seed=2)
     result = s_somp(measurements, combining, small_codebook, 2)
 
-    dictionary = combining.entries @ small_codebook.basis.dense()
+    dictionary = combining.entries @ small_codebook.dense()
     rerun, _, _, _ = np.linalg.lstsq(
         dictionary[:, result.support], measurements.observations, rcond=None
     )
     assert np.abs(rerun - result.sparse_coeffs).max() < 1e-12
 
-    rebuilt = small_codebook.basis.dense()[:, result.support] @ result.sparse_coeffs
+    rebuilt = small_codebook.dense()[:, result.support] @ result.sparse_coeffs
     assert np.array_equal(rebuilt, result.channel_estimate)
 
 
@@ -223,7 +223,7 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     other /= np.linalg.norm(other)
     matrix = np.column_stack([geom_column, geom_column, other])
     layout = _RingLayout([(0.5 * math.pi, [0.0] * 3, [FAR_FIELD])])
-    duplicated = SphericalCodebook(layout, DenseBasis(matrix))
+    duplicated = DenseBasis(layout, matrix)
     assert duplicated.layout.grid() == CodebookGrid(
         np.array([[0, s, 0] for s in range(3)]), np.tile([math.inf, 0.5 * math.pi, 0.0], (3, 1))
     )
@@ -330,5 +330,6 @@ def test_nmse_db_conversion():
     assert nmse_db(1.0) == 0.0
     assert nmse_db(0.1) == pytest.approx(-10.0, abs=1e-12)
     assert nmse_db(0.0) == -math.inf
+    assert math.isnan(nmse_db(math.nan)) and nmse_db(math.inf) == math.inf
     with pytest.raises(ValueError):
         nmse_db(-0.5)

@@ -450,12 +450,12 @@ def test_sweep_requires_matching_sweep_list():
 
 def test_emit_csv_round_trip(tmp_path):
     rows = [
-        SweepRow(0.0, "ls", 0.5, -3.0103, 3, 0.25),
-        SweepRow(0.0, "s-somp", 0.25, -6.0206, 3, 1.5),
-        SweepRow(10.0, "ls", 0.05, -13.0103, 3, 0.25),
-        SweepRow(10.0, "s-somp", 0.025, -16.0206, 3, 1.5),
-        SweepRow(20.0, "ls", 0.005, -23.0103, 3, 0.25),
-        SweepRow(20.0, "s-somp", 0.0025, -26.0206, 3, 1.5),
+        SweepRow(0.0, "ls", 0.5, -3.01029995664, 3, 0.25),
+        SweepRow(0.0, "s-somp", 0.25, -6.02059991328, 3, 1.5),
+        SweepRow(10.0, "ls", 0.05, -13.0102999566, 3, 0.25),
+        SweepRow(10.0, "s-somp", 0.025, -16.0205999133, 3, 1.5),
+        SweepRow(20.0, "ls", 0.005, -23.0102999566, 3, 0.25),
+        SweepRow(20.0, "s-somp", 0.0025, -26.0205999133, 3, 1.5),
     ]
     path = tmp_path / "sweep.csv"
     emit_csv(SweepResult("snr", rows), path)
@@ -468,25 +468,28 @@ def test_emit_csv_round_trip(tmp_path):
 _CSV_FLOATS = st.floats(allow_subnormal=False)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    rows=st.lists(
-        st.builds(
-            SweepRow,
-            sweep_value=st.one_of(st.integers(1, 10**6), _CSV_FLOATS),
-            method=st.sampled_from(METHODS),
-            nmse_linear=_CSV_FLOATS,
-            nmse_db=_CSV_FLOATS,
-            trials=st.integers(0, 10**6),
-            wall_time_s=_CSV_FLOATS,
-        ),
-        max_size=8,
+@st.composite
+def _sweep_rows(draw):
+    """A row as `_run_sweep` writes one: nmse_db from nmse_linear, and zero
+    trials exactly when the NMSE is NaN."""
+    linear = draw(st.one_of(st.just(math.nan), st.floats(min_value=0.0, allow_subnormal=False)))
+    return SweepRow(
+        sweep_value=draw(st.one_of(st.integers(1, 10**6), _CSV_FLOATS)),
+        method=draw(st.sampled_from(METHODS)),
+        nmse_linear=linear,
+        nmse_db=estimator.nmse_db(linear),
+        trials=0 if math.isnan(linear) else draw(st.integers(1, 10**6)),
+        wall_time_s=draw(st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=False)),
     )
-)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_sweep_rows(), max_size=8))
 @example(
     rows=[
         SweepRow(8, "ls", math.nan, math.nan, 0, 0.25),
-        SweepRow(-3.5, "oracle", math.inf, -math.inf, 2, 1.0 / 3.0),
+        SweepRow(-3.5, "oracle", math.inf, math.inf, 2, 1.0 / 3.0),
+        SweepRow(math.inf, "s-somp", 0.0, -math.inf, 1, 0.0),
     ]
 )
 def test_emit_csv_round_trip_property(tmp_path_factory, rows):
@@ -531,12 +534,29 @@ def test_emit_csv_reports_os_errors(tmp_path):
         ("10,ls,0.05,-13.0103,3.5,0.25", "invalid literal for int"),
         ("10,ls,low,-13.0103,3,0.25", "could not convert string to float"),
         ("", "expected 6 comma-separated fields, got 1"),
+        ("10,bogus,-0.5,7,-3,0.1", "unknown method 'bogus'"),
+        ("10,ls,-0.5,nan,3,0.25", "NMSE cannot be negative"),
+        ("10,ls,0.05,-13.0103,3,0.25", "nmse_db -13.0103 disagrees with nmse_linear 0.05"),
+        ("10,ls,0.05,nan,3,0.25", "nmse_db nan disagrees with nmse_linear 0.05"),
+        ("10,ls,nan,-13.0102999566,0,0.25", "nmse_db -13.0102999566 disagrees with nmse_linear nan"),
+        ("10,ls,0,-300,3,0.25", "nmse_db -300.0 disagrees with nmse_linear 0.0"),
+        ("10,ls,1e-300,-inf,3,0.25", "nmse_db -inf disagrees with nmse_linear 1e-300"),
+        ("10,ls,0.05,-13.0102999566,-3,0.25", "-3 trials with nmse_linear 0.05"),
+        ("10,ls,nan,nan,-1,0.25", "-1 trials with nmse_linear nan"),
+        ("10,ls,0.05,-13.0102999566,0,0.25", "0 trials with nmse_linear 0.05"),
+        ("10,ls,0.05,-13.0102999566,3,-0.25", "wall_time_s must be finite and >= 0, got -0.25"),
+        ("10,ls,0.05,-13.0102999566,3,inf", "wall_time_s must be finite and >= 0, got inf"),
+        ("10,ls,0.05,-13.0102999566,3,nan", "wall_time_s must be finite and >= 0, got nan"),
     ],
-    ids=["short", "long", "fractional-count", "non-numeric", "blank"],
+    ids=[
+        "short", "long", "fractional-count", "non-numeric", "blank", "unknown-method", "negative-nmse",
+        "db-disagrees", "db-nan", "linear-nan", "zero-not-minus-inf", "minus-inf-not-zero",
+        "negative-trials", "negative-trials-nan", "zero-trials-finite", "negative-time", "inf-time", "nan-time",
+    ],
 )
 def test_load_csv_names_the_malformed_line(tmp_path, line, reason):
     path = tmp_path / "sweep.csv"
-    path.write_text(f"{CSV_HEADER}\n10,s-somp,0.025,-16.0206,3,1.5\n{line}\n")
+    path.write_text(f"{CSV_HEADER}\n10,s-somp,0.025,-16.0205999133,3,1.5\n{line}\n")
     with pytest.raises(ValueError, match=f"sweep.csv:3: {reason}"):
         load_csv(path)
 
@@ -682,7 +702,7 @@ def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     assert "adjacent distance" in out
     spec = desk_profile()
     book = codebook.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
-    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.basis.dense())
+    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.dense())
 
 
 def test_cli_codebook_stats_states_its_pair_counts_before_the_walk(capsys, monkeypatch):
@@ -720,7 +740,7 @@ def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, mo
     book = codebook.build_spherical_codebook(
         dataclasses.replace(desk_profile().system, num_antennas=64), 0.55, 0.25
     )
-    modes = book.basis
+    modes = book
     assert modes.streamed and 0 < modes.nbytes < 64 * g * 16
     assert (
         f"codebook 64 x {g} holds phase modes of {modes.num_rings} rings, "
@@ -730,7 +750,7 @@ def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, mo
     # --matrix-out writes the matrix column chunk by column chunk, without building it.
     assert cli_main(args + ["--matrix-out", str(matrix_out)]) == 0
     assert fills == []
-    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.basis.dense())
+    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.dense())
 
 
 def test_cli_paper_profile_needs_no_slow_flag(capsys):

@@ -41,7 +41,7 @@ def _phase_mode_build(build, *args):
 def _dense_build(build, *args):
     """The codebook `build` gives, holding its dense float64 matrix."""
     book = build(*args)
-    return codebook.SphericalCodebook(book.layout, DenseBasis(book.basis.dense()))
+    return DenseBasis(book.layout, book.dense())
 
 
 @pytest.fixture(scope="module")
@@ -68,22 +68,23 @@ def test_array_size_selects_the_representation(desk_spec, desk_codebook, record_
     a `DftBasis`."""
     assert codebook._PHASE_MODE_MIN_ANTENNAS == 512
     assert codebook._SCREEN_MIN_COLUMNS == 3072
-    assert isinstance(desk_codebook.basis, Complex64Screen)
-    assert isinstance(build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m).basis, DenseBasis)
+    assert isinstance(desk_codebook, Complex64Screen)
+    assert isinstance(build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m), DenseBasis)
     paper = paper_profile()
     built = record_fills()
     for build in (build_spherical_codebook, build_polar_codebook):
         book = build(paper.system, paper.delta, paper.r_min_m)
-        assert isinstance(book.basis, PhaseModes)
-        assert book.basis.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
+        assert isinstance(book, PhaseModes)
+        assert book.nbytes < 0.01 * 16 * book.num_antennas * book.num_columns
     assert built == []
-    assert isinstance(build_angular_codebook(desk_spec.system).basis, DenseBasis)
-    assert isinstance(build_angular_codebook(paper.system).basis, DftBasis)
+    assert isinstance(build_angular_codebook(desk_spec.system), DenseBasis)
+    assert isinstance(build_angular_codebook(paper.system), DftBasis)
 
 
 def test_matrix_is_built_on_each_read_from_the_basis(small_config, book_pairs, record_fills):
     """`correlate` and `columns` fill no matrix; each read of `matrix` fills
-    one from the basis, the dense matrix bit for bit, and keeps none."""
+    one from the phase modes' layout, the dense matrix bit for bit, and
+    keeps none."""
     book = _phase_mode_build(build_spherical_codebook, small_config, 0.55, 0.25)
     dense = book_pairs["small"][1]
     assert book.num_antennas == dense.num_antennas
@@ -93,28 +94,22 @@ def test_matrix_is_built_on_each_read_from_the_basis(small_config, book_pairs, r
     book.columns([0, 1])
     assert built == []
     assert book.grid == dense.grid
-    assert np.array_equal(book.matrix, dense.basis.dense())
-    assert np.array_equal(book.matrix, dense.basis.dense())
+    assert np.array_equal(book.matrix, dense.dense())
+    assert np.array_equal(book.matrix, dense.dense())
     assert built == ["grid", "grid", "matrix", "matrix"]
 
 
-def test_codebook_holds_exactly_one_representation(small_config, small_codebook, book_pairs):
-    """A codebook is a layout plus one basis, with as many columns as grid
-    points."""
-    held, other = book_pairs["small"][0], book_pairs["desk"][0]
-    mismatch = f"{other.num_columns} columns but {held.num_columns} grid points"
-    with pytest.raises(ValueError, match=mismatch):
-        codebook.SphericalCodebook(held.layout, other.basis)
-    mismatch = f"{held.num_columns - 1} columns but {held.num_columns} grid points"
-    with pytest.raises(ValueError, match=mismatch):
-        codebook.SphericalCodebook(small_codebook.layout, DenseBasis(small_codebook.basis.dense()[:, 1:]))
-    # The DFT book: a matrix or a DftBasis, with as many columns as points.
+def test_dense_basis_rejects_a_matrix_short_of_its_layout(small_config, small_codebook):
+    """A `DenseBasis` whose matrix is one column short of its layout raises,
+    naming both counts; a `DftBasis` takes N = G from its layout."""
+    g = small_codebook.num_columns
+    with pytest.raises(ValueError, match=f"^{g - 1} columns but {g} grid points$"):
+        DenseBasis(small_codebook.layout, small_codebook.dense()[:, 1:])
     angular = build_angular_codebook(small_config)
-    n = angular.num_columns
-    with pytest.raises(ValueError, match=f"{n + 1} columns but {n} grid points"):
-        codebook.SphericalCodebook(angular.layout, DftBasis(n + 1))
-    held = codebook.SphericalCodebook(angular.layout, DftBasis(n))
-    assert held.num_antennas == n and np.array_equal(held.columns(np.arange(n)), angular.basis.dense())
+    held = DftBasis(angular.layout)
+    n = small_config.num_antennas
+    assert held.num_antennas == held.num_columns == n
+    assert np.array_equal(held.columns(np.arange(n)), angular.dense())
 
 
 BASES = {"dense": DenseBasis, "screen": Complex64Screen, "phase modes": PhaseModes, "dft": DftBasis}
@@ -122,7 +117,7 @@ BASES = {"dense": DenseBasis, "screen": Complex64Screen, "phase modes": PhaseMod
 
 @pytest.fixture(scope="module")
 def desk_bases(desk_spec):
-    """{kind: (desk book holding a basis of that kind, the basis' dense())}:
+    """{kind: (desk book holding W in that form, its dense())}:
     the polar book (dense), the spherical book (screened, and with phase
     modes forced) and the angular book with its `DftBasis` forced."""
     args = (desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
@@ -132,7 +127,7 @@ def desk_bases(desk_spec):
         "phase modes": _phase_mode_build(build_spherical_codebook, *args),
         "dft": _phase_mode_build(build_angular_codebook, desk_spec.system),
     }
-    return {kind: (book, book.basis.dense()) for kind, book in books.items()}
+    return {kind: (book, book.dense()) for kind, book in books.items()}
 
 
 def _held_bytes(basis):
@@ -152,28 +147,43 @@ def _held_bytes(basis):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
-    """Each basis a book can hold: `dense()` is N x G, `columns(idx)` is
-    `dense()[:, idx]` bit for bit for any index list (negative indices
-    included), `nbytes` counts the arrays it holds, only the screen and the
-    phase modes are streamed, and the book's `matrix` and `grid` are `basis.dense()` and
-    `layout.grid()`. `dense()` and the matrix a dense or screen basis holds
-    are C-ordered: BLAS may sum a product in an order that follows the
-    operands' layout, and S-SOMP's Gram and screen GEMMs were checked bit
-    for bit on that order."""
+    """Each form a book can hold W in is a `SphericalCodebook` with G from
+    its layout: `dense()` is N x G, `columns(idx)` is `dense()[:, idx]` bit
+    for bit for any index list (negative indices included), `nbytes` counts
+    the arrays it holds, only the screen and the phase modes are streamed,
+    and `matrix` and `grid` are `dense()` and `layout.grid()`. `dense()` and
+    the `entries` a dense or screen book holds are C-ordered: BLAS may sum a
+    product in an order that follows the operands' layout, and S-SOMP's Gram
+    and screen GEMMs were checked bit for bit on that order."""
     book, dense = desk_bases[kind]
-    basis = book.basis
-    assert type(basis) is BASES[kind]
-    g = basis.num_columns
-    assert dense.shape == (basis.num_antennas, g) == (book.num_antennas, book.num_columns)
-    held = {"dense": "matrix", "screen": "entries"}.get(kind)
-    assert dense.flags.c_contiguous and (held is None or getattr(basis, held).flags.c_contiguous)
+    assert type(book) is BASES[kind] and isinstance(book, codebook.SphericalCodebook)
+    g = book.num_columns
+    assert g == book.layout.num_columns
+    assert dense.shape == (book.num_antennas, g)
+    assert dense.flags.c_contiguous and (kind not in ("dense", "screen") or book.entries.flags.c_contiguous)
     idx = data.draw(st.lists(st.integers(-g, g - 1), max_size=40), label="idx")
-    assert np.array_equal(basis.columns(idx), dense[:, idx])
-    assert basis.nbytes == _held_bytes(basis)
-    assert (basis.nbytes == 0) == (kind == "dft")
-    assert basis.streamed == (kind in ("screen", "phase modes"))
+    assert np.array_equal(book.columns(idx), dense[:, idx])
+    assert book.nbytes == _held_bytes(book)
+    assert (book.nbytes == 0) == (kind == "dft")
+    assert book.streamed == (kind in ("screen", "phase modes"))
     assert np.array_equal(book.matrix, dense)
     assert book.grid == book.layout.grid()
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_describe_names_the_kind_and_its_bytes(desk_bases, kind):
+    """`describe()`, which `nearfield codebook build` and `stats` print, names
+    the form W is held in and `nbytes`; CI greps the screen's and the phase
+    modes' phrases."""
+    book = desk_bases[kind][0]
+    phrase = {
+        "dense": "the dense matrix",
+        "screen": "a complex64 screen of the matrix",
+        "phase modes": "phase modes of ",
+        "dft": "the unitary DFT by FFT",
+    }[kind]
+    text = book.describe()
+    assert text.startswith(phrase) and text.endswith(f": {book.nbytes} bytes"), text
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -186,7 +196,7 @@ def test_correlate_matches_dense_product(book_pairs, name, seed, width):
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = held.correlate(v)
-    want = v.conj().T @ dense.basis.dense()
+    want = v.conj().T @ dense.dense()
     assert got.shape == want.shape
     scale = np.linalg.norm(v, axis=0)
     error = np.abs(got - want) / (scale[:, None] if width else scale)
@@ -204,7 +214,7 @@ def test_scores_equal_the_summed_squared_correlations(book_pairs, name, seed, wi
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     magnitude = np.abs(held.correlate(v).reshape(-1, held.num_columns))
-    got = held.basis.scores(v)
+    got = held.scores(v)
     assert got.shape == (held.num_columns,) and got.dtype == np.float64
     assert np.max(np.abs(got - np.sum(magnitude**2, axis=0))) <= 1e-12 * np.linalg.norm(v) ** 2
 
@@ -283,7 +293,7 @@ def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_
     spec = dataclasses.replace(desk_spec, methods=(METHOD_S_SOMP, METHOD_P_SOMP))
     bank = build_codebooks(spec)
     for book in (bank.spherical, bank.polar):
-        assert isinstance(book.basis, PhaseModes)
+        assert isinstance(book, PhaseModes)
     for snr_db in spec.snr_list_db:
         run_trial(spec, snr_db, 0, bank, "snr")
     assert built == []
@@ -307,7 +317,7 @@ def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monke
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     build = build_polar_codebook if polar else build_spherical_codebook
     book = build(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert isinstance(book.basis, PhaseModes)
+    assert isinstance(book, PhaseModes)
     built = record_fills()
     stats = codebook.coherence_stats(book, 500, seed=1)
     assert built == []
@@ -325,8 +335,8 @@ def test_move_scores_equal_the_move_of_the_correlations(book_pairs, name, seed):
     weight = float(rng.uniform(0.1, 10.0))
     start = rng.uniform(0.0, 1.0, held.num_columns)
     got = start.copy()
-    held.basis.move_scores(v, weight, got)
-    e, phi = v.conj().T @ dense.basis.dense()
+    held.move_scores(v, weight, got)
+    e, phi = v.conj().T @ dense.dense()
     want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
     norms = np.linalg.norm(v, axis=0)
     scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
@@ -341,10 +351,10 @@ def test_move_scores_form_no_array_of_the_column_count(book_pairs):
     held = book_pairs["desk"][0]
     v = _random_block(np.random.default_rng(3), held.num_antennas, 2)
     scores = np.zeros(held.num_columns)
-    held.basis.move_scores(v, 1.5, scores)
+    held.move_scores(v, 1.5, scores)
     tracemalloc.start()
     try:
-        held.basis.move_scores(v, 1.5, scores)
+        held.move_scores(v, 1.5, scores)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,7 +402,7 @@ def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width
     rng = np.random.default_rng(width)
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(held.correlate(v), _reference_correlate(held.basis, v))
+    assert np.array_equal(held.correlate(v), _reference_correlate(held, v))
 
 
 def _reference_scores(modes, v):
@@ -429,8 +439,8 @@ def test_scores_equal_the_bluestein_reference(book_pairs, name, seed, width):
     per-vector Bluestein pass they replace."""
     held = book_pairs[name][0]
     v = _random_block(np.random.default_rng(seed), held.num_antennas, width)
-    got = held.basis.scores(v)
-    assert np.max(np.abs(got - _reference_scores(held.basis, v))) <= 1e-13 * np.linalg.norm(v) ** 2
+    got = held.scores(v)
+    assert np.max(np.abs(got - _reference_scores(held, v))) <= 1e-13 * np.linalg.norm(v) ** 2
 
 
 @pytest.mark.parametrize("name", ("small", "desk"))
@@ -439,11 +449,11 @@ def test_zenith_plan_scores_its_single_column(book_pairs, name):
     azimuth and one phase mode, so its power polynomial has no lags beyond
     h[0]. (The polar book has one elevation, the horizon.)"""
     held, dense = book_pairs[name]
-    plan = held.basis._plans[0]
+    plan = held._plans[0]
     assert plan.first_column == 0 and plan.coef.shape == (1, 1) and plan.count == 1
     v = _random_block(np.random.default_rng(5), held.num_antennas, 16)
     want = np.sum(np.abs(v.conj().T @ dense.columns([0])[:, 0]) ** 2)
-    assert abs(held.basis.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2
+    assert abs(held.scores(v)[0] - want) <= 1e-13 * np.linalg.norm(v) ** 2
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -453,7 +463,7 @@ def test_scores_that_cancel_stay_at_zero_or_above(book_pairs, name, width):
     that column's score cancels to rounding; every score stays finite and
     >= 0, since the triangle bound takes its square root."""
     held, dense = book_pairs[name]
-    modes = held.basis
+    modes = held
     zero = modes.scores(np.zeros((held.num_antennas, width), dtype=np.complex128))
     assert np.array_equal(zero, np.zeros(held.num_columns))
     rng = np.random.default_rng(width)
@@ -470,7 +480,7 @@ def test_scores_that_cancel_stay_at_zero_or_above(book_pairs, name, width):
 @pytest.mark.parametrize("width", [1, 16])
 def test_paper_scores_equal_the_bluestein_reference(width):
     paper = paper_profile()
-    modes = build_spherical_codebook(paper.system, paper.delta, paper.r_min_m).basis
+    modes = build_spherical_codebook(paper.system, paper.delta, paper.r_min_m)
     v = _random_block(np.random.default_rng(width), modes.num_antennas, width)
     got = modes.scores(v)
     assert got.min() >= 0.0
@@ -498,6 +508,13 @@ def test_fft_length_is_the_smallest_5_smooth_length():
         assert fft_length(n) == next(size for size in smooth if size >= n)
 
 
+def _dft_basis(n):
+    """The `DftBasis` of n antennas, on the layout `build_angular_codebook`
+    gives it."""
+    layout = codebook._RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [codebook.FAR_FIELD])])
+    return DftBasis(layout)
+
+
 def _dft_matrix(n):
     """The angular book's dense matrix, by the expression its build used
     before any array size held it as a `DftBasis`."""
@@ -514,7 +531,7 @@ def _dft_matrix(n):
 def test_dft_basis_matches_the_dense_dft_product(seed, n, width):
     """`correlate` of the FFT basis equals the dense product to 1e-12 of the
     norms involved."""
-    basis, dense = DftBasis(n), _dft_matrix(n)
+    basis, dense = _dft_basis(n), _dft_matrix(n)
     rng = np.random.default_rng(seed)
     v = _random_block(rng, n, width)
     got, want = basis.correlate(v), v.conj().T @ dense
@@ -527,7 +544,7 @@ def test_dft_basis_matches_the_dense_dft_product(seed, n, width):
 def test_dft_basis_columns_equal_the_dense_dft_matrix(n):
     """Every column pattern gives the dense matrix's columns bit for bit,
     and indices outside it raise IndexError as the matrix does."""
-    basis, dense = DftBasis(n), _dft_matrix(n)
+    basis, dense = _dft_basis(n), _dft_matrix(n)
     rng = np.random.default_rng(n)
     patterns = {
         "random": rng.integers(0, n, 300),
@@ -563,7 +580,7 @@ def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert isinstance(book.basis, DftBasis) and book.basis.nbytes == 0
+    assert isinstance(book, DftBasis) and book.nbytes == 0
     dense = _dft_matrix(2048)
     built = record_fills()
     assert np.array_equal(book.columns([0, 7, -1]), dense[:, [0, 7, -1]])
@@ -581,9 +598,9 @@ def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
 
 def test_dft_basis_coherence_stats_equal_the_dense_book(small_config, record_fills):
     book = build_angular_codebook(small_config)
-    assert np.array_equal(book.basis.dense(), _dft_matrix(small_config.num_antennas))
+    assert np.array_equal(book.dense(), _dft_matrix(small_config.num_antennas))
     held = _phase_mode_build(build_angular_codebook, small_config)
-    assert isinstance(held.basis, DftBasis)
+    assert isinstance(held, DftBasis)
     built = record_fills()
     assert codebook.coherence_stats(held, 300, seed=2) == codebook.coherence_stats(book, 300, seed=2)
     assert built == []
@@ -599,8 +616,8 @@ def screens(small_config, desk_spec):
     geom = UcaGeometry.from_config(small_config)
     small_screen = Complex64Screen(small.layout, geom, small_config.wavelength_m)
     return {
-        "desk": (desk.basis, desk.basis.dense()),
-        "small": (small_screen, small.basis.dense()),
+        "desk": (desk, desk.dense()),
+        "small": (small_screen, small.dense()),
     }
 
 
@@ -742,5 +759,5 @@ def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
     n, g = bank.spherical.num_antennas, bank.spherical.num_columns
     assert (np.complex64, (n, g)) in fills
     assert all(g < codebook._SCREEN_MIN_COLUMNS for dtype, (_, g) in fills if dtype == np.complex128)
-    assert isinstance(bank.spherical.basis, Complex64Screen) and bank.spherical.basis.nbytes <= 8 * n * g
+    assert isinstance(bank.spherical, Complex64Screen) and bank.spherical.nbytes <= 8 * n * g
     assert peak < 16 * n * g

@@ -3,7 +3,7 @@
 `_dense_s_somp` is the earlier implementation, kept here verbatim as the
 test oracle: it forms the full P N_RF x G dictionary and correlates the
 residual against it from scratch at every iteration. It reads a book's
-float64 matrix through `dense_matrix`, which fills it from the basis once
+float64 matrix through `dense_matrix`, which fills it from the book once
 per book.
 """
 
@@ -51,17 +51,17 @@ _DENSE = weakref.WeakKeyDictionary()
 
 
 def dense_matrix(book):
-    """The float64 matrix of `book`, `book.basis.dense()`, kept here per
-    book: a matrix-free basis fills it anew on every call."""
+    """The float64 matrix of `book`, `book.dense()`, kept here per
+    book: a matrix-free book fills it anew on every call."""
     if book not in _DENSE:
-        _DENSE[book] = book.basis.dense()
+        _DENSE[book] = book.dense()
     return _DENSE[book]
 
 
 def dense_twin(book):
-    """`book` itself when it holds its matrix in a `DenseBasis`, else a
-    codebook that holds the matrix its basis fills."""
-    return book if isinstance(book.basis, DenseBasis) else SphericalCodebook(book.layout, DenseBasis(dense_matrix(book)))
+    """`book` itself when it is a `DenseBasis`, else a
+    `DenseBasis` of the matrix `book` fills."""
+    return book if isinstance(book, DenseBasis) else DenseBasis(book.layout, dense_matrix(book))
 
 
 def _dense_s_somp(measurements, combining, codebook, num_iterations):
@@ -165,7 +165,7 @@ def test_gram_matches_dense_on_random_configurations(
         (num_antennas, num_columns)
     )
     w /= np.linalg.norm(w, axis=0)
-    codebook = SphericalCodebook(_dummy_layout(num_columns), DenseBasis(w))
+    codebook = DenseBasis(_dummy_layout(num_columns), w)
     combining = generate_combining(rng, rows, 1, num_antennas)
     support = rng.choice(num_columns, size=min(planted, num_columns), replace=False)
     gains = rng.standard_normal((support.size, num_subcarriers)) + 1j * rng.standard_normal(
@@ -185,7 +185,7 @@ def test_gram_matches_dense_on_duplicate_column_codebook(small_config):
     geom_column = np.full(small_config.num_antennas, 1.0 / math.sqrt(small_config.num_antennas), dtype=complex)
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
-    duplicated = SphericalCodebook(_dummy_layout(3), DenseBasis(np.column_stack([geom_column, geom_column, other])))
+    duplicated = DenseBasis(_dummy_layout(3), np.column_stack([geom_column, geom_column, other]))
     combining = generate_combining(23, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     zero = MeasurementSet(np.zeros((combining.entries.shape[0], 2)), 0.0)
     assert_matches_dense((zero, combining, duplicated, 2))
@@ -205,7 +205,7 @@ def test_phase_modes_match_dense_on_zero_input(small_config, small_codebook, mon
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     monkeypatch.setattr("nearfield.phase_modes._FILL_COLUMNS", 64)
     held = build_spherical_codebook(small_config, 0.55, 0.25)
-    assert isinstance(held.basis, PhaseModes) and held.num_columns > 3 * 64
+    assert isinstance(held, PhaseModes) and held.num_columns > 3 * 64
     combining = generate_combining(0, small_config.num_pilot_slots, small_config.num_rf_chains, small_config.num_antennas)
     rows = combining.entries.shape[0]
     zero = MeasurementSet(np.zeros((rows, small_config.num_subcarriers)), 0.0)
@@ -262,7 +262,7 @@ def test_gram_matches_dense_on_desk_trials(desk_dense_calls, method):
     calls = desk_dense_calls[method]
     assert len(calls) >= 25
     for args in calls:
-        assert isinstance(args[2].basis, DenseBasis)
+        assert isinstance(args[2], DenseBasis)
         assert_matches_dense(args)
 
 
@@ -277,8 +277,8 @@ def test_desk_book_representations(desk_somp_calls):
     """The harness's desk spherical book is screened in complex64; its
     polar (G = 504) and angular (G = 128) books hold their matrices."""
     books = {method: calls[0][2] for method, calls in desk_somp_calls.items()}
-    assert isinstance(books[METHOD_S_SOMP].basis, Complex64Screen)
-    assert isinstance(books[METHOD_P_SOMP].basis, DenseBasis) and isinstance(books[METHOD_ANGULAR].basis, DenseBasis)
+    assert isinstance(books[METHOD_S_SOMP], Complex64Screen)
+    assert isinstance(books[METHOD_P_SOMP], DenseBasis) and isinstance(books[METHOD_ANGULAR], DenseBasis)
 
 
 @pytest.mark.parametrize("iterations", [None, 8])
@@ -310,7 +310,7 @@ def test_screen_matches_dense_on_desk_pilot_trials(desk_spec, snr_db):
     assert len(calls) == 2 * len(spec.pilot_lengths)
     twin = dense_twin(calls[0][2])
     for measurements, combining, book, iterations in calls:
-        assert isinstance(book.basis, Complex64Screen)
+        assert isinstance(book, Complex64Screen)
         for count in (iterations, 8):
             got = s_somp(measurements, combining, book, count)
             assert_same_bits(got, s_somp(measurements, combining, twin, count))
@@ -329,7 +329,7 @@ def test_streamed_s_somp_matches_dense_on_one_subcarrier(desk_spec, monkeypatch,
     calls = record_somp_calls(spec, {"snr": ((0.0, 10.0, 20.0, math.inf), 6)})[METHOD_S_SOMP]
     assert len(calls) == 24
     book = calls[0][2]
-    assert isinstance(book.basis, PhaseModes if phase_modes else Complex64Screen)
+    assert isinstance(book, PhaseModes if phase_modes else Complex64Screen)
     twin = dense_twin(book)
     for measurements, combining, _, iterations in calls:
         assert measurements.observations.shape[1] == 1
@@ -356,8 +356,8 @@ def test_phase_modes_match_dense_on_desk_trials(desk_dense_calls, desk_phase_mod
     calls = desk_phase_mode_calls[method]
     assert len(calls) == len(desk_dense_calls[method]) == 33
     for args, dense_args in zip(calls, desk_dense_calls[method]):
-        assert isinstance(args[2].basis, DftBasis if method == METHOD_ANGULAR else PhaseModes)
-        assert isinstance(dense_args[2].basis, DenseBasis) and isinstance(dense_twin(args[2]).basis, DenseBasis)
+        assert isinstance(args[2], DftBasis if method == METHOD_ANGULAR else PhaseModes)
+        assert isinstance(dense_args[2], DenseBasis) and isinstance(dense_twin(args[2]), DenseBasis)
         got = assert_matches_dense(args)
         want = s_somp(*dense_args)
         assert got.support == want.support
@@ -415,8 +415,9 @@ def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
     assert _traced_peak(s_somp, *args) < 0.5 * dictionary_bytes
 
 
-class _PerturbedModes:
-    """Stand-in phase modes of a dense matrix, off by as much as phase
+class _PerturbedModes(SphericalCodebook):
+    """A codebook of a dense matrix as stand-in phase modes, which S-SOMP
+    streams on and whose `columns` read the matrix, off by as much as phase
     modes may be for `s_somp`'s slack at their `rescore_rtol`: each correlation by `error` of its
     vector's norm, and so each score by error (2 + error) of ||V||_F^2, up
     or down at random. The correlations are pushed along the phase of the
@@ -429,27 +430,24 @@ class _PerturbedModes:
     streamed = True
 
     def __init__(self, matrix, error, rng):
-        self.matrix = matrix
+        super().__init__(_dummy_layout(matrix.shape[1]))
+        self.entries = matrix
         self.error = error
         self.rng = rng
 
     @property
     def num_antennas(self):
-        return self.matrix.shape[0]
-
-    @property
-    def num_columns(self):
-        return self.matrix.shape[1]
+        return self.entries.shape[0]
 
     def dense(self):
-        return self.matrix
+        return self.entries
 
     def columns(self, idx):
-        return self.matrix[:, idx]
+        return self.entries[:, idx]
 
     def correlate(self, v):
         v = np.asarray(v)
-        exact = v.conj().T @ self.matrix
+        exact = v.conj().T @ self.entries
         push = self.error * np.linalg.norm(v, axis=0)[:, None] * np.exp(1j * np.angle(exact[0]))
         push[1:] *= -1.0
         return exact + push
@@ -459,15 +457,9 @@ class _PerturbedModes:
         scores += weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
 
     def scores(self, v):
-        exact = np.sum(np.abs(np.asarray(v).conj().T @ self.matrix) ** 2, axis=0)
+        exact = np.sum(np.abs(np.asarray(v).conj().T @ self.entries) ** 2, axis=0)
         shift = self.error * (2.0 + self.error) * np.linalg.norm(v) ** 2 * self.rng.choice([-1.0, 1.0], exact.size)
         return np.maximum(exact + shift, 0.0)
-
-
-def _perturbed_codebook(matrix, error, rng):
-    """A codebook of `matrix` held in `_PerturbedModes`, which S-SOMP streams
-    on; `columns` reads the matrix."""
-    return SphericalCodebook(_dummy_layout(matrix.shape[1]), _PerturbedModes(matrix, error, rng))
 
 
 def _check_running_scores(patch, args):
@@ -490,7 +482,7 @@ def _check_running_scores(patch, args):
         assert np.all(np.abs(scores[free] - exact[free]) <= slack)
 
     def checking(book, a, change, previous, updated, scores, blocked, slack, rtol):
-        assert rtol == book.basis.rescore_rtol
+        assert rtol == book.rescore_rtol
         check(scores, previous, blocked, slack)
         widened = real(book, a, change, previous, updated, scores, blocked, slack, rtol)
         assert slack <= widened <= slack + 4.0 * rtol * scale
@@ -590,7 +582,7 @@ def _check_random_configuration(
     if clustered:
         w = w[:, rng.integers(0, min(3, num_columns), num_columns)] + 0.2 * w
     w /= np.linalg.norm(w, axis=0)
-    book = _perturbed_codebook(w, error, rng)
+    book = _PerturbedModes(w, error, rng)
     combining = generate_combining(rng, rows, 1, num_antennas)
     support = rng.choice(num_columns, size=min(planted, num_columns), replace=False)
     gains = rng.standard_normal((support.size, num_subcarriers)) + 1j * rng.standard_normal(
@@ -648,7 +640,7 @@ def test_screened_s_somp_records_each_step(desk_somp_calls, rejected_step):
     """As above on the complex64 screen of the desk spherical book, whose
     first slack is its own `rescore_rtol` ||A^H Y||_F^2."""
     calls = desk_somp_calls[METHOD_S_SOMP][:4]
-    assert isinstance(calls[0][2].basis, Complex64Screen)
+    assert isinstance(calls[0][2], Complex64Screen)
     _check_recorded_steps(calls, True, rejected_step)
 
 
@@ -679,7 +671,7 @@ def _check_recorded_steps(calls, streamed, rejected_step):
         assert len(got.steps) == iterations
         assert len(events) == (iterations if streamed else 1)
         projected = combining.entries.conj().T @ measurements.observations
-        rtol = book.basis.rescore_rtol if streamed else RESCORE_RTOL
+        rtol = book.rescore_rtol if streamed else RESCORE_RTOL
         events[0][1] = rtol * float(np.vdot(projected, projected).real)
         for step, record in enumerate(got.steps):
             assert isinstance(record, estimator.SompStep)
@@ -706,7 +698,7 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
 
     w = draw(16, 300)
     w /= np.linalg.norm(w, axis=0)
-    book = _perturbed_codebook(w, 0.0, rng)
+    book = _PerturbedModes(w, 0.0, rng)
     a = draw(8, 16)
     residual = np.outer(a @ w[:, 0], draw(num_subcarriers))
     previous = a.conj().T @ residual
@@ -748,7 +740,7 @@ def _width_outputs(books, calls, v, folder):
     """The screen's `correlate` of v, and a list of everything else a walk
     of `phase_modes.column_blocks` makes on the desk spherical (screened)
     and polar (dense) books, as arrays and bytes."""
-    screen = books["spherical"].basis
+    screen = books["spherical"]
     out = [ring_matrix(screen.layout, screen.geom, screen.wavelength_m, dtype) for dtype in (np.complex128, np.complex64)]
     for args in calls:
         got = s_somp(*args)
@@ -780,7 +772,7 @@ def test_column_width_changes_no_bit(desk_spec, desk_somp_calls, desk_phase_mode
         "spherical": build_spherical_codebook(system, desk_spec.delta, desk_spec.r_min_m),
         "polar": build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m),
     }
-    assert isinstance(books["spherical"].basis, Complex64Screen) and isinstance(books["polar"].basis, DenseBasis)
+    assert isinstance(books["spherical"], Complex64Screen) and isinstance(books["polar"], DenseBasis)
     calls = desk_somp_calls[METHOD_S_SOMP] + desk_phase_mode_calls[METHOD_S_SOMP] + desk_phase_mode_calls[METHOD_P_SOMP]
     rng = np.random.default_rng(3)
     v = rng.standard_normal((system.num_antennas, 3)) + 1j * rng.standard_normal((system.num_antennas, 3))
@@ -842,11 +834,11 @@ def test_ring_by_ring_power_spectra_change_no_bit_of_s_somp(desk_phase_mode_call
     scores of A^H Y are those of all rings at once, bit for bit, and with
     `scores` taking all rings at once every S-SOMP output keeps its bits."""
     calls = desk_phase_mode_calls[method]
-    assert max(plan.coef.shape[0] for plan in calls[0][2].basis._plans) > 1
+    assert max(plan.coef.shape[0] for plan in calls[0][2]._plans) > 1
     want = [s_somp(*args) for args in calls]
     for measurements, combining, book, _ in calls:
         projected = combining.entries.conj().T @ measurements.observations
-        assert np.array_equal(book.basis.scores(projected), _all_rings_scores(book.basis, projected))
+        assert np.array_equal(book.scores(projected), _all_rings_scores(book, projected))
     monkeypatch.setattr(PhaseModes, "scores", _all_rings_scores)
     for args, expected in zip(calls, want):
         got = s_somp(*args)
@@ -872,7 +864,7 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
     for args in desk_phase_mode_calls[method][:3]:
         measurements, combining, book, _ = args
         num_antennas, k = book.num_antennas, measurements.observations.shape[1]
-        longest = max(plan.power_length for plan in book.basis._plans)
+        longest = max(plan.power_length for plan in book._plans)
         bound = 10 * book.num_columns + 16 * k * longest + 10 * 16 * num_antennas * k
         s_somp(*args)  # warm any lazily built state
         assert _traced_peak(s_somp, *args) <= bound
@@ -917,7 +909,7 @@ def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
         (desk_spec, dense_twin(desk_codebook)),
     ]
     for spec, book in books:
-        assert not book.basis.streamed
+        assert not book.streamed
         m, g, n = spec.system.num_subcarriers, book.num_columns, spec.system.num_antennas
         for iterations in (3, 8):
             args = _one_call(spec, book, iterations)
@@ -934,7 +926,7 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fi
     0.60 MiB at both. On the dense float64 twin the Gram path traces 2.58
     and 2.88 MiB."""
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert isinstance(book.basis, Complex64Screen)
+    assert isinstance(book, Complex64Screen)
     args = _one_call(desk_spec, book, iterations)
     built = record_fills()
     s_somp(*args)  # warm any lazily built state
@@ -951,7 +943,7 @@ def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
     1.02 MiB."""
     spec = paper_profile()
     book = build_angular_codebook(spec.system)
-    assert isinstance(book.basis, DftBasis)
+    assert isinstance(book, DftBasis)
     args = _one_call(spec, book, 3)
     built = record_fills()
     s_somp(*args)  # warm any lazily built state
@@ -980,7 +972,7 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     if not phase_modes:
         book = dense_twin(book)
-    assert book.basis.streamed == phase_modes
+    assert book.streamed == phase_modes
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -999,7 +991,7 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
     row and a row C (A^H Y)^H W of G entries)."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     book = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
-    assert isinstance(book.basis, PhaseModes)
+    assert isinstance(book, PhaseModes)
     system = desk_spec.system
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -1059,8 +1051,8 @@ def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations
     that book, bit for bit."""
     twins = {}
     for _, _, book, _ in paper_somp_calls[METHOD_ANGULAR]:
-        assert isinstance(book.basis, DftBasis)
-        assert isinstance(twins.setdefault(id(book), dense_twin(book)).basis, DenseBasis)
+        assert isinstance(book, DftBasis)
+        assert isinstance(twins.setdefault(id(book), dense_twin(book)), DenseBasis)
     built = record_fills()
     for measurements, combining, book, _ in paper_somp_calls[METHOD_ANGULAR]:
         got = s_somp(measurements, combining, book, iterations)
@@ -1079,7 +1071,7 @@ def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
     copied A^H, `scores` held the spectra of every ring of the widest plan
     and the rescoring window formed four boolean arrays of G entries."""
     for args in paper_somp_calls[METHOD_S_SOMP]:
-        assert isinstance(args[2].basis, PhaseModes)
+        assert isinstance(args[2], PhaseModes)
         s_somp(*args)  # warm any lazily built state
         assert _traced_peak(s_somp, *args) <= 2.5e6
 
@@ -1088,6 +1080,6 @@ def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
 def test_paper_scale_supports_match_dense_oracle_at_twelve_iterations(paper_somp_calls):
     """Eleven rank-1 score moves in a row on the paper spherical book."""
     for measurements, combining, book, _ in paper_somp_calls[METHOD_S_SOMP]:
-        assert isinstance(book.basis, PhaseModes)
+        assert isinstance(book, PhaseModes)
         args = (measurements, combining, book, 12)
         assert s_somp(*args).support == _dense_s_somp(*args).support
