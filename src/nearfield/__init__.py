@@ -11,12 +11,8 @@ from .channel import (
     PathParams,
     SystemConfig,
     UcaGeometry,
-    approx_distance,
     azimuth_cosines,
-    exact_distance,
-    far_field_steering,
     generate_channel,
-    near_field_steering,
     ring_steering,
     sample_paths,
     subcarrier_frequencies,
@@ -24,7 +20,6 @@ from .channel import (
 )
 from .codebook import (
     FAR_FIELD,
-    CodebookGrid,
     CoherenceStats,
     SphericalCodebook,
     azimuth_grid,
@@ -32,7 +27,6 @@ from .codebook import (
     build_polar_codebook,
     build_spherical_codebook,
     coherence_stats,
-    column_correlation,
     distance_grid,
     elevation_grid,
 )

@@ -70,14 +70,6 @@ class SystemConfig:
     def aperture_m(self) -> float:
         return 2.0 * self.radius_m
 
-    @property
-    def num_measurement_rows(self) -> int:
-        return self.num_pilot_slots * self.num_rf_chains
-
-    @property
-    def rayleigh_distance_m(self) -> float:
-        return 2.0 * self.aperture_m**2 / self.wavelength_m
-
 
 @dataclass(frozen=True, eq=False)
 class UcaGeometry:
@@ -99,14 +91,6 @@ class UcaGeometry:
     @property
     def num_antennas(self) -> int:
         return self.antenna_azimuths_rad.size
-
-    def positions(self) -> np.ndarray:
-        """Cartesian (N, 3) coordinates; the ring lies in the z = 0 plane."""
-        psi = self.antenna_azimuths_rad
-        return np.stack(
-            [self.radius_m * np.cos(psi), self.radius_m * np.sin(psi), np.zeros_like(psi)],
-            axis=1,
-        )
 
 
 @dataclass(frozen=True)
@@ -143,34 +127,6 @@ def subcarrier_frequencies(config: SystemConfig) -> np.ndarray:
     m = np.arange(1, config.num_subcarriers + 1)
     offset = (2 * m - config.num_subcarriers) * config.bandwidth_hz
     return config.carrier_freq_hz + offset / (2.0 * config.num_subcarriers)
-
-
-def exact_distance(r, theta, phi, antenna_index, geom: UcaGeometry):
-    """Euclidean distance from antenna n to the point (r, theta, phi).
-
-    Law of cosines on the triangle (origin, antenna, source):
-    sqrt(r^2 + R^2 - 2 R r sin(theta) cos(phi - psi_n)). Broadcasts over
-    `antenna_index`.
-    """
-    if np.any(np.asarray(r) <= 0.0):
-        raise ValueError("source distance must be positive")
-    psi = np.asarray(geom.antenna_azimuths_rad)[antenna_index]
-    radius = geom.radius_m
-    projected = 2.0 * radius * r * np.sin(theta) * np.cos(phi - psi)
-    return np.sqrt(r * r + radius * radius - projected)
-
-
-def approx_distance(r, theta, phi, antenna_index, geom: UcaGeometry):
-    """Second-order Taylor expansion of `exact_distance` in R/r.
-
-    r - R sin(theta) cos(phi - psi_n) + R^2/(2r) (1 - sin^2 cos^2). Kept for
-    validation of the codebook derivation; channel synthesis always uses the
-    exact distance.
-    """
-    psi = np.asarray(geom.antenna_azimuths_rad)[antenna_index]
-    radius = geom.radius_m
-    cross = np.sin(theta) * np.cos(phi - psi)
-    return r - radius * cross + radius * radius / (2.0 * r) * (1.0 - cross * cross)
 
 
 def azimuth_cosines(phis, geom: UcaGeometry) -> np.ndarray:
@@ -212,24 +168,6 @@ def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out
     np.exp(entries, out=entries)
     np.divide(entries, math.sqrt(geom.num_antennas), out=entries)
     return out
-
-
-def near_field_steering(r, theta, phi, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
-    """Unit-norm spherical-wave steering vector for a source at (r, theta, phi).
-
-    Entry n is exp(-j 2pi/lambda (r^(n) - r)) / sqrt(N), with r^(n) the exact
-    per-antenna distance; r = inf gives the plane wave (`far_field_steering`).
-    """
-    out = np.empty((geom.num_antennas, 1), dtype=np.complex128)
-    return ring_steering(r, theta, azimuth_cosines([phi], geom), geom, wavelength_m, out)[:, 0]
-
-
-def far_field_steering(theta, phi, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
-    """Plane-wave (r -> infinity) limit of the steering vector.
-
-    Entry n is exp(+j 2pi/lambda R sin(theta) cos(phi - psi_n)) / sqrt(N).
-    """
-    return near_field_steering(math.inf, theta, phi, geom, wavelength_m)
 
 
 def path_steering(paths, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:

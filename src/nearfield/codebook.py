@@ -12,7 +12,7 @@ W, on its `_RingLayout`, in the form it chooses from N and G.
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,37 +54,6 @@ _SCREEN_MIN_COLUMNS = 3072
 #: blocks of at most this S + 1 whatever the elevation's azimuth count
 #: (84 MB each at N = 2048, where an elevation holds up to 10 rings).
 _COHERENCE_AZIMUTHS = 256
-
-
-@dataclass(frozen=True, eq=False)
-class CodebookGrid:
-    """Per-column grid metadata as two read-only (G, 3) arrays.
-
-    `indices` holds the (t, s, z) grid indices (int64) and `coords` the
-    (r, theta, phi) sample (float64) of every column, in column order;
-    r = FAR_FIELD marks the plane-wave ring.
-    """
-
-    indices: np.ndarray = field(repr=False)
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.indices.shape != self.coords.shape or self.indices.shape[1:] != (3,):
-            raise ValueError(
-                f"indices {self.indices.shape} and coords {self.coords.shape} must both be (G, 3)"
-            )
-        self.indices.flags.writeable = False
-        self.coords.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CodebookGrid)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.coords, other.coords)
-        )
 
 
 class _RingLayout:
@@ -130,9 +99,9 @@ class _RingLayout:
         s, z = np.divmod(idx - self.column_starts[t], self.ring_starts[t + 1] - first_ring)
         return t, s, z, self.rings[first_ring + z], self.thetas[t], self.azimuths[self.azimuth_starts[t] + s]
 
-    def grid(self) -> CodebookGrid:
-        t, s, z, r, theta, phi = self.locate(np.arange(self.num_columns))
-        return CodebookGrid(np.column_stack([t, s, z]), np.column_stack([r, theta, phi]))
+    def __eq__(self, other) -> bool:
+        fields = ("thetas", "column_starts", "azimuth_starts", "ring_starts", "azimuths", "rings")
+        return isinstance(other, _RingLayout) and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
 
 def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
@@ -247,15 +216,6 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])
     dft = DftBasis(layout)
     return dft if n >= _PHASE_MODE_MIN_ANTENNAS else DenseBasis(layout, dft.dense())
-
-
-def column_correlation(b1: np.ndarray, b2: np.ndarray) -> float:
-    """|b1^H b2| for two unit-norm columns."""
-    b1 = np.asarray(b1)
-    b2 = np.asarray(b2)
-    if b1.shape != b2.shape:
-        raise ValueError(f"length mismatch: {b1.shape} vs {b2.shape}")
-    return float(abs(np.vdot(b1, b2)))
 
 
 @dataclass(frozen=True)
@@ -404,15 +364,51 @@ def parse_text_row(path, number: int, line: str, parsers, row=list):
         raise ValueError(f"{path}:{number}: {exc}") from None
 
 
-def load_grid_text(path) -> CodebookGrid:
-    """Parse a file written by `export_grid_text`; blank lines are skipped,
-    and a malformed row raises ValueError naming path:line."""
+def load_grid_text(path) -> _RingLayout:
+    """The ring layout of a file written by `export_grid_text`; blank lines
+    are skipped.
+
+    Elevation t takes its theta from its first row, its azimuths from its
+    z = 0 rows and its rings from its s = 0 rows. Each row must then equal,
+    bit for bit, the column that layout's `locate` puts in its place. A
+    malformed, non-finite (r = inf excepted), misplaced, duplicated or
+    missing row raises ValueError naming path:line, as does a file of no
+    rows.
+    """
     parsers = (int,) * 3 + (float,) * 3
     with open(path, "r", encoding="utf-8") as handle:
-        rows = [parse_text_row(path, number, line, parsers) for number, line in enumerate(handle, 1) if line.strip()]
-    indices = np.array([row[:3] for row in rows], dtype=np.int64).reshape(len(rows), 3)
-    coords = np.array([row[3:] for row in rows], dtype=np.float64).reshape(len(rows), 3)
-    return CodebookGrid(indices, coords)
+        numbered = [(number, parse_text_row(path, number, line, parsers)) for number, line in enumerate(handle, 1) if line.strip()]
+    if not numbered:
+        raise ValueError(f"{path}:1: no grid rows")
+    numbers, rows = zip(*numbered)
+    try:
+        columns = [np.array(part, dtype) for part, dtype in zip(zip(*rows), (np.int64,) * 3 + (np.float64,) * 3)]
+    except OverflowError:
+        row = next(i for i, values in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in values[:3]))
+        raise ValueError(f"{path}:{numbers[row]}: a grid index outside int64") from None
+    t, s, z, r, theta, phi = columns
+    bounds = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
+    layout = _RingLayout((theta[a], phi[a:b][z[a:b] == 0], r[a:b][s[a:b] == 0]) for a, b in zip(bounds, bounds[1:]))
+
+    finite = np.isfinite(theta) & np.isfinite(phi) & (np.isfinite(r) | (r == math.inf))
+    g = min(len(t), layout.num_columns)
+    want = layout.locate(np.arange(g))
+    placed = np.zeros(len(t), dtype=bool)
+    placed[:g] = np.logical_and.reduce([got[:g].view(np.int64) == part.view(np.int64) for got, part in zip(columns, want)])
+    bad = np.flatnonzero(~(finite & placed))
+    if bad.size:
+        row = bad[0]
+        if not finite[row]:
+            problem = "coordinates must be finite, but for r = inf"
+        elif row >= g:
+            problem = f"a row beyond the {g} columns of the grid the rows describe"
+        else:
+            expected = ",".join(repr(part[row].item()) for part in want)
+            problem = f"out of place: column {row} of the grid the rows describe is {expected}"
+        raise ValueError(f"{path}:{numbers[row]}: {problem}")
+    if g < layout.num_columns:
+        raise ValueError(f"{path}:{numbers[-1] + 1}: missing rows: the grid the rows describe has {layout.num_columns} columns")
+    return layout
 
 
 def export_matrix_binary(codebook: SphericalCodebook, path) -> None:

@@ -124,6 +124,11 @@ class RunSpec:
                 # A repeated point (0 and -0 included) wrote rows that share seeds.
                 if any(b <= a for a, b in zip(values, values[1:])):
                     raise ConfigurationError(f"{name} must be strictly ascending, got {list(values)}")
+                # Points that print alike wrote CSV rows that `load_csv` could not tell apart.
+                printed = [_format_value(v) for v in values]
+                repeated = sorted({p for p in printed if printed.count(p) > 1})
+                if repeated:
+                    raise ConfigurationError(f"{name} points print as one CSV value: {repeated}")
         if not (math.isfinite(self.r_min_m) and self.r_min_m > 0.0):
             raise ConfigurationError(f"r_min_m must be finite and positive, got {self.r_min_m}")
         if self.workers != 1:
@@ -408,11 +413,18 @@ def _sweep_row(values) -> SweepRow:
 
 def load_csv(path) -> list:
     """Parse a file written by `emit_csv` back into SweepRow records; a row
-    that is malformed or that no sweep writes raises ValueError naming
-    path:line."""
+    that is malformed, that no sweep writes, or that repeats the sweep
+    value and method of an earlier row raises ValueError naming path:line."""
     parsers = (float, str, float, float, int, float)
+    rows, seen = [], set()
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        return [parse_text_row(path, number, line, parsers, _sweep_row) for number, line in enumerate(handle, 2)]
+        for number, line in enumerate(handle, 2):
+            row = parse_text_row(path, number, line, parsers, _sweep_row)
+            if (row.sweep_value, row.method) in seen:
+                raise ValueError(f"{path}:{number}: a second row for sweep value {row.sweep_value!r} and method {row.method}")
+            seen.add((row.sweep_value, row.method))
+            rows.append(row)
+    return rows

@@ -230,8 +230,9 @@ class SphericalCodebook:
 
     @property
     def grid(self):
-        """`layout.grid()`, built on each read; read only where `matrix` is."""
-        return self.layout.grid()
+        """The `layout`, which `load_grid_text` loads back from the grid text;
+        read only where `matrix` is."""
+        return self.layout
 
 
 class DenseBasis(SphericalCodebook):

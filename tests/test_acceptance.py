@@ -13,15 +13,12 @@ from nearfield import (
     SystemConfig,
     UcaGeometry,
     azimuth_grid,
-    column_correlation,
     desk_profile,
     distance_grid,
     elevation_grid,
-    far_field_steering,
     first_j0_zero,
     generate_channel,
     generate_combining,
-    near_field_steering,
     nmse,
     s_somp,
     sample_paths,
@@ -30,6 +27,7 @@ from nearfield import (
     uca_radius,
 )
 from nearfield.harness import build_codebooks, emit_csv, paper_profile, run_trial, sweep_pilot, sweep_snr
+from steering_oracle import column_correlation, far_field_steering, near_field_steering
 
 
 def paper_system():
@@ -59,7 +57,7 @@ def test_criterion_1_rayleigh_distance():
     radius = uca_radius(0.005, 512)
     rayleigh = 2.0 * (2.0 * radius) ** 2 / config.wavelength_m
     assert abs(rayleigh - 132.9) / 132.9 < 5e-3
-    assert config.rayleigh_distance_m == rayleigh
+    assert 2.0 * config.aperture_m**2 / config.wavelength_m == rayleigh
     _report(1, f"2(2R)^2/lambda = {rayleigh:.4f} m vs 132.9 m (0.5% tolerance)")
 
 
@@ -104,18 +102,18 @@ def test_criterion_2_codebook_structure():
 def test_criterion_3_noiseless_on_grid_exact_recovery(desk):
     spec, bank = desk
     config = spec.system
-    assert config.num_measurement_rows >= 32
+    assert config.num_pilot_slots * config.num_rf_chains >= 32
     book = bank.spherical
 
     # Plantable set: finite-distance grid points that are uniquely
     # represented. The printed azimuth rule double-covers phi = 0 vs
     # phi ~ 2 pi, so the s = 0 / s = S endpoint columns have a
     # near-duplicate twin and are excluded from planting.
-    grid = book.layout.grid()
-    t, s, _ = grid.indices.T
+    t, s, _, *points = book.layout.locate(np.arange(book.num_columns))
+    coords = np.column_stack(points)
     s_max = np.zeros(t.max() + 1, dtype=np.int64)
     np.maximum.at(s_max, t, s)
-    finite = np.isfinite(grid.coords[:, 0])
+    finite = np.isfinite(coords[:, 0])
     plantable = np.flatnonzero(finite & (0 < s) & (s < s_max[t])).tolist()
     assert len(plantable) > 1000
 
@@ -124,7 +122,7 @@ def test_criterion_3_noiseless_on_grid_exact_recovery(desk):
         rng = np.random.default_rng(trial)
         col = plantable[rng.integers(len(plantable))]
         gain = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        path = PathParams(*grid.coords[col].tolist(), gain)
+        path = PathParams(*coords[col].tolist(), gain)
         truth = generate_channel([path], config)
         combining = generate_combining(
             10_000 + trial, config.num_pilot_slots, config.num_rf_chains, config.num_antennas

@@ -12,14 +12,10 @@ from nearfield import (
     PathParams,
     SystemConfig,
     UcaGeometry,
-    approx_distance,
     azimuth_cosines,
     channel,
-    exact_distance,
-    far_field_steering,
     generate_channel,
     generate_combining,
-    near_field_steering,
     oracle_estimate,
     ring_steering,
     sample_paths,
@@ -28,7 +24,15 @@ from nearfield import (
     uca_radius,
 )
 from nearfield.channel import path_steering
-from steering_oracle import far_field_column, law_of_cosines_column, near_field_column
+from steering_oracle import (
+    approx_distance,
+    exact_distance,
+    far_field_column,
+    far_field_steering,
+    law_of_cosines_column,
+    near_field_column,
+    near_field_steering,
+)
 
 # Frozen from direct evaluation (Cartesian oracle below for distances).
 RADIUS_512 = 0.4074392109611285
@@ -100,10 +104,19 @@ def test_subcarrier_center_and_endpoint():
     assert freqs[0] == pytest.approx(29.95625e9, abs=1e-3)  # m = 1
 
 
+def cartesian_positions(geom):
+    """Cartesian (N, 3) coordinates; the ring lies in the z = 0 plane."""
+    psi = geom.antenna_azimuths_rad
+    return np.stack(
+        [geom.radius_m * np.cos(psi), geom.radius_m * np.sin(psi), np.zeros_like(psi)],
+        axis=1,
+    )
+
+
 def test_chord_between_adjacent_antennas_equals_spacing():
     geom = UcaGeometry.from_layout(128, 0.005)
-    positions = geom.positions()
-    gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+    points = cartesian_positions(geom)
+    gaps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     assert np.allclose(gaps, 0.005, atol=1e-12)
 
 

@@ -18,18 +18,14 @@ from nearfield import (
     build_polar_codebook,
     build_spherical_codebook,
     coherence_stats,
-    column_correlation,
     distance_grid,
     elevation_grid,
-    far_field_steering,
     first_j0_zero,
-    near_field_steering,
     solve_beta_delta,
     uca_radius,
 )
 from nearfield import codebook, phase_modes
 from nearfield.codebook import (
-    CodebookGrid,
     PairStats,
     SphericalCodebook,
     export_grid_text,
@@ -39,8 +35,8 @@ from nearfield.codebook import (
     min_codebook_distance,
 )
 from nearfield.harness import paper_profile
-from nearfield.phase_modes import Complex64Screen, DenseBasis, PhaseModes
-from steering_oracle import oracle_column, oracle_matrix
+from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes
+from steering_oracle import column_correlation, far_field_steering, near_field_steering, oracle_column, oracle_matrix
 
 # sha256 of each codebook's grid text, frozen from the per-point GridPoint
 # export that the grid arrays replaced.
@@ -71,6 +67,13 @@ PAPER_S_AT_PLANE = 668
 PAPER_AZIMUTH_STEP = 0.009393825
 PAPER_Z_CAP = 18.223103
 PAPER_RINGS = (18.223103, 9.111552, 6.074368, 4.555776)
+
+
+def _located(layout):
+    """The (t, s, z) indices (int64) and (r, theta, phi) samples (float64)
+    of every column of a ring layout, in column order: two (G, 3) arrays."""
+    t, s, z, r, theta, phi = layout.locate(np.arange(layout.num_columns))
+    return np.column_stack([t, s, z]), np.column_stack([r, theta, phi])
 
 
 def paper_geometry():
@@ -181,7 +184,7 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
     )
     assert small_codebook.num_columns == total
     by_level = {}
-    for t, s, z in small_codebook.layout.grid().indices.tolist():
+    for t, s, z in _located(small_codebook.layout)[0].tolist():
         azimuths, rings = by_level.get(t, (0, 0))
         by_level[t] = (max(azimuths, s + 1), max(rings, z + 1))
     assert by_level == {t: (azimuths, rings) for t, azimuths, rings in per_level}
@@ -190,40 +193,45 @@ def test_spherical_codebook_matches_count_oracle(small_config, small_codebook):
 def test_spherical_codebook_deterministic(small_config, small_codebook):
     again = build_spherical_codebook(small_config, 0.55, 0.25)
     assert np.array_equal(again.dense(), small_codebook.dense())
-    assert again.layout.grid() == small_codebook.layout.grid()
+    assert (again.layout == small_codebook.layout) is True
 
 
 def test_spherical_codebook_grid_consistency(small_codebook):
-    grid = small_codebook.layout.grid()
-    assert len(grid) == small_codebook.num_columns
-    assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
-    indices = [tuple(row) for row in grid.indices.tolist()]
+    layout = small_codebook.layout
+    grid_indices, coords = _located(layout)
+    assert len(grid_indices) == len(coords) == small_codebook.num_columns
+    assert grid_indices.dtype == np.int64 and coords.dtype == np.float64
+    indices = [tuple(row) for row in grid_indices.tolist()]
     assert len(indices) == len(set(indices))
-    for (_, _, z), (r, _, _) in zip(indices, grid.coords.tolist()):
+    for (_, _, z), (r, _, _) in zip(indices, coords.tolist()):
         assert math.isinf(r) == (z == 0)
         if not math.isinf(r):
             assert r >= 0.25
-    with pytest.raises(ValueError):
-        grid.coords[0, 0] = 1.0  # read-only
+    # `locate` returns new arrays: writing to them leaves the layout as it was.
+    coords[0, 0] = 1.0
+    assert math.isinf(_located(layout)[1][0, 0])
 
 
 def test_spherical_codebook_zenith_contributes_one_column(small_codebook):
-    grid = small_codebook.layout.grid()
-    zenith = grid.coords[grid.indices[:, 0] == 0]
+    indices, coords = _located(small_codebook.layout)
+    zenith = coords[indices[:, 0] == 0]
     assert len(zenith) == 1
     assert math.isinf(zenith[0, 0])
 
 
 def test_codebook_grid_equality_is_a_bool(small_codebook):
-    grid = small_codebook.layout.grid()
-    same = CodebookGrid(grid.indices.copy(), grid.coords.copy())
-    assert (same == grid) is True
-    moved = grid.coords.copy()
-    moved[-1, 2] += 1e-12
-    assert (CodebookGrid(grid.indices.copy(), moved) == grid) is False
-    assert grid != tuple(grid.indices.tolist())
-    with pytest.raises(ValueError):
-        CodebookGrid(grid.indices, grid.coords[:-1])
+    """The grid is the codebook's ring layout, which compares by value with a
+    plain bool: equal when rebuilt from copies of its elevations, unequal
+    when one azimuth moves by 1e-12 or a column goes."""
+    layout = small_codebook.layout
+    elevations = [(theta, phis.copy(), rings) for theta, phis, rings, _ in layout.elevations()]
+    assert (codebook._RingLayout(elevations) == layout) is True
+    theta, phis, rings = elevations[-1]
+    moved = phis.copy()
+    moved[-1] += 1e-12
+    assert (codebook._RingLayout([*elevations[:-1], (theta, moved, rings)]) == layout) is False
+    assert (codebook._RingLayout([*elevations[:-1], (theta, phis[:-1], rings)]) == layout) is False
+    assert layout != tuple(_located(layout)[0].tolist())
 
 
 def _azimuth_list(radius_m, wavelength_m, alpha, theta):
@@ -254,14 +262,15 @@ def _grid_of(spec, thetas):
         s, z = np.divmod(np.arange(len(phis) * len(rings), dtype=np.int64), len(rings))
         indices.append(np.column_stack([np.full_like(s, t), s, z]))
         coords.append(np.column_stack([np.asarray(rings)[z], np.full(s.size, theta), np.asarray(phis)[s]]))
-    return CodebookGrid(np.concatenate(indices), np.concatenate(coords))
+    return np.concatenate(indices), np.concatenate(coords)
 
 
 @pytest.mark.parametrize("phase_modes", [False, True])
 @pytest.mark.parametrize("polar", [False, True])
 def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, monkeypatch, phase_modes, polar, record_fills):
-    """A ring-built codebook keeps its layout as arrays and builds `grid`
-    from it only when it is read; the grid equals the per-elevation
+    """A ring-built codebook keeps its grid as its ring layout, whose arrays
+    `grid` reads, and fills the matrix its representation holds and nothing
+    more. Every column the layout locates equals the per-elevation
     construction bit for bit, and so do the float64 azimuth grids. The desk
     polar book (G = 504) holds its matrix and the spherical one
     (G = 3 789) a complex64 screen, unless phase modes are forced."""
@@ -278,14 +287,15 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
         assert isinstance(book, DenseBasis)
     else:
         assert isinstance(book, Complex64Screen)
-    assert "grid" not in built
+    assert built == ([] if phase_modes else ["matrix"])
+    assert book.grid is book.layout
     thetas = [0.5 * math.pi] if polar else elevation_grid(system.radius_m, system.wavelength_m, first_j0_zero())
-    want = _grid_of(desk_spec, thetas)
-    grid = book.layout.grid()
-    assert built.count("grid") == 1
-    assert grid.indices.dtype == np.int64 and grid.coords.dtype == np.float64
-    assert np.array_equal(grid.indices, want.indices) and np.array_equal(grid.coords, want.coords)
-    assert book.num_columns == len(want)
+    want_indices, want_coords = _grid_of(desk_spec, thetas)
+    indices, coords = _located(book.layout)
+    assert built == ([] if phase_modes else ["matrix"])
+    assert indices.dtype == np.int64 and coords.dtype == np.float64
+    assert np.array_equal(indices, want_indices) and np.array_equal(coords, want_coords)
+    assert book.num_columns == len(want_indices)
     for theta in thetas[1:]:
         phis = azimuth_grid(system.radius_m, system.wavelength_m, first_j0_zero(), theta)
         assert phis.dtype == np.float64
@@ -300,7 +310,7 @@ def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebo
     lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     for book in (desk_codebook, polar):
-        assert np.array_equal(book.dense(), oracle_matrix(book.layout.grid(), geom, lam))
+        assert np.array_equal(book.dense(), oracle_matrix(book.layout, geom, lam))
 
 
 def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
@@ -323,7 +333,7 @@ def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
     assert isinstance(book, PhaseModes)
     geom = UcaGeometry.from_config(spec.system)
     lam = spec.system.wavelength_m
-    coords = book.layout.grid().coords.tolist()
+    coords = _located(book.layout)[1].tolist()
     built = record_fills()
     mismatched = []
     for start in range(0, book.num_columns, 4096):
@@ -359,7 +369,7 @@ def test_spherical_codebook_rejects_bad_delta(small_config):
 
 def test_polar_codebook_is_coplanar_subset(small_config, small_codebook):
     polar = build_polar_codebook(small_config, 0.55, 0.25)
-    assert np.all(polar.layout.grid().coords[:, 1] == 0.5 * math.pi)
+    assert np.all(_located(polar.layout)[1][:, 1] == 0.5 * math.pi)
     assert polar.num_columns <= small_codebook.num_columns
 
 
@@ -439,8 +449,8 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
     single = DenseBasis(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), book.columns([0]))
-    grid = book.layout.grid()
-    assert single.layout.grid() == CodebookGrid(grid.indices[:1], grid.coords[:1])
+    for got, want in zip(_located(single.layout), _located(book.layout)):
+        assert np.array_equal(got, want[:1])
     stats = coherence_stats(single, 10)
     assert stats.random_pairs.count == 0
     assert stats.adjacent_azimuth.count == 0
@@ -478,7 +488,7 @@ def _adjacent_correlations_by_dict(book, matrix):
     """The correlations of the column pairs adjacent in t, s and z, found
     through a dict of (t, s, z) tuples, in ascending order of the first
     column of each pair, and gathered from the book's dense `matrix`."""
-    by_index = {tuple(ids): col for col, ids in enumerate(book.layout.grid().indices.tolist())}
+    by_index = {tuple(ids): col for col, ids in enumerate(_located(book.layout)[0].tolist())}
     axes = {0: ([], []), 1: ([], []), 2: ([], [])}
     for (t, s, z), col in by_index.items():
         for axis, neighbour in enumerate(((t + 1, s, z), (t, s + 1, z), (t, s, z + 1))):
@@ -550,8 +560,8 @@ def test_paper_grid_text_equals_the_export_of_the_whole_grid(tmp_path, record_fi
     built = record_fills()
     export_grid_text(book, path)
     assert built == []
-    grid = book.layout.grid()
-    columns = (*grid.indices.T.tolist(), *grid.coords.T.tolist())
+    indices, coords = _located(book.layout)
+    columns = (*indices.T.tolist(), *coords.T.tolist())
     want = "".join(f"{t},{s},{z},{r!r},{theta!r},{phi!r}\n" for t, s, z, r, theta, phi in zip(*columns))
     assert path.read_text(encoding="utf-8") == want
 
@@ -577,7 +587,7 @@ def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, az
     zenith), the per-pair values equal the dict oracle's bit for bit and
     in the same order, and the statistics are identical, on the desk
     spherical book dense, screened and with phase modes forced. No book
-    fills a dense matrix or builds its grid."""
+    fills a dense matrix."""
     monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", azimuths)
     books = _representations(desk_spec)
     want = _adjacent_correlations_by_dict(books["dense"], books["dense"].dense())
@@ -608,7 +618,7 @@ def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
 def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, monkeypatch, record_fills):
     """The grid export, in chunks of 1 000 points (3 789 is not a multiple),
     writes the frozen desk text byte for byte from each representation of
-    the desk spherical book, and builds no book's grid."""
+    the desk spherical book, and fills no matrix."""
     monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 1000)
     books = _representations(desk_spec)
     built = record_fills()
@@ -642,48 +652,133 @@ def test_grid_text_round_trip(tmp_path, books):
         path = tmp_path / f"{name}.txt"
         export_grid_text(book, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_TEXT_SHA256[name], name
-        assert (load_grid_text(path) == book.layout.grid()) is True, name
+        assert (load_grid_text(path) == book.layout) is True, name
+
+
+def _rebuilt(name, book, layout, system):
+    """A book of `book`'s class on `layout`, built as its build builds it."""
+    geom, lam = UcaGeometry.from_config(system), system.wavelength_m
+    if name == "angular":
+        dft = DftBasis(layout)
+        return dft if isinstance(book, DftBasis) else DenseBasis(layout, dft.dense())
+    if isinstance(book, DenseBasis):
+        return DenseBasis(layout, phase_modes.ring_matrix(layout, geom, lam))
+    return type(book)(layout, geom, lam)
+
+
+def _check_loaded_grid_rebuilds(tmp_path, books, system):
+    """Each book's grid text loads as its layout, and the same class built
+    on the loaded layout fills every 97th column bit for bit."""
+    for name, book in books.items():
+        path = tmp_path / f"{name}.txt"
+        export_grid_text(book, path)
+        layout = load_grid_text(path)
+        assert (layout == book.layout) is True, name
+        rebuilt = _rebuilt(name, book, layout, system)
+        assert type(rebuilt) is type(book), name
+        idx = np.arange(0, book.num_columns, 97)
+        assert np.array_equal(rebuilt.columns(idx), book.columns(idx)), name
+
+
+def test_loaded_desk_grids_rebuild_their_books(tmp_path, books, desk_spec):
+    _check_loaded_grid_rebuilds(tmp_path, {name: books[name] for name in ("desk", "polar", "angular")}, desk_spec.system)
+
+
+@pytest.mark.slow
+def test_loaded_paper_grids_rebuild_their_books(tmp_path):
+    spec = paper_profile()
+    system = spec.system
+    books = {
+        "desk": build_spherical_codebook(system, spec.delta, spec.r_min_m),
+        "polar": build_polar_codebook(system, spec.delta, spec.r_min_m),
+        "angular": build_angular_codebook(system),
+    }
+    assert [type(book) for book in books.values()] == [PhaseModes, PhaseModes, DftBasis]
+    _check_loaded_grid_rebuilds(tmp_path, books, system)
+
+
+# Finite floats with -0.0 and subnormals always among the draws.
+_EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    points=st.lists(
+    elevations=st.lists(
         st.tuples(
-            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 3),
-            st.tuples(*[st.floats(allow_nan=False)] * 3),
+            _EDGE_FLOATS,
+            st.lists(_EDGE_FLOATS, min_size=1, max_size=4),
+            st.lists(st.one_of(st.just(math.inf), _EDGE_FLOATS), min_size=1, max_size=3),
         ),
-        max_size=12,
+        min_size=1,
+        max_size=4,
     )
 )
-def test_grid_text_round_trip_property(tmp_path_factory, points):
-    """Any grid, with +-inf, -0.0, subnormal and extreme values, loads back
-    bit for bit, also when it is written in chunks of 5 points."""
-    indices = np.array([p[0] for p in points], dtype=np.int64).reshape(-1, 3)
-    coords = np.array([p[1] for p in points], dtype=np.float64).reshape(-1, 3)
-    # The export reads only the layout's column count and `locate`, so a
-    # stand-in whose `locate` reads the arrays will do.
-    layout = types.SimpleNamespace(
-        num_columns=len(points),
-        locate=lambda idx: (*indices[idx].T, *coords[idx].T),
-    )
-    book = types.SimpleNamespace(layout=layout)
+def test_grid_text_round_trip_property(tmp_path_factory, elevations):
+    """Any ring layout, with -0.0, subnormal and extreme azimuths and
+    r = inf rings, loads back bit for bit, also when it is written in
+    chunks of 5 points."""
+    layout = codebook._RingLayout(elevations)
+    book = types.SimpleNamespace(layout=layout)  # the export reads only the layout
     path = tmp_path_factory.mktemp("grid") / "grid.txt"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(phase_modes, "_FILL_COLUMNS", 5)
         export_grid_text(book, path)
     loaded = load_grid_text(path)
-    assert loaded.indices.tobytes() == indices.tobytes()
-    assert loaded.coords.tobytes() == coords.tobytes()
+    assert (loaded == layout) is True
+    for name in ("thetas", "column_starts", "azimuth_starts", "ring_starts", "azimuths", "rings"):
+        assert getattr(loaded, name).tobytes() == getattr(layout, name).tobytes(), name
 
 
-@pytest.mark.parametrize(
-    "line", ["1.5,0,0,inf,0.1,0.2", "1,0,0,inf,0.1", "1,0,0,inf,0.1,0.2,0.3", "1,0,0,inf,north,0.2"]
-)
-def test_load_grid_text_rejects_malformed_lines(tmp_path, line):
-    """The error names the file and line; the blank line between counts."""
+# Three elevations: the zenith column, 2 azimuths x 2 rings, and one column.
+_GRID_ROWS = [
+    "0,0,0,inf,0.0,0.0",
+    "1,0,0,inf,0.5,0.0",
+    "1,0,1,2.0,0.5,0.0",
+    "1,1,0,inf,0.5,1.5",
+    "1,1,1,2.0,0.5,1.5",
+    "2,0,0,inf,1.0,0.0",
+]
+
+
+def _grid_text(rows):
+    return "".join(f"{row}\n" for row in rows)
+
+
+def _with_row(number, row):
+    """`_GRID_ROWS` with line `number` replaced by `row`."""
+    return _grid_text(_GRID_ROWS[: number - 1] + [row] + _GRID_ROWS[number:])
+
+
+_MALFORMED_GRIDS = [
+    *(pytest.param(f"0,0,0,inf,0.0,0.0\n\n{line}\n", 3, id=line) for line in ["1.5,0,0,inf,0.1,0.2", "1,0,0,inf,0.1", "1,0,0,inf,0.1,0.2,0.3", "1,0,0,inf,north,0.2"]),
+    pytest.param(f"0,0,0,inf,0.0,0.0\n\n{2**63},0,0,inf,0.1,0.2\n", 3, id="index-outside-int64"),
+    pytest.param(_grid_text(_GRID_ROWS[:2] + [_GRID_ROWS[3], _GRID_ROWS[2]] + _GRID_ROWS[4:]), 3, id="swapped-rows"),
+    pytest.param(_grid_text(_GRID_ROWS[:3] + _GRID_ROWS[2:]), 4, id="duplicated-row"),
+    pytest.param(_grid_text(_GRID_ROWS[:4] + _GRID_ROWS[5:]), 5, id="truncated-elevation"),
+    pytest.param(_grid_text(_GRID_ROWS[:5]) + "\n" + "2,1,0,inf,1.0,3.0\n", 7, id="row-beyond-the-grid"),
+    pytest.param(_grid_text(_GRID_ROWS[:4]), 5, id="truncated-file"),
+    pytest.param(_with_row(3, "1,0,1,nan,0.5,0.0"), 3, id="nan-r"),
+    pytest.param(_with_row(3, "1,0,1,-inf,0.5,0.0"), 3, id="-inf-r"),
+    pytest.param(_with_row(2, "1,0,0,inf,nan,0.0"), 2, id="nan-theta"),
+    pytest.param(_with_row(4, "1,1,0,inf,0.5,nan"), 4, id="nan-phi"),
+    pytest.param(_with_row(4, "1,1,0,inf,inf,1.5"), 4, id="inf-theta"),
+    pytest.param(_with_row(5, "1,1,1,2.0,-inf,1.5"), 5, id="-inf-theta"),
+    pytest.param(_with_row(4, "1,1,0,inf,0.5,inf"), 4, id="inf-phi"),
+    pytest.param(_with_row(2, "1,0,0,inf,0.5,-inf"), 2, id="-inf-phi"),
+    pytest.param("", 1, id="empty"),
+    pytest.param("\n\n", 1, id="blank-lines-only"),
+]
+
+
+@pytest.mark.parametrize("text, line", _MALFORMED_GRIDS)
+def test_load_grid_text_rejects_malformed_lines(tmp_path, text, line):
+    """The error names the file and the first line out of place, counting
+    blank lines; the grid the cases are cut from loads."""
     path = tmp_path / "grid.txt"
-    path.write_text(f"0,0,0,inf,0.0,0.0\n\n{line}\n")
-    with pytest.raises(ValueError, match="grid.txt:3: "):
+    path.write_text(_grid_text(_GRID_ROWS))
+    assert load_grid_text(path).num_columns == len(_GRID_ROWS)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"grid.txt:{line}: "):
         load_grid_text(path)
 
 

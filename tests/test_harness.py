@@ -68,6 +68,12 @@ def test_run_spec_validation():
     for lengths in ((8, 8), (8, 16, 16)):
         with pytest.raises(ConfigurationError, match=r"pilot_lengths must be strictly ascending, got \["):
             tiny_spec(pilot_lengths=lengths)
+    # Distinct points that print as one 12-digit CSV value wrote two rows
+    # `load_csv` could not tell apart.
+    for snrs in ((1.0, 1.0000000000001), (1, 1.0000000000001, 5.0), (0.0, 5.0, 5.0000000000001)):
+        with pytest.raises(ConfigurationError, match=r"snr_list_db points print as one CSV value: \['(1|5)'\]"):
+            tiny_spec(snr_list_db=snrs)
+    assert tiny_spec(snr_list_db=(1.0, 1.00000000001)).snr_list_db == (1.0, 1.00000000001)
     # A pilot sweep runs int(value) slots, so only integers >= 1 may label rows.
     for lengths in ((8.5, 16), (16.0,), (0, 8), (-8,), ("8",), (True, 8)):
         with pytest.raises(ConfigurationError, match="pilot_lengths must be integers >= 1"):
@@ -471,7 +477,8 @@ _CSV_FLOATS = st.floats(allow_subnormal=False)
 @st.composite
 def _sweep_rows(draw):
     """A row as `_run_sweep` writes one: nmse_db from nmse_linear, and zero
-    trials exactly when the NMSE is NaN."""
+    trials exactly when the NMSE is NaN. A sweep writes one row per method
+    and printed sweep value, so lists of them are unique in both."""
     linear = draw(st.one_of(st.just(math.nan), st.floats(min_value=0.0, allow_subnormal=False)))
     return SweepRow(
         sweep_value=draw(st.one_of(st.integers(1, 10**6), _CSV_FLOATS)),
@@ -484,7 +491,7 @@ def _sweep_rows(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(_sweep_rows(), max_size=8))
+@given(rows=st.lists(_sweep_rows(), max_size=8, unique_by=lambda row: (float(f"{row.sweep_value:.12g}"), row.method)))
 @example(
     rows=[
         SweepRow(8, "ls", math.nan, math.nan, 0, 0.25),
@@ -547,11 +554,14 @@ def test_emit_csv_reports_os_errors(tmp_path):
         ("10,ls,0.05,-13.0102999566,3,-0.25", "wall_time_s must be finite and >= 0, got -0.25"),
         ("10,ls,0.05,-13.0102999566,3,inf", "wall_time_s must be finite and >= 0, got inf"),
         ("10,ls,0.05,-13.0102999566,3,nan", "wall_time_s must be finite and >= 0, got nan"),
+        ("10,s-somp,0.025,-16.0205999133,3,1.5", "a second row for sweep value 10.0 and method s-somp"),
+        ("1e1,s-somp,0.5,-3.01029995664,3,1.5", "a second row for sweep value 10.0 and method s-somp"),
     ],
     ids=[
         "short", "long", "fractional-count", "non-numeric", "blank", "unknown-method", "negative-nmse",
         "db-disagrees", "db-nan", "linear-nan", "zero-not-minus-inf", "minus-inf-not-zero",
         "negative-trials", "negative-trials-nan", "zero-trials-finite", "negative-time", "inf-time", "nan-time",
+        "repeated-row", "repeated-value-printed-otherwise",
     ],
 )
 def test_load_csv_names_the_malformed_line(tmp_path, line, reason):
@@ -855,13 +865,15 @@ def test_cli_rejects_non_numeric_and_non_integral_config_values(tmp_path, capsys
         (["sweep", "pilot", "--snr", "1001"], "snr_db must lie within +-1000 dB or be +inf, got [1001.0]"),
         (["sweep", "snr", "--snr-list", "0,0,-0"], "snr_list_db must be strictly ascending, got [0.0, 0.0, -0.0]"),
         (["sweep", "pilot", "--pilot-list", "8,8"], "pilot_lengths must be strictly ascending, got [8, 8]"),
+        (["sweep", "snr", "--snr-list", "1,1.0000000000001"], "snr_list_db points print as one CSV value: ['1']"),
     ],
 )
 def test_cli_rejects_bad_list_flags(tmp_path, capsys, monkeypatch, command, message):
     """List flags parse their items as config lists do: a bad item exits 2
     naming its key, and no CSV is written. A NaN or -inf SNR is one, and so
     is one beyond +-1000 dB, which used to exit 0 with rows of 0 trials, and
-    so is a repeated sweep point, which used to write one row per repeat.
+    so is a repeated sweep point, which used to write one row per repeat,
+    and so are two points that print as one CSV value.
     Each exits before any codebook is built."""
     builds = []
     monkeypatch.setattr(harness, "build_codebooks", lambda spec: builds.append(spec))

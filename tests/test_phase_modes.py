@@ -93,10 +93,10 @@ def test_matrix_is_built_on_each_read_from_the_basis(small_config, book_pairs, r
     book.correlate(np.ones(book.num_antennas))
     book.columns([0, 1])
     assert built == []
-    assert book.grid == dense.grid
+    assert (book.grid == dense.grid) is True
     assert np.array_equal(book.matrix, dense.dense())
     assert np.array_equal(book.matrix, dense.dense())
-    assert built == ["grid", "grid", "matrix", "matrix"]
+    assert built == ["matrix", "matrix"]
 
 
 def test_dense_basis_rejects_a_matrix_short_of_its_layout(small_config, small_codebook):
@@ -151,7 +151,7 @@ def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
     its layout: `dense()` is N x G, `columns(idx)` is `dense()[:, idx]` bit
     for bit for any index list (negative indices included), `nbytes` counts
     the arrays it holds, only the screen and the phase modes are streamed,
-    and `matrix` and `grid` are `dense()` and `layout.grid()`. `dense()` and
+    and `matrix` and `grid` are `dense()` and `layout`. `dense()` and
     the `entries` a dense or screen book holds are C-ordered: BLAS may sum a
     product in an order that follows the operands' layout, and S-SOMP's Gram
     and screen GEMMs were checked bit for bit on that order."""
@@ -167,7 +167,7 @@ def test_every_basis_has_the_shared_interface(desk_bases, kind, data):
     assert (book.nbytes == 0) == (kind == "dft")
     assert book.streamed == (kind in ("screen", "phase modes"))
     assert np.array_equal(book.matrix, dense)
-    assert book.grid == book.layout.grid()
+    assert book.grid is book.layout
 
 
 @pytest.mark.parametrize("kind", BASES)
@@ -249,7 +249,7 @@ def _index_patterns(book):
 @pytest.mark.parametrize("name", ("desk", "desk-polar"))
 def test_columns_located_through_the_ring_layout_equal_the_dense_matrix(book_pairs, name, record_fills):
     """`columns` finds each column's ring and azimuth from the layout
-    arrays alone; it builds neither the grid nor the matrix."""
+    arrays alone; it fills no matrix."""
     held, dense = book_pairs[name]
     built = record_fills()
     for pattern, idx in _index_patterns(held).items():
@@ -286,8 +286,8 @@ def test_every_column_set_and_elevation_is_one_kernel_call(small_config, book_pa
 
 
 def test_build_codebooks_and_trials_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, record_fills):
-    """A sweep on phase-mode books reads neither `grid` nor `matrix`: the
-    ring layout gives `columns` and `num_columns` what they need."""
+    """A sweep on phase-mode books fills no matrix: the ring layout gives
+    `columns` and `num_columns` what they need."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     built = record_fills()
     spec = dataclasses.replace(desk_spec, methods=(METHOD_S_SOMP, METHOD_P_SOMP))
@@ -313,7 +313,7 @@ def test_coherence_stats_equal_the_dense_twin(book_pairs, name, record_fills):
 
 @pytest.mark.parametrize("polar", [False, True])
 def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monkeypatch, polar, record_fills):
-    """Coherence walks the ring layout: it reads neither `grid` nor `matrix`."""
+    """Coherence walks the ring layout: it fills no matrix."""
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     build = build_polar_codebook if polar else build_spherical_codebook
     book = build(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
