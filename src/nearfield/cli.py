@@ -126,10 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     book = sub.add_parser("codebook", help="build or inspect transform codebooks")
     book_sub = book.add_subparsers(dest="subcommand", required=True)
 
-    build = book_sub.add_parser("build", help="build the spherical codebook and export it")
+    build = book_sub.add_parser("build", help="build the spherical codebook and write its grid text")
     _add_common_flags(build)
-    build.add_argument("--out", required=True, help="grid metadata text file")
-    build.add_argument("--matrix-out", help="optional raw binary matrix dump")
+    build.add_argument("--out", required=True, help="grid text file, one t,s,z,r,theta,phi row per column")
 
     stats = book_sub.add_parser("stats", help="print grid sizes and coherence summary")
     _add_common_flags(stats)
@@ -173,9 +172,6 @@ def _cmd_codebook_build(args) -> int:
     book = _build_spherical(spec)
     cb.export_grid_text(book, args.out)
     print(f"wrote {book.num_columns} grid points to {args.out}")
-    if args.matrix_out:
-        cb.export_matrix_binary(book, args.matrix_out)
-        print(f"wrote {book.num_antennas} x {book.num_columns} matrix to {args.matrix_out}")
     return EXIT_OK
 
 

@@ -417,7 +417,9 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
 
     Written a `column_blocks` block of `codebook.columns` at a time, so no
     matrix-sized copy is made, and a matrix-free codebook never fills its
-    dense matrix: a walk holds one block and its transposed copy.
+    dense matrix: a walk holds one block and its transposed copy. Only the
+    benchmark's traced round trip calls it and `load_matrix_binary`; ROADMAP
+    item 14 deletes both once item 1 lands.
     """
     n, g = codebook.num_antennas, codebook.num_columns
     with open(path, "wb") as handle:
@@ -428,7 +430,8 @@ def export_matrix_binary(codebook: SphericalCodebook, path) -> None:
 
 def load_matrix_binary(path) -> np.ndarray:
     """Read a matrix written by `export_matrix_binary`, a `column_blocks`
-    block of columns at a time, into the (N, G) result."""
+    block of columns at a time, into the (N, G) result; only the benchmark's
+    traced round trip calls it (ROADMAP item 14)."""
     with open(path, "rb") as handle:
         header = handle.read(16)
         if len(header) != 16 or header[:4] != _BINARY_MAGIC:

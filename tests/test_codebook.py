@@ -535,7 +535,9 @@ def test_coherence_stats_matches_dict_oracle(books, name):
 def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(record_fills):
     """On the phase-mode paper book, coherence takes two elevations' columns
     at a time: a traced peak under 300 MB, where the dense matrix alone is
-    822 MB. Its statistics equal the gather oracle's bit for bit."""
+    822 MB. Its statistics equal the gather oracle's bit for bit, and its
+    adjacent rows' maxima and medians are pinned at the 4 decimals
+    `codebook stats` prints."""
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     built = record_fills()
@@ -548,6 +550,8 @@ def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(recor
     assert built == []
     assert peak < 300e6
     assert got == _coherence_stats_by_dict(book, 2000, seed=0)
+    rows = (got.adjacent_elevation, got.adjacent_azimuth, got.adjacent_distance)
+    assert [f"{row.max:.4f} {row.median:.4f}" for row in rows] == ["0.4028 0.1854", "0.0050 0.0001", "0.5500 0.5492"]
 
 
 @pytest.mark.slow

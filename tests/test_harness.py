@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearfield
-from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, run_trial
+from nearfield import ConfigurationError, codebook, desk_profile, estimator, harness, phase_modes, run_trial
 from nearfield.cli import main as cli_main
 from nearfield.harness import (
     CSV_HEADER,
@@ -664,20 +664,17 @@ def test_cli_sweep_pilot_writes_csv(tmp_path):
 
 
 def test_cli_codebook_build_and_stats(tmp_path, capsys):
+    from nearfield.cli import assemble_spec, build_parser
+
     grid_out = tmp_path / "grid.txt"
-    matrix_out = tmp_path / "matrix.bin"
     config_path = tmp_path / "small.cfg"
     config_path.write_text("num_antennas = 64\nr_min_m = 0.25\n")
-    code = cli_main(
-        [
-            "codebook", "build",
-            "--config", str(config_path),
-            "--out", str(grid_out),
-            "--matrix-out", str(matrix_out),
-        ]
-    )
-    assert code == 0
-    assert grid_out.exists() and matrix_out.exists()
+    argv = ["codebook", "build", "--config", str(config_path), "--out", str(grid_out)]
+    assert cli_main(argv) == 0
+    # The grid text loads as the layout of the book the same config builds.
+    spec = assemble_spec(build_parser().parse_args(argv))
+    book = codebook.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
+    assert codebook.load_grid_text(grid_out) == book.layout
 
     code = cli_main(["codebook", "stats", "--config", str(config_path), "--budget", "200"])
     out = capsys.readouterr().out
@@ -694,11 +691,10 @@ def test_cli_codebook_build_and_stats(tmp_path, capsys):
 def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     """The desk profile's spherical book (N = 128, G = 3 789) holds a
     complex64 screen: build and stats both say so, with its bytes (8 per
-    entry) beside the dense matrix's (16), and the exported matrix is the
-    exact float64 one."""
+    entry) beside the dense matrix's (16). The grid text the build writes
+    rebuilds the exact float64 matrix, every column bit for bit."""
     grid_out = tmp_path / "grid.txt"
-    matrix_out = tmp_path / "matrix.bin"
-    args = ["codebook", "build", "--profile", "desk", "--out", str(grid_out), "--matrix-out", str(matrix_out)]
+    args = ["codebook", "build", "--profile", "desk", "--out", str(grid_out)]
     assert cli_main(args) == 0
     assert cli_main(["codebook", "stats", "--profile", "desk", "--budget", "200"]) == 0
     out = capsys.readouterr().out
@@ -712,20 +708,32 @@ def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     assert "adjacent distance" in out
     spec = desk_profile()
     book = codebook.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
-    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.dense())
+    rebuilt = phase_modes.ring_matrix(codebook.load_grid_text(grid_out), book.geom, book.wavelength_m)
+    assert rebuilt.shape == (n, g)
+    assert np.array_equal(rebuilt, book.dense())
 
 
 def test_cli_codebook_stats_states_its_pair_counts_before_the_walk(capsys, monkeypatch):
     """`codebook stats` prints how many adjacent pairs it will correlate
     before it walks them, so a walk too long to finish (N = 4096) shows its
-    size first. The counts are those the walk reports."""
+    size first. The counts are those the walk reports.
+
+    The rows themselves are pinned. Elevation pairs (t - 1, s, z) with
+    (t, s, z): at s > 0 two different azimuths, whose maximum 0.4028 is
+    |J0|'s first minimum. Distance exceeds delta = 0.55 by the error of the
+    Fresnel approximation the ring spacing comes from."""
     argv = ["codebook", "stats", "--profile", "desk", "--budget", "200"]
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
     line = "adjacent pairs to correlate: elevation 3297, azimuth 3751, distance 1571\n"
     assert out.index(line) < out.index("column correlations:")
-    for label, count in (("adjacent elevation", 3297), ("adjacent azimuth", 3751), ("adjacent distance", 1571)):
-        assert f"  {label:<18} n={count:<7d} max=" in out
+    rows = (
+        ("adjacent elevation", 3297, "max=0.4028 mean=0.1851 median=0.1898 q90=0.3402"),
+        ("adjacent azimuth", 3751, "max=0.0130 mean=0.0016 median=0.0000 q90=0.0049"),
+        ("adjacent distance", 1571, "max=0.5503 mean=0.5465 median=0.5477 q90=0.5503"),
+    )
+    for label, count, values in rows:
+        assert f"  {label:<18} n={count:<7d} {values}\n" in out
 
     def stopped(*args):
         raise RuntimeError("walk stopped")
@@ -739,7 +747,6 @@ def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, mo
     monkeypatch.setattr(codebook, "_PHASE_MODE_MIN_ANTENNAS", 1)
     fills = record_fills()
     grid_out = tmp_path / "grid.txt"
-    matrix_out = tmp_path / "matrix.bin"
     config_path = tmp_path / "small.cfg"
     config_path.write_text("num_antennas = 64\nr_min_m = 0.25\n")
     args = ["codebook", "build", "--config", str(config_path), "--out", str(grid_out)]
@@ -756,11 +763,7 @@ def test_cli_codebook_build_of_phase_modes_builds_no_matrix(tmp_path, capsys, mo
         f"codebook 64 x {g} holds phase modes of {modes.num_rings} rings, "
         f"{modes.num_modes} modes: {modes.nbytes} bytes (dense: {64 * g * 16} bytes), built in "
     ) in out
-
-    # --matrix-out writes the matrix column chunk by column chunk, without building it.
-    assert cli_main(args + ["--matrix-out", str(matrix_out)]) == 0
-    assert fills == []
-    assert np.array_equal(codebook.load_matrix_binary(matrix_out), book.dense())
+    assert codebook.load_grid_text(grid_out) == book.layout
 
 
 def test_cli_paper_profile_needs_no_slow_flag(capsys):
@@ -1000,6 +1003,16 @@ def test_cli_has_no_workers_flag(capsys):
         cli_main(["trial", "--workers", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_cli_has_no_matrix_out_flag(tmp_path, capsys):
+    """`codebook build` writes the grid text only: the grid rebuilds W."""
+    grid, dump = tmp_path / "g.txt", tmp_path / "m.bin"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["codebook", "build", "--out", str(grid), "--matrix-out", str(dump)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --matrix-out {dump}" in capsys.readouterr().err
+    assert not grid.exists() and not dump.exists()
 
 
 def test_library_starts_no_threads():
