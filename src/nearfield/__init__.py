@@ -10,7 +10,6 @@ from .channel import (
     ConfigurationError,
     PathParams,
     SystemConfig,
-    UcaGeometry,
     azimuth_cosines,
     generate_channel,
     ring_steering,

@@ -1,10 +1,10 @@
-"""UCA geometry, spherical-wave propagation distances, steering vectors,
-and multipath OFDM channel synthesis."""
+"""System parameters, the UCA's spherical-wave steering vectors, and
+multipath OFDM channel synthesis."""
 
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,28 +71,6 @@ class SystemConfig:
         return 2.0 * self.radius_m
 
 
-@dataclass(frozen=True, eq=False)
-class UcaGeometry:
-    """Antenna ring: radius plus the angular position of every element."""
-
-    radius_m: float
-    antenna_azimuths_rad: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_config(cls, config: SystemConfig) -> "UcaGeometry":
-        return cls.from_layout(config.num_antennas, config.antenna_spacing_m)
-
-    @classmethod
-    def from_layout(cls, num_antennas: int, spacing_m: float) -> "UcaGeometry":
-        radius = uca_radius(spacing_m, num_antennas)
-        azimuths = 2.0 * math.pi * np.arange(num_antennas) / num_antennas
-        return cls(radius, azimuths)
-
-    @property
-    def num_antennas(self) -> int:
-        return self.antenna_azimuths_rad.size
-
-
 @dataclass(frozen=True)
 class PathParams:
     """One propagation path: spherical position of the source plus complex gain.
@@ -129,13 +107,15 @@ def subcarrier_frequencies(config: SystemConfig) -> np.ndarray:
     return config.carrier_freq_hz + offset / (2.0 * config.num_subcarriers)
 
 
-def azimuth_cosines(phis, geom: UcaGeometry) -> np.ndarray:
-    """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`."""
-    out = np.subtract(np.asarray(phis, dtype=np.float64)[:, None], geom.antenna_azimuths_rad)
+def azimuth_cosines(phis, system: SystemConfig) -> np.ndarray:
+    """cos(phi_s - psi_n) as an (S, N) array, one row per azimuth in `phis`,
+    with psi_n = 2 pi n / N the azimuth of antenna n."""
+    n = system.num_antennas
+    out = np.subtract(np.asarray(phis, dtype=np.float64)[:, None], 2.0 * math.pi * np.arange(n) / n)
     return np.cos(out, out=out)
 
 
-def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out):
+def ring_steering(r, theta, cosines, system: SystemConfig, out):
     """Write the unit-norm steering vectors towards (r_s, theta_s, phi_s) into
     `out` (N x S), the one kernel every steering vector comes from.
 
@@ -145,9 +125,10 @@ def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out
     exact distance, and its phase k (r_s - r^(n)) = v / (sqrt(1/4 - v / (2 k r_s)) + 1/2)
     with v = k R (x - R / (2 r_s)), x = sin(theta_s) cos(phi_s - psi_n): no
     cancellation at large r_s, and at r_s = inf the plane wave's k R x.
+    N, R and lambda are the `system`'s.
     """
-    radius = geom.radius_m
-    wavenumber = 2.0 * math.pi / wavelength_m
+    radius = system.radius_m
+    wavenumber = 2.0 * math.pi / system.wavelength_m
     r = np.asarray(r, dtype=np.float64).reshape(-1, 1)
     sin = np.sin(np.asarray(theta, dtype=np.float64).reshape(-1, 1))
     if (r <= radius).any():
@@ -166,16 +147,16 @@ def ring_steering(r, theta, cosines, geom: UcaGeometry, wavelength_m: float, out
     np.divide(phase, root, out=phase)
     entries = np.multiply(1j, phase, out=out.T)
     np.exp(entries, out=entries)
-    np.divide(entries, math.sqrt(geom.num_antennas), out=entries)
+    np.divide(entries, math.sqrt(system.num_antennas), out=entries)
     return out
 
 
-def path_steering(paths, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
+def path_steering(paths, system: SystemConfig) -> np.ndarray:
     """The C-ordered (N, L) steering vectors of L paths, one column per path,
     from one `ring_steering` call."""
     r, theta, phi = np.array([(p.distance_m, p.elevation_rad, p.azimuth_rad) for p in paths]).T
-    out = np.empty((geom.num_antennas, len(paths)), dtype=np.complex128)
-    return ring_steering(r, theta, azimuth_cosines(phi, geom), geom, wavelength_m, out)
+    out = np.empty((system.num_antennas, len(paths)), dtype=np.complex128)
+    return ring_steering(r, theta, azimuth_cosines(phi, system), system, out)
 
 
 def generate_channel(paths, config: SystemConfig) -> np.ndarray:
@@ -193,13 +174,13 @@ def generate_channel(paths, config: SystemConfig) -> np.ndarray:
         raise ValueError(
             f"path count {num_paths} exceeds antenna count {config.num_antennas}"
         )
-    geom = UcaGeometry.from_config(config)
+    radius = config.radius_m
     for p in paths:
-        if p.distance_m <= geom.radius_m:
+        if p.distance_m <= radius:
             raise ValueError(
-                f"path at r={p.distance_m} lies inside the array (R={geom.radius_m})"
+                f"path at r={p.distance_m} lies inside the array (R={radius})"
             )
-    steering = path_steering(paths, geom, config.wavelength_m)
+    steering = path_steering(paths, config)
     wavenumbers = 2.0 * math.pi * subcarrier_frequencies(config) / C_LIGHT
     distances = np.array([p.distance_m for p in paths])
     gains = np.array([p.gain for p in paths], dtype=np.complex128)

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: `codebook build|stats`, `sweep snr`, `sweep pilot`, and `trial`.
-Configuration precedence is flag > config file > built-in profile. Exit
-codes: 0 success, 2 configuration error, 3 runtime/numerical failure.
+Each takes only the flags it reads; a config file may set any key, since one
+file serves every subcommand. Configuration precedence is flag > config file
+> built-in profile. Exit codes: 0 success, 2 configuration error,
+3 runtime/numerical failure.
 """
 
 import argparse
@@ -108,12 +110,20 @@ def assemble_spec(args) -> harness.RunSpec:
     return spec
 
 
-def _add_common_flags(parser):
+_RUN_FLAGS = {
+    "--seed": {"type": int, "help": "master seed"},
+    "--trials": {"type": int, "help": "Monte Carlo trials per point"},
+    "--methods": {"help": "comma list from: " + ",".join(harness.METHODS)},
+}
+
+
+def _add_flags(parser, *run_flags):
+    """--config and --profile, which every subcommand reads, and those of
+    `_RUN_FLAGS` named in `run_flags`."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    parser.add_argument("--methods", help="comma list from: " + ",".join(harness.METHODS))
     parser.add_argument("--profile", choices=sorted(harness.PROFILES), help="built-in parameter profile (default desk)")
+    for flag in run_flags:
+        parser.add_argument(flag, **_RUN_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,29 +137,29 @@ def build_parser() -> argparse.ArgumentParser:
     book_sub = book.add_subparsers(dest="subcommand", required=True)
 
     build = book_sub.add_parser("build", help="build the spherical codebook and write its grid text")
-    _add_common_flags(build)
+    _add_flags(build)
     build.add_argument("--out", required=True, help="grid text file, one t,s,z,r,theta,phi row per column")
 
     stats = book_sub.add_parser("stats", help="print grid sizes and coherence summary")
-    _add_common_flags(stats)
+    _add_flags(stats)
     stats.add_argument("--budget", type=int, default=2000, help="random pair sample size")
 
     sweep = sub.add_parser("sweep", help="Monte Carlo NMSE sweeps")
     sweep_sub = sweep.add_subparsers(dest="subcommand", required=True)
 
     snr = sweep_sub.add_parser("snr", help="NMSE versus SNR")
-    _add_common_flags(snr)
+    _add_flags(snr, "--seed", "--trials", "--methods")
     snr.add_argument("--snr-list", help="comma list of SNR points in dB, " + _SNR_RULE)
     snr.add_argument("--out", required=True, help="output CSV path")
 
     pilot = sweep_sub.add_parser("pilot", help="NMSE versus pilot length")
-    _add_common_flags(pilot)
+    _add_flags(pilot, "--seed", "--trials", "--methods")
     pilot.add_argument("--pilot-list", help="comma list of pilot lengths")
     pilot.add_argument("--snr", type=float, help="fixed SNR in dB, " + _SNR_RULE)
     pilot.add_argument("--out", required=True, help="output CSV path")
 
     trial = sub.add_parser("trial", help="single seeded trial (debug)")
-    _add_common_flags(trial)
+    _add_flags(trial, "--seed", "--methods")
     trial.add_argument("--snr", type=float, help="SNR in dB (default: profile snr_db), " + _SNR_RULE)
     trial.add_argument("--trial-index", type=int, default=0)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ConfigurationError, SystemConfig, UcaGeometry
+from .channel import ConfigurationError, SystemConfig
 from .numerics import first_j0_zero, solve_beta_delta
 from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, SphericalCodebook, column_blocks, ring_matrix
 
@@ -161,11 +161,10 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
             f"r_min={r_min_m} m is inside the reactive region; it must exceed "
             f"0.5*sqrt(D^3/lambda) = {floor_m:.6g} m for this geometry"
         )
-    geom = UcaGeometry.from_config(config)
-    lam = config.wavelength_m
+    radius, lam = config.radius_m, config.wavelength_m
     alpha = first_j0_zero()
     beta = solve_beta_delta(delta)
-    z_cap = math.pi * geom.radius_m**2 / (2.0 * lam * beta)
+    z_cap = math.pi * radius**2 / (2.0 * lam * beta)
 
     elevations = []  # (theta, azimuths, rings) per elevation
     for theta in thetas:
@@ -174,14 +173,14 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
             # collapses to the single constant plane-wave column.
             elevations.append((theta, [0.0], [FAR_FIELD]))
         else:
-            elevations.append((theta, azimuth_grid(geom.radius_m, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
+            elevations.append((theta, azimuth_grid(radius, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
     layout = _RingLayout(elevations)
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
-        return PhaseModes(layout, geom, lam)
+        return PhaseModes(layout, config)
     if layout.num_columns >= _SCREEN_MIN_COLUMNS:
-        return Complex64Screen(layout, geom, lam)
-    return DenseBasis(layout, ring_matrix(layout, geom, lam))
+        return Complex64Screen(layout, config)
+    return DenseBasis(layout, ring_matrix(layout, config))
 
 
 def build_spherical_codebook(config: SystemConfig, delta: float, r_min_m: float) -> SphericalCodebook:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SystemConfig, UcaGeometry, path_steering
+from .channel import SystemConfig, path_steering
 from .codebook import SphericalCodebook
 from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
 from .phase_modes import column_blocks
@@ -340,8 +340,7 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
     paths = list(true_paths)
     if not paths:
         raise ValueError("oracle_estimate needs at least one true path")
-    geom = UcaGeometry.from_config(config)
-    basis = path_steering(paths, geom, config.wavelength_m)
+    basis = path_steering(paths, config)
     solution, well_conditioned = lstsq_minimum_norm(
         combining.entries @ basis, measurements.observations
     )

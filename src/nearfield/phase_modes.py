@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import UcaGeometry, azimuth_cosines, ring_steering
+from .channel import SystemConfig, azimuth_cosines, ring_steering
 
 #: Phase-mode coefficients below this share of their ring's coefficient
 #: norm (1/sqrt(N), by Parseval) are dropped. Each dropped mode moves a
@@ -125,7 +125,7 @@ def fft_length(n: int) -> int:
     return best
 
 
-def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarray:
+def ring_modes(theta, rings, system: SystemConfig) -> np.ndarray:
     """Phase-mode coefficients of the rings of one elevation, (Z, 2M + 1).
 
     Row z holds c_m, m = -M..M, of ring (rings[z], theta): the FFT of
@@ -135,9 +135,9 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
     phase, k R sin(theta) r / (r - R), and doubles until M < K / 4, which
     leaves the aliased modes, |m| > 3K / 4, far below MODE_RTOL.
     """
-    radius = geom.radius_m
+    radius = system.radius_m
     stretch = 1.0 / (1.0 - radius / min(rings))
-    reach = 2.0 * math.pi / wavelength_m * radius * math.sin(theta) * stretch
+    reach = 2.0 * math.pi / system.wavelength_m * radius * math.sin(theta) * stretch
     size = 64
     while size < 4.0 * reach + 128.0:
         size *= 2
@@ -146,9 +146,9 @@ def ring_modes(theta, rings, geom: UcaGeometry, wavelength_m: float) -> np.ndarr
         # K azimuths, as if they were K antennas.
         cosines = np.broadcast_to(np.cos(2.0 * math.pi * np.arange(size) / size), (len(rings), size))
         samples = np.empty((size, len(rings)), dtype=np.complex128, order="F")
-        coeffs = np.fft.fft(ring_steering(rings, theta, cosines, geom, wavelength_m, samples).T, axis=1) / size
+        coeffs = np.fft.fft(ring_steering(rings, theta, cosines, system, samples).T, axis=1) / size
         order = np.minimum(np.arange(size), size - np.arange(size))  # |m| of each bin
-        kept = np.any(np.abs(coeffs) > MODE_RTOL / math.sqrt(geom.num_antennas), axis=0)
+        kept = np.any(np.abs(coeffs) > MODE_RTOL / math.sqrt(system.num_antennas), axis=0)
         cutoff = int(order[kept].max())
         if cutoff < size // 4:
             return coeffs[:, np.arange(-cutoff, cutoff + 1) % size]
@@ -168,7 +168,7 @@ def column_blocks(fill, idx):
         yield part, fill(idx[part])
 
 
-def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
+def ring_matrix(layout, system, dtype=np.complex128) -> np.ndarray:
     """The C-ordered N x G matrix of a ring layout in `dtype`, copied from
     `ring_columns` a `column_blocks` block at a time.
 
@@ -178,13 +178,13 @@ def ring_matrix(layout, geom, wavelength_m, dtype=np.complex128) -> np.ndarray:
     rounded once, by the copy's cast, and no float64 matrix is formed on
     the way.
     """
-    matrix = np.empty((geom.num_antennas, layout.num_columns), dtype=dtype)
-    for part, block in column_blocks(partial(ring_columns, layout, geom, wavelength_m), range(layout.num_columns)):
+    matrix = np.empty((system.num_antennas, layout.num_columns), dtype=dtype)
+    for part, block in column_blocks(partial(ring_columns, layout, system), range(layout.num_columns)):
         matrix[:, part] = block
     return matrix
 
 
-def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
+def ring_columns(layout, system, idx) -> np.ndarray:
     """W[:, idx] of the ring layout's book as a new (N, len(idx)) complex128
     array, the one filler of every column and matrix of a ring-built book.
     The array is in the Fortran order in which `matrix[:, idx]` gives the
@@ -203,8 +203,8 @@ def ring_columns(layout, geom, wavelength_m, idx) -> np.ndarray:
         raise IndexError(f"column index out of range for {g} columns")
     _, _, _, r, theta, phi = layout.locate(idx % g)  # negative indices count from the end
     phis, azimuth_of = np.unique(phi, return_inverse=True)
-    out = np.empty((geom.num_antennas, idx.size), dtype=np.complex128, order="F")
-    return ring_steering(r, theta, azimuth_cosines(phis, geom)[azimuth_of], geom, wavelength_m, out)
+    out = np.empty((system.num_antennas, idx.size), dtype=np.complex128, order="F")
+    return ring_steering(r, theta, azimuth_cosines(phis, system)[azimuth_of], system, out)
 
 
 class SphericalCodebook:
@@ -265,28 +265,30 @@ class DenseBasis(SphericalCodebook):
 
 
 class _RingBasis(SphericalCodebook):
-    """What the ring-built codebooks share: the layout, the array and the
-    wavelength, and from them the exact float64 matrix, columns and
+    """What the ring-built codebooks share: the layout, the `SystemConfig`
+    of the array, and from them the exact float64 matrix, columns and
     correlations, all filled by `ring_columns` (`PhaseModes` correlates
     through its phase modes instead) from where the layout places each column.
+
+    The columns read only the system's N, antenna spacing and carrier, so a
+    book built from one system serves every pilot length of that array.
     """
 
     streamed = True
 
-    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
+    def __init__(self, layout, system: SystemConfig):
         super().__init__(layout)
-        self.geom = geom
-        self.wavelength_m = wavelength_m
-        self.num_antennas = geom.num_antennas
+        self.system = system
+        self.num_antennas = system.num_antennas
 
     def dense(self) -> np.ndarray:
         """The dense float64 N x G matrix (`ring_matrix`)."""
-        return ring_matrix(self.layout, self.geom, self.wavelength_m)
+        return ring_matrix(self.layout, self.system)
 
     def columns(self, idx) -> np.ndarray:
         """W[:, idx] as a new (N, len(idx)) array, bit for bit as `dense`
         (`ring_columns`)."""
-        return ring_columns(self.layout, self.geom, self.wavelength_m, idx)
+        return ring_columns(self.layout, self.system, idx)
 
     def correlate(self, v) -> np.ndarray:
         """Exact V^H W for V of shape (N,) or (N, k): (G,) or (k, G), from
@@ -309,13 +311,13 @@ class PhaseModes(_RingBasis):
 
     rescore_rtol = RESCORE_RTOL
 
-    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
-        super().__init__(layout, geom, wavelength_m)
-        elevations = [(ring_modes(theta, rings, geom, wavelength_m), phis, col) for theta, phis, rings, col in layout.elevations()]
+    def __init__(self, layout, system: SystemConfig):
+        super().__init__(layout, system)
+        elevations = [(ring_modes(theta, rings, system), phis, col) for theta, phis, rings, col in layout.elevations()]
         # The antenna modes -H..H of the widest plan, mod N: each call gathers
         # U there once, and each plan reads the slice around mode 0 it needs.
         reach = max(modes.shape[1] for modes, _, _ in elevations) // 2
-        self._wrap = np.arange(-reach, reach + 1) % geom.num_antennas
+        self._wrap = np.arange(-reach, reach + 1) % self.num_antennas
         self._plans = []
         for modes, phis, col in elevations:
             step = float(phis[1]) if len(phis) > 1 else 0.0
@@ -593,10 +595,10 @@ class Complex64Screen(_RingBasis):
     rescore_rtol = 4.5e-5; on 120 desk first passes the error reached 3.4e-8.
     """
 
-    def __init__(self, layout, geom: UcaGeometry, wavelength_m: float):
-        super().__init__(layout, geom, wavelength_m)
-        self.entries = ring_matrix(layout, geom, wavelength_m, np.complex64)
-        self.rescore_rtol = screen_rtol(geom.num_antennas)
+    def __init__(self, layout, system: SystemConfig):
+        super().__init__(layout, system)
+        self.entries = ring_matrix(layout, system, np.complex64)
+        self.rescore_rtol = screen_rtol(self.num_antennas)
 
     @property
     def nbytes(self) -> int:

@@ -11,7 +11,6 @@ import pytest
 from nearfield import (
     PathParams,
     SystemConfig,
-    UcaGeometry,
     azimuth_grid,
     desk_profile,
     distance_grid,
@@ -186,24 +185,23 @@ def test_criterion_6_pilot_monotonicity(desk):
 
 def test_criterion_7_bessel_approximation_validation():
     config = paper_system()
-    geom = UcaGeometry.from_config(config)
     lam = config.wavelength_m
     alpha = first_j0_zero()
     beta = solve_beta_delta(0.55)
-    z_cap = math.pi * geom.radius_m**2 / (2.0 * lam * beta)
+    z_cap = math.pi * config.radius_m**2 / (2.0 * lam * beta)
 
     # Adjacent distance rings at theta = pi/2: exact correlations near 0.55.
     rings = distance_grid(0.5 * math.pi, z_cap, 4.0)
-    columns = [far_field_steering(0.5 * math.pi, 0.0, geom, lam)]
-    columns += [near_field_steering(r, 0.5 * math.pi, 0.0, geom, lam) for r in rings[1:]]
+    columns = [far_field_steering(0.5 * math.pi, 0.0, config)]
+    columns += [near_field_steering(r, 0.5 * math.pi, 0.0, config) for r in rings[1:]]
     ring_correlations = [
         column_correlation(a, b) for a, b in zip(columns, columns[1:])
     ]
     assert all(0.35 <= c <= 0.75 for c in ring_correlations), ring_correlations
 
     # Adjacent elevation samples at the far-field ring, phi = 0.
-    thetas = elevation_grid(geom.radius_m, lam, alpha)
-    vectors = [far_field_steering(theta, 0.0, geom, lam) for theta in thetas]
+    thetas = elevation_grid(config.radius_m, lam, alpha)
+    vectors = [far_field_steering(theta, 0.0, config) for theta in thetas]
     elevation_correlations = [
         column_correlation(a, b) for a, b in zip(vectors, vectors[1:])
     ]
@@ -219,17 +217,15 @@ def test_criterion_7_bessel_approximation_validation():
 def test_criterion_8_invariant_suite(desk, tmp_path):
     spec, bank = desk
     config = spec.system
-    geom = UcaGeometry.from_config(config)
-    lam = config.wavelength_m
     checks = []
 
     # steering norms to 1e-12
     rng = np.random.default_rng(0)
     for _ in range(25):
         near = near_field_steering(
-            rng.uniform(0.5, 25.0), rng.uniform(0.05, 0.5 * math.pi), rng.uniform(0.0, 2.0 * math.pi), geom, lam
+            rng.uniform(0.5, 25.0), rng.uniform(0.05, 0.5 * math.pi), rng.uniform(0.0, 2.0 * math.pi), config
         )
-        far = far_field_steering(rng.uniform(0.0, 0.5 * math.pi), rng.uniform(0.0, 2.0 * math.pi), geom, lam)
+        far = far_field_steering(rng.uniform(0.0, 0.5 * math.pi), rng.uniform(0.0, 2.0 * math.pi), config)
         assert abs(np.linalg.norm(near) - 1.0) < 1e-12
         assert abs(np.linalg.norm(far) - 1.0) < 1e-12
     checks.append("steering norms (1e-12)")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ from nearfield import (
     ConfigurationError,
     PathParams,
     SystemConfig,
-    UcaGeometry,
     azimuth_cosines,
     channel,
     generate_channel,
@@ -25,6 +25,7 @@ from nearfield import (
 )
 from nearfield.channel import path_steering
 from steering_oracle import (
+    antenna_azimuths,
     approx_distance,
     exact_distance,
     far_field_column,
@@ -32,6 +33,7 @@ from steering_oracle import (
     law_of_cosines_column,
     near_field_column,
     near_field_steering,
+    uca,
 )
 
 # Frozen from direct evaluation (Cartesian oracle below for distances).
@@ -104,142 +106,163 @@ def test_subcarrier_center_and_endpoint():
     assert freqs[0] == pytest.approx(29.95625e9, abs=1e-3)  # m = 1
 
 
-def cartesian_positions(geom):
+def cartesian_positions(system):
     """Cartesian (N, 3) coordinates; the ring lies in the z = 0 plane."""
-    psi = geom.antenna_azimuths_rad
+    psi = antenna_azimuths(system)
     return np.stack(
-        [geom.radius_m * np.cos(psi), geom.radius_m * np.sin(psi), np.zeros_like(psi)],
+        [system.radius_m * np.cos(psi), system.radius_m * np.sin(psi), np.zeros_like(psi)],
         axis=1,
     )
 
 
+def point_array(num_antennas):
+    """`num_antennas` antennas all at the origin (R = 0), which no
+    `SystemConfig` describes: a stand-in with the three fields the
+    steering kernel and its oracles read."""
+    return SimpleNamespace(num_antennas=num_antennas, radius_m=0.0, wavelength_m=0.01)
+
+
 def test_chord_between_adjacent_antennas_equals_spacing():
-    geom = UcaGeometry.from_layout(128, 0.005)
-    points = cartesian_positions(geom)
+    system = uca(128)
+    points = cartesian_positions(system)
     gaps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     assert np.allclose(gaps, 0.005, atol=1e-12)
 
 
 def test_exact_distance_point_array_degenerates_to_range():
-    geom = UcaGeometry(0.0, np.zeros(4))
-    assert exact_distance(7.3, 0.4, 1.1, 2, geom) == pytest.approx(7.3, abs=1e-14)
+    assert exact_distance(7.3, 0.4, 1.1, 2, point_array(4)) == pytest.approx(7.3, abs=1e-14)
 
 
 def test_exact_distance_collinear_case():
-    geom = UcaGeometry.from_layout(16, 0.005)
-    psi3 = geom.antenna_azimuths_rad[3]
-    d = exact_distance(5.0, 0.5 * math.pi, psi3, 3, geom)
-    assert d == pytest.approx(5.0 - geom.radius_m, abs=1e-12)
+    system = uca(16)
+    psi3 = antenna_azimuths(system)[3]
+    d = exact_distance(5.0, 0.5 * math.pi, psi3, 3, system)
+    assert d == pytest.approx(5.0 - system.radius_m, abs=1e-12)
 
 
 def test_exact_distance_frozen_example():
-    geom = UcaGeometry.from_layout(512, 0.005)
-    d = exact_distance(10.0, math.pi / 3.0, math.pi / 4.0, 0, geom)
+    system = uca(512)
+    d = exact_distance(10.0, math.pi / 3.0, math.pi / 4.0, 0, system)
     assert d == pytest.approx(EXACT_DIST_EXAMPLE, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_distance_matches_cartesian_oracle(seed):
     rng = np.random.default_rng(seed)
-    geom = UcaGeometry.from_layout(32, 0.005)
+    system = uca(32)
     for _ in range(50):
         r = rng.uniform(0.5, 30.0)
         theta = rng.uniform(0.01, 0.5 * math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         n = int(rng.integers(32))
-        expected = cartesian_distance(r, theta, phi, geom.antenna_azimuths_rad[n], geom.radius_m)
-        assert exact_distance(r, theta, phi, n, geom) == pytest.approx(expected, abs=1e-12)
-        assert abs(r - geom.radius_m) - 1e-12 <= expected <= r + geom.radius_m + 1e-12
+        expected = cartesian_distance(r, theta, phi, antenna_azimuths(system)[n], system.radius_m)
+        assert exact_distance(r, theta, phi, n, system) == pytest.approx(expected, abs=1e-12)
+        assert abs(r - system.radius_m) - 1e-12 <= expected <= r + system.radius_m + 1e-12
 
 
 def test_approx_distance_zenith_limit():
-    geom = UcaGeometry.from_layout(64, 0.005)
+    system = uca(64)
     r = 3.0
-    expected = r + geom.radius_m**2 / (2.0 * r)
-    assert approx_distance(r, 1e-12, 0.7, 5, geom) == pytest.approx(expected, abs=1e-10)
+    expected = r + system.radius_m**2 / (2.0 * r)
+    assert approx_distance(r, 1e-12, 0.7, 5, system) == pytest.approx(expected, abs=1e-10)
 
 
 def test_approx_distance_far_limit_agrees_with_exact():
-    geom = UcaGeometry.from_layout(64, 0.005)
-    r = 1e6 * geom.radius_m
-    a = approx_distance(r, 1.0, 0.3, 7, geom)
-    e = exact_distance(r, 1.0, 0.3, 7, geom)
+    system = uca(64)
+    r = 1e6 * system.radius_m
+    a = approx_distance(r, 1.0, 0.3, 7, system)
+    e = exact_distance(r, 1.0, 0.3, 7, system)
     assert abs(a - e) / e < 1e-9
 
 
 def test_approx_distance_example_point():
     # Taylor truncation leaves a 1.3130e-4 m gap at this point (frozen from
     # the Cartesian oracle comparison).
-    geom = UcaGeometry.from_layout(512, 0.005)
-    a = approx_distance(10.0, math.pi / 3.0, math.pi / 4.0, 0, geom)
+    system = uca(512)
+    a = approx_distance(10.0, math.pi / 3.0, math.pi / 4.0, 0, system)
     assert abs(a - EXACT_DIST_EXAMPLE) == pytest.approx(1.312970e-4, abs=1e-9)
 
 
 def test_approx_distance_error_shrinks_with_range():
-    geom = UcaGeometry.from_layout(64, 0.005)
+    system = uca(64)
     errors = []
     for factor in (2.0, 4.0, 8.0, 16.0, 32.0):
-        r = factor * geom.radius_m
-        errors.append(abs(approx_distance(r, 1.1, 0.4, 3, geom) - exact_distance(r, 1.1, 0.4, 3, geom)))
+        r = factor * system.radius_m
+        errors.append(abs(approx_distance(r, 1.1, 0.4, 3, system) - exact_distance(r, 1.1, 0.4, 3, system)))
     assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
 
 
 def test_near_field_steering_unit_norm_and_self_correlation():
-    geom = UcaGeometry.from_layout(128, 0.005)
+    system = uca(128)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        b = near_field_steering(rng.uniform(1.0, 20.0), rng.uniform(0.1, 1.5), rng.uniform(0.0, 6.0), geom, 0.01)
+        b = near_field_steering(rng.uniform(1.0, 20.0), rng.uniform(0.1, 1.5), rng.uniform(0.0, 6.0), system)
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(b, b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_near_field_steering_point_array_is_constant():
-    geom = UcaGeometry(0.0, np.zeros(16))
-    b = near_field_steering(5.0, 0.8, 0.2, geom, 0.01)
+    b = near_field_steering(5.0, 0.8, 0.2, point_array(16))
     assert np.allclose(b, 1.0 / 4.0, atol=1e-14)
 
 
 def test_near_field_steering_rejects_source_inside_array():
-    geom = UcaGeometry.from_layout(64, 0.005)
+    system = uca(64)
     with pytest.raises(ValueError):
-        near_field_steering(geom.radius_m / 2.0, 1.0, 0.0, geom, 0.01)
+        near_field_steering(system.radius_m / 2.0, 1.0, 0.0, system)
 
 
 def test_far_field_steering_zenith_is_constant():
-    geom = UcaGeometry.from_layout(64, 0.005)
-    b = far_field_steering(0.0, 1.3, geom, 0.01)
+    system = uca(64)
+    b = far_field_steering(0.0, 1.3, system)
     assert np.allclose(b, 1.0 / 8.0, atol=1e-14)
     assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_far_field_steering_is_large_range_limit():
-    geom = UcaGeometry.from_layout(64, 0.005)
-    near = near_field_steering(1e7, 0.9, 2.2, geom, 0.01)
-    far = far_field_steering(0.9, 2.2, geom, 0.01)
+    system = uca(64)
+    near = near_field_steering(1e7, 0.9, 2.2, system)
+    far = far_field_steering(0.9, 2.2, system)
     assert np.allclose(near, far, atol=1e-5)
 
 
-def ring_block(r, theta, phis, geom, wavelength_m=0.01):
-    out = np.empty((geom.num_antennas, len(phis)), dtype=np.complex128)
-    return ring_steering(r, theta, azimuth_cosines(phis, geom), geom, wavelength_m, out)
+def ring_block(r, theta, phis, system):
+    out = np.empty((system.num_antennas, len(phis)), dtype=np.complex128)
+    return ring_steering(r, theta, azimuth_cosines(phis, system), system, out)
+
+
+def arrays(counts):
+    """A `SystemConfig` of N antennas drawn from `counts`, spaced 1-10 mm
+    apart, on a 3-60 GHz carrier (lambda 5-100 mm)."""
+    return st.builds(
+        uca,
+        counts,
+        antenna_spacing_m=st.floats(1e-3, 1e-2),
+        carrier_freq_hz=st.floats(3e9, 6e10),
+    )
+
+
+def beyond(system, least, most):
+    """Source distances from `least` R (excluded) to `most` R."""
+    return st.floats(least, most, exclude_min=True).map(lambda factor: factor * system.radius_m)
 
 
 @st.composite
 def rings(draw):
-    """A UCA, one (r, theta) ring on or outside 1.01 R (r = inf included) and its azimuths."""
-    geom = UcaGeometry.from_layout(draw(st.integers(3, 256)), 0.005)
+    """A drawn UCA, one (r, theta) ring beyond 1.01 R (r = inf included) and its azimuths."""
+    system = draw(arrays(st.integers(3, 256)))
     far = draw(st.booleans())
-    r = math.inf if far else draw(st.floats(1.01 * geom.radius_m, 10.0))
+    r = math.inf if far else draw(beyond(system, 1.01, 1e4))
     theta = draw(st.floats(0.0, 0.5 * math.pi))
     phis = draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=1, max_size=6))
-    return geom, r, theta, phis
+    return system, r, theta, phis
 
 
 @settings(max_examples=80, deadline=None)
 @given(rings())
 def test_ring_steering_columns_have_unit_norm(ring):
-    geom, r, theta, phis = ring
-    norms = np.linalg.norm(ring_block(r, theta, phis, geom), axis=0)
+    system, r, theta, phis = ring
+    norms = np.linalg.norm(ring_block(r, theta, phis, system), axis=0)
     assert np.allclose(norms, 1.0, rtol=0.0, atol=1e-12)
 
 
@@ -248,13 +271,13 @@ def test_ring_steering_columns_have_unit_norm(ring):
 def test_ring_steering_matches_per_column_oracle(ring):
     # Bit for bit: r = inf against the plane-wave columns, finite r against
     # the spherical-wave columns.
-    geom, r, theta, phis = ring
-    block = ring_block(r, theta, phis, geom)
+    system, r, theta, phis = ring
+    block = ring_block(r, theta, phis, system)
     for s, phi in enumerate(phis):
         if math.isinf(r):
-            expected = far_field_column(theta, phi, geom, 0.01)
+            expected = far_field_column(theta, phi, system)
         else:
-            expected = near_field_column(r, theta, phi, geom, 0.01)
+            expected = near_field_column(r, theta, phi, system)
         assert np.array_equal(block[:, s], expected)
 
 
@@ -262,10 +285,10 @@ def test_ring_steering_matches_per_column_oracle(ring):
 @given(rings())
 def test_ring_steering_azimuth_step_is_cyclic_antenna_shift(ring):
     # psi_n = 2 pi n / N, so phi -> phi + 2 pi / N maps antenna n - 1 to n.
-    geom, r, theta, phis = ring
-    step = 2.0 * math.pi / geom.num_antennas
-    block = ring_block(r, theta, phis, geom)
-    rotated = ring_block(r, theta, [phi + step for phi in phis], geom)
+    system, r, theta, phis = ring
+    step = 2.0 * math.pi / system.num_antennas
+    block = ring_block(r, theta, phis, system)
+    rotated = ring_block(r, theta, [phi + step for phi in phis], system)
     assert np.max(np.abs(rotated - np.roll(block, 1, axis=0))) <= 1e-12
 
 
@@ -273,11 +296,11 @@ def test_ring_steering_azimuth_step_is_cyclic_antenna_shift(ring):
 def rotations(draw):
     """A UCA of 16, 128 or 512 antennas, a source on or outside 1.01 R out to
     80 m (r = inf included), any elevation and azimuth, and a shift k."""
-    geom = UcaGeometry.from_layout(draw(st.sampled_from((16, 128, 512))), 0.005)
-    r = draw(st.one_of(st.just(math.inf), st.floats(1.01 * geom.radius_m, 80.0)))
+    system = uca(draw(st.sampled_from((16, 128, 512))))
+    r = draw(st.one_of(st.just(math.inf), st.floats(1.01 * system.radius_m, 80.0)))
     theta = draw(st.floats(0.0, math.pi))
     phi = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
-    return geom, r, theta, phi, draw(st.integers(0, geom.num_antennas - 1))
+    return system, r, theta, phi, draw(st.integers(0, system.num_antennas - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,20 +308,20 @@ def rotations(draw):
 def test_steering_rotation_by_k_antennas_is_a_cyclic_shift(case):
     # The UCA rotation symmetry that phase modes rest on: turning the source
     # by 2 pi k / N shifts the steering vector k antennas round the ring.
-    geom, r, theta, phi, k = case
-    steering = near_field_steering(r, theta, phi, geom, 0.01)
-    rotated = near_field_steering(r, theta, phi + 2.0 * math.pi * k / geom.num_antennas, geom, 0.01)
+    system, r, theta, phi, k = case
+    steering = near_field_steering(r, theta, phi, system)
+    rotated = near_field_steering(r, theta, phi + 2.0 * math.pi * k / system.num_antennas, system)
     assert np.max(np.abs(rotated - np.roll(steering, k))) <= 1e-10
 
 
 @st.composite
 def column_sets(draw):
-    """A UCA and 1-12 columns, each with its own (r, theta, phi): plane-wave
-    and spherical-wave columns mixed in any order."""
-    geom = UcaGeometry.from_layout(draw(st.integers(3, 256)), 0.005)
-    r = st.one_of(st.just(math.inf), st.floats(1.01 * geom.radius_m, 10.0))
+    """A drawn UCA and 1-12 columns, each with its own (r, theta, phi):
+    plane-wave and spherical-wave columns mixed in any order."""
+    system = draw(arrays(st.integers(3, 256)))
+    r = st.one_of(st.just(math.inf), beyond(system, 1.01, 1e4))
     column = st.tuples(r, st.floats(0.0, 0.5 * math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
-    return geom, draw(st.lists(column, min_size=1, max_size=12))
+    return system, draw(st.lists(column, min_size=1, max_size=12))
 
 
 @settings(max_examples=80, deadline=None)
@@ -307,46 +330,47 @@ def test_ring_steering_takes_r_and_theta_per_column(case):
     """One call with per-column (r, theta) fills every column bit for bit as
     the per-column oracle, and as a call of that column alone, whichever
     columns share the call; the plane-wave columns are picked by r = inf."""
-    geom, columns = case
+    system, columns = case
     r, theta, phi = (list(values) for values in zip(*columns))
-    out = np.empty((geom.num_antennas, len(columns)), dtype=np.complex128)
-    block = ring_steering(r, theta, azimuth_cosines(phi, geom), geom, 0.01, out)
+    out = np.empty((system.num_antennas, len(columns)), dtype=np.complex128)
+    block = ring_steering(r, theta, azimuth_cosines(phi, system), system, out)
     assert block is out
     for s, (r_s, theta_s, phi_s) in enumerate(columns):
         if math.isinf(r_s):
-            expected = far_field_column(theta_s, phi_s, geom, 0.01)
+            expected = far_field_column(theta_s, phi_s, system)
         else:
-            expected = near_field_column(r_s, theta_s, phi_s, geom, 0.01)
+            expected = near_field_column(r_s, theta_s, phi_s, system)
         assert np.array_equal(block[:, s], expected)
-        assert np.array_equal(block[:, s], ring_block(r_s, theta_s, [phi_s], geom)[:, 0])
+        assert np.array_equal(block[:, s], ring_block(r_s, theta_s, [phi_s], system)[:, 0])
 
 
-def exact_column(r, theta, phi, geom, wavelength_m):
+def exact_column(r, theta, phi, system):
     """The steering column of float inputs (r, theta, phi) at 40 digits, and
     per entry the condition number 1 + r / r^(n) (2 at r = inf) by which the
     distance magnifies the rounding of sin(theta) cos(phi - psi_n)."""
     entries, condition = [], []
     with mpmath.workdps(40):
-        k = 2 * mpmath.pi / mpmath.mpf(wavelength_m)
-        radius = mpmath.mpf(geom.radius_m)
-        for psi in geom.antenna_azimuths_rad.tolist():
+        k = 2 * mpmath.pi / mpmath.mpf(system.wavelength_m)
+        radius = mpmath.mpf(system.radius_m)
+        for psi in antenna_azimuths(system).tolist():
             x = mpmath.sin(theta) * mpmath.cos(mpmath.mpf(phi) - psi)
             if math.isinf(r):
                 phase, cond = k * radius * x, 2.0
             else:
                 dist = mpmath.sqrt(mpmath.mpf(r) ** 2 + radius**2 - 2 * radius * r * x)
                 phase, cond = k * (r - dist), float(1 + r / dist)
-            entries.append(complex(mpmath.exp(1j * phase) / mpmath.sqrt(geom.num_antennas)))
+            entries.append(complex(mpmath.exp(1j * phase) / mpmath.sqrt(system.num_antennas)))
             condition.append(cond)
     return np.array(entries), np.array(condition)
 
 
 @st.composite
 def accuracy_cases(draw):
-    """N of 16, 128, 512 or 1024, r in (1.001 R, 1e4 m] or inf, any theta and phi."""
-    geom = UcaGeometry.from_layout(draw(st.sampled_from((16, 128, 512, 1024))), 0.005)
-    r = st.floats(1.001 * geom.radius_m, 1e4, exclude_min=True)
-    return geom, draw(st.one_of(st.just(math.inf), r)), draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    """A drawn UCA of 16, 128, 512 or 1024 antennas, r in (1.001 R, 1e6 R]
+    or inf, any theta and phi."""
+    system = draw(arrays(st.sampled_from((16, 128, 512, 1024))))
+    r = beyond(system, 1.001, 1e6)
+    return system, draw(st.one_of(st.just(math.inf), r)), draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,13 +382,13 @@ def test_steering_is_accurate_to_a_few_rounding_errors_of_k_r(case):
     ones included, peaked at 1.5 eps k R (1 + r / r^(n)). The law of cosines
     loses k r eps to cancellation, 6e-10 at r = 1e4 m. Plane-wave columns
     are the per-column plane wave bit for bit."""
-    geom, r, theta, phi = case
-    column = near_field_steering(r, theta, phi, geom, 0.01)
-    exact, condition = exact_column(r, theta, phi, geom, 0.01)
-    bound = 4.0 * np.finfo(float).eps * (2.0 * math.pi / 0.01 * geom.radius_m) * condition
-    assert np.all(np.abs(column - exact) * math.sqrt(geom.num_antennas) <= bound)
+    system, r, theta, phi = case
+    column = near_field_steering(r, theta, phi, system)
+    exact, condition = exact_column(r, theta, phi, system)
+    bound = 4.0 * np.finfo(float).eps * (2.0 * math.pi / system.wavelength_m * system.radius_m) * condition
+    assert np.all(np.abs(column - exact) * math.sqrt(system.num_antennas) <= bound)
     if math.isinf(r):
-        assert np.array_equal(column, far_field_column(theta, phi, geom, 0.01))
+        assert np.array_equal(column, far_field_column(theta, phi, system))
 
 
 @settings(max_examples=80, deadline=None)
@@ -373,17 +397,17 @@ def test_ring_steering_agrees_with_the_law_of_cosines_within_its_cancellation(ca
     """The earlier phase -k (r^(n) - r), with r^(n) from the law of cosines,
     loses about k r eps to cancellation; the kernel's columns agree with it
     within that loss plus each form's magnified rounding of the phase k R x."""
-    geom, columns = case
+    system, columns = case
     r, theta, phi = (list(values) for values in zip(*columns))
-    out = np.empty((geom.num_antennas, len(columns)), dtype=np.complex128)
-    ring_steering(r, theta, azimuth_cosines(phi, geom), geom, 0.01, out)
-    k, radius, eps = 2.0 * math.pi / 0.01, geom.radius_m, np.finfo(float).eps
+    out = np.empty((system.num_antennas, len(columns)), dtype=np.complex128)
+    ring_steering(r, theta, azimuth_cosines(phi, system), system, out)
+    k, radius, eps = 2.0 * math.pi / system.wavelength_m, system.radius_m, np.finfo(float).eps
     for s, (r_s, theta_s, phi_s) in enumerate(columns):
         if math.isinf(r_s):
             continue
         bound = eps * k * (2.0 * r_s + 8.0 * radius * (1.0 + r_s / (r_s - radius)))
-        old = law_of_cosines_column(r_s, theta_s, phi_s, geom, 0.01)
-        assert np.max(np.abs(out[:, s] - old)) * math.sqrt(geom.num_antennas) <= bound
+        old = law_of_cosines_column(r_s, theta_s, phi_s, system)
+        assert np.max(np.abs(out[:, s] - old)) * math.sqrt(system.num_antennas) <= bound
 
 
 def test_channel_synthesis_and_oracle_fill_every_path_in_one_kernel_call(monkeypatch):
@@ -399,16 +423,15 @@ def test_channel_synthesis_and_oracle_fill_every_path_in_one_kernel_call(monkeyp
     combining = generate_combining(1, 8, config.num_rf_chains, 64)
     oracle_estimate(synthesize_measurements(truth, combining, math.inf), combining, paths, config)
     assert calls == [(5, 64)] * 2
-    geom = UcaGeometry.from_config(config)
-    steering = path_steering(paths, geom, config.wavelength_m)
-    stacked = np.column_stack([near_field_steering(p.distance_m, p.elevation_rad, p.azimuth_rad, geom, config.wavelength_m) for p in paths])
+    steering = path_steering(paths, config)
+    stacked = np.column_stack([near_field_steering(p.distance_m, p.elevation_rad, p.azimuth_rad, config) for p in paths])
     assert steering.flags.c_contiguous and np.array_equal(steering, stacked)
 
 
 def test_ring_steering_rejects_source_inside_array():
-    geom = UcaGeometry.from_layout(64, 0.005)
+    system = uca(64)
     with pytest.raises(ValueError):
-        ring_block(geom.radius_m, 1.0, [0.0, 1.0], geom)
+        ring_block(system.radius_m, 1.0, [0.0, 1.0], system)
 
 
 def channel_oracle(paths, config):
@@ -522,8 +545,7 @@ def test_zenith_path_channel_is_unit_norm_and_azimuth_free():
     steering is constant and unit-norm, and the azimuth changes no bit of
     the channel."""
     config = paper_system(num_antennas=64)
-    geom = UcaGeometry.from_config(config)
-    steering = near_field_steering(3.0, 0.0, 0.7, geom, config.wavelength_m)
+    steering = near_field_steering(3.0, 0.0, 0.7, config)
     assert np.linalg.norm(steering) == pytest.approx(1.0, abs=1e-12)
     assert np.all(steering == steering[0])
     channels = [

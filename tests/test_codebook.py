@@ -12,7 +12,6 @@ from nearfield import (
     ConfigurationError,
     FAR_FIELD,
     SystemConfig,
-    UcaGeometry,
     azimuth_grid,
     build_angular_codebook,
     build_polar_codebook,
@@ -36,7 +35,7 @@ from nearfield.codebook import (
 )
 from nearfield.harness import paper_profile
 from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes
-from steering_oracle import column_correlation, far_field_steering, near_field_steering, oracle_column, oracle_matrix
+from steering_oracle import column_correlation, far_field_steering, near_field_steering, oracle_column, oracle_matrix, uca
 
 # sha256 of each codebook's grid text, frozen from the per-point GridPoint
 # export that the grid arrays replaced.
@@ -306,11 +305,9 @@ def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebo
     # Every column of the desk spherical and polar codebooks equals the
     # per-column oracle bit for bit.
     system = desk_spec.system
-    geom = UcaGeometry.from_config(system)
-    lam = system.wavelength_m
     polar = build_polar_codebook(system, desk_spec.delta, desk_spec.r_min_m)
     for book in (desk_codebook, polar):
-        assert np.array_equal(book.dense(), oracle_matrix(book.layout, geom, lam))
+        assert np.array_equal(book.dense(), oracle_matrix(book.layout, system))
 
 
 def test_codebook_fill_propagates_kernel_errors(small_config, monkeypatch):
@@ -331,21 +328,19 @@ def test_paper_spherical_codebook_matches_per_column_oracle(record_fills):
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     assert book.num_columns == 100358
     assert isinstance(book, PhaseModes)
-    geom = UcaGeometry.from_config(spec.system)
-    lam = spec.system.wavelength_m
     coords = _located(book.layout)[1].tolist()
     built = record_fills()
     mismatched = []
     for start in range(0, book.num_columns, 4096):
         block = book.columns(np.arange(start, min(start + 4096, book.num_columns)))
         for offset, column in enumerate(block.T):
-            if not np.array_equal(column, oracle_column(coords[start + offset], geom, lam)):
+            if not np.array_equal(column, oracle_column(coords[start + offset], spec.system)):
                 mismatched.append(start + offset)
     assert mismatched == []
     assert built == []
     matrix = book.dense()
     for col, point in enumerate(coords):
-        if not np.array_equal(matrix[:, col], oracle_column(point, geom, lam)):
+        if not np.array_equal(matrix[:, col], oracle_column(point, spec.system)):
             mismatched.append(col)
     assert mismatched == []
     # Phase-mode correlations match the dense product to 1e-10 of ||v||.
@@ -401,11 +396,11 @@ def test_column_correlation_basic_cases(small_config):
 def test_adjacent_ring_correlation_tracks_threshold():
     # Eq.-13-style check at paper scale: adjacent rings should correlate
     # near delta = 0.55; the Bessel relation is approximate, so +/- 0.2.
-    geom = UcaGeometry.from_layout(512, 0.005)
+    system = uca(512)
     rings = distance_grid(0.5 * math.pi, PAPER_Z_CAP, 4.0)
-    columns = [far_field_steering(0.5 * math.pi, 0.0, geom, 0.01)]
+    columns = [far_field_steering(0.5 * math.pi, 0.0, system)]
     columns += [
-        near_field_steering(r, 0.5 * math.pi, 0.0, geom, 0.01) for r in rings[1:]
+        near_field_steering(r, 0.5 * math.pi, 0.0, system) for r in rings[1:]
     ]
     for a, b in zip(columns, columns[1:]):
         assert 0.35 <= column_correlation(a, b) <= 0.75
@@ -417,10 +412,10 @@ def test_adjacent_elevation_correlation_matches_bessel_prediction():
     # 0.15 of that prediction at the far-field ring.
     from nearfield import bessel_j0
 
-    geom = UcaGeometry.from_layout(512, 0.005)
+    system = uca(512)
     radius, wavelength, alpha = paper_geometry()
     thetas = elevation_grid(radius, wavelength, alpha)
-    vectors = [far_field_steering(theta, 0.0, geom, wavelength) for theta in thetas]
+    vectors = [far_field_steering(theta, 0.0, system) for theta in thetas]
     for (theta_a, a), (theta_b, b) in zip(zip(thetas, vectors), zip(thetas[1:], vectors[1:])):
         predicted = abs(
             bessel_j0(2.0 * math.pi * radius * (math.sin(theta_b) - math.sin(theta_a)) / wavelength)
@@ -434,12 +429,12 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
     # |J0(beta)| by up to 0.2.
     from nearfield import bessel_j0
 
-    geom = UcaGeometry.from_layout(512, 0.005)
+    system = uca(512)
     radius, wavelength, _ = paper_geometry()
     beta_delta = solve_beta_delta(0.55)
     z_cap = math.pi * radius**2 / (2.0 * wavelength * beta_delta)
     rings = distance_grid(0.5 * math.pi, z_cap, 4.0)[1:]
-    columns = [near_field_steering(r, 0.5 * math.pi, 0.0, geom, wavelength) for r in rings]
+    columns = [near_field_steering(r, 0.5 * math.pi, 0.0, system) for r in rings]
     for (r_a, a), (r_b, b) in zip(zip(rings, columns), zip(rings[1:], columns[1:])):
         beta = math.pi * radius**2 / (2.0 * wavelength) * abs(1.0 / r_a - 1.0 / r_b)
         assert beta == pytest.approx(beta_delta, rel=1e-9)
@@ -661,13 +656,12 @@ def test_grid_text_round_trip(tmp_path, books):
 
 def _rebuilt(name, book, layout, system):
     """A book of `book`'s class on `layout`, built as its build builds it."""
-    geom, lam = UcaGeometry.from_config(system), system.wavelength_m
     if name == "angular":
         dft = DftBasis(layout)
         return dft if isinstance(book, DftBasis) else DenseBasis(layout, dft.dense())
     if isinstance(book, DenseBasis):
-        return DenseBasis(layout, phase_modes.ring_matrix(layout, geom, lam))
-    return type(book)(layout, geom, lam)
+        return DenseBasis(layout, phase_modes.ring_matrix(layout, system))
+    return type(book)(layout, book.system)
 
 
 def _check_loaded_grid_rebuilds(tmp_path, books, system):

@@ -606,14 +606,13 @@ def test_cli_trial_and_config_precedence(tmp_path, capsys):
     config_path.write_text(
         "num_antennas = 64\n"
         "num_pilot_slots = 8\n"
-        "trials = 2  # overridden by flag below\n"
+        "trials = 2  # accepted, though one trial reads no trial count\n"
         "methods = ls\n"
     )
     code = cli_main(
         [
             "trial",
             "--config", str(config_path),
-            "--trials", "1",
             "--methods", "ls,oracle",
             "--seed", "5",
             "--snr", "10",
@@ -708,7 +707,7 @@ def test_cli_codebook_build_and_stats_of_the_desk_screen(tmp_path, capsys):
     assert "adjacent distance" in out
     spec = desk_profile()
     book = codebook.build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
-    rebuilt = phase_modes.ring_matrix(codebook.load_grid_text(grid_out), book.geom, book.wavelength_m)
+    rebuilt = phase_modes.ring_matrix(codebook.load_grid_text(grid_out), book.system)
     assert rebuilt.shape == (n, g)
     assert np.array_equal(rebuilt, book.dense())
 
@@ -770,7 +769,7 @@ def test_cli_paper_profile_needs_no_slow_flag(capsys):
     """The paper profile assembles like any other, and `--slow` is gone."""
     from nearfield.cli import assemble_spec, build_parser
 
-    args = build_parser().parse_args(["trial", "--profile", "paper", "--trials", "1"])
+    args = build_parser().parse_args(["sweep", "snr", "--profile", "paper", "--trials", "1", "--out", "snr.csv"])
     assert assemble_spec(args) == paper_profile(trials=1)
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["trial", "--profile", "paper", "--slow"])
@@ -922,8 +921,8 @@ def test_cli_rejects_iterations_above_the_rank_budget(tmp_path, capsys, command,
     config_path = tmp_path / "it.cfg"
     config_path.write_text(line + "\n")
     out = tmp_path / "out.csv"
-    flags = ["--out", str(out)] if command[0] == "sweep" else []
-    assert cli_main(command + ["--config", str(config_path), "--trials", "1"] + flags) == 2
+    flags = ["--trials", "1", "--out", str(out)] if command[0] == "sweep" else []
+    assert cli_main(command + ["--config", str(config_path)] + flags) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1003,6 +1002,27 @@ def test_cli_has_no_workers_flag(capsys):
         cli_main(["trial", "--workers", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in (["codebook", "build", "--out", "g.txt"], ["codebook", "stats"])
+        for flag in (["--seed", "5"], ["--trials", "0"], ["--methods", "foo"])
+    ]
+    + [(["trial"], ["--trials", "1"])],
+)
+def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, monkeypatch, capsys, command, flag):
+    """A run flag a subcommand never reads is refused, not silently ignored:
+    `codebook` builds read no seed, trial count or method list, and `trial`
+    runs one trial whatever `--trials` says."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(command + flag)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_cli_has_no_matrix_out_flag(tmp_path, capsys):

@@ -26,7 +26,6 @@ from nearfield.codebook import (
     build_spherical_codebook,
     export_matrix_binary,
 )
-from nearfield.channel import UcaGeometry
 from nearfield.estimator import MeasurementSet
 from nearfield.harness import METHOD_P_SOMP, METHOD_S_SOMP, build_codebooks, paper_profile, run_trial
 from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, fft_length
@@ -281,7 +280,7 @@ def test_every_column_set_and_elevation_is_one_kernel_call(small_config, book_pa
         assert calls == [idx.size], pattern
     layout = build_spherical_codebook(small_config, 0.55, 0.25).layout
     calls.clear()
-    PhaseModes(layout, UcaGeometry.from_config(small_config), small_config.wavelength_m)
+    PhaseModes(layout, small_config)
     assert len(calls) == layout.thetas.size
 
 
@@ -613,8 +612,7 @@ def screens(small_config, desk_spec):
     dense as built) with a screen built on its layout."""
     desk = build_spherical_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)
     small = build_spherical_codebook(small_config, 0.55, 0.25)
-    geom = UcaGeometry.from_config(small_config)
-    small_screen = Complex64Screen(small.layout, geom, small_config.wavelength_m)
+    small_screen = Complex64Screen(small.layout, small_config)
     return {
         "desk": (desk, desk.dense()),
         "small": (small_screen, small.dense()),

@@ -741,7 +741,7 @@ def _width_outputs(books, calls, v, folder):
     of `phase_modes.column_blocks` makes on the desk spherical (screened)
     and polar (dense) books, as arrays and bytes."""
     screen = books["spherical"]
-    out = [ring_matrix(screen.layout, screen.geom, screen.wavelength_m, dtype) for dtype in (np.complex128, np.complex64)]
+    out = [ring_matrix(screen.layout, screen.system, dtype) for dtype in (np.complex128, np.complex64)]
     for args in calls:
         got = s_somp(*args)
         out += [np.array(got.support), got.sparse_coeffs, got.channel_estimate, np.array(got.residual_norms), repr(got.steps)]
