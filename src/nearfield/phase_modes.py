@@ -1,6 +1,6 @@
 """Codebooks: a `SphericalCodebook` holds the ring layout of its columns,
 and each subclass holds W in one form, which `codebook`'s builds choose
-from N and G. `PhaseModes` correlates matrix-free through UCA phase modes.
+from N and G. `PhaseModes` scores matrix-free through UCA phase modes.
 
 For one (r, theta) ring, the steering entry of antenna n at azimuth phi is
 f(phi - psi_n), with psi_n = 2 pi n / N. f is 2 pi-periodic, so it is the
@@ -13,13 +13,15 @@ the ring's column at phi is
 
 On one elevation's uniform azimuth grid phi_s = s * step this sum is a
 chirp-z transform, evaluated as Bluestein's FFT convolution (Rabiner,
-Schafer & Rader 1969). No column of the codebook is ever formed.
+Schafer & Rader 1969), which forms no column of the codebook.
 
 Summed over k vectors, |sum_m c_m U_k[m] e^{j m phi}|^2 is itself a
 trigonometric polynomial in phi, so `scores` maps one ring power spectrum
 per ring through the same chirp-z, instead of every vector's correlations.
 `move_scores` forms S-SOMP's rank-1 score moves from the chirp-z buffer of
 each plan in turn, so neither forms an array of correlations per column.
+These two are all S-SOMP reads of a streamed book; its `correlate` is the
+exact float64 walk over its columns.
 
 The angular codebook's DFT columns e^{-j k psi_n} / sqrt(N) are the UCA's
 phase-mode excitations themselves, so `DftBasis` correlates with all of
@@ -33,7 +35,8 @@ S-SOMP rescores every column near the best on its exact float64 column
 and every pick is the one the float64 matrix gives.
 
 Every codebook fills the columns asked of it, bit for bit as the dense
-matrix of the same book, and fills that whole matrix on request (`dense`).
+matrix of the same book, fills that whole matrix on request (`dense`), and
+correlates exactly to float64 rounding (`correlate`).
 A `DenseBasis` holds that matrix; it and `DftBasis` have `streamed` False,
 so S-SOMP takes its exact Gram path there, not `scores` and `move_scores`.
 """
@@ -85,21 +88,20 @@ _SCREEN_SUM_ROWS = 16
 class _ElevationPlan:
     """Chirp-z evaluation of every ring of one elevation.
 
-    Position p = 0..2M of `coef` holds c_{p-M} e^{j step p^2 / 2} of each
-    ring, which multiplies antenna mode (p - M) mod N
-    (`PhaseModes._plan_modes`), `spectrum` the FFT of the length-F chirp
-    e^{-j step q^2 / 2}, and `chirp` the unit chirp e^{j step n^2 / 2}
-    for n below both 2M + 1 and S, which `scores` uses. The plan holds
-    these, O(Z M + F) entries; the output chirp e^{j step (s^2 / 2 - M s)}
-    of its S azimuths, which only `correlate` applies, is formed there from
-    `step` and `count`.
+    Position p = 0..2M of `coef` holds c_{p-M} of each ring, as `ring_modes`
+    gives it, which multiplies antenna mode (p - M) mod N
+    (`PhaseModes._plan_modes`); `spectrum` holds the FFT of the length-F
+    chirp e^{-j step q^2 / 2}, and `chirp` the unit chirp e^{j step n^2 / 2}
+    for n below both 2M + 1 and S. The plan holds these, O(Z M + F)
+    entries. A chirp-z transform multiplies its inputs p by chirp[p] before
+    the convolution with `spectrum`, and its outputs s by chirp[s] after it;
+    `move_scores` skips the output chirp, which cancels from its products.
     """
 
     first_column: int
     coef: np.ndarray = field(repr=False)  # (Z, 2M + 1) complex128
     spectrum: np.ndarray = field(repr=False)  # (F,) complex128
     chirp: np.ndarray = field(repr=False)  # (max(2M + 1, S),) complex128
-    step: float  # the azimuth step
     count: int  # S, the azimuths of the elevation
     power_length: int  # L = fft_length(4M + 1), the ring power spectra's length
 
@@ -212,7 +214,9 @@ class SphericalCodebook:
     subclass, its transform W (N x G). A subclass gives `num_antennas`,
     `dense()`, `columns`, `correlate`, `streamed`, `nbytes` and `describe()`,
     and a streamed one `scores`, `move_scores` and `rescore_rtol`. `columns`
-    and `correlate` are exact to float64 rounding but for phase modes' ~1e-12.
+    and `correlate` are exact to float64 rounding on every book; only a
+    streamed book's `scores` and `move_scores` approximate, within
+    `rescore_rtol`.
     """
 
     def __init__(self, layout):
@@ -267,8 +271,8 @@ class DenseBasis(SphericalCodebook):
 class _RingBasis(SphericalCodebook):
     """What the ring-built codebooks share: the layout, the `SystemConfig`
     of the array, and from them the exact float64 matrix, columns and
-    correlations, all filled by `ring_columns` (`PhaseModes` correlates
-    through its phase modes instead) from where the layout places each column.
+    correlations, all filled by `ring_columns` from where the layout places
+    each column.
 
     The columns read only the system's N, antenna spacing and carrier, so a
     book built from one system serves every pilot length of that array.
@@ -301,12 +305,13 @@ class _RingBasis(SphericalCodebook):
 
 
 class PhaseModes(_RingBasis):
-    """V^H W of a ring-built codebook W, from its rings' phase modes.
+    """S-SOMP's scores of a ring-built codebook W, from its rings' phase modes.
 
     Besides the layout, only the coefficients and per-elevation chirps are
     stored, a few MB where the dense W of an N = 512 array takes 822 MB.
-    Its correlations lie within ~1e-12 of ||v||, so S-SOMP rescores the
-    columns within `rescore_rtol` of the best.
+    Its scores lie within ~1e-12 of ||V||_F^2, so S-SOMP rescores the
+    columns within `rescore_rtol` of the best. `correlate` is the exact
+    column walk it inherits, which S-SOMP does not call.
     """
 
     rescore_rtol = RESCORE_RTOL
@@ -324,12 +329,11 @@ class PhaseModes(_RingBasis):
             width, count = modes.shape[1], len(phis)
             p = np.arange(max(width, count), dtype=np.float64)
             chirp = np.exp(0.5j * step * p * p)
-            modes *= chirp[:width]  # the plan's `coef`
             size = fft_length(width + count - 1)
             q = np.arange(1 - width, count)
             spectrum = np.zeros(size, dtype=np.complex128)
             spectrum[q % size] = np.exp(-0.5j * step * (q * q).astype(np.float64))
-            plan = _ElevationPlan(col, modes, np.fft.fft(spectrum), chirp, step, count, fft_length(2 * width - 1))
+            plan = _ElevationPlan(col, modes, np.fft.fft(spectrum), chirp, count, fft_length(2 * width - 1))
             self._plans.append(plan)
 
     @property
@@ -360,45 +364,6 @@ class PhaseModes(_RingBasis):
         start = self._wrap.size // 2 - plan.coef.shape[1] // 2
         return wrapped[:, start : start + plan.coef.shape[1]]
 
-    def _unchirped(self, v):
-        """Yield (plan, X) per plan: X (k, Z, S) holds V^H W at the plan's
-        columns, ring by ring, but for the factor of the output chirp
-        e^{j step (s^2 / 2 - M s)}. X is a view of scratch that the next
-        plan overwrites."""
-        wrapped = self._wrapped_spectra(v)
-        k = wrapped.shape[0]
-        # One scratch buffer for every plan; each plan zeroes only its pad.
-        scratch = np.empty(k * max(p.coef.shape[0] * p.spectrum.size for p in self._plans), dtype=np.complex128)
-        for plan in self._plans:
-            rings, width = plan.coef.shape
-            buf = scratch[: k * rings * plan.spectrum.size].reshape(k, rings, -1)
-            np.multiply(self._plan_modes(wrapped, plan)[:, None], plan.coef, out=buf[:, :, :width])
-            buf[:, :, width:] = 0.0
-            np.fft.fft(buf, axis=-1, out=buf)
-            buf *= plan.spectrum
-            np.fft.ifft(buf, axis=-1, out=buf)
-            yield plan, buf[:, :, : plan.count]
-
-    def correlate(self, v) -> np.ndarray:
-        """V^H W for V of shape (N,) or (N, k): (G,) or (k, G), to ~1e-12 of ||v||.
-
-        Besides the (k, G) output, a call holds the chirp-z scratch of the
-        widest plan, k Z F entries, and one plan's output chirp
-        e^{j step (s^2 / 2 - M s)}, formed here per plan.
-        """
-        v = np.asarray(v)
-        out = np.empty((v.reshape(self.num_antennas, -1).shape[1], self.num_columns), dtype=np.complex128)
-        for plan, chirped in self._unchirped(v):
-            # The output chirp is applied on contiguous rows, then the block is
-            # transposed into `out`: its rows are contiguous there, so the
-            # reshape is a view.
-            k, rings, count = chirped.shape
-            s = np.arange(count, dtype=np.float64)
-            chirped *= np.exp(1j * plan.step * s * (0.5 * s - plan.coef.shape[1] // 2))
-            block = out[:, plan.first_column : plan.first_column + count * rings]
-            block.reshape(k, count, rings)[...] = chirped.transpose(0, 2, 1)
-        return out[0] if v.ndim == 1 else out
-
     def move_scores(self, v, weight, scores) -> None:
         """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, where
         e and phi are the correlations V^H w_j of V's two columns (N, 2),
@@ -408,15 +373,28 @@ class PhaseModes(_RingBasis):
         The columns of V are scaled by sqrt(weight) and -2 / sqrt(weight)
         first, which turns e and phi into e' and phi' with a move of
         Re(conj(e') (e' + phi')): the dot product of the (re, im) pairs of
-        e' and e' + phi'. The moves are formed plan by plan from the
-        chirp-z buffer of `correlate`, so no (2, G) array is formed. The
-        output chirp has unit modulus and cancels from the product, so it
-        is not applied.
+        e' and e' + phi'. Per plan, the two vectors' modes U[p - M] take the
+        input chirp and each ring's c_{p-M}, and one chirp-z transform gives
+        both correlations at the plan's columns, but for the output chirp,
+        which has unit modulus and cancels from the product. The moves are
+        formed plan by plan, so no (2, G) array is formed: a call holds the
+        chirp-z scratch of the widest plan, 2 Z F entries.
         """
         scale = math.sqrt(weight)
-        for plan, unchirped in self._unchirped(np.asarray(v) * [scale, -2.0 / scale]):
-            _, rings, count = unchirped.shape
-            e, phi = unchirped.view(np.float64).reshape(2, rings, count, 2)
+        wrapped = self._wrapped_spectra(np.asarray(v) * [scale, -2.0 / scale])
+        # One scratch buffer for every plan; each plan zeroes only its pad.
+        scratch = np.empty(2 * max(p.coef.shape[0] * p.spectrum.size for p in self._plans), dtype=np.complex128)
+        for plan in self._plans:
+            rings, width = plan.coef.shape
+            count = plan.count
+            buf = scratch[: 2 * rings * plan.spectrum.size].reshape(2, rings, -1)
+            chirped = self._plan_modes(wrapped, plan) * plan.chirp[:width]
+            np.multiply(chirped[:, None], plan.coef, out=buf[:, :, :width])
+            buf[:, :, width:] = 0.0
+            np.fft.fft(buf, axis=-1, out=buf)
+            buf *= plan.spectrum
+            np.fft.ifft(buf, axis=-1, out=buf)
+            e, phi = buf[:, :, :count].view(np.float64).reshape(2, rings, count, 2)
             phi += e
             block = scores[plan.first_column : plan.first_column + count * rings].reshape(count, rings)
             block += np.einsum("zsi,zsi->sz", e, phi)
@@ -462,13 +440,11 @@ class PhaseModes(_RingBasis):
             rings, width = plan.coef.shape
             length, size, count = plan.power_length, plan.spectrum.size, plan.count
             chirp = plan.chirp
-            # 1. `coef` carries the chirp e^{j step p^2 / 2}, divided out here.
-            unchirped = plan.coef * chirp[:width].conj()
             modes = self._plan_modes(wrapped, plan)
             spectra = spectra_buf[: k * length].reshape(k, length)
             parts = spectra.view(np.float64)  # (k, 2L): re, im interleaved
             summed = np.empty((rings, 2 * length))
-            for ring, power in zip(unchirped, summed):
+            for ring, power in zip(plan.coef, summed):
                 np.multiply(modes, ring, out=spectra[:, :width])
                 spectra[:, width:] = 0.0
                 np.fft.fft(spectra, axis=-1, out=spectra)

@@ -808,6 +808,27 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        (["codebook", "build", "--out", "{tmp}/grid.txt"], "methods = foo", "unknown methods ['foo']"),
+        (["codebook", "stats"], "trials = 0", "trials must be >= 1"),
+    ],
+)
+def test_cli_codebook_commands_validate_the_whole_config_file(tmp_path, capsys, command, line, message):
+    """One config file serves every subcommand, so it is validated whole
+    under each: a bad sweep-only key stops a codebook command too, with
+    exit 2 and the key named, before any codebook is built or grid written."""
+    config_path = tmp_path / "sweep.cfg"
+    config_path.write_text(line + "\n")
+    args = [arg.format(tmp=tmp_path) for arg in command] + ["--config", str(config_path)]
+    assert cli_main(args) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {message}" in captured.err
+    assert "built in" not in captured.out
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
 def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys, monkeypatch):
     """`trials = 10` and later `trials = 1000` used to run 1000 trials
     without a word. A key set twice exits 2, naming the key and both lines,

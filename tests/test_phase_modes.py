@@ -189,7 +189,8 @@ def test_describe_names_the_kind_and_its_bytes(desk_bases, kind):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 3, 16]))
 def test_correlate_matches_dense_product(book_pairs, name, seed, width):
-    """V^H W to 1e-10 of ||v||, for one vector (width 0) or a block."""
+    """V^H W to 1e-14 of ||v||, for one vector (width 0) or a block: the
+    exact column walk every ring-built book correlates by."""
     held, dense = book_pairs[name]
     rng = np.random.default_rng(seed)
     shape = (held.num_antennas, width) if width else (held.num_antennas,)
@@ -199,7 +200,7 @@ def test_correlate_matches_dense_product(book_pairs, name, seed, width):
     assert got.shape == want.shape
     scale = np.linalg.norm(v, axis=0)
     error = np.abs(got - want) / (scale[:, None] if width else scale)
-    assert error.max(initial=0.0) <= 1e-10
+    assert error.max(initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("name", BOOKS)
@@ -367,48 +368,67 @@ def _antenna_modes(modes, plan):
     return modes._wrap[reach - half : reach + half + 1]
 
 
-def _reference_correlate(modes, v):
-    """`PhaseModes.correlate` as written before its scratch was shared across
-    plans: a zeroed buffer per plan, and the output chirp, formed from the
-    plan's azimuth step, applied while the block is transposed into `out`."""
+def _reference_chirp_z(modes, v, output_chirp=True):
+    """V^H W by the chirp-z transform that `PhaseModes.move_scores` runs, as
+    `PhaseModes.correlate` computed it before that was the exact column
+    walk: a zeroed buffer per plan, the input chirp applied to the antenna
+    modes, and the output chirp e^{j step (s^2 / 2 - M s)}, formed from the
+    elevation's azimuth step in the layout, applied after the block is
+    transposed into `out`, or, with `output_chirp` False, skipped as
+    `move_scores` skips it."""
     v = np.asarray(v)
     u = np.fft.fft(v.reshape(modes.num_antennas, -1).conj(), axis=0).T
     k = u.shape[0]
     out = np.empty((k, modes.num_columns), dtype=np.complex128)
-    for plan in modes._plans:
+    for plan, (_, phis, _, _) in zip(modes._plans, modes.layout.elevations(), strict=True):
         rings, width = plan.coef.shape
         count = plan.count
-        s = np.arange(count, dtype=np.float64)
-        post = np.exp(1j * plan.step * s * (0.5 * s - width // 2))
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
-        np.multiply(u[:, None, _antenna_modes(modes, plan)], plan.coef, out=buf[:, :, :width])
+        chirped = u[:, _antenna_modes(modes, plan)] * plan.chirp[:width]
+        np.multiply(chirped[:, None], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= plan.spectrum
         np.fft.ifft(buf, axis=-1, out=buf)
-        block = out[:, plan.first_column : plan.first_column + count * rings]
-        np.multiply(
-            buf[:, :, :count].transpose(0, 2, 1),
-            post[:, None],
-            out=block.reshape(k, count, rings),
-        )
+        block = out[:, plan.first_column : plan.first_column + count * rings].reshape(k, count, rings)
+        block[...] = buf[:, :, :count].transpose(0, 2, 1)
+        if output_chirp:
+            step = float(phis[1]) if count > 1 else 0.0
+            s = np.arange(count, dtype=np.float64)
+            block *= np.exp(1j * step * s * (0.5 * s - width // 2))[:, None]
     return out[0] if v.ndim == 1 else out
 
 
 @pytest.mark.parametrize("name", BOOKS)
 @pytest.mark.parametrize("width", [0, 1, 16])
 def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width):
-    held = book_pairs[name][0]
+    """The chirp-z correlation that `move_scores` runs equals the reference
+    loop's bit for bit. The reference is V^H W to 1e-12 of ||v||, for one
+    vector (width 0) or a block; and `move_scores` adds, bit for bit, the
+    move Re(conj(e') (e' + phi')) formed from the reference's transforms
+    of its two scaled vectors, output chirp skipped."""
+    held, dense = book_pairs[name]
     rng = np.random.default_rng(width)
-    shape = (held.num_antennas, width) if width else (held.num_antennas,)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(held.correlate(v), _reference_correlate(held, v))
+    v = _random_block(rng, held.num_antennas, width)
+    scale = np.linalg.norm(v, axis=0)
+    error = np.abs(_reference_chirp_z(held, v) - v.conj().T @ dense.dense())
+    assert (error / (scale[:, None] if width else scale)).max() <= 1e-12
+    pair = _random_block(rng, held.num_antennas, 2)
+    weight = float(rng.uniform(0.1, 10.0))
+    start = rng.uniform(0.0, 1.0, held.num_columns)
+    got = start.copy()
+    held.move_scores(pair, weight, got)
+    root = math.sqrt(weight)
+    e, phi = _reference_chirp_z(held, pair * [root, -2.0 / root], output_chirp=False)
+    parts = (x.view(np.float64).reshape(-1, 2) for x in (e, e + phi))
+    assert np.array_equal(got, start + np.einsum("gi,gi->g", *parts))
 
 
 def _reference_scores(modes, v):
     """`PhaseModes.scores` as written before it summed ring power spectra:
     every vector's correlations by a Bluestein pass, two FFTs per (vector,
-    ring), squared and summed over the vectors. The unit-modulus output
-    chirp drops out of the squared magnitudes and is skipped."""
+    ring), squared and summed over the vectors. The input chirp multiplies
+    the antenna modes; the unit-modulus output chirp drops out of the
+    squared magnitudes and is skipped."""
     u = np.fft.fft(np.asarray(v).reshape(modes.num_antennas, -1).conj(), axis=0).T
     k = u.shape[0]
     out = np.empty(modes.num_columns)
@@ -416,7 +436,8 @@ def _reference_scores(modes, v):
         rings, width = plan.coef.shape
         count = plan.count
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
-        np.multiply(u[:, None, _antenna_modes(modes, plan)], plan.coef, out=buf[:, :, :width])
+        chirped = u[:, _antenna_modes(modes, plan)] * plan.chirp[:width]
+        np.multiply(chirped[:, None], plan.coef, out=buf[:, :, :width])
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= plan.spectrum
         np.fft.ifft(buf, axis=-1, out=buf)

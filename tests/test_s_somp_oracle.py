@@ -43,7 +43,7 @@ from nearfield.harness import (
     run_trial,
 )
 from nearfield.numerics import lstsq_minimum_norm
-from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DenseBasis, DftBasis, PhaseModes, ring_matrix
+from nearfield.phase_modes import RESCORE_RTOL, Complex64Screen, DenseBasis, DftBasis, PhaseModes, _RingBasis, ring_matrix
 
 SOMP_METHODS = (METHOD_S_SOMP, METHOD_P_SOMP, METHOD_ANGULAR)
 
@@ -805,8 +805,7 @@ def _all_rings_scores(modes, v):
         length, size, count = plan.power_length, plan.spectrum.size, plan.count
         chirp = plan.chirp
         spectra = spectra_buf[: k * rings * length].reshape(k, rings, length)
-        unchirped = plan.coef * chirp[:width].conj()
-        np.multiply(modes._plan_modes(wrapped, plan)[:, None], unchirped, out=spectra[:, :, :width])
+        np.multiply(modes._plan_modes(wrapped, plan)[:, None], plan.coef, out=spectra[:, :, :width])
         spectra[:, :, width:] = 0.0
         np.fft.fft(spectra, axis=-1, out=spectra)
         parts = spectra.view(np.float64)
@@ -1002,25 +1001,35 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
 
 
 @pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
-def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, monkeypatch, method):
-    """On a phase-mode book, the M = 16 first-term vectors go only through
-    `scores`. After each pick but the last, one `move_scores` call of two
-    vectors, A^H q and A^H R d, moves every score by the residual's rank-1
-    change, and `correlate` is never called, so no M x G or 2 x G complex
-    array is formed and no call grows with the iteration count."""
+def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, desk_somp_calls, monkeypatch, method):
+    """On a streamed book, phase modes or the desk complex64 screen, the
+    M = 16 first-term vectors go only through `scores`. After each pick but
+    the last, one `move_scores` call of two vectors, A^H q and A^H R d,
+    moves every score by the residual's rank-1 change, and `correlate`, the
+    exact column walk both inherit from `_RingBasis`, is never called, so
+    no M x G or 2 x G complex array is formed and no call grows with the
+    iteration count."""
     widths = []
-    real = PhaseModes.move_scores
 
-    def spying(self, v, weight, scores):
-        widths.append(np.shape(v)[1])
-        return real(self, v, weight, scores)
+    def spying(real):
+        def move_scores(self, v, weight, scores):
+            widths.append(np.shape(v)[1])
+            return real(self, v, weight, scores)
+
+        return move_scores
 
     def failing(self, v):
         raise AssertionError("correlate called")
 
-    monkeypatch.setattr(PhaseModes, "move_scores", spying)
-    monkeypatch.setattr(PhaseModes, "correlate", failing)
-    for measurements, combining, held, iterations in desk_phase_mode_calls[method]:
+    for streamed in (PhaseModes, Complex64Screen):
+        monkeypatch.setattr(streamed, "move_scores", spying(streamed.move_scores))
+    monkeypatch.setattr(_RingBasis, "correlate", failing)
+    calls = desk_phase_mode_calls[method]
+    if method == METHOD_S_SOMP:
+        assert all(isinstance(args[2], Complex64Screen) for args in desk_somp_calls[method])
+        calls = calls + desk_somp_calls[method]
+    for measurements, combining, held, iterations in calls:
+        assert held.streamed
         widths.clear()
         s_somp(measurements, combining, held, iterations)
         assert measurements.observations.shape[1] == 16 > iterations
