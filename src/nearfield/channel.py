@@ -165,6 +165,7 @@ def generate_channel(paths, config: SystemConfig) -> np.ndarray:
 
     Column m is sqrt(N/L) sum_l g_l exp(-j k_m r_l) b(r_l, theta_l, phi_l)
     with k_m = 2 pi f_m / c; the steering vectors use the centre wavelength.
+    A path at r <= R, the array's radius, raises ValueError (`ring_steering`).
     """
     paths = list(paths)
     num_paths = len(paths)
@@ -174,12 +175,6 @@ def generate_channel(paths, config: SystemConfig) -> np.ndarray:
         raise ValueError(
             f"path count {num_paths} exceeds antenna count {config.num_antennas}"
         )
-    radius = config.radius_m
-    for p in paths:
-        if p.distance_m <= radius:
-            raise ValueError(
-                f"path at r={p.distance_m} lies inside the array (R={radius})"
-            )
     steering = path_steering(paths, config)
     wavenumbers = 2.0 * math.pi * subcarrier_frequencies(config) / C_LIGHT
     distances = np.array([p.distance_m for p in paths])

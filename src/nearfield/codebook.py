@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phase_modes
 from .channel import ConfigurationError, SystemConfig
 from .numerics import first_j0_zero, solve_beta_delta
 from .phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes, SphericalCodebook, column_blocks, ring_matrix
@@ -48,13 +49,6 @@ _PHASE_MODE_MIN_ANTENNAS = 512
 #: G = 1 836, 1.93 against 2.50; G = 2 592, 2.46 against 2.69; G = 3 123,
 #: 2.84 against 2.88; the whole book, G = 3 789, 3.50 against 3.21.
 _SCREEN_MIN_COLUMNS = 3072
-
-#: Azimuths per slice of the coherence walk: an elevation's columns are
-#: taken this many azimuths at a time, so the walk holds three (N, S, Z)
-#: blocks of at most this S + 1 whatever the elevation's azimuth count
-#: (84 MB each at N = 2048, where an elevation holds up to 10 rings).
-_COHERENCE_AZIMUTHS = 256
-
 
 class _RingLayout:
     """Where every column of a codebook lies, held as arrays.
@@ -269,17 +263,20 @@ def _adjacent_correlations(codebook: SphericalCodebook):
     """|correlation| of the column pairs adjacent in t, in s and in z: three
     arrays, each in ascending order of the pairs' first column.
 
-    The layout is walked in azimuth slices of `_COHERENCE_AZIMUTHS`, each
-    slice through every elevation in turn. One `columns` call gives an
-    elevation's slice as an (N, S, Z) block, with one azimuth more than the
-    slice, so that its s neighbours are in it: s and z neighbours are views
-    offset by one, and t neighbours share (s, z) with the same slice of the
-    previous elevation, the block before. Each pair's value is written at
-    its place in the output, which the layout gives. So every column is
-    filled once (the overlap azimuth twice), and the walk holds three
-    blocks of one slice, whatever the size of an elevation, where whole
-    elevations took 875 MB a block at N = 2048.
+    The layout is walked in azimuth slices of `phase_modes._FILL_COLUMNS`,
+    the width of every walk over a book's columns, each slice through every
+    elevation in turn. One `columns` call gives an elevation's slice as an
+    (N, S, Z) block, with one azimuth more than the slice, so that its s
+    neighbours are in it: s and z neighbours are views offset by one, and
+    t neighbours share (s, z) with the same slice of the previous
+    elevation, the block before. Each pair's value is written at its place
+    in the output, which the layout gives. So every column is filled once
+    (the overlap azimuth twice), and the walk holds three blocks of one
+    slice, whatever the size of an elevation: 42 MB a block at N = 2048,
+    where an elevation holds up to 10 rings, and whole elevations took
+    875 MB.
     """
+    azimuths = phase_modes._FILL_COLUMNS
     n = codebook.num_antennas
     layout = codebook.layout
     counts, rings, shared, depth, sizes = adjacent_pair_sizes(layout)
@@ -289,13 +286,13 @@ def _adjacent_correlations(codebook: SphericalCodebook):
     def put(axis, start, values):
         pairs[axis][start : start + values.size] = values
 
-    for s0 in range(0, int(counts.max()), _COHERENCE_AZIMUTHS):
+    for s0 in range(0, int(counts.max()), azimuths):
         below = None  # the previous elevation's block of this slice, conjugated
         for t, (count, z) in enumerate(zip(counts.tolist(), rings.tolist())):
             if count <= s0:
                 below = None
                 continue
-            s1 = min(s0 + _COHERENCE_AZIMUTHS, count)
+            s1 = min(s0 + azimuths, count)
             first = int(layout.column_starts[t]) + s0 * z
             this = codebook.columns(np.arange(first, first + (min(s1 + 1, count) - s0) * z))
             this = this.reshape(n, -1, z)

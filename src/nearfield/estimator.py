@@ -164,7 +164,8 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
           ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-      added in place by the codebook's `move_scores` (`_rank_one_update`);
+      added in place by the codebook's `move_scores` as one cross term of
+      two vectors (`_rank_one_update`);
       the result is clamped at 0, and consumed and rejected columns stay at
       -1. The last iteration's change is never read and is not formed.
     - Before a column is taken, every column scoring within `slack` of the
@@ -275,20 +276,22 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
 
         ||x_j||^2 = old score + ||d||^2 |e_j|^2 - 2 Re(conj(e_j) phi_j),
 
-    e = a^H W and phi = b^H W, added by the codebook's `move_scores`. Two
-    errors move the running score off the exact one, and the slack grows
-    by a bound on each:
+    e = a^H W and phi = b^H W. With v_1 = ||d|| a and
+    v_2 = ||d|| a - (2 / ||d||) b, that move is the one cross term
+    Re(conj(v_1^H w_j) v_2^H w_j), which the codebook's `move_scores` adds.
+    Two errors move the running score off the exact one, and the slack
+    grows by a bound on each:
 
-    - e and phi come from the codebook, each entry within eps of ||a|| and
-      ||b|| (eps ~1e-12 for phase modes), so the move is off by at most
-      eps (2 + eps) (||d||^2 ||a||^2 + 2 ||a|| ||b||). `rtol`, the codebook's
-      `rescore_rtol`, stands in for eps (2 + eps): RESCORE_RTOL bounds it
-      up to eps = 5e-9, and a `Complex64Screen` derives its own from its
-      eps;
+    - the codebook's correlations v_i^H w_j are each within eps ||v_i||
+      (eps ~1e-12 for phase modes) of values at most ||v_i|| in modulus,
+      so the move is off by at most eps (2 + eps) ||v_1|| ||v_2||. `rtol`,
+      the codebook's `rescore_rtol`, stands in for eps (2 + eps):
+      RESCORE_RTOL bounds it up to eps = 5e-9, and a `Complex64Screen`
+      derives its own from its eps;
     - E is zero but for rounding, because `change` is the rank-1
       projection of the residual onto the new atom's direction; it moves
       the score by at most ||E||_F (2 ||x_j|| + ||E||_F), with
-      ||x_j|| <= ||previous||_F + ||d|| ||a||.
+      ||x_j|| <= ||previous||_F + ||v_1||.
 
     The rounding of the move itself is ~1e-16 of the same terms. Scores are
     clamped at 0, which only brings them nearer their exact values, and
@@ -300,14 +303,15 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
         q = change[:, top] / norms[top]
         d = change.conj().T @ q
         atom = adjoint_product(q, a)
-        direction = previous @ d
-        weight = float(np.vdot(d, d).real)
-        codebook.move_scores(np.column_stack([atom, direction]), weight, scores)
+        root = float(np.linalg.norm(d))
+        v1 = root * atom
+        v2 = v1 - (2.0 / root) * (previous @ d)
+        codebook.move_scores(np.column_stack([v1, v2]), scores)
         np.maximum(scores, 0.0, out=scores)
-        atom_norm = float(np.linalg.norm(atom))
+        v1_norm = float(np.linalg.norm(v1))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
-        reach = float(np.linalg.norm(previous)) + math.sqrt(weight) * atom_norm
-        slack += rtol * atom_norm * (weight * atom_norm + 2.0 * float(np.linalg.norm(direction)))
+        reach = float(np.linalg.norm(previous)) + v1_norm
+        slack += rtol * v1_norm * float(np.linalg.norm(v2))
         slack += mismatch * (2.0 * reach + mismatch)
     scores[blocked] = -1.0
     return slack

@@ -18,8 +18,9 @@ Schafer & Rader 1969), which forms no column of the codebook.
 Summed over k vectors, |sum_m c_m U_k[m] e^{j m phi}|^2 is itself a
 trigonometric polynomial in phi, so `scores` maps one ring power spectrum
 per ring through the same chirp-z, instead of every vector's correlations.
-`move_scores` forms S-SOMP's rank-1 score moves from the chirp-z buffer of
-each plan in turn, so neither forms an array of correlations per column.
+`move_scores` adds Re(conj(x_j) y_j) of two vectors' correlations x and y,
+from the chirp-z buffer of each plan in turn, so neither forms an array of
+correlations per column.
 These two are all S-SOMP reads of a streamed book; its `correlate` is the
 exact float64 walk over its columns.
 
@@ -59,8 +60,9 @@ MODE_RTOL = 1e-12
 _MAX_DOUBLINGS = 4
 #: Columns per block of `column_blocks`, the one width of every walk over a
 #: book's columns: the matrix fill, exact correlation, S-SOMP's rescoring,
-#: the random pairs of the coherence stats and the grid and matrix exports.
-#: It bounds what a walk holds at once, 16 N B per complex128 column
+#: the coherence stats' random pairs and adjacent-pair slices (this many
+#: azimuths of an elevation's rings), and the grid and matrix exports. It
+#: bounds what a walk holds at once, 16 N B per complex128 column
 #: (2 MiB a block at N = 1024). The walks' outputs do not depend on it, but
 #: for the last bits of the BLAS products (`_RingBasis.correlate`, S-SOMP's
 #: rescoring), which follow the GEMM kernel's column unroll: with OpenBLAS
@@ -364,24 +366,19 @@ class PhaseModes(_RingBasis):
         start = self._wrap.size // 2 - plan.coef.shape[1] // 2
         return wrapped[:, start : start + plan.coef.shape[1]]
 
-    def move_scores(self, v, weight, scores) -> None:
-        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, where
-        e and phi are the correlations V^H w_j of V's two columns (N, 2),
-        to ~1e-12 of their norms, and weight > 0: an S-SOMP score's move
-        under a rank-1 change of the residual.
+    def move_scores(self, v, scores) -> None:
+        """scores[j] += Re(conj(x_j) y_j) in place, where x and y are the
+        correlations V^H w_j of V's two columns (N, 2), each to ~1e-12 of
+        its column's norm: the dot product of their (re, im) pairs.
 
-        The columns of V are scaled by sqrt(weight) and -2 / sqrt(weight)
-        first, which turns e and phi into e' and phi' with a move of
-        Re(conj(e') (e' + phi')): the dot product of the (re, im) pairs of
-        e' and e' + phi'. Per plan, the two vectors' modes U[p - M] take the
-        input chirp and each ring's c_{p-M}, and one chirp-z transform gives
-        both correlations at the plan's columns, but for the output chirp,
-        which has unit modulus and cancels from the product. The moves are
+        Per plan, the two vectors' modes U[p - M] take the input chirp and
+        each ring's c_{p-M}, and one chirp-z transform gives both
+        correlations at the plan's columns, but for the output chirp, which
+        has unit modulus and cancels from the product. The products are
         formed plan by plan, so no (2, G) array is formed: a call holds the
         chirp-z scratch of the widest plan, 2 Z F entries.
         """
-        scale = math.sqrt(weight)
-        wrapped = self._wrapped_spectra(np.asarray(v) * [scale, -2.0 / scale])
+        wrapped = self._wrapped_spectra(v)
         # One scratch buffer for every plan; each plan zeroes only its pad.
         scratch = np.empty(2 * max(p.coef.shape[0] * p.spectrum.size for p in self._plans), dtype=np.complex128)
         for plan in self._plans:
@@ -394,10 +391,9 @@ class PhaseModes(_RingBasis):
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= plan.spectrum
             np.fft.ifft(buf, axis=-1, out=buf)
-            e, phi = buf[:, :, :count].view(np.float64).reshape(2, rings, count, 2)
-            phi += e
+            x, y = buf[:, :, :count].view(np.float64).reshape(2, rings, count, 2)
             block = scores[plan.first_column : plan.first_column + count * rings].reshape(count, rings)
-            block += np.einsum("zsi,zsi->sz", e, phi)
+            block += np.einsum("zsi,zsi->sz", x, y)
 
     def scores(self, v) -> np.ndarray:
         """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or (N, k):
@@ -563,9 +559,9 @@ class Complex64Screen(_RingBasis):
         rescore_rtol ||V||_F^2,  rescore_rtol = eps (2 + eps),
 
     of sum_k |v_k^H w_j|^2, since eps_c (2 + eps_c) + eta (1 + eps_c)^2
-    <= eps (2 + eps). The moves of `move_scores` come from correlations
-    within eps_c of their vectors' norms, the premise under which
-    `estimator._rank_one_update` widens S-SOMP's slack by rescore_rtol.
+    <= eps (2 + eps). `move_scores` adds Re(conj(x_j) y_j) of two screened
+    correlations, each within eps_c of its vector's norm, so it is within
+    eps_c (2 + eps_c) ||v_1|| ||v_2|| <= rescore_rtol ||v_1|| ||v_2||.
     Underflow of tiny entries after the scaling adds ~1e-36 absolutely,
     and the 1 / ||v|| scaling keeps float32 from overflowing. At N = 128,
     rescore_rtol = 4.5e-5; on 120 desk first passes the error reached 3.4e-8.
@@ -593,18 +589,15 @@ class Complex64Screen(_RingBasis):
         out *= norm
         return out
 
-    def move_scores(self, v, weight, scores) -> None:
-        """scores[j] += weight |e_j|^2 - 2 Re(conj(e_j) phi_j) in place, as
-        `PhaseModes.move_scores`, with e and phi the screened correlations
-        of V's two columns, each within eps_c of its column's norm. The
-        columns are scaled by sqrt(weight) and -2 / sqrt(weight) first, and
-        the move Re(conj(e') (e' + phi')) is formed in float64."""
-        scale = math.sqrt(weight)
-        v = np.asarray(v) * [scale, -2.0 / scale]
+    def move_scores(self, v, scores) -> None:
+        """scores[j] += Re(conj(x_j) y_j) in place, as `PhaseModes.move_scores`,
+        with x and y the screened correlations of V's two columns, each
+        within eps_c of its column's norm, and their product formed in
+        float64."""
+        v = np.asarray(v)
         norms = np.linalg.norm(v, axis=0)
-        e, phi = (self._screened(column, float(norm)) for column, norm in zip(v.T, norms))
-        phi += e
-        scores += np.einsum("gi,gi->g", e.view(np.float64).reshape(-1, 2), phi.view(np.float64).reshape(-1, 2))
+        x, y = (self._screened(column, float(norm)) for column, norm in zip(v.T, norms))
+        scores += np.einsum("gi,gi->g", x.view(np.float64).reshape(-1, 2), y.view(np.float64).reshape(-1, 2))
 
     def scores(self, v) -> np.ndarray:
         """sum_k |V^H w_j|^2 of every column j, for V of shape (N,) or

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nearfield import SystemConfig, build_spherical_codebook, codebook, desk_profile, phase_modes
@@ -49,3 +51,19 @@ def record_fills(monkeypatch):
         return built
 
     return start
+
+
+@pytest.fixture
+def traced_peak():
+    """Call as traced_peak(fn, *args) to run fn(*args) under tracemalloc:
+    returns (its result, the peak of the memory traced during the call)."""
+
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

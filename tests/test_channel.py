@@ -434,6 +434,19 @@ def test_ring_steering_rejects_source_inside_array():
         ring_block(system.radius_m, 1.0, [0.0, 1.0], system)
 
 
+def test_channel_and_oracle_reject_a_path_on_the_array():
+    """A path at r = R, on the array's circle, raises ValueError from
+    `ring_steering` in both `generate_channel` and `oracle_estimate`."""
+    system = uca(64)
+    paths = [PathParams(10.0, 1.0, 0.5, 1.0), PathParams(system.radius_m, 1.0, 0.0, 1.0)]
+    with pytest.raises(ValueError, match="outside the array"):
+        generate_channel(paths, system)
+    combining = generate_combining(0, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
+    measurements = synthesize_measurements(generate_channel(paths[:1], system), combining, 10.0, seed=1)
+    with pytest.raises(ValueError, match="outside the array"):
+        oracle_estimate(measurements, combining, paths, system)
+
+
 def channel_oracle(paths, config):
     """Naive triple loop with Cartesian distances, independent of the library."""
     n_ant = config.num_antennas

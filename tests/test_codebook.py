@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 import types
 
 import numpy as np
@@ -527,7 +526,7 @@ def test_coherence_stats_matches_dict_oracle(books, name):
 
 
 @pytest.mark.slow
-def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(record_fills):
+def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(record_fills, traced_peak):
     """On the phase-mode paper book, coherence takes two elevations' columns
     at a time: a traced peak under 300 MB, where the dense matrix alone is
     822 MB. Its statistics equal the gather oracle's bit for bit, and its
@@ -536,12 +535,7 @@ def test_paper_coherence_stats_are_matrix_free_and_match_the_gather_oracle(recor
     spec = paper_profile()
     book = build_spherical_codebook(spec.system, spec.delta, spec.r_min_m)
     built = record_fills()
-    tracemalloc.start()
-    try:
-        got = coherence_stats(book, 2000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(coherence_stats, book, 2000, 0)
     assert built == []
     assert peak < 300e6
     assert got == _coherence_stats_by_dict(book, 2000, seed=0)
@@ -581,14 +575,15 @@ def _representations(desk_spec):
 
 @pytest.mark.parametrize("azimuths", [1, 7, 256])
 def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, azimuths, record_fills):
-    """Walked in slices of 1, 7 and the default 256 azimuths (the desk
-    book's elevations have up to 82, so 7 cuts every elevation but the
-    zenith), the per-pair values equal the dict oracle's bit for bit and
-    in the same order, and the statistics are identical, on the desk
-    spherical book dense, screened and with phase modes forced. No book
-    fills a dense matrix."""
-    monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", azimuths)
+    """Walked in slices of 1, 7 and 256 azimuths (the desk book's
+    elevations have up to 82, so 7 cuts every elevation but the zenith,
+    and 256 cuts none, as the default `_FILL_COLUMNS` of 128 does), the
+    per-pair values equal the dict oracle's bit for bit and in the same
+    order, and the statistics are identical, on the desk spherical book
+    dense, screened and with phase modes forced. No book fills a dense
+    matrix."""
     books = _representations(desk_spec)
+    monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", azimuths)
     want = _adjacent_correlations_by_dict(books["dense"], books["dense"].dense())
     stats = _coherence_stats_by_dict(books["dense"], 700, seed=5)
     assert np.diff(books["dense"].layout.azimuth_starts).max() > 7
@@ -601,7 +596,7 @@ def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, az
     assert built == []
 
 
-def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
+def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch, traced_peak):
     """With 8-azimuth slices, the walk over the desk book's dense columns
     traces under half of one block of its largest elevation (82 azimuths x
     3 rings, 1.0 MB): measured, 0.31 MB. Walking whole elevations, it held
@@ -609,9 +604,9 @@ def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch):
     book = _representations(desk_spec)["dense"]
     layout = book.layout
     largest = 16 * book.num_antennas * int((np.diff(layout.azimuth_starts) * np.diff(layout.ring_starts)).max())
-    monkeypatch.setattr(codebook, "_COHERENCE_AZIMUTHS", 8)
+    monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 8)
     codebook._adjacent_correlations(book)
-    assert _traced_peak(codebook._adjacent_correlations, book) < 0.5 * largest
+    assert traced_peak(codebook._adjacent_correlations, book)[1] < 0.5 * largest
 
 
 def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, monkeypatch, record_fills):
@@ -628,7 +623,7 @@ def test_grid_text_is_written_in_chunks_from_the_layout(tmp_path, desk_spec, mon
     assert built == []
 
 
-def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch):
+def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch, traced_peak):
     """In chunks of 256 points, the export traces less than the desk grid's
     own arrays, 48 B per column (182 kB; measured, 0.1 MB): it never holds
     the grid. Exporting from the whole grid traced 0.67 MB, mostly the
@@ -636,7 +631,7 @@ def test_grid_text_export_holds_no_grid(tmp_path, desk_codebook, monkeypatch):
     monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 256)
     path = tmp_path / "grid.txt"
     export_grid_text(desk_codebook, path)
-    assert _traced_peak(export_grid_text, desk_codebook, path) < 48 * desk_codebook.num_columns
+    assert traced_peak(export_grid_text, desk_codebook, path)[1] < 48 * desk_codebook.num_columns
 
 
 def test_coherence_stats_rejects_zero_budget(small_codebook):
@@ -809,21 +804,12 @@ def test_matrix_binary_layout_is_header_then_column_major(tmp_path, desk_codeboo
     assert path.read_bytes() == header + matrix.astype("<c16").tobytes(order="F")
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_matrix_binary_holds_no_matrix_sized_temporary(tmp_path, desk_codebook):
+def test_matrix_binary_holds_no_matrix_sized_temporary(tmp_path, desk_codebook, traced_peak):
     path = tmp_path / "matrix.bin"
     nbytes = 16 * desk_codebook.num_antennas * desk_codebook.num_columns  # the dense matrix's bytes
-    assert _traced_peak(export_matrix_binary, desk_codebook, path) < 0.25 * nbytes
+    assert traced_peak(export_matrix_binary, desk_codebook, path)[1] < 0.25 * nbytes
     # The load allocates its result, which shows the allocations are traced.
-    peak = _traced_peak(load_matrix_binary, path)
+    _, peak = traced_peak(load_matrix_binary, path)
     assert nbytes <= peak < 1.25 * nbytes
 
 

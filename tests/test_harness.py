@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -572,18 +571,12 @@ def test_load_csv_names_the_malformed_line(tmp_path, line, reason):
 
 
 @pytest.mark.slow
-def test_paper_scale_smoke():
+def test_paper_scale_smoke(traced_peak):
     """Three N = 512 trials at 10 dB: S-SOMP beats the polar and angular
     baselines on average, and one trial, codebook builds included, traces
     under 300 MB (the dense spherical matrix alone is 822 MB)."""
     spec = paper_profile(trials=3, snr_list_db=(10.0,))
-    tracemalloc.start()
-    try:
-        run_trial(spec, 10.0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 300e6
+    assert traced_peak(run_trial, spec, 10.0, 0)[1] < 300e6
     rows = {row.method: row for row in sweep_snr(spec).rows}
     assert all(row.trials == 3 for row in rows.values())
     s_somp = rows[METHOD_S_SOMP].nmse_linear

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import mpmath
@@ -354,7 +353,7 @@ def test_gram_lstsq_equals_the_adjoint_copy_formula_bit_for_bit(rows, cols, num_
     assert np.array_equal(got, _gram_lstsq_with_adjoint_copy(a, y))
 
 
-def test_gram_lstsq_holds_no_copy_of_a_h():
+def test_gram_lstsq_holds_no_copy_of_a_h(traced_peak):
     """At the paper combiner (128 x 512) with 16 right-hand sides,
     `gram_lstsq` traces 1.25 MiB: the conjugate of A the Gram is formed from
     (1 MiB), which dies with its product, and the 128 x 128 Gram. It traced
@@ -362,10 +361,4 @@ def test_gram_lstsq_holds_no_copy_of_a_h():
     the solve."""
     a, y = _combiner_and_rhs(128, 512, 16)
     gram_lstsq(a, y)  # warm any lazily loaded state
-    tracemalloc.start()
-    try:
-        gram_lstsq(a, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * 2**20
+    assert traced_peak(gram_lstsq, a, y)[1] <= 1.3 * 2**20

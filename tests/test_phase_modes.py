@@ -12,7 +12,6 @@ derives and against its dense float64 twin.
 import dataclasses
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,23 +326,20 @@ def test_coherence_stats_on_phase_modes_build_no_grid_or_matrix(desk_spec, monke
 @pytest.mark.parametrize("name", BOOKS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_move_scores_equal_the_move_of_the_correlations(book_pairs, name, seed):
-    """weight |e|^2 - 2 Re(conj(e) phi) added in place, to 1e-12 of the
-    terms' scale, with e and phi the dense correlations of V's two columns."""
+    """Re(conj(x) y) added in place, to 1e-12 of ||v_1|| ||v_2||, with x
+    and y the dense correlations of V's two columns v_1 and v_2."""
     held, dense = book_pairs[name]
     rng = np.random.default_rng(seed)
     v = _random_block(rng, held.num_antennas, 2)
-    weight = float(rng.uniform(0.1, 10.0))
     start = rng.uniform(0.0, 1.0, held.num_columns)
     got = start.copy()
-    held.move_scores(v, weight, got)
-    e, phi = v.conj().T @ dense.dense()
-    want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
-    norms = np.linalg.norm(v, axis=0)
-    scale = weight * norms[0] ** 2 + 2.0 * norms[0] * norms[1]
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    held.move_scores(v, got)
+    x, y = v.conj().T @ dense.dense()
+    want = start + (x.conj() * y).real
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.prod(np.linalg.norm(v, axis=0))
 
 
-def test_move_scores_form_no_array_of_the_column_count(book_pairs):
+def test_move_scores_form_no_array_of_the_column_count(book_pairs, traced_peak):
     """The moves are formed plan by plan: the traced peak of one call, 1.7
     complex vectors of G entries when measured (the chirp-z scratch and
     numpy's FFT copies of it), stays below the 2 of the (2, G) correlations
@@ -351,14 +347,8 @@ def test_move_scores_form_no_array_of_the_column_count(book_pairs):
     held = book_pairs["desk"][0]
     v = _random_block(np.random.default_rng(3), held.num_antennas, 2)
     scores = np.zeros(held.num_columns)
-    held.move_scores(v, 1.5, scores)
-    tracemalloc.start()
-    try:
-        held.move_scores(v, 1.5, scores)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 16 * held.num_columns
+    held.move_scores(v, scores)
+    assert traced_peak(held.move_scores, v, scores)[1] < 2 * 16 * held.num_columns
 
 
 def _antenna_modes(modes, plan):
@@ -403,9 +393,9 @@ def _reference_chirp_z(modes, v, output_chirp=True):
 def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width):
     """The chirp-z correlation that `move_scores` runs equals the reference
     loop's bit for bit. The reference is V^H W to 1e-12 of ||v||, for one
-    vector (width 0) or a block; and `move_scores` adds, bit for bit, the
-    move Re(conj(e') (e' + phi')) formed from the reference's transforms
-    of its two scaled vectors, output chirp skipped."""
+    vector (width 0) or a block; and `move_scores` adds, bit for bit,
+    Re(conj(x) y) of the reference's transforms x and y of its two
+    vectors, output chirp skipped."""
     held, dense = book_pairs[name]
     rng = np.random.default_rng(width)
     v = _random_block(rng, held.num_antennas, width)
@@ -413,13 +403,10 @@ def test_correlate_equals_the_reference_loop_bit_for_bit(book_pairs, name, width
     error = np.abs(_reference_chirp_z(held, v) - v.conj().T @ dense.dense())
     assert (error / (scale[:, None] if width else scale)).max() <= 1e-12
     pair = _random_block(rng, held.num_antennas, 2)
-    weight = float(rng.uniform(0.1, 10.0))
     start = rng.uniform(0.0, 1.0, held.num_columns)
     got = start.copy()
-    held.move_scores(pair, weight, got)
-    root = math.sqrt(weight)
-    e, phi = _reference_chirp_z(held, pair * [root, -2.0 / root], output_chirp=False)
-    parts = (x.view(np.float64).reshape(-1, 2) for x in (e, e + phi))
+    held.move_scores(pair, got)
+    parts = (z.view(np.float64).reshape(-1, 2) for z in _reference_chirp_z(held, pair, output_chirp=False))
     assert np.array_equal(got, start + np.einsum("gi,gi->g", *parts))
 
 
@@ -587,18 +574,13 @@ def test_dft_basis_columns_equal_the_dense_dft_matrix(n):
             dense[:, outside]
 
 
-def test_angular_book_of_a_large_array_is_matrix_free(record_fills):
+def test_angular_book_of_a_large_array_is_matrix_free(record_fills, traced_peak):
     """At N = 2048 the angular book's build allocates under 1 MB, where its
     dense matrix takes 67 MB; `columns`, `correlate` and one S-SOMP call
     fill no dense matrix, and `matrix` is the dense DFT matrix bit for
     bit."""
     system = dataclasses.replace(paper_profile().system, num_antennas=2048)
-    tracemalloc.start()
-    try:
-        book = build_angular_codebook(system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    book, peak = traced_peak(build_angular_codebook, system)
     assert peak < 1 << 20
     assert isinstance(book, DftBasis) and book.nbytes == 0
     dense = _dft_matrix(2048)
@@ -672,8 +654,8 @@ def test_screen_rtol_follows_its_derivation():
 def test_screen_scores_lie_within_their_slack(screens, name, seed, width, scale, clustered):
     """`scores` and `move_scores` of the screen lie within the slack its
     `rescore_rtol` gives of the float64 scores from exact `correlate`: the
-    scores within rtol ||V||_F^2, and a move within
-    rtol (w ||a||^2 + 2 ||a|| ||b||), the widening `_rank_one_update` adds,
+    scores within rtol ||V||_F^2, and a move within rtol ||v_1|| ||v_2||,
+    the widening `_rank_one_update` adds,
     for k = 1, 2, 16 and 64 vectors, at scales float32 alone would
     underflow or overflow. `clustered` vectors lie near a few columns,
     where the scores are largest."""
@@ -690,14 +672,12 @@ def test_screen_scores_lie_within_their_slack(screens, name, seed, width, scale,
     assert np.max(np.abs(screen.scores(v) - exact)) <= rtol * np.linalg.norm(v) ** 2
 
     pair = v[:, :2] if width >= 2 else np.column_stack([v[:, 0], _random_block(rng, screen.num_antennas, 1)[:, 0] * scale])
-    weight = float(rng.uniform(0.1, 10.0))
     start = rng.uniform(0.0, 1.0, screen.num_columns) * scale**2
     got = start.copy()
-    screen.move_scores(pair, weight, got)
-    e, phi = screen.correlate(pair)
-    want = start + weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
-    norm_a, norm_b = np.linalg.norm(pair, axis=0)
-    bound = rtol * (weight * norm_a**2 + 2.0 * norm_a * norm_b) + 1e-15 * np.abs(start).max()
+    screen.move_scores(pair, got)
+    x, y = screen.correlate(pair)
+    want = start + (x.conj() * y).real
+    bound = rtol * np.prod(np.linalg.norm(pair, axis=0)) + 1e-15 * np.abs(start).max()
     assert np.max(np.abs(got - want)) <= bound
 
 
@@ -716,7 +696,7 @@ def test_screen_correlate_is_exact(screens, name):
     assert np.array_equal(screen.scores(zero), np.zeros(screen.num_columns))
 
 
-def test_screen_correlate_fills_no_dense_matrix(screens, record_fills):
+def test_screen_correlate_fills_no_dense_matrix(screens, record_fills, traced_peak):
     """`correlate` multiplies blocks of `_FILL_COLUMNS` exact columns into
     its output: 16 vectors on the desk screen fill no matrix and trace at
     most 2 MiB (1.6 MiB measured), where filling the 7.76 MB float64
@@ -724,12 +704,7 @@ def test_screen_correlate_fills_no_dense_matrix(screens, record_fills):
     screen = screens["desk"][0]
     v = _random_block(np.random.default_rng(5), screen.num_antennas, 16)
     built = record_fills()
-    tracemalloc.start()
-    try:
-        got = screen.correlate(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(screen.correlate, v)
     assert built == []
     assert got.shape == (16, screen.num_columns)
     assert peak <= 2 * 2**20
@@ -753,7 +728,7 @@ def test_screen_columns_equal_the_dense_matrix_bit_for_bit(screens, name):
         assert np.array_equal(screen.columns([j])[:, 0], dense[:, j])
 
 
-def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
+def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch, traced_peak):
     """A desk bank build fills the spherical book in complex64 and no
     complex128 matrix as wide as it (only the 504-column polar book is
     float64); the spherical book holds <= 8 N G bytes, and the build traces
@@ -769,12 +744,7 @@ def test_desk_bank_fills_no_complex128_spherical_matrix(desk_spec, monkeypatch):
     # `codebook` imports `ring_matrix` by name, so both names are patched.
     for module in (phase_modes, codebook):
         monkeypatch.setattr(module, "ring_matrix", recorded_fill)
-    tracemalloc.start()
-    try:
-        bank = build_codebooks(desk_spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bank, peak = traced_peak(build_codebooks, desk_spec)
     n, g = bank.spherical.num_antennas, bank.spherical.num_columns
     assert (np.complex64, (n, g)) in fills
     assert all(g < codebook._SCREEN_MIN_COLUMNS for dtype, (_, g) in fills if dtype == np.complex128)

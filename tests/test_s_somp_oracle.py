@@ -9,7 +9,6 @@ per book.
 
 import math
 import sys
-import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -391,16 +390,7 @@ def test_near_best_phase_mode_scores_are_rescored(desk_somp_calls, desk_phase_mo
     assert got.support == s_somp(*desk_somp_calls[METHOD_S_SOMP][0]).support
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
+def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook, traced_peak):
     system = replace(desk_spec.system, num_pilot_slots=64)
     paths = sample_paths(5, desk_spec.num_paths, desk_spec.distance_range, desk_spec.elevation_range, desk_spec.azimuth_range)
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
@@ -411,20 +401,20 @@ def test_s_somp_allocates_less_than_half_a_dictionary(desk_spec, desk_codebook):
     dictionary_bytes = rows * desk_codebook.num_columns * 16
 
     # The oracle forms the dictionary, which shows the allocations are traced.
-    assert _traced_peak(_dense_s_somp, *args) >= dictionary_bytes
-    assert _traced_peak(s_somp, *args) < 0.5 * dictionary_bytes
+    assert traced_peak(_dense_s_somp, *args)[1] >= dictionary_bytes
+    assert traced_peak(s_somp, *args)[1] < 0.5 * dictionary_bytes
 
 
 class _PerturbedModes(SphericalCodebook):
     """A codebook of a dense matrix as stand-in phase modes, which S-SOMP
-    streams on and whose `columns` read the matrix, off by as much as phase
-    modes may be for `s_somp`'s slack at their `rescore_rtol`: each correlation by `error` of its
-    vector's norm, and so each score by error (2 + error) of ||V||_F^2, up
-    or down at random. The correlations are pushed along the phase of the
-    first row, the first row outward and the others against it. For the
-    rows e and phi of a rank-1 score move, that moves
-    ||d||^2 |e|^2 - 2 Re(conj(e) phi) up by ~2 error |e| (||d||^2 ||a|| + ||b||),
-    near the worst case."""
+    streams on and whose `columns` and `correlate` read the matrix, but
+    whose `scores` and `move_scores` are off by as much as phase modes may
+    be for `s_somp`'s slack at their `rescore_rtol`: each score by
+    error (2 + error) of ||V||_F^2, up or down at random, and each of the
+    two correlations x and y behind a move by `error` of its vector's norm.
+    Each is pushed along the phase of the other, which moves Re(conj(x) y)
+    up by ~error (||v_1|| |y| + ||v_2|| |x|), near its worst case
+    error (2 + error) ||v_1|| ||v_2||."""
 
     rescore_rtol = RESCORE_RTOL
     streamed = True
@@ -446,15 +436,14 @@ class _PerturbedModes(SphericalCodebook):
         return self.entries[:, idx]
 
     def correlate(self, v):
-        v = np.asarray(v)
-        exact = v.conj().T @ self.entries
-        push = self.error * np.linalg.norm(v, axis=0)[:, None] * np.exp(1j * np.angle(exact[0]))
-        push[1:] *= -1.0
-        return exact + push
+        return np.asarray(v).conj().T @ self.entries
 
-    def move_scores(self, v, weight, scores):
-        e, phi = self.correlate(v)
-        scores += weight * np.abs(e) ** 2 - 2.0 * (e.conj() * phi).real
+    def move_scores(self, v, scores):
+        x, y = self.correlate(v)
+        push = self.error * np.linalg.norm(v, axis=0)
+        pushed_x = x + push[0] * np.exp(1j * np.angle(y))
+        pushed_y = y + push[1] * np.exp(1j * np.angle(x))
+        scores += (pushed_x.conj() * pushed_y).real
 
     def scores(self, v):
         exact = np.sum(np.abs(np.asarray(v).conj().T @ self.entries) ** 2, axis=0)
@@ -849,7 +838,7 @@ def test_ring_by_ring_power_spectra_change_no_bit_of_s_somp(desk_phase_mode_call
 
 
 @pytest.mark.parametrize("method", (METHOD_S_SOMP, METHOD_P_SOMP))
-def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method):
+def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method, traced_peak):
     """One phase-mode S-SOMP call traces at most its working set: the
     float64 score vector and its two boolean arrays (exact, blocked) of G
     entries, the power spectra scratch of `PhaseModes.scores`, k max L
@@ -866,7 +855,7 @@ def test_phase_mode_s_somp_peak_is_its_working_set(desk_phase_mode_calls, method
         longest = max(plan.power_length for plan in book._plans)
         bound = 10 * book.num_columns + 16 * k * longest + 10 * 16 * num_antennas * k
         s_somp(*args)  # warm any lazily built state
-        assert _traced_peak(s_somp, *args) <= bound
+        assert traced_peak(s_somp, *args)[1] <= bound
 
 
 def _one_call(spec, book, iterations=None):
@@ -888,7 +877,7 @@ def _gram_working_set(m, g, n, iterations):
     return 16 * m * g + 16 * (iterations - 1) * g + 9 * g + 24 * m * g + 8 * 16 * n * m
 
 
-def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
+def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook, traced_peak):
     """One S-SOMP call on each book the Gram path searches, at 3 and at 8
     iterations, traces at most its working set (`_gram_working_set`). The
     builds give that path desk polar (a `DenseBasis`, G = 504), desk
@@ -913,11 +902,11 @@ def test_dense_s_somp_peak_is_its_working_set(desk_spec, desk_codebook):
         for iterations in (3, 8):
             args = _one_call(spec, book, iterations)
             s_somp(*args)  # warm any lazily built state
-            assert _traced_peak(s_somp, *args) <= _gram_working_set(m, g, n, iterations), (g, iterations)
+            assert traced_peak(s_somp, *args)[1] <= _gram_working_set(m, g, n, iterations), (g, iterations)
 
 
 @pytest.mark.parametrize("iterations", [3, 8])
-def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fills):
+def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fills, traced_peak):
     """One desk spherical S-SOMP call on the complex64 screen traces at most
     0.8 MiB at 3 and at 8 iterations: the M x G complex64 product of the
     first pass (0.46 MiB), the score vector and its two boolean arrays, and
@@ -929,11 +918,11 @@ def test_screened_s_somp_traces_at_most_0_8_mib(desk_spec, iterations, record_fi
     args = _one_call(desk_spec, book, iterations)
     built = record_fills()
     s_somp(*args)  # warm any lazily built state
-    assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
+    assert traced_peak(s_somp, *args)[1] <= 0.8 * 2**20
     assert built == []
 
 
-def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
+def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills, traced_peak):
     """One paper angular S-SOMP call (a `DftBasis`, G = N = 512, M = 16, 3
     iterations) on the exact Gram path traces at most 0.8 MiB: the M x G
     first term and two Gram rows, the scores and their M x G scratch, and N x M
@@ -946,12 +935,12 @@ def test_paper_angular_s_somp_traces_at_most_0_8_mib(record_fills):
     args = _one_call(spec, book, 3)
     built = record_fills()
     s_somp(*args)  # warm any lazily built state
-    assert _traced_peak(s_somp, *args) <= 0.8 * 2**20
+    assert traced_peak(s_somp, *args)[1] <= 0.8 * 2**20
     assert built == []
 
 
 @pytest.mark.parametrize("phase_modes", [False, True])
-def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes):
+def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes, traced_peak):
     """On the dense twin of the desk spherical book, S-SOMP's own peak
     stays within its Gram-path working set, 2.93 M x G complex arrays: the
     first term, the Gram rows, one score vector and M x G scratch.
@@ -980,10 +969,10 @@ def test_s_somp_peak_is_near_one_score_array(desk_spec, monkeypatch, phase_modes
     s_somp(*args)  # warm any lazily built state
     m, g, n = system.num_subcarriers, book.num_columns, system.num_antennas
     bound = 1.10 * 16 * m * g if phase_modes else _gram_working_set(m, g, n, desk_spec.num_paths)
-    assert _traced_peak(s_somp, *args) <= bound
+    assert traced_peak(s_somp, *args)[1] <= bound
 
 
-def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeypatch):
+def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeypatch, traced_peak):
     """On a phase-mode book S-SOMP keeps one score vector whatever the
     iteration count, so its traced peak at 12 iterations stays within 3 %
     of its peak at 3 (it was 2.6 times that while each step added a Gram
@@ -996,7 +985,7 @@ def test_phase_mode_s_somp_peak_does_not_grow_with_iterations(desk_spec, monkeyp
     combining = generate_combining(7, system.num_pilot_slots, system.num_rf_chains, system.num_antennas)
     measurements = synthesize_measurements(generate_channel(paths, system), combining, 10.0, seed=9)
     s_somp(measurements, combining, book, 3)  # warm any lazily built state
-    peaks = [_traced_peak(s_somp, measurements, combining, book, n) for n in (3, 12)]
+    peaks = [traced_peak(s_somp, measurements, combining, book, n)[1] for n in (3, 12)]
     assert peaks[1] <= 1.03 * peaks[0]
 
 
@@ -1012,9 +1001,9 @@ def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, desk_so
     widths = []
 
     def spying(real):
-        def move_scores(self, v, weight, scores):
+        def move_scores(self, v, scores):
             widths.append(np.shape(v)[1])
-            return real(self, v, weight, scores)
+            return real(self, v, scores)
 
         return move_scores
 
@@ -1074,7 +1063,7 @@ def test_paper_angular_s_somp_equals_its_dense_twin(paper_somp_calls, iterations
 
 
 @pytest.mark.slow
-def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
+def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls, traced_peak):
     """One paper spherical S-SOMP call (G = 100 358, M = 16) traces 2.11 MB:
     its score vector alone is 0.80 MB. It traced 4.35 MB while each call
     copied A^H, `scores` held the spectra of every ring of the widest plan
@@ -1082,7 +1071,7 @@ def test_paper_spherical_s_somp_traces_at_most_2_5_mb(paper_somp_calls):
     for args in paper_somp_calls[METHOD_S_SOMP]:
         assert isinstance(args[2], PhaseModes)
         s_somp(*args)  # warm any lazily built state
-        assert _traced_peak(s_somp, *args) <= 2.5e6
+        assert traced_peak(s_somp, *args)[1] <= 2.5e6
 
 
 @pytest.mark.slow
