@@ -54,24 +54,23 @@ class _RingLayout:
     """Where every column of a codebook lies, held as arrays.
 
     Elevation t (angle `thetas[t]`) holds columns `column_starts[t]` up to
-    `column_starts[t + 1]`, s-major and z-minor over its azimuths
-    `azimuths[azimuth_starts[t]:azimuth_starts[t + 1]]` and its distance
-    rings `rings[ring_starts[t]:ring_starts[t + 1]]`; `locate` gives any
-    column's ring and azimuth, from which `phase_modes.ring_columns` fills
-    it. Its size grows with the rings and azimuths, not with the column
-    count G.
+    `column_starts[t + 1]`, s-major and z-minor over its `counts[t]`
+    azimuths phi_s = s * `steps[t]`, the uniform grid of the paper and of
+    `PhaseModes`' chirp-z, and its distance rings
+    `rings[ring_starts[t]:ring_starts[t + 1]]`; `locate` gives any column's
+    ring and azimuth, from which `phase_modes.ring_columns` fills it. Its
+    size grows with the elevations and rings, not with the column count G.
     """
 
     def __init__(self, elevations):
-        """From (theta, azimuths, rings) per elevation, in column order."""
-        thetas, azimuths, rings = zip(*elevations)
-        azimuth_counts = np.array([len(phis) for phis in azimuths])
+        """From (theta, step, count, rings) per elevation, in column order."""
+        thetas, steps, counts, rings = zip(*elevations)
         ring_counts = np.array([len(distances) for distances in rings])
         self.thetas = np.array(thetas, dtype=np.float64)
-        self.column_starts = np.concatenate([[0], np.cumsum(azimuth_counts * ring_counts)])
-        self.azimuth_starts = np.concatenate([[0], np.cumsum(azimuth_counts)])
+        self.steps = np.array(steps, dtype=np.float64)
+        self.counts = np.array(counts, dtype=np.int64)
+        self.column_starts = np.concatenate([[0], np.cumsum(self.counts * ring_counts)])
         self.ring_starts = np.concatenate([[0], np.cumsum(ring_counts)])
-        self.azimuths = np.concatenate(azimuths, dtype=np.float64)
         self.rings = np.concatenate(rings, dtype=np.float64)
 
     @property
@@ -79,22 +78,21 @@ class _RingLayout:
         return int(self.column_starts[-1])
 
     def elevations(self):
-        """(theta, azimuths, rings, first column) per elevation, as
+        """(theta, step, count, rings, first column) per elevation, as
         `PhaseModes` takes them."""
-        for t, theta in enumerate(self.thetas.tolist()):
+        for t, (theta, step, count) in enumerate(zip(self.thetas.tolist(), self.steps.tolist(), self.counts.tolist())):
             rings = self.rings[self.ring_starts[t] : self.ring_starts[t + 1]]
-            azimuths = self.azimuths[self.azimuth_starts[t] : self.azimuth_starts[t + 1]]
-            yield theta, azimuths, rings.tolist(), int(self.column_starts[t])
+            yield theta, step, count, rings.tolist(), int(self.column_starts[t])
 
     def locate(self, idx):
         """The grid (t, s, z) and (r, theta, phi) of columns idx: six arrays."""
         t = np.searchsorted(self.column_starts, idx, side="right") - 1
         first_ring = self.ring_starts[t]
         s, z = np.divmod(idx - self.column_starts[t], self.ring_starts[t + 1] - first_ring)
-        return t, s, z, self.rings[first_ring + z], self.thetas[t], self.azimuths[self.azimuth_starts[t] + s]
+        return t, s, z, self.rings[first_ring + z], self.thetas[t], s * self.steps[t]
 
     def __eq__(self, other) -> bool:
-        fields = ("thetas", "column_starts", "azimuth_starts", "ring_starts", "azimuths", "rings")
+        fields = ("thetas", "steps", "counts", "column_starts", "ring_starts", "rings")
         return isinstance(other, _RingLayout) and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
 
@@ -107,21 +105,21 @@ def elevation_grid(radius_m: float, wavelength_m: float, alpha: float) -> list:
     return [math.asin(min(1.0, t * ratio)) for t in range(count + 1)]
 
 
-def azimuth_grid(radius_m: float, wavelength_m: float, alpha: float, theta: float) -> np.ndarray:
-    """phi_s = s * 2 asin(lambda alpha / (4 pi R sin theta)) for s = 0..S, float64.
+def azimuth_grid(radius_m: float, wavelength_m: float, alpha: float, theta: float) -> tuple:
+    """(step, count) of phi_s = s * step, s = 0..count - 1, with step =
+    2 asin(lambda alpha / (4 pi R sin theta)).
 
-    S = floor(pi / asin(.)), so the last sample lands just short of 2 pi.
-    When the asin argument exceeds 1 (tiny array or grazing elevation) the
-    grid degenerates to the single point phi = 0.
+    count - 1 = floor(pi / asin(.)), so the last sample lands just short of
+    2 pi. When the asin argument exceeds 1 (tiny array or grazing
+    elevation) the grid degenerates to the single point phi = 0, (0.0, 1).
     """
     if theta <= 0.0:
         raise ValueError("azimuth sampling needs theta > 0")
     arg = wavelength_m * alpha / (4.0 * math.pi * radius_m * math.sin(theta))
     if arg > 1.0:
-        return np.zeros(1)
+        return 0.0, 1
     half_step = math.asin(arg)
-    count = math.floor(math.pi / half_step)
-    return np.arange(count + 1) * 2.0 * half_step
+    return 2.0 * half_step, math.floor(math.pi / half_step) + 1
 
 
 def distance_grid(theta: float, z_cap_m: float, r_min_m: float) -> list:
@@ -160,14 +158,14 @@ def _build_from_elevations(config, delta, r_min_m, thetas):
     beta = solve_beta_delta(delta)
     z_cap = math.pi * radius**2 / (2.0 * lam * beta)
 
-    elevations = []  # (theta, azimuths, rings) per elevation
+    elevations = []  # (theta, step, count, rings) per elevation
     for theta in thetas:
         if theta == 0.0:
             # Near-field effects vanish at grazing elevation; the t = 0 point
             # collapses to the single constant plane-wave column.
-            elevations.append((theta, [0.0], [FAR_FIELD]))
+            elevations.append((theta, 0.0, 1, [FAR_FIELD]))
         else:
-            elevations.append((theta, azimuth_grid(radius, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
+            elevations.append((theta, *azimuth_grid(radius, lam, alpha, theta), distance_grid(theta, z_cap, r_min_m)))
     layout = _RingLayout(elevations)
 
     if config.num_antennas >= _PHASE_MODE_MIN_ANTENNAS:
@@ -206,7 +204,7 @@ def build_angular_codebook(config: SystemConfig) -> SphericalCodebook:
     S-SOMP outputs, without loading numpy's FFT kernels into desk runs.
     """
     n = config.num_antennas
-    layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [FAR_FIELD])])
+    layout = _RingLayout([(0.5 * math.pi, 2.0 * math.pi / n, n, [FAR_FIELD])])
     dft = DftBasis(layout)
     return dft if n >= _PHASE_MODE_MIN_ANTENNAS else DenseBasis(layout, dft.dense())
 
@@ -252,7 +250,7 @@ def adjacent_pair_sizes(layout: _RingLayout):
     """Per elevation: its azimuth and ring counts, those it shares with the
     elevation before (none for the first), and its numbers of the column
     pairs adjacent in t, in s and in z that `coherence_stats` correlates."""
-    counts, rings = np.diff(layout.azimuth_starts), np.diff(layout.ring_starts)
+    counts, rings = layout.counts, np.diff(layout.ring_starts)
     shared = np.minimum(counts, np.roll(counts, 1))
     depth = np.minimum(rings, np.roll(rings, 1))
     shared[0] = depth[0] = 0
@@ -364,12 +362,14 @@ def load_grid_text(path) -> _RingLayout:
     """The ring layout of a file written by `export_grid_text`; blank lines
     are skipped.
 
-    Elevation t takes its theta from its first row, its azimuths from its
-    z = 0 rows and its rings from its s = 0 rows. Each row must then equal,
-    bit for bit, the column that layout's `locate` puts in its place. A
-    malformed, non-finite (r = inf excepted), misplaced, duplicated or
-    missing row raises ValueError naming path:line, as does a file of no
-    rows.
+    Elevation t takes its theta from its first row, its azimuth count from
+    its z = 0 rows and its step from the s = 1 one (0.0 for one azimuth,
+    whose step the text cannot show), its rings from its s = 0 rows. Each
+    row must then equal, bit for bit, the column that layout's `locate`
+    puts in its place, so an azimuth off phi_s = s * step, where every
+    build writes them, is out of place. A malformed, non-finite (r = inf
+    excepted), misplaced, duplicated or missing row raises ValueError
+    naming path:line, as does a file of no rows.
     """
     parsers = (int,) * 3 + (float,) * 3
     with open(path, "r", encoding="utf-8") as handle:
@@ -383,10 +383,12 @@ def load_grid_text(path) -> _RingLayout:
         row = next(i for i, values in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in values[:3]))
         raise ValueError(f"{path}:{numbers[row]}: a grid index outside int64") from None
     t, s, z, r, theta, phi = columns
-    bounds = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
-    layout = _RingLayout((theta[a], phi[a:b][z[a:b] == 0], r[a:b][s[a:b] == 0]) for a, b in zip(bounds, bounds[1:]))
-
     finite = np.isfinite(theta) & np.isfinite(phi) & (np.isfinite(r) | (r == math.inf))
+    # A non-finite row gives no step, whose phi_0 = 0 * step would be NaN and name the s = 0 row.
+    azimuths = np.where(finite, phi, 0.0)
+    bounds = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
+    ground = [azimuths[a:b][z[a:b] == 0] for a, b in zip(bounds, bounds[1:])]  # each elevation's z = 0 azimuths
+    layout = _RingLayout((theta[a], phis[1] if len(phis) > 1 else 0.0, len(phis), r[a:b][s[a:b] == 0]) for a, b, phis in zip(bounds, bounds[1:], ground))
     g = min(len(t), layout.num_columns)
     want = layout.locate(np.arange(g))
     placed = np.zeros(len(t), dtype=bool)

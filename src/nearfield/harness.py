@@ -75,12 +75,15 @@ class RunSpec:
 
     def __post_init__(self):
         # A fractional or boolean count would give all-NaN rows or fail after the bank build.
-        counts = {"trials": self.trials, "num_paths": self.num_paths, "num_iterations": self.effective_iterations, "master_seed": self.master_seed}
-        for name, value in counts.items():
+        counts = (
+            ("trials", self.trials, 1), ("num_paths", self.num_paths, 1),
+            ("num_iterations", self.effective_iterations, 1), ("master_seed", self.master_seed, 0),
+        )
+        for name, value, least in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
         if not self.methods:
             raise ConfigurationError("at least one method is required")
         unknown = set(self.methods) - set(METHODS)
@@ -90,16 +93,10 @@ class RunSpec:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigurationError(f"methods named more than once: {repeated}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.num_paths < 1:
-            raise ConfigurationError(f"num_paths must be >= 1, got {self.num_paths}")
         if self.num_paths > self.system.num_antennas:
             raise ConfigurationError(
                 f"num_paths={self.num_paths} exceeds num_antennas={self.system.num_antennas}"
             )
-        if self.num_iterations is not None and self.num_iterations < 1:
-            raise ConfigurationError(f"num_iterations must be >= 1, got {self.num_iterations}")
         # +inf is the noiseless sentinel; a NaN or -inf row would be mislabelled,
         # and one beyond the measurements' SNR limit would fail every trial.
         limit = estimator.SNR_LIMIT_DB

@@ -309,26 +309,26 @@ class _RingBasis(SphericalCodebook):
 class PhaseModes(_RingBasis):
     """S-SOMP's scores of a ring-built codebook W, from its rings' phase modes.
 
-    Besides the layout, only the coefficients and per-elevation chirps are
-    stored, a few MB where the dense W of an N = 512 array takes 822 MB.
-    Its scores lie within ~1e-12 of ||V||_F^2, so S-SOMP rescores the
-    columns within `rescore_rtol` of the best. `correlate` is the exact
-    column walk it inherits, which S-SOMP does not call.
+    Each elevation's chirps follow its azimuth step and count in the layout.
+    Besides the layout, only the coefficients and those chirps are stored,
+    a few MB where the dense W of an N = 512 array takes 822 MB. Its
+    scores lie within ~1e-12 of ||V||_F^2, so S-SOMP rescores the columns
+    within `rescore_rtol` of the best. `correlate` is the exact column
+    walk it inherits, which S-SOMP does not call.
     """
 
     rescore_rtol = RESCORE_RTOL
 
     def __init__(self, layout, system: SystemConfig):
         super().__init__(layout, system)
-        elevations = [(ring_modes(theta, rings, system), phis, col) for theta, phis, rings, col in layout.elevations()]
+        elevations = [(ring_modes(theta, rings, system), step, count, col) for theta, step, count, rings, col in layout.elevations()]
         # The antenna modes -H..H of the widest plan, mod N: each call gathers
         # U there once, and each plan reads the slice around mode 0 it needs.
-        reach = max(modes.shape[1] for modes, _, _ in elevations) // 2
+        reach = max(modes.shape[1] for modes, _, _, _ in elevations) // 2
         self._wrap = np.arange(-reach, reach + 1) % self.num_antennas
         self._plans = []
-        for modes, phis, col in elevations:
-            step = float(phis[1]) if len(phis) > 1 else 0.0
-            width, count = modes.shape[1], len(phis)
+        for modes, step, count, col in elevations:
+            width = modes.shape[1]
             p = np.arange(max(width, count), dtype=np.float64)
             chirp = np.exp(0.5j * step * p * p)
             size = fft_length(width + count - 1)

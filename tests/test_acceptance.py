@@ -89,8 +89,9 @@ def test_criterion_2_codebook_structure():
 
     thetas = elevation_grid(radius, lam, alpha)
     assert len(thetas) - 1 == oracle_t == 106
-    phis = azimuth_grid(radius, lam, alpha, 0.5 * math.pi)
-    assert len(phis) - 1 == oracle_s == 668
+    step, count = azimuth_grid(radius, lam, alpha, 0.5 * math.pi)
+    assert count - 1 == oracle_s == 668
+    assert step == 2.0 * oracle_u
     rings = distance_grid(0.5 * math.pi, z_cap, 4.0)
     assert math.isinf(rings[0])
     assert len(rings) - 1 == len(oracle_rings) == 4

@@ -32,7 +32,7 @@ from nearfield.codebook import (
     load_matrix_binary,
     min_codebook_distance,
 )
-from nearfield.harness import paper_profile
+from nearfield.harness import desk_profile, paper_profile
 from nearfield.phase_modes import Complex64Screen, DenseBasis, DftBasis, PhaseModes
 from steering_oracle import column_correlation, far_field_steering, near_field_steering, oracle_column, oracle_matrix, uca
 
@@ -128,16 +128,15 @@ def test_elevation_grid_small_array_count():
 
 def test_azimuth_grid_paper_plane_count_and_step():
     radius, wavelength, alpha = paper_geometry()
-    phis = azimuth_grid(radius, wavelength, alpha, 0.5 * math.pi)
-    assert len(phis) == PAPER_S_AT_PLANE + 1
-    assert phis[0] == 0.0
-    assert phis[1] == pytest.approx(PAPER_AZIMUTH_STEP, abs=1e-8)
-    assert all(a < b for a, b in zip(phis, phis[1:]))
-    assert phis[-1] <= 2.0 * math.pi + 1e-12
+    step, count = azimuth_grid(radius, wavelength, alpha, 0.5 * math.pi)
+    assert count == PAPER_S_AT_PLANE + 1
+    assert step == pytest.approx(PAPER_AZIMUTH_STEP, abs=1e-8)
+    assert step > 0.0
+    assert (count - 1) * step <= 2.0 * math.pi + 1e-12
 
 
 def test_azimuth_grid_degenerate_small_array():
-    assert azimuth_grid(1e-5, 0.01, first_j0_zero(), 0.5 * math.pi) == [0.0]
+    assert azimuth_grid(1e-5, 0.01, first_j0_zero(), 0.5 * math.pi) == (0.0, 1)
 
 
 def test_azimuth_grid_rejects_zero_elevation():
@@ -219,33 +218,66 @@ def test_spherical_codebook_zenith_contributes_one_column(small_codebook):
 
 def test_codebook_grid_equality_is_a_bool(small_codebook):
     """The grid is the codebook's ring layout, which compares by value with a
-    plain bool: equal when rebuilt from copies of its elevations, unequal
-    when one azimuth moves by 1e-12 or a column goes."""
+    plain bool: equal when rebuilt from its elevations, unequal when one
+    elevation's azimuth step moves by 1e-12 or an azimuth goes."""
     layout = small_codebook.layout
-    elevations = [(theta, phis.copy(), rings) for theta, phis, rings, _ in layout.elevations()]
+    elevations = [(theta, step, count, rings) for theta, step, count, rings, _ in layout.elevations()]
     assert (codebook._RingLayout(elevations) == layout) is True
-    theta, phis, rings = elevations[-1]
-    moved = phis.copy()
-    moved[-1] += 1e-12
-    assert (codebook._RingLayout([*elevations[:-1], (theta, moved, rings)]) == layout) is False
-    assert (codebook._RingLayout([*elevations[:-1], (theta, phis[:-1], rings)]) == layout) is False
+    theta, step, count, rings = elevations[-1]
+    assert (codebook._RingLayout([*elevations[:-1], (theta, step + 1e-12, count, rings)]) == layout) is False
+    assert (codebook._RingLayout([*elevations[:-1], (theta, step, count - 1, rings)]) == layout) is False
     assert layout != tuple(_located(layout)[0].tolist())
 
 
-def _azimuth_list(radius_m, wavelength_m, alpha, theta):
-    """`azimuth_grid` as it was before it returned float64 arrays."""
+def _azimuth_array(radius_m, wavelength_m, alpha, theta):
+    """`azimuth_grid` as it was while the layout held every azimuth: the
+    float64 array np.arange(S + 1) * 2.0 * half_step, or the single 0.0."""
     arg = wavelength_m * alpha / (4.0 * math.pi * radius_m * math.sin(theta))
     if arg > 1.0:
-        return [0.0]
+        return np.zeros(1)
     half_step = math.asin(arg)
-    return [s * 2.0 * half_step for s in range(math.floor(math.pi / half_step) + 1)]
+    return np.arange(math.floor(math.pi / half_step) + 1) * 2.0 * half_step
+
+
+def _assert_azimuths_equal_the_array_oracle(layout, system):
+    """Each column's phi from `locate` is, bit for bit, azimuth s of its
+    elevation's `_azimuth_array`, the single 0.0 at theta = 0."""
+    _, s, _, _, _, phi = layout.locate(np.arange(layout.num_columns))
+    for t, theta in enumerate(layout.thetas.tolist()):
+        phis = np.zeros(1) if theta == 0.0 else _azimuth_array(system.radius_m, system.wavelength_m, first_j0_zero(), theta)
+        columns = slice(layout.column_starts[t], layout.column_starts[t + 1])
+        assert layout.counts[t] == phis.size, t
+        assert phi[columns].tobytes() == phis[s[columns]].tobytes(), t
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_located_azimuths_equal_the_array_oracle(profile):
+    """The spherical and polar books place every column at the azimuth the
+    layout held when it stored each one."""
+    spec = desk_profile() if profile == "desk" else paper_profile()
+    for build in (build_spherical_codebook, build_polar_codebook):
+        _assert_azimuths_equal_the_array_oracle(build(spec.system, spec.delta, spec.r_min_m).layout, spec.system)
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=st.builds(uca, st.integers(3, 128), antenna_spacing_m=st.floats(1e-3, 1e-2), carrier_freq_hz=st.floats(3e9, 6e10)))
+def test_located_azimuths_of_any_array_equal_the_array_oracle(system):
+    """On any array (N, spacing and carrier drawn), a layout of each
+    elevation's `azimuth_grid`, as the spherical build makes it, locates
+    every azimuth where the stored array put it."""
+    radius, lam, alpha = system.radius_m, system.wavelength_m, first_j0_zero()
+    thetas = elevation_grid(radius, lam, alpha)
+    grids = [(0.0, 1) if theta == 0.0 else azimuth_grid(radius, lam, alpha, theta) for theta in thetas]
+    layout = codebook._RingLayout((theta, step, count, [FAR_FIELD]) for theta, (step, count) in zip(thetas, grids))
+    _assert_azimuths_equal_the_array_oracle(layout, system)
 
 
 def _grid_of(spec, thetas):
-    """The grid arrays of every column, built per elevation from Python
-    lists, as the codebook held them before it kept its ring layout. The
-    Bessel root alpha, beta_delta and the distance cap pi R^2 / (2 lambda
-    beta_delta) are derived here from the system, not read from the book."""
+    """The grid arrays of every column, built per elevation from its
+    stored azimuths and ring list, as the codebook held them before it
+    kept its ring layout. The Bessel root alpha, beta_delta and the
+    distance cap pi R^2 / (2 lambda beta_delta) are derived here from the
+    system, not read from the book."""
     system = spec.system
     radius, lam = system.radius_m, system.wavelength_m
     alpha = first_j0_zero()
@@ -255,7 +287,7 @@ def _grid_of(spec, thetas):
         if theta == 0.0:
             phis, rings = [0.0], [FAR_FIELD]
         else:
-            phis = _azimuth_list(radius, lam, alpha, theta)
+            phis = _azimuth_array(radius, lam, alpha, theta)
             rings = distance_grid(theta, z_cap, spec.r_min_m)
         s, z = np.divmod(np.arange(len(phis) * len(rings), dtype=np.int64), len(rings))
         indices.append(np.column_stack([np.full_like(s, t), s, z]))
@@ -295,9 +327,9 @@ def test_grid_built_on_first_read_equals_the_per_elevation_oracle(desk_spec, mon
     assert np.array_equal(indices, want_indices) and np.array_equal(coords, want_coords)
     assert book.num_columns == len(want_indices)
     for theta in thetas[1:]:
-        phis = azimuth_grid(system.radius_m, system.wavelength_m, first_j0_zero(), theta)
-        assert phis.dtype == np.float64
-        assert np.array_equal(phis, _azimuth_list(system.radius_m, system.wavelength_m, first_j0_zero(), theta))
+        step, count = azimuth_grid(system.radius_m, system.wavelength_m, first_j0_zero(), theta)
+        assert type(step) is float and type(count) is int
+        assert np.array_equal(np.arange(count) * step, _azimuth_array(system.radius_m, system.wavelength_m, first_j0_zero(), theta))
 
 
 def test_spherical_codebook_columns_match_direct_steering(desk_spec, desk_codebook):
@@ -442,7 +474,7 @@ def test_adjacent_ring_correlation_matches_bessel_prediction():
 
 def test_coherence_stats_single_column(small_config):
     book = build_angular_codebook(small_config)
-    single = DenseBasis(codebook._RingLayout([(0.5 * math.pi, [0.0], [FAR_FIELD])]), book.columns([0]))
+    single = DenseBasis(codebook._RingLayout([(0.5 * math.pi, 0.0, 1, [FAR_FIELD])]), book.columns([0]))
     for got, want in zip(_located(single.layout), _located(book.layout)):
         assert np.array_equal(got, want[:1])
     stats = coherence_stats(single, 10)
@@ -586,7 +618,7 @@ def test_sliced_coherence_walk_equals_the_dict_oracle(desk_spec, monkeypatch, az
     monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", azimuths)
     want = _adjacent_correlations_by_dict(books["dense"], books["dense"].dense())
     stats = _coherence_stats_by_dict(books["dense"], 700, seed=5)
-    assert np.diff(books["dense"].layout.azimuth_starts).max() > 7
+    assert books["dense"].layout.counts.max() > 7
     built = record_fills()
     for name, book in books.items():
         got = codebook._adjacent_correlations(book)
@@ -603,7 +635,7 @@ def test_coherence_walk_holds_a_few_slices(desk_spec, monkeypatch, traced_peak):
     three such blocks at once and traced 3.1 MB."""
     book = _representations(desk_spec)["dense"]
     layout = book.layout
-    largest = 16 * book.num_antennas * int((np.diff(layout.azimuth_starts) * np.diff(layout.ring_starts)).max())
+    largest = 16 * book.num_antennas * int((layout.counts * np.diff(layout.ring_starts)).max())
     monkeypatch.setattr(phase_modes, "_FILL_COLUMNS", 8)
     codebook._adjacent_correlations(book)
     assert traced_peak(codebook._adjacent_correlations, book)[1] < 0.5 * largest
@@ -694,12 +726,23 @@ def test_loaded_paper_grids_rebuild_their_books(tmp_path):
 _EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]), st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _azimuth_grids():
+    """(step, count) of 1 to 4 azimuths with every s * step finite: -0.0,
+    subnormal and extreme steps, and 0.0 for one azimuth, whose step the
+    grid text cannot show."""
+    def grid(count):
+        steps = st.just(0.0) if count == 1 else _EDGE_FLOATS.filter(lambda step: math.isfinite((count - 1) * step))
+        return st.tuples(steps, st.just(count))
+
+    return st.integers(1, 4).flatmap(grid)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     elevations=st.lists(
         st.tuples(
             _EDGE_FLOATS,
-            st.lists(_EDGE_FLOATS, min_size=1, max_size=4),
+            _azimuth_grids(),
             st.lists(st.one_of(st.just(math.inf), _EDGE_FLOATS), min_size=1, max_size=3),
         ),
         min_size=1,
@@ -707,10 +750,10 @@ _EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]), st.flo
     )
 )
 def test_grid_text_round_trip_property(tmp_path_factory, elevations):
-    """Any ring layout, with -0.0, subnormal and extreme azimuths and
+    """Any ring layout, with -0.0, subnormal and extreme azimuth steps and
     r = inf rings, loads back bit for bit, also when it is written in
     chunks of 5 points."""
-    layout = codebook._RingLayout(elevations)
+    layout = codebook._RingLayout((theta, step, count, rings) for theta, (step, count), rings in elevations)
     book = types.SimpleNamespace(layout=layout)  # the export reads only the layout
     path = tmp_path_factory.mktemp("grid") / "grid.txt"
     with pytest.MonkeyPatch.context() as patch:
@@ -718,7 +761,7 @@ def test_grid_text_round_trip_property(tmp_path_factory, elevations):
         export_grid_text(book, path)
     loaded = load_grid_text(path)
     assert (loaded == layout) is True
-    for name in ("thetas", "column_starts", "azimuth_starts", "ring_starts", "azimuths", "rings"):
+    for name in ("thetas", "steps", "counts", "column_starts", "ring_starts", "rings"):
         assert getattr(loaded, name).tobytes() == getattr(layout, name).tobytes(), name
 
 
@@ -731,6 +774,11 @@ _GRID_ROWS = [
     "1,1,1,2.0,0.5,1.5",
     "2,0,0,inf,1.0,0.0",
 ]
+
+
+# `_GRID_ROWS` with a third azimuth in elevation 1, at s = 2: 2 x 1.5.
+_EVEN_ROWS = _GRID_ROWS[:5] + ["1,2,0,inf,0.5,3.0", "1,2,1,2.0,0.5,3.0"] + _GRID_ROWS[5:]
+_OFF_STEP = "3.000000000001"  # 3.0 moved by 1e-12
 
 
 def _grid_text(rows):
@@ -758,6 +806,8 @@ _MALFORMED_GRIDS = [
     pytest.param(_with_row(5, "1,1,1,2.0,-inf,1.5"), 5, id="-inf-theta"),
     pytest.param(_with_row(4, "1,1,0,inf,0.5,inf"), 4, id="inf-phi"),
     pytest.param(_with_row(2, "1,0,0,inf,0.5,-inf"), 2, id="-inf-phi"),
+    pytest.param(_grid_text(_EVEN_ROWS[:5] + [f"1,2,0,inf,0.5,{_OFF_STEP}"] + _EVEN_ROWS[6:]), 6, id="one-row-off-the-step"),
+    pytest.param(_grid_text(_EVEN_ROWS[:5] + [f"1,2,0,inf,0.5,{_OFF_STEP}", f"1,2,1,2.0,0.5,{_OFF_STEP}"] + _EVEN_ROWS[7:]), 6, id="one-azimuth-off-the-step"),
     pytest.param("", 1, id="empty"),
     pytest.param("\n\n", 1, id="blank-lines-only"),
 ]
@@ -773,6 +823,17 @@ def test_load_grid_text_rejects_malformed_lines(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"grid.txt:{line}: "):
         load_grid_text(path)
+
+
+def test_load_grid_text_reads_each_elevation_step_and_count(tmp_path):
+    """Each elevation's step is its s = 1 azimuth (0.0 for one azimuth) and
+    its count that of its z = 0 rows."""
+    path = tmp_path / "grid.txt"
+    path.write_text(_grid_text(_EVEN_ROWS))
+    layout = load_grid_text(path)
+    assert layout.steps.tolist() == [0.0, 1.5, 0.0]
+    assert layout.counts.tolist() == [1, 3, 1]
+    assert layout.num_columns == len(_EVEN_ROWS)
 
 
 def test_matrix_binary_round_trip(tmp_path, small_codebook):

@@ -222,7 +222,7 @@ def test_s_somp_skips_degenerate_duplicate_atom(small_config):
     other = np.exp(2j * math.pi * np.arange(small_config.num_antennas) / small_config.num_antennas)
     other /= np.linalg.norm(other)
     matrix = np.column_stack([geom_column, geom_column, other])
-    layout = _RingLayout([(0.5 * math.pi, [0.0] * 3, [FAR_FIELD])])
+    layout = _RingLayout([(0.5 * math.pi, 0.0, 3, [FAR_FIELD])])
     duplicated = DenseBasis(layout, matrix)
     located = np.column_stack(duplicated.layout.locate(np.arange(3)))
     assert np.array_equal(located, [[0, s, 0, math.inf, 0.5 * math.pi, 0.0] for s in range(3)])

@@ -370,7 +370,7 @@ def _reference_chirp_z(modes, v, output_chirp=True):
     u = np.fft.fft(v.reshape(modes.num_antennas, -1).conj(), axis=0).T
     k = u.shape[0]
     out = np.empty((k, modes.num_columns), dtype=np.complex128)
-    for plan, (_, phis, _, _) in zip(modes._plans, modes.layout.elevations(), strict=True):
+    for plan, (_, step, _, _, _) in zip(modes._plans, modes.layout.elevations(), strict=True):
         rings, width = plan.coef.shape
         count = plan.count
         buf = np.zeros((k, rings, plan.spectrum.size), dtype=np.complex128)
@@ -382,7 +382,6 @@ def _reference_chirp_z(modes, v, output_chirp=True):
         block = out[:, plan.first_column : plan.first_column + count * rings].reshape(k, count, rings)
         block[...] = buf[:, :, :count].transpose(0, 2, 1)
         if output_chirp:
-            step = float(phis[1]) if count > 1 else 0.0
             s = np.arange(count, dtype=np.float64)
             block *= np.exp(1j * step * s * (0.5 * s - width // 2))[:, None]
     return out[0] if v.ndim == 1 else out
@@ -518,7 +517,7 @@ def test_fft_length_is_the_smallest_5_smooth_length():
 def _dft_basis(n):
     """The `DftBasis` of n antennas, on the layout `build_angular_codebook`
     gives it."""
-    layout = codebook._RingLayout([(0.5 * math.pi, 2.0 * math.pi * np.arange(n) / n, [codebook.FAR_FIELD])])
+    layout = codebook._RingLayout([(0.5 * math.pi, 2.0 * math.pi / n, n, [codebook.FAR_FIELD])])
     return DftBasis(layout)
 
 

@@ -140,7 +140,7 @@ def assert_matches_dense(args):
 def _dummy_layout(num_columns):
     """One plane-wave ring of `num_columns` columns, all at azimuth 0: grid
     indices (0, s, 0) and points (inf, pi/2, 0)."""
-    return _RingLayout([(0.5 * math.pi, np.zeros(num_columns), [FAR_FIELD])])
+    return _RingLayout([(0.5 * math.pi, 0.0, num_columns, [FAR_FIELD])])
 
 
 @settings(max_examples=60, deadline=None)
