@@ -56,7 +56,8 @@ class _RingLayout:
     Elevation t (angle `thetas[t]`) holds columns `column_starts[t]` up to
     `column_starts[t + 1]`, s-major and z-minor over its `counts[t]`
     azimuths phi_s = s * `steps[t]`, the uniform grid of the paper and of
-    `PhaseModes`' chirp-z, and its distance rings
+    `PhaseModes`' chirp-z (the step of a one-azimuth elevation is held as
+    0.0, as the grid text cannot show it), and its distance rings
     `rings[ring_starts[t]:ring_starts[t + 1]]`; `locate` gives any column's
     ring and azimuth, from which `phase_modes.ring_columns` fills it. Its
     size grows with the elevations and rings, not with the column count G.
@@ -67,8 +68,8 @@ class _RingLayout:
         thetas, steps, counts, rings = zip(*elevations)
         ring_counts = np.array([len(distances) for distances in rings])
         self.thetas = np.array(thetas, dtype=np.float64)
-        self.steps = np.array(steps, dtype=np.float64)
         self.counts = np.array(counts, dtype=np.int64)
+        self.steps = np.where(self.counts == 1, 0.0, np.array(steps, dtype=np.float64))
         self.column_starts = np.concatenate([[0], np.cumsum(self.counts * ring_counts)])
         self.ring_starts = np.concatenate([[0], np.cumsum(ring_counts)])
         self.rings = np.concatenate(rings, dtype=np.float64)

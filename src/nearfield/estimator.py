@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import SystemConfig, path_steering
 from .codebook import SphericalCodebook
-from .numerics import adjoint_product, gram_lstsq, lstsq_minimum_norm
+from .numerics import adjoint_product, lstsq_minimum_norm
 from .phase_modes import column_blocks
 
 
@@ -332,7 +332,7 @@ def _exact_scores(codebook, gradient, idx) -> np.ndarray:
 
 def ls_estimate(measurements: MeasurementSet, combining: CombiningMatrix) -> np.ndarray:
     """Minimum-norm least-squares channel estimate argmin ||Y - A H||_F."""
-    return gram_lstsq(combining.entries, measurements.observations)
+    return lstsq_minimum_norm(combining.entries, measurements.observations)[0]
 
 
 def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, true_paths, config: SystemConfig) -> np.ndarray:
@@ -340,6 +340,8 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
 
     Builds the true-path dictionary (no grid), then performs one projection
     and reconstruction pass. Noiseless measurements are reproduced exactly.
+    It warns when the projection is not unique: more paths than measurement
+    rows, or a dictionary beyond the solver's condition limit.
     """
     paths = list(true_paths)
     if not paths:
@@ -348,7 +350,7 @@ def oracle_estimate(measurements: MeasurementSet, combining: CombiningMatrix, tr
     solution, well_conditioned = lstsq_minimum_norm(
         combining.entries @ basis, measurements.observations
     )
-    if not well_conditioned:
+    if not well_conditioned or len(paths) > combining.entries.shape[0]:
         warnings.warn(
             "oracle dictionary is numerically rank-deficient; using the "
             "minimum-norm projection",

@@ -70,34 +70,6 @@ def solve_beta_delta(delta: float) -> float:
     return _bisect_j0(delta, 0.0, zero, 1e-12)
 
 
-def lstsq_minimum_norm(a_sub: np.ndarray, y: np.ndarray):
-    """Minimum-norm least-squares solve, reporting conditioning.
-
-    Returns (x, well_conditioned) where x minimises ||a_sub @ x - y||_F and
-    well_conditioned is False when the singular-value ratio exceeds
-    CONDITION_LIMIT or the numerical rank falls short of the column count.
-    """
-    a = np.asarray(a_sub, dtype=np.complex128)
-    rhs = np.asarray(y, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("a_sub must be a 2-D matrix")
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"row mismatch: a_sub has {a.shape[0]} rows, y has {rhs.shape[0]}"
-        )
-    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=None)
-    if rank < a.shape[1]:
-        ok = False
-    elif sv.size and sv[-1] > 0.0:
-        ok = sv[0] / sv[-1] <= CONDITION_LIMIT
-    else:
-        ok = sv.size == 0
-    return (x[:, 0] if squeeze else x), ok
-
-
 def adjoint_product(x, a) -> np.ndarray:
     """A^H X, for X of shape (m,) or (m, k) and A of shape (m, n), formed as
     (X^H A)^H with no copy of A^H. It is conjugated into a C-ordered array,
@@ -106,28 +78,28 @@ def adjoint_product(x, a) -> np.ndarray:
     return np.conjugate((x.conj().T @ a).T, order="C")
 
 
-#: Largest condition number `gram_lstsq` solves with, as the Cholesky pivots
-#: of the Gram bound it from below: that of the Gram when A is wide or tall,
-#: that of A itself when it is square. Beyond it, it takes the SVD path.
+#: Largest condition number solved by the Gram, as its Cholesky pivots bound
+#: it from below: that of the Gram when A is wide or tall, of A when square.
 GRAM_CONDITION_LIMIT = 1e4
 
 
-def gram_lstsq(a, y) -> np.ndarray:
-    """Minimum-norm least-squares solution x of a @ x = y, via the short side's Gram.
+def lstsq_minimum_norm(a, y):
+    """Minimum-norm least-squares solution x of a @ x = y, and whether A has
+    numerical rank min(m, n) with sigma_max / sigma_min <= CONDITION_LIMIT.
 
     A wide A (m < n) gives x = A^H (A A^H)^-1 y, and a tall one
-    x = (A^H A)^-1 A^H y: one solve with an m x m or n x n Gram instead of an
-    SVD of A. A square A is solved by LU on A itself, since its Gram would
-    square the condition number. The ratio of the largest to the smallest
-    Cholesky pivot of the Gram bounds the condition number of A from below.
-    When the factorisation fails, or that bound for the matrix solved with
-    exceeds GRAM_CONDITION_LIMIT, the system counts as numerically
-    rank-deficient and is solved by `lstsq_minimum_norm`.
+    x = (A^H A)^-1 A^H y: one solve with the short side's Gram. A square A
+    is solved by LU on A itself, since its Gram would square the condition
+    number. The ratio of the largest to the smallest Cholesky pivot of the
+    Gram bounds the condition number of A from below; within
+    GRAM_CONDITION_LIMIT for the matrix solved with, the solve counts as
+    well-conditioned. When the factorisation fails or the bound exceeds it,
+    one SVD (`np.linalg.lstsq`) gives both the solution and the verdict. A
+    1-D y gives a 1-D x.
 
-    Its working set is the Gram, its Cholesky factor and a few right-hand-side
-    blocks, plus one m x n conjugate of A while the Gram is formed: that
-    conjugate dies with its product, and A^H X is formed as (X^H A)^H
-    (`adjoint_product`), so no copy of A^H outlives its GEMM. At m x n =
+    Its working set is the Gram, its Cholesky factor and a few
+    right-hand-side blocks, plus an m x n conjugate of A that dies with the
+    Gram's product: A^H X is formed as (X^H A)^H (`adjoint_product`). At
     128 x 512 with 16 right-hand sides it traces 1.25 MiB, 1 MiB of it that
     conjugate.
     """
@@ -146,10 +118,11 @@ def gram_lstsq(a, y) -> np.ndarray:
             bound *= bound
         if bound <= GRAM_CONDITION_LIMIT:
             if rows < cols:
-                return adjoint_product(np.linalg.solve(gram, rhs), a)
+                return adjoint_product(np.linalg.solve(gram, rhs), a), True
             if rows > cols:
-                return np.linalg.solve(gram, adjoint_product(rhs, a))
-            return np.linalg.solve(a, rhs)
+                return np.linalg.solve(gram, adjoint_product(rhs, a)), True
+            return np.linalg.solve(a, rhs), True
     except np.linalg.LinAlgError:
         pass
-    return lstsq_minimum_norm(a, rhs)[0]
+    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=None)
+    return x, bool(rank == min(rows, cols) and sv[0] <= CONDITION_LIMIT * sv[-1])

@@ -728,11 +728,10 @@ _EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]), st.flo
 
 def _azimuth_grids():
     """(step, count) of 1 to 4 azimuths with every s * step finite: -0.0,
-    subnormal and extreme steps, and 0.0 for one azimuth, whose step the
-    grid text cannot show."""
+    subnormal and extreme steps, and any finite step for one azimuth, which
+    the layout holds as 0.0 since the grid text cannot show it."""
     def grid(count):
-        steps = st.just(0.0) if count == 1 else _EDGE_FLOATS.filter(lambda step: math.isfinite((count - 1) * step))
-        return st.tuples(steps, st.just(count))
+        return st.tuples(_EDGE_FLOATS.filter(lambda step: math.isfinite((count - 1) * step)), st.just(count))
 
     return st.integers(1, 4).flatmap(grid)
 

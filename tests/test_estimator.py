@@ -16,8 +16,10 @@ from nearfield import (
     sample_paths,
     synthesize_measurements,
 )
+from nearfield.channel import path_steering
 from nearfield.codebook import FAR_FIELD, _RingLayout
 from nearfield.estimator import MeasurementSet
+from nearfield.numerics import lstsq_minimum_norm
 from nearfield.phase_modes import DenseBasis
 
 
@@ -285,6 +287,23 @@ def test_oracle_estimate_zero_measurements():
     rows = combining.entries.shape[0]
     zero = MeasurementSet(np.zeros((rows, config.num_subcarriers)), 0.0)
     assert np.all(oracle_estimate(zero, combining, paths, config) == 0.0)
+
+
+def test_oracle_estimate_warns_with_more_paths_than_measurement_rows():
+    """Two measurement rows cannot separate three paths: the oracle returns
+    the minimum-norm projection and warns, although the wide system it
+    solves is well-conditioned."""
+    config = small_system(num_pilot_slots=1)
+    paths = sample_paths(59, 3, (1.0, 5.0), (0.3, 1.5), (0.0, 6.0))
+    combining = generate_combining(61, 1, config.num_rf_chains, config.num_antennas)
+    measurements = synthesize_measurements(generate_channel(paths, config), combining, math.inf)
+    dictionary = combining.entries @ path_steering(paths, config)
+    assert dictionary.shape == (2, 3)
+    assert lstsq_minimum_norm(dictionary, measurements.observations)[1]
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        estimate = oracle_estimate(measurements, combining, paths, config)
+    want = path_steering(paths, config) @ np.linalg.pinv(dictionary) @ measurements.observations
+    assert np.linalg.norm(estimate - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_oracle_rejects_empty_paths():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from nearfield import generate_combining, numerics
 from nearfield.numerics import (
+    CONDITION_LIMIT,
     bessel_j0,
     first_j0_zero,
-    gram_lstsq,
     lstsq_minimum_norm,
     solve_beta_delta,
 )
@@ -252,6 +252,32 @@ def _assert_relative_close(got, want, rtol=1e-10):
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    short=st.integers(1, 10),
+    extra=st.integers(1, 6),
+    orientation=st.sampled_from(["wide", "tall", "square"]),
+    duplicate=st.booleans(),
+    num_rhs=st.integers(1, 3),
+)
+def test_lstsq_minimum_norm_matches_the_svd_oracle(seed, short, extra, orientation, duplicate, num_rhs):
+    """Wide, tall and square Gaussian systems, with and without a duplicated
+    column, on either path: x is pinv(A) y, and the flag is the SVD's verdict
+    "rank min(m, n) and sigma_max / sigma_min <= CONDITION_LIMIT"."""
+    rows, cols = {"wide": (short, short + extra), "tall": (short + extra, short), "square": (short, short)}[orientation]
+    rng = np.random.default_rng(seed)
+    a = _random_complex(rng, rows, cols)
+    if duplicate and cols > 1:
+        a[:, -1] = a[:, 0]
+    y = _random_complex(rng, rows, num_rhs)
+    x, ok = lstsq_minimum_norm(a, y)
+    _assert_relative_close(x, np.linalg.pinv(a) @ y)
+    sv = np.linalg.svd(a, compute_uv=False)
+    rank = int(np.sum(sv > sv[0] * max(rows, cols) * np.finfo(np.float64).eps))
+    assert ok == (rank == min(rows, cols) and sv[0] / sv[-1] <= CONDITION_LIMIT)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
     num_antennas=st.integers(1, 64),
     orientation=st.sampled_from(["wide", "tall", "square", "square-4", "square+4"]),
     num_rhs=st.integers(1, 4),
@@ -270,8 +296,8 @@ def test_gram_lstsq_matches_svd_solution(seed, num_antennas, orientation, num_rh
     a = generate_combining(seed, rows, 1, n).entries
     rng = np.random.default_rng(seed)
     y = _random_complex(rng, rows, num_rhs)
-    _assert_relative_close(gram_lstsq(a, y), lstsq_minimum_norm(a, y)[0])
-    _assert_relative_close(gram_lstsq(a, y[:, 0]), lstsq_minimum_norm(a, y[:, 0])[0])
+    _assert_relative_close(lstsq_minimum_norm(a, y)[0], np.linalg.lstsq(a, y, rcond=None)[0])
+    _assert_relative_close(lstsq_minimum_norm(a, y[:, 0])[0], np.linalg.lstsq(a, y[:, 0], rcond=None)[0])
 
 
 @pytest.mark.parametrize("rows, cols", [(6, 10), (14, 8), (8, 8)])
@@ -279,7 +305,7 @@ def test_gram_lstsq_duplicated_row_gives_pinv_solution(rows, cols):
     a = generate_combining(11, rows, 1, cols).entries.copy()
     a[-1] = a[0]
     y = _random_complex(np.random.default_rng(12), rows, 3)
-    _assert_relative_close(gram_lstsq(a, y), np.linalg.pinv(a) @ y)
+    _assert_relative_close(lstsq_minimum_norm(a, y)[0], np.linalg.pinv(a) @ y)
 
 
 @pytest.mark.parametrize("rows, cols", [(6, 10), (14, 8)])
@@ -287,43 +313,43 @@ def test_gram_lstsq_duplicated_column_gives_pinv_solution(rows, cols):
     a = generate_combining(13, rows, 1, cols).entries.copy()
     a[:, -1] = a[:, 0]
     y = _random_complex(np.random.default_rng(14), rows, 3)
-    _assert_relative_close(gram_lstsq(a, y), np.linalg.pinv(a) @ y)
+    _assert_relative_close(lstsq_minimum_norm(a, y)[0], np.linalg.pinv(a) @ y)
 
 
 def test_gram_lstsq_takes_svd_path_beyond_condition_limit(monkeypatch):
     """A Gram whose Cholesky pivots spread past GRAM_CONDITION_LIMIT is
-    solved by `lstsq_minimum_norm`; a well-conditioned one is not."""
+    solved by one SVD (`np.linalg.lstsq`); a well-conditioned one is not."""
     calls = []
-    real = numerics.lstsq_minimum_norm
+    real = np.linalg.lstsq
 
-    def recording(a, y):
+    def recording(a, y, rcond=None):
         calls.append(a.shape)
-        return real(a, y)
+        return real(a, y, rcond=rcond)
 
-    monkeypatch.setattr(numerics, "lstsq_minimum_norm", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
     rng = np.random.default_rng(15)
     q, _ = np.linalg.qr(_random_complex(rng, 12, 4))
     y = _random_complex(rng, 12, 2)
-    gram_lstsq(q, y)
+    lstsq_minimum_norm(q, y)
     assert calls == []
     scaled = q * np.array([1.0, 1.0, 1.0, 1e-3])  # condition 1e3, Gram 1e6
-    _assert_relative_close(gram_lstsq(scaled, y), real(scaled, y)[0])
+    _assert_relative_close(lstsq_minimum_norm(scaled, y)[0], np.linalg.pinv(scaled) @ y)
     assert calls == [(12, 4)]
 
 
 def test_gram_lstsq_zero_matrix_gives_zero_solution():
-    x = gram_lstsq(np.zeros((3, 5)), np.ones((3, 2)))
+    x = lstsq_minimum_norm(np.zeros((3, 5)), np.ones((3, 2)))[0]
     assert x.shape == (5, 2)
     assert not np.any(x)
 
 
 def test_gram_lstsq_rejects_mismatched_rows():
     with pytest.raises(ValueError):
-        gram_lstsq(np.eye(3), np.zeros((4, 2)))
+        lstsq_minimum_norm(np.eye(3), np.zeros((4, 2)))
 
 
-def _gram_lstsq_with_adjoint_copy(a, y):
-    """`gram_lstsq`'s well-conditioned solves as written while it held a
+def _gram_solve_with_adjoint_copy(a, y):
+    """The Gram path's well-conditioned solves as written while it held a
     copy of A^H through the Cholesky factorisation and the solve."""
     rows, cols = a.shape
     a_h = a.conj().T
@@ -348,17 +374,18 @@ def test_gram_lstsq_equals_the_adjoint_copy_formula_bit_for_bit(rows, cols, num_
     the paper one at P = 32: forming A^H X as (X^H A)^H changes no bit of
     the solution, for a vector and for 16 right-hand sides."""
     a, y = _combiner_and_rhs(rows, cols, num_rhs)
-    got = gram_lstsq(a, y)
+    got, ok = lstsq_minimum_norm(a, y)
+    assert ok
     assert got.flags.c_contiguous
-    assert np.array_equal(got, _gram_lstsq_with_adjoint_copy(a, y))
+    assert np.array_equal(got, _gram_solve_with_adjoint_copy(a, y))
 
 
 def test_gram_lstsq_holds_no_copy_of_a_h(traced_peak):
     """At the paper combiner (128 x 512) with 16 right-hand sides,
-    `gram_lstsq` traces 1.25 MiB: the conjugate of A the Gram is formed from
-    (1 MiB), which dies with its product, and the 128 x 128 Gram. It traced
-    1.66 MiB while a copy of A^H lived through the Cholesky factorisation and
-    the solve."""
+    `lstsq_minimum_norm` traces 1.25 MiB: the conjugate of A the Gram is
+    formed from (1 MiB), which dies with its product, and the 128 x 128
+    Gram. It traced 1.66 MiB while a copy of A^H lived through the Cholesky
+    factorisation and the solve."""
     a, y = _combiner_and_rhs(128, 512, 16)
-    gram_lstsq(a, y)  # warm any lazily loaded state
-    assert traced_peak(gram_lstsq, a, y)[1] <= 1.3 * 2**20
+    lstsq_minimum_norm(a, y)  # warm any lazily loaded state
+    assert traced_peak(lstsq_minimum_norm, a, y)[1] <= 1.3 * 2**20
