@@ -138,10 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = book_sub.add_parser("build", help="build the spherical codebook and write its grid text")
     _add_flags(build)
+    build.set_defaults(run=_cmd_codebook_build)
     build.add_argument("--out", required=True, help="grid text file, one t,s,z,r,theta,phi row per column")
 
     stats = book_sub.add_parser("stats", help="print grid sizes and coherence summary")
     _add_flags(stats)
+    stats.set_defaults(run=_cmd_codebook_stats)
     stats.add_argument("--budget", type=int, default=2000, help="random pair sample size")
 
     sweep = sub.add_parser("sweep", help="Monte Carlo NMSE sweeps")
@@ -149,17 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     snr = sweep_sub.add_parser("snr", help="NMSE versus SNR")
     _add_flags(snr, "--seed", "--trials", "--methods")
+    snr.set_defaults(run=_cmd_sweep)
     snr.add_argument("--snr-list", help="comma list of SNR points in dB, " + _SNR_RULE)
     snr.add_argument("--out", required=True, help="output CSV path")
 
     pilot = sweep_sub.add_parser("pilot", help="NMSE versus pilot length")
     _add_flags(pilot, "--seed", "--trials", "--methods")
+    pilot.set_defaults(run=_cmd_sweep)
     pilot.add_argument("--pilot-list", help="comma list of pilot lengths")
     pilot.add_argument("--snr", type=float, help="fixed SNR in dB, " + _SNR_RULE)
     pilot.add_argument("--out", required=True, help="output CSV path")
 
     trial = sub.add_parser("trial", help="single seeded trial (debug)")
     _add_flags(trial, "--seed", "--methods")
+    trial.set_defaults(run=_cmd_trial)
     trial.add_argument("--snr", type=float, help="SNR in dB (default: profile snr_db), " + _SNR_RULE)
     trial.add_argument("--trial-index", type=int, default=0)
 
@@ -216,9 +221,9 @@ def _cmd_codebook_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, kind: str) -> int:
+def _cmd_sweep(args) -> int:
     spec = assemble_spec(args)
-    result = harness.sweep_snr(spec) if kind == "snr" else harness.sweep_pilot(spec)
+    result = harness.sweep_snr(spec) if args.subcommand == "snr" else harness.sweep_pilot(spec)
     harness.emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return EXIT_OK
@@ -239,25 +244,15 @@ def _cmd_trial(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "codebook" and args.subcommand == "build":
-            return _cmd_codebook_build(args)
-        if args.command == "codebook" and args.subcommand == "stats":
-            return _cmd_codebook_stats(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, args.subcommand)
-        if args.command == "trial":
-            return _cmd_trial(args)
-        parser.error(f"unhandled command {args.command!r}")
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

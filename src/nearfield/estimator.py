@@ -129,18 +129,18 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
 
         R^H A W = (A^H Y)^H W - C^H (A^H A W_S)^H W,
 
-    so the M x G first term is the same at every iteration, and each chosen
-    atom w_i adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`;
-    the row after the last iteration is never read and is not formed. Each
-    step forms the scores of all G columns in place, in one M x G complex
-    and one M x G float buffer allocated once per call. The working set is
+    so the M x G first term is the same at every iteration; its scores are
+    formed before the loop. After each pick but the last, the atom w_i
+    adds one Gram row (A^H A w_i)^H W, through `codebook.correlate`, and
+    all G scores are re-formed in place, in one M x G complex and one
+    M x G float buffer allocated once per call. The working set is
     those buffers, the M x G complex first term, the (iterations - 1) x G
-    complex Gram rows, the float64 scores and boolean `blocked` array (9 B
-    per column), and a few N x M blocks: at M = 16 and 3 iterations, a
-    call traces 0.42 MiB on desk polar (G = 504), 0.17 on desk angular
-    (128) and 0.65 on paper angular (512), the books the builds give this
-    path, and 2.58 MiB on the dense float64 twin of the desk spherical
-    book (G = 3 789).
+    complex Gram rows, the float64 scores and boolean `blocked` and `exact`
+    arrays (10 B per column), and a few N x M blocks: at M = 16 and 3
+    iterations, a call traces 0.42 MiB on desk polar (G = 504), 0.17 on
+    desk angular (128) and 0.65 on paper angular (512), the books the
+    builds give this path, and 2.58 MiB on the dense float64 twin of the
+    desk spherical book (G = 3 789).
 
     A streamed codebook (phase modes or a `Complex64Screen`) scores to within
     a known bound, not exactly, and S-SOMP keeps one float64 score vector
@@ -189,16 +189,16 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
         raise ValueError(f"num_iterations={num_iterations} exceeds the rank budget {budget}")
     projected = adjoint_product(y, a)
     streamed = codebook.streamed
+    slack = 0.0
     if streamed:
-        rtol = codebook.rescore_rtol
         scores = codebook.scores(projected)
-        slack = rtol * float(np.vdot(projected, projected).real)
+        slack = codebook.rescore_rtol * float(np.vdot(projected, projected).real)
         residual, gradient = y, projected  # R_t and A^H R_t
     else:
         base = codebook.correlate(projected)
-        scores = np.empty(g)
         update = np.empty_like(base)
-        magnitude = np.empty(base.shape)
+        magnitude = np.abs(base)
+        scores = np.einsum("ij,ij->j", magnitude, magnitude)
         gram_rows = np.empty((num_iterations - 1, g), dtype=np.complex128)
 
     support, residual_norms, steps = [], [], []
@@ -207,15 +207,7 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
     blocked = np.zeros(g, dtype=bool)
 
     for step in range(num_iterations):
-        if streamed:
-            exact = np.zeros(g, dtype=bool)
-        else:
-            if step:
-                np.matmul(coeffs.conj().T, gram_rows[:step], out=update)
-                np.subtract(base, update, out=update)
-            np.abs(update if step else base, out=magnitude)
-            np.einsum("ij,ij->j", magnitude, magnitude, out=scores)
-            scores[blocked] = -1.0
+        exact = np.zeros(g, dtype=bool)
         rescored, rejected = 0, []
         while True:
             best = int(np.argmax(scores))
@@ -245,25 +237,29 @@ def s_somp(measurements: MeasurementSet, combining: CombiningMatrix, codebook: S
             blocked[best] = True
             scores[best] = -1.0
             rejected.append(best)
-        steps.append(SompStep(rescored, slack if streamed else 0.0, tuple(rejected)))
+        steps.append(SompStep(rescored, slack, tuple(rejected)))
         support.append(best)
         blocked[best] = True
-        coeffs = solution
-        remainder = y - sub @ coeffs
+        remainder = y - sub @ solution
         residual_norms.append(float(np.linalg.norm(remainder)))
         if step < num_iterations - 1:
             if streamed:
                 updated = adjoint_product(remainder, a)
-                slack = _rank_one_update(codebook, a, residual - remainder, gradient, updated, scores, blocked, slack, rtol)
+                slack = _rank_one_update(codebook, a, residual - remainder, gradient, updated, scores, blocked, slack)
                 residual, gradient = remainder, updated
             else:
                 gram_rows[step] = codebook.correlate(adjoint_product(sub[:, -1], a))  # A^H A w_i
+                np.matmul(solution.conj().T, gram_rows[: step + 1], out=update)
+                np.subtract(base, update, out=update)
+                np.abs(update, out=magnitude)
+                np.einsum("ij,ij->j", magnitude, magnitude, out=scores)
+                scores[blocked] = -1.0
 
-    estimate = selected @ coeffs  # W_S of the final support
-    return EstimationResult(support, coeffs, estimate, residual_norms, steps)
+    estimate = selected @ solution  # W_S of the final support
+    return EstimationResult(support, solution, estimate, residual_norms, steps)
 
 
-def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack, rtol) -> float:
+def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, slack) -> float:
     """Move the running `scores` of a streamed codebook (phase modes or a
     `Complex64Screen`) from residual R_{t-1} to R_t = R_{t-1} - change,
     and return `slack` widened by a bound on the move's error.
@@ -284,8 +280,8 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
 
     - the codebook's correlations v_i^H w_j are each within eps ||v_i||
       (eps ~1e-12 for phase modes) of values at most ||v_i|| in modulus,
-      so the move is off by at most eps (2 + eps) ||v_1|| ||v_2||. `rtol`,
-      the codebook's `rescore_rtol`, stands in for eps (2 + eps):
+      so the move is off by at most eps (2 + eps) ||v_1|| ||v_2||. The
+      codebook's `rescore_rtol` stands in for eps (2 + eps):
       RESCORE_RTOL bounds it up to eps = 5e-9, and a `Complex64Screen`
       derives its own from its eps;
     - E is zero but for rounding, because `change` is the rank-1
@@ -311,7 +307,7 @@ def _rank_one_update(codebook, a, change, previous, updated, scores, blocked, sl
         v1_norm = float(np.linalg.norm(v1))
         mismatch = float(np.linalg.norm(previous - updated - np.outer(atom, d.conj())))
         reach = float(np.linalg.norm(previous)) + v1_norm
-        slack += rtol * v1_norm * float(np.linalg.norm(v2))
+        slack += codebook.rescore_rtol * v1_norm * float(np.linalg.norm(v2))
         slack += mismatch * (2.0 * reach + mismatch)
     scores[blocked] = -1.0
     return slack

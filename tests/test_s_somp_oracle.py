@@ -470,11 +470,10 @@ def _check_running_scores(patch, args):
         assert np.all(scores[free] >= 0.0)
         assert np.all(np.abs(scores[free] - exact[free]) <= slack)
 
-    def checking(book, a, change, previous, updated, scores, blocked, slack, rtol):
-        assert rtol == book.rescore_rtol
+    def checking(book, a, change, previous, updated, scores, blocked, slack):
         check(scores, previous, blocked, slack)
-        widened = real(book, a, change, previous, updated, scores, blocked, slack, rtol)
-        assert slack <= widened <= slack + 4.0 * rtol * scale
+        widened = real(book, a, change, previous, updated, scores, blocked, slack)
+        assert slack <= widened <= slack + 4.0 * book.rescore_rtol * scale
         check(scores, updated, blocked, widened)
         assert np.all(scores[blocked] == -1.0)
         slacks.append(widened)
@@ -695,9 +694,7 @@ def test_moved_scores_of_cancelled_columns_are_kept_at_zero_or_above(num_subcarr
     scale = float(np.vdot(previous, previous).real)
     blocked = np.zeros(w.shape[1], dtype=bool)
     blocked[0] = True
-    slack = estimator._rank_one_update(
-        book, a, residual, previous, np.zeros_like(previous), scores, blocked, RESCORE_RTOL * scale, RESCORE_RTOL
-    )
+    slack = estimator._rank_one_update(book, a, residual, previous, np.zeros_like(previous), scores, blocked, RESCORE_RTOL * scale)
     assert scores[0] == -1.0
     assert np.all(scores[1:] >= 0.0)
     assert scores[1:].max() <= min(1e-12 * scale, slack)
@@ -1023,6 +1020,39 @@ def test_phase_mode_s_somp_correlates_few_vectors(desk_phase_mode_calls, desk_so
         s_somp(measurements, combining, held, iterations)
         assert measurements.observations.shape[1] == 16 > iterations
         assert widths == [2] * (iterations - 1)
+
+
+@pytest.mark.parametrize("iterations", [1, 3, 8])
+def test_gram_s_somp_correlates_once_per_pick_but_the_last(desk_spec, monkeypatch, iterations):
+    """On a `DenseBasis` or a `DftBasis`, S-SOMP calls `correlate` once on
+    the N x M projection A^H Y, for the first scores, and then once on the
+    N-vector A^H A w_i after each pick but the last: `iterations` calls in
+    all, so the Gram row of the last pick is never formed. Checked on the
+    books the builds give the Gram path: desk polar, desk and paper
+    angular."""
+    shapes = []
+
+    def spying(real):
+        def correlate(self, v):
+            shapes.append(np.shape(v))
+            return real(self, v)
+
+        return correlate
+
+    for gram in (DenseBasis, DftBasis):
+        monkeypatch.setattr(gram, "correlate", spying(gram.correlate))
+    paper = paper_profile()
+    books = [
+        (desk_spec, build_polar_codebook(desk_spec.system, desk_spec.delta, desk_spec.r_min_m)),
+        (desk_spec, build_angular_codebook(desk_spec.system)),
+        (paper, build_angular_codebook(paper.system)),
+    ]
+    for spec, book in books:
+        assert isinstance(book, (DenseBasis, DftBasis)) and not book.streamed
+        shapes.clear()
+        s_somp(*_one_call(spec, book, iterations))
+        n, m = spec.system.num_antennas, spec.system.num_subcarriers
+        assert shapes == [(n, m)] + [(n,)] * (iterations - 1)
 
 
 @pytest.fixture(scope="module")
